@@ -78,7 +78,7 @@ from .optimizer import (
     resolved_value,
     step,
 )
-from .planner import parse_plan, plan, replan
+from .planner import parse_plan, plan
 from .providers import (
     Backend,
     MockProvider,

@@ -17,7 +17,7 @@ from .core import (
     UnitRole,
 )
 from .errors import ActionParseError, InvariantError, WrongActionError
-from .providers import Provider, ProviderRequest
+from .providers import Provider, invoke
 
 ANSWER_PREFIX = "ANSWER:"
 TITLE_PREFIX = "TITLE:"
@@ -123,85 +123,42 @@ def lookup(tools: ToolStore, query: str) -> list[str]:
     return facts
 
 
-def _knowledge_segments(spec: ActionSpec, tools: ToolStore | None) -> tuple[ContentItem, ...]:
-    if tools is None:
-        return ()
-    match = _KNOWLEDGE_DIRECTIVE.search(spec.instructions)
-    if match is None:
-        return ()
-    facts = lookup(tools, match.group(1).strip())
-    if not facts:
-        return ()
-    return (ContentItem.from_text("Relevant known facts:\n" + "\n".join(facts)),)
-
-
-def _action_prompt(
-    spec: ActionSpec,
-    reasoned: PromptArtifact,
-    expected: ActionName,
-    directive: str,
-    extra: tuple[ContentItem, ...] = (),
-) -> PromptArtifact:
-    if spec.name is not expected:
-        raise WrongActionError(
-            f"builder for {expected.value} got a {spec.name.value} action"
+def _context_segments(
+    spec: ActionSpec, tools: ToolStore | None, revision: str | None
+) -> tuple[ContentItem, ...]:
+    """Store facts the instructions request, then any revision feedback."""
+    extra: tuple[ContentItem, ...] = ()
+    match = _KNOWLEDGE_DIRECTIVE.search(spec.instructions) if tools is not None else None
+    facts = lookup(tools, match.group(1).strip()) if match else []
+    if facts:
+        extra += (ContentItem.from_text("Relevant known facts:\n" + "\n".join(facts)),)
+    if revision:
+        extra += (
+            ContentItem.from_text(
+                f"Revision feedback from a prior attempt:\n{revision}\n"
+                "Produce an improved response."
+            ),
         )
-    segments = (
-        reasoned.segments
-        + (ContentItem.from_text(f"Action instructions:\n{spec.instructions}"),)
-        + spec.inputs
-        + extra
-        + (ContentItem.from_text(directive),)
-    )
-    return PromptArtifact(
-        system_role=reasoned.system_role,
-        segments=segments,
-        strategy=reasoned.strategy,
-        provenance=reasoned.provenance,
-    )
+    return extra
 
 
-def build_qa_prompt(spec: ActionSpec, reasoned: PromptArtifact) -> PromptArtifact:
-    return _action_prompt(
-        spec,
-        reasoned,
-        ActionName.QA,
-        f"Respond with a final line of the form {ANSWER_PREFIX} <answer>.",
-    )
+_ANSWER_LINE = (ANSWER_PREFIX, f"Respond with a final line of the form {ANSWER_PREFIX} <answer>.")
 
-
-def build_vqa_prompt(spec: ActionSpec, reasoned: PromptArtifact) -> PromptArtifact:
-    return _action_prompt(
-        spec,
-        reasoned,
-        ActionName.VQA,
-        f"Respond with a final line of the form {ANSWER_PREFIX} <answer>.",
-    )
-
-
-def build_title_prompt(spec: ActionSpec, reasoned: PromptArtifact) -> PromptArtifact:
-    return _action_prompt(
-        spec,
-        reasoned,
-        ActionName.TITLE_GENERATION,
+# Each action's answer-line prefix and the directive that closes its prompt;
+# categorization fills in the labels offered at that stage.
+_ACTIONS: dict[ActionName, tuple[str, str]] = {
+    ActionName.QA: _ANSWER_LINE,
+    ActionName.VQA: _ANSWER_LINE,
+    ActionName.TITLE_GENERATION: (
+        TITLE_PREFIX,
         f"Respond with a final line of the form {TITLE_PREFIX} <title>.",
-    )
-
-
-def _category_prompt(
-    spec: ActionSpec,
-    reasoned: PromptArtifact,
-    labels: tuple[str, ...],
-    extra: tuple[ContentItem, ...] = (),
-) -> PromptArtifact:
-    return _action_prompt(
-        spec,
-        reasoned,
-        ActionName.CATEGORIZATION,
+    ),
+    ActionName.CATEGORIZATION: (
+        CATEGORY_PREFIX,
         f"Respond with a final line of the form {CATEGORY_PREFIX} <category>, "
-        "choosing exactly one of: " + ", ".join(labels) + ".",
-        extra=extra,
-    )
+        "choosing exactly one of: {labels}.",
+    ),
+}
 
 
 def _extract_line(text: str, prefix: str) -> str | None:
@@ -212,21 +169,41 @@ def _extract_line(text: str, prefix: str) -> str | None:
     return None
 
 
-def _complete_prompt(
-    prompt: PromptArtifact,
+def _ask(
+    spec: ActionSpec,
+    reasoned: PromptArtifact,
     provider: Provider,
+    extra: tuple[ContentItem, ...],
     transcript: Transcript | None,
+    labels: tuple[str, ...] = (),
+) -> tuple[str, str | None]:
+    """One actor call; returns the response text and its answer line, if any."""
+    prefix, directive = _ACTIONS[spec.name]
+    segments = (
+        reasoned.segments
+        + (ContentItem.from_text(f"Action instructions:\n{spec.instructions}"),)
+        + spec.inputs
+        + extra
+        + (ContentItem.from_text(directive.format(labels=", ".join(labels))),)
+    )
+    text = invoke(
+        provider, UnitRole.ACTOR, "act", reasoned.system_role, segments, transcript=transcript
+    )
+    return text, _extract_line(text, prefix)
+
+
+def _classify(
+    spec: ActionSpec,
+    reasoned: PromptArtifact,
+    provider: Provider,
+    extra: tuple[ContentItem, ...],
+    transcript: Transcript | None,
+    labels: tuple[str, ...],
 ) -> str:
-    return provider.complete(
-        ProviderRequest(
-            system_role=prompt.system_role,
-            messages=prompt.segments,
-            sampling=provider.config.sampling,
-        ),
-        transcript=transcript,
-        unit=UnitRole.ACTOR,
-        operation="act",
-    ).text
+    text, label = _ask(spec, reasoned, provider, extra, transcript, labels)
+    if label is None:
+        raise ActionParseError(f"no {CATEGORY_PREFIX} line in output: {text[:80]!r}")
+    return label
 
 
 def categorize_two_level(
@@ -236,6 +213,7 @@ def categorize_two_level(
     provider: Provider,
     *,
     spec: ActionSpec | None = None,
+    tools: ToolStore | None = None,
     revision: str | None = None,
     transcript: Transcript | None = None,
 ) -> CategoryPair:
@@ -243,28 +221,16 @@ def categorize_two_level(
     of that category's children. The result is always parent/child."""
     if spec is None:
         spec = ActionSpec.for_id(4, "Classify the content.", tuple(items))
-    extra = (
-        (ContentItem.from_text(f"Revision feedback from a prior attempt:\n{revision}"),)
-        if revision
-        else ()
-    )
-    first = _complete_prompt(
-        _category_prompt(spec, reasoned, taxonomy.level1, extra), provider, transcript
-    )
-    level1 = _extract_line(first, CATEGORY_PREFIX)
-    if level1 is None:
-        raise ActionParseError(f"no {CATEGORY_PREFIX} line in output: {first[:80]!r}")
+    elif spec.name is not ActionName.CATEGORIZATION:
+        raise WrongActionError(f"categorization got a {spec.name.value} action")
+    extra = _context_segments(spec, tools, revision)
+    level1 = _classify(spec, reasoned, provider, extra, transcript, taxonomy.level1)
     if level1 not in taxonomy.level1:
         raise ActionParseError(f"unknown category {level1!r}")
     children = taxonomy.children(level1)
     if not children:
         raise ActionParseError(f"category {level1!r} has no second-level children")
-    second = _complete_prompt(
-        _category_prompt(spec, reasoned, children, extra), provider, transcript
-    )
-    level2 = _extract_line(second, CATEGORY_PREFIX)
-    if level2 is None:
-        raise ActionParseError(f"no {CATEGORY_PREFIX} line in output: {second[:80]!r}")
+    level2 = _classify(spec, reasoned, provider, extra, transcript, children)
     if level2 not in children:
         raise ActionParseError(f"{level2!r} is not a child of {level1}")
     return CategoryPair(level1=level1, level2=level2)
@@ -283,87 +249,44 @@ def act(
     """Execute one action: build its prompt, call the provider, parse the
     action-specific answer. Categorization against a hierarchical taxonomy
     makes two calls; every other action makes exactly one."""
-    knowledge = _knowledge_segments(spec, tools)
-    extra = knowledge
-    if revision:
-        extra = extra + (
-            ContentItem.from_text(
-                f"Revision feedback from a prior attempt:\n{revision}\n"
-                "Produce an improved response."
-            ),
+    if spec.name is not ActionName.CATEGORIZATION:
+        text, answer = _ask(
+            spec, reasoned, provider, _context_segments(spec, tools, revision), transcript
         )
-
-    if spec.name is ActionName.CATEGORIZATION:
-        if taxonomy is None:
-            raise InvariantError("categorization requires a taxonomy")
-        if taxonomy.is_hierarchical():
-            pair = categorize_two_level(
-                spec.inputs,
-                taxonomy,
-                reasoned,
-                provider,
-                spec=spec,
-                revision=revision,
-                transcript=transcript,
-            )
-            return ActionResult(
-                action_id=spec.action_id,
-                answer=f"{pair.level1} / {pair.level2}",
-                structured=pair,
-                provider_calls=2,
-            )
-        text = _complete_prompt(
-            _category_prompt(spec, reasoned, taxonomy.level1, extra),
-            provider,
-            transcript,
-        )
-        label = _extract_line(text, CATEGORY_PREFIX)
-        if label is None:
-            raise ActionParseError(f"no {CATEGORY_PREFIX} line in output: {text[:80]!r}")
-        if label not in taxonomy.level1:
-            raise ActionParseError(f"unknown category {label!r}")
+        if answer is None:
+            answer = text.strip()  # prose fallback; QA-style metrics tolerate it
+        structured = answer if spec.name is ActionName.TITLE_GENERATION else None
         return ActionResult(
-            action_id=spec.action_id, answer=label, structured=label, provider_calls=1
+            action_id=spec.action_id,
+            answer=answer,
+            structured=structured,
+            provider_calls=1,
         )
-
-    if spec.name is ActionName.QA:
-        prompt = _action_prompt(
-            spec,
+    if taxonomy is None:
+        raise InvariantError("categorization requires a taxonomy")
+    if taxonomy.is_hierarchical():
+        pair = categorize_two_level(
+            spec.inputs,
+            taxonomy,
             reasoned,
-            ActionName.QA,
-            f"Respond with a final line of the form {ANSWER_PREFIX} <answer>.",
-            extra=extra,
+            provider,
+            spec=spec,
+            tools=tools,
+            revision=revision,
+            transcript=transcript,
         )
-        prefix = ANSWER_PREFIX
-    elif spec.name is ActionName.VQA:
-        prompt = _action_prompt(
-            spec,
-            reasoned,
-            ActionName.VQA,
-            f"Respond with a final line of the form {ANSWER_PREFIX} <answer>.",
-            extra=extra,
+        return ActionResult(
+            action_id=spec.action_id,
+            answer=f"{pair.level1} / {pair.level2}",
+            structured=pair,
+            provider_calls=2,
         )
-        prefix = ANSWER_PREFIX
-    else:
-        prompt = _action_prompt(
-            spec,
-            reasoned,
-            ActionName.TITLE_GENERATION,
-            f"Respond with a final line of the form {TITLE_PREFIX} <title>.",
-            extra=extra,
-        )
-        prefix = TITLE_PREFIX
-
-    text = _complete_prompt(prompt, provider, transcript)
-    answer = _extract_line(text, prefix)
-    if answer is None:
-        answer = text.strip()  # prose fallback; QA-style metrics tolerate it
-    structured = answer if spec.name is ActionName.TITLE_GENERATION else None
+    extra = _context_segments(spec, tools, revision)
+    label = _classify(spec, reasoned, provider, extra, transcript, taxonomy.level1)
+    if label not in taxonomy.level1:
+        raise ActionParseError(f"unknown category {label!r}")
     return ActionResult(
-        action_id=spec.action_id,
-        answer=answer,
-        structured=structured,
-        provider_calls=1,
+        action_id=spec.action_id, answer=label, structured=label, provider_calls=1
     )
 
 

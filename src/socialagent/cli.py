@@ -146,16 +146,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             task, env, setup.engine, tools=tools, taxonomy=taxonomy
         )
     except TaskFailure as exc:
-        events = [
-            {
-                "seq": e.seq,
-                "unit": e.unit.value,
-                "operation": e.operation,
-                "request_digest": e.request_digest,
-                "response_digest": e.response_digest,
-            }
-            for e in (exc.transcript.events if exc.transcript else ())
-        ]
+        events = [e.to_report() for e in (exc.transcript.events if exc.transcript else ())]
         _emit(
             canonical.dumps(
                 {"task_id": task.id, "error": str(exc), "transcript": events}

@@ -334,6 +334,16 @@ class TranscriptEvent:
     def label(self) -> tuple[str, str]:
         return (self.unit.value, self.operation)
 
+    def to_report(self) -> dict:
+        """The timestamp-free form that run reports carry."""
+        return {
+            "seq": self.seq,
+            "unit": self.unit.value,
+            "operation": self.operation,
+            "request_digest": self.request_digest,
+            "response_digest": self.response_digest,
+        }
+
 
 class Transcript:
     """Append-only record of unit invocations for one task run.
@@ -367,19 +377,7 @@ class Transcript:
         return tuple(self._events)
 
     def to_jsonable(self) -> dict:
-        return {
-            "events": [
-                {
-                    "seq": e.seq,
-                    "unit": e.unit.value,
-                    "operation": e.operation,
-                    "request_digest": e.request_digest,
-                    "response_digest": e.response_digest,
-                    "timestamp": e.timestamp,
-                }
-                for e in self._events
-            ]
-        }
+        return {"events": [{**e.to_report(), "timestamp": e.timestamp} for e in self._events]}
 
     @classmethod
     def from_jsonable(cls, data: object) -> Transcript:

@@ -16,7 +16,7 @@ from .core import (
     digest,
 )
 from .errors import CritiqueParseError, InvariantError, NotActionableError
-from .providers import Provider, ProviderRequest
+from .providers import Provider, invoke
 
 VERDICT_PREFIX = "VERDICT:"
 FEEDBACK_PREFIX = "FEEDBACK:"
@@ -124,13 +124,10 @@ def criticize(
             ),
         ]
     )
-    response = provider.complete(
-        ProviderRequest(system_role=system_role, messages=tuple(segments)),
-        transcript=transcript,
-        unit=UnitRole.CRITIC,
-        operation="criticize",
+    text = invoke(
+        provider, UnitRole.CRITIC, "criticize", system_role, tuple(segments), transcript=transcript
     )
-    return parse_critique(response.text)
+    return parse_critique(text)
 
 
 def refine(
@@ -157,13 +154,10 @@ def refine(
     if env.description:
         segments.append(ContentItem.from_text(f"Environment:\n{env.description}"))
     segments.append(ContentItem.from_text(f"Review feedback:\n{critique.feedback}"))
-    response = provider.complete(
-        ProviderRequest(system_role=system_role, messages=tuple(segments)),
-        transcript=transcript,
-        unit=UnitRole.REFINER,
-        operation="refine",
+    text = invoke(
+        provider, UnitRole.REFINER, "refine", system_role, tuple(segments), transcript=transcript
     )
-    return RefinedInstructions(instructions=response.text, derived_from=critique.digest())
+    return RefinedInstructions(instructions=text, derived_from=critique.digest())
 
 
 from . import canonical  # noqa: E402  (registration only)

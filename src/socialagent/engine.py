@@ -31,7 +31,7 @@ from .errors import (
     TaskFailure,
 )
 from .optimizer import TGDConfig, TextLoss, Variable, optimize, resolved_value
-from .providers import Provider, ProviderRequest, build_provider
+from .providers import Provider, build_provider, invoke
 from .reasoner import reason
 
 BOOTSTRAP_SYSTEM_ROLE = (
@@ -109,21 +109,21 @@ def bootstrap_role(
     with any other unit."""
     _check_role_isolation(config)
     provider = units[UnitRole.ROLE_WRITER]
-    request = ProviderRequest(
-        system_role=BOOTSTRAP_SYSTEM_ROLE,
-        messages=(
+    text = invoke(
+        provider,
+        UnitRole.ROLE_WRITER,
+        "bootstrap_role",
+        BOOTSTRAP_SYSTEM_ROLE,
+        (
             ContentItem.from_text(
                 "Write a concise system-role description for an assistant that "
                 "will solve the following task. Respond with the role text only."
             ),
             ContentItem.from_text(f"Task:\n{task.goal}"),
         ),
-        sampling=provider.config.sampling,
+        transcript=transcript,
     )
-    response = provider.complete(
-        request, transcript=transcript, unit=UnitRole.ROLE_WRITER, operation="bootstrap_role"
-    )
-    return RoleDescription(text=response.text.strip(), generated_by=provider.config.model_name)
+    return RoleDescription(text=text.strip(), generated_by=provider.config.model_name)
 
 
 def _as_planning_segment(item: ContentItem) -> ContentItem:
@@ -174,6 +174,14 @@ def create_action_prompt(spec, role_text: str) -> PromptArtifact:
     )
 
 
+def _tgd_config(config: EngineConfig) -> TGDConfig:
+    return TGDConfig(
+        iterations=config.tgd_iterations,
+        step_directive=config.step_directive,
+        early_stop_marker=config.early_stop_marker,
+    )
+
+
 @dataclass(frozen=True)
 class TrialView:
     """What one planning trial produced, for inspection and reporting."""
@@ -212,11 +220,7 @@ def run_trials(
     on non-final trials the divergence gate decides whether the critic and
     refiner run (feeding a replan) or the loop breaks with the optimized
     plan. The final trial always exits with the best available plan."""
-    tgd = TGDConfig(
-        iterations=config.tgd_iterations,
-        step_directive=config.step_directive,
-        early_stop_marker=config.early_stop_marker,
-    )
+    tgd = _tgd_config(config)
     gates: list[GateDecision] = []
     critiques: list[Critique] = []
     refinements: list[RefinedInstructions] = []
@@ -245,7 +249,6 @@ def run_trials(
             operation=operation,
             corrective=pending,
         )
-        pending = None
         variable = Variable(value=plan_a.raw, role_note="plan under optimization")
         optimized = optimize(
             variable,
@@ -261,59 +264,53 @@ def run_trials(
         except PlanParseError:
             plan_b = None
 
-        if trial >= config.trials - 1:
-            executed = plan_b if plan_b is not None else plan_a
-            views.append(TrialView(trial, plan_a.raw, optimized_text))
-            break
-
-        gate = should_criticize(
-            plan_a.raw,
-            optimized_text,
-            units[UnitRole.CRITIC],
-            config.theta,
-            transcript=transcript,
-        )
-        gates.append(gate)
-        if not gate.activate:
-            executed = plan_b if plan_b is not None else plan_a
-            views.append(TrialView(trial, plan_a.raw, optimized_text, gate=gate))
-            break
-        if plan_b is None:
-            # The optimizer produced no usable plan; run with the existing one.
-            executed = plan_a
-            views.append(TrialView(trial, plan_a.raw, optimized_text, gate=gate))
-            break
-        critique = criticize(
-            env,
-            task,
-            plan_a,
-            plan_b,
-            units[UnitRole.CRITIC],
-            divergence=gate.divergence,
-            system_role=role.text,
-            transcript=transcript,
-        )
-        critiques.append(critique)
-        if not critique.actionable:
-            executed = plan_a if critique.selected is PlanChoice.PLAN_A else plan_b
-            views.append(
-                TrialView(trial, plan_a.raw, optimized_text, gate=gate, critique=critique)
+        gate: GateDecision | None = None
+        critique: Critique | None = None
+        refined: RefinedInstructions | None = None
+        if trial < config.trials - 1:
+            gate = should_criticize(
+                plan_a.raw,
+                optimized_text,
+                units[UnitRole.CRITIC],
+                config.theta,
+                transcript=transcript,
             )
-            break
-        refined = refine(
-            env,
-            task,
-            critique,
-            units[UnitRole.REFINER],
-            system_role=role.text,
-            transcript=transcript,
-        )
-        refinements.append(refined)
+            gates.append(gate)
+        if gate is None or not gate.activate or plan_b is None:
+            # The final trial, a gate pass, or an optimizer output that is no
+            # plan: run the best available plan without a critique.
+            executed = plan_b if plan_b is not None else plan_a
+        else:
+            critique = criticize(
+                env,
+                task,
+                plan_a,
+                plan_b,
+                units[UnitRole.CRITIC],
+                divergence=gate.divergence,
+                system_role=role.text,
+                transcript=transcript,
+            )
+            critiques.append(critique)
+            if critique.actionable:
+                refined = refine(
+                    env,
+                    task,
+                    critique,
+                    units[UnitRole.REFINER],
+                    system_role=role.text,
+                    transcript=transcript,
+                )
+                refinements.append(refined)
+            else:
+                executed = plan_a if critique.selected is PlanChoice.PLAN_A else plan_b
         views.append(
             TrialView(
                 trial, plan_a.raw, optimized_text, gate=gate, critique=critique, refined=refined
             )
         )
+        if refined is None:
+            break
         pending = refined
         prompt = create_task_prompt(task, env, role.text, refined=refined)
 
@@ -355,11 +352,7 @@ def execute_actions(
     then act again with the optimizer's feedback as revision context. An
     action failure aborts the rest; completed results are returned with the
     error marker."""
-    tgd = TGDConfig(
-        iterations=config.tgd_iterations,
-        step_directive=config.step_directive,
-        early_stop_marker=config.early_stop_marker,
-    )
+    tgd = _tgd_config(config)
     results: list[ActionResult] = []
     for index, spec in enumerate(plan.actions):
         try:
@@ -419,7 +412,8 @@ def solve(
     if not report.ok:
         raise InvariantError("; ".join(report.problems))
     units = units or build_units(config)
-    transcript = transcript or Transcript()
+    if transcript is None:
+        transcript = Transcript()
     try:
         role = bootstrap_role(task, config, units, transcript=transcript)
         outcome = run_trials(task, env, config, units, role, transcript=transcript)
@@ -453,16 +447,7 @@ def solve(
 def run_report(task: Task, response: TaskResponse) -> str:
     """Canonical, timestamp-free run report suitable for golden-file
     comparison; timing is reported as logical event counts."""
-    events = [
-        {
-            "seq": e.seq,
-            "unit": e.unit.value,
-            "operation": e.operation,
-            "request_digest": e.request_digest,
-            "response_digest": e.response_digest,
-        }
-        for e in response.transcript.events
-    ]
+    events = [e.to_report() for e in response.transcript.events]
     report = {
         "task_id": task.id,
         "plan": canonical.to_jsonable(response.plan_used),

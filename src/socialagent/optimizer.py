@@ -13,7 +13,7 @@ from .core import (
     UnitRole,
 )
 from .errors import InvariantError, OptimizationAborted, ProviderError
-from .providers import Provider, ProviderRequest
+from .providers import Provider, invoke
 
 DEFAULT_TEXT_LOSS = (
     "critical evaluation instructions and analysis of the reflected input "
@@ -74,25 +74,6 @@ class TGDConfig:
             raise InvariantError("early_stop_marker must be non-empty")
 
 
-def _complete(
-    provider: Provider,
-    system_role: str,
-    segments: tuple[ContentItem, ...],
-    operation: str,
-    transcript: Transcript | None,
-) -> str:
-    return provider.complete(
-        ProviderRequest(
-            system_role=system_role,
-            messages=segments,
-            sampling=provider.config.sampling,
-        ),
-        transcript=transcript,
-        unit=UnitRole.OPTIMIZER,
-        operation=operation,
-    ).text
-
-
 def forward(
     variable: Variable,
     context: PromptArtifact,
@@ -108,7 +89,14 @@ def forward(
             "Produce the response this candidate yields for the task above."
         ),
     )
-    return _complete(provider, context.system_role, segments, "forward", transcript)
+    return invoke(
+        provider,
+        UnitRole.OPTIMIZER,
+        "forward",
+        context.system_role,
+        segments,
+        transcript=transcript,
+    )
 
 
 def compute_loss(
@@ -129,7 +117,14 @@ def compute_loss(
             ContentItem.from_text("Initial questions:\n" + "\n".join(loss.context))
         )
     segments.append(ContentItem.from_text(f"Prediction:\n{prediction}"))
-    return _complete(provider, system_role, tuple(segments), "compute_loss", transcript)
+    return invoke(
+        provider,
+        UnitRole.OPTIMIZER,
+        "compute_loss",
+        system_role,
+        tuple(segments),
+        transcript=transcript,
+    )
 
 
 def gradient(
@@ -157,7 +152,9 @@ def gradient(
             "Give concrete, actionable feedback on how to improve the candidate."
         ),
     )
-    text = _complete(provider, system_role, segments, "gradient", transcript)
+    text = invoke(
+        provider, UnitRole.OPTIMIZER, "gradient", system_role, segments, transcript=transcript
+    )
     return GradientNote(feedback=text, produced_by=provider.config.model_name)
 
 
@@ -187,7 +184,9 @@ def step(
             f"{config.early_stop_marker} if no further improvement is possible."
         )
     )
-    text = _complete(provider, system_role, tuple(segments), "step", transcript)
+    text = invoke(
+        provider, UnitRole.OPTIMIZER, "step", system_role, tuple(segments), transcript=transcript
+    )
     return replace(variable, value=text, history=variable.history + (variable.value,))
 
 

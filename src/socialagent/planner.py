@@ -20,7 +20,7 @@ from .core import (
 )
 from .critic import RefinedInstructions
 from .errors import InvariantError, PlanParseError
-from .providers import Provider, ProviderRequest
+from .providers import Provider, invoke
 
 _FENCED_BLOCK = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
 
@@ -77,12 +77,12 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
     return Plan(actions=tuple(actions), rationale=rationale, raw=raw)
 
 
-def _planning_request(
+def _planning_segments(
     env: EnvironmentContext,
     task: Task,
     reasoned: PromptArtifact,
     corrective: RefinedInstructions | None,
-) -> ProviderRequest:
+) -> tuple[ContentItem, ...]:
     segments: list[ContentItem] = [
         ContentItem.from_text(
             "Plan how to complete the task below as an ordered sequence of actions."
@@ -103,10 +103,7 @@ def _planning_request(
             )
         )
     segments.append(ContentItem.from_text(_BLOCK_DIRECTIVE))
-    return ProviderRequest(
-        system_role=reasoned.system_role,
-        messages=tuple(segments),
-    )
+    return tuple(segments)
 
 
 def plan(
@@ -120,39 +117,16 @@ def plan(
     corrective: RefinedInstructions | None = None,
 ) -> Plan:
     """One provider call producing a validated Plan; the raw model output is
-    kept verbatim on the result."""
+    kept verbatim on the result. A replan passes the refiner's corrective
+    instructions and records itself under operation "replan"."""
     if task.goal not in "\n".join(reasoned.text_segments()):
         raise InvariantError("reasoned prompt does not carry the task goal")
-    request = _planning_request(env, task, reasoned, corrective)
-    response = provider.complete(
-        request, transcript=transcript, unit=UnitRole.PLANNER, operation=operation
-    )
-    return parse_plan(response.text, task.permitted_actions())
-
-
-def replan(
-    env: EnvironmentContext,
-    task: Task,
-    refined: RefinedInstructions,
-    provider: Provider,
-    *,
-    reasoned: PromptArtifact | None = None,
-    transcript: Transcript | None = None,
-) -> Plan:
-    """plan() with the refiner's corrective instructions included in the
-    prompt. When no freshly reasoned prompt is supplied, the original task
-    prompt is rebuilt and reused."""
-    if not refined.instructions.strip():
-        raise InvariantError("refined instructions must be non-empty")
-    if reasoned is None:
-        segments = [ContentItem.from_text(task.goal), *task.inputs]
-        reasoned = PromptArtifact(system_role="", segments=tuple(segments))
-    return plan(
-        env,
-        task,
-        reasoned,
+    text = invoke(
         provider,
+        UnitRole.PLANNER,
+        operation,
+        reasoned.system_role,
+        _planning_segments(env, task, reasoned, corrective),
         transcript=transcript,
-        operation="replan",
-        corrective=refined,
     )
+    return parse_plan(text, task.permitted_actions())

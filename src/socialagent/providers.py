@@ -136,14 +136,20 @@ def _record(
     request_text: str,
     response_text: str,
 ) -> None:
-    # digests at normal verbosity; full bodies only when debugging
-    log.info("%s request=%s response=%s", operation, digest(request_text), digest(response_text))
+    # digests at normal verbosity, each computed once (the transcript's, when
+    # there is one); full bodies only when debugging
+    if transcript is not None:
+        if unit is None:
+            raise InvariantError("transcript recording requires a unit role")
+        event = transcript.record(unit, operation, request_text, response_text)
+        log.info(
+            "%s request=%s response=%s", operation, event.request_digest, event.response_digest
+        )
+    elif log.isEnabledFor(logging.INFO):
+        log.info(
+            "%s request=%s response=%s", operation, digest(request_text), digest(response_text)
+        )
     log.debug("%s request body:\n%s\nresponse body:\n%s", operation, request_text, response_text)
-    if transcript is None:
-        return
-    if unit is None:
-        raise InvariantError("transcript recording requires a unit role")
-    transcript.record(unit, operation, request_text, response_text)
 
 
 def hash_embedding(text: str, dimension: int, seed: int) -> EmbeddingVector:
@@ -370,6 +376,24 @@ class HttpChatProvider:
 
 
 Provider = MockProvider | HttpChatProvider
+
+
+def invoke(
+    provider: Provider,
+    unit: UnitRole,
+    operation: str,
+    system_role: str,
+    segments: tuple[ContentItem, ...],
+    *,
+    transcript: Transcript | None = None,
+) -> str:
+    """The one completion path of every unit: a request under the bound
+    provider's own sampling, recorded in the transcript as (unit, operation).
+    Returns the response text."""
+    request = ProviderRequest(
+        system_role=system_role, messages=segments, sampling=provider.config.sampling
+    )
+    return provider.complete(request, transcript=transcript, unit=unit, operation=operation).text
 
 
 def build_provider(config: ProviderConfig) -> Provider:

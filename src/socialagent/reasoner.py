@@ -14,7 +14,7 @@ from .core import (
     UnitRole,
 )
 from .errors import StrategyRequiresProviderError
-from .providers import Provider, ProviderRequest
+from .providers import Provider, invoke
 
 COT_PHRASE = "let's think step by step"
 REFLECTION_INSTRUCTION = "apply reflection to the following reasoning trace"
@@ -59,29 +59,22 @@ def _reflect(
     """Generate a reasoning trace from the CoT-decorated prompt, then ask
     for a reflection on it. Exactly two provider calls."""
     traced = apply_strategy(prompt, ReasoningStrategy.zero_shot_cot())
-    trace = provider.complete(
-        ProviderRequest(
-            system_role=traced.system_role,
-            messages=traced.segments,
-            sampling=provider.config.sampling,
-        ),
+    trace = invoke(
+        provider,
+        UnitRole.REASONER,
+        "reason",
+        traced.system_role,
+        traced.segments,
         transcript=transcript,
-        unit=UnitRole.REASONER,
-        operation="reason",
-    ).text
-    reflection = provider.complete(
-        ProviderRequest(
-            system_role=prompt.system_role,
-            messages=(
-                ContentItem.from_text(REFLECTION_INSTRUCTION),
-                ContentItem.from_text(trace),
-            ),
-            sampling=provider.config.sampling,
-        ),
+    )
+    reflection = invoke(
+        provider,
+        UnitRole.REASONER,
+        "reason",
+        prompt.system_role,
+        (ContentItem.from_text(REFLECTION_INSTRUCTION), ContentItem.from_text(trace)),
         transcript=transcript,
-        unit=UnitRole.REASONER,
-        operation="reason",
-    ).text
+    )
     return trace, reflection
 
 

@@ -14,9 +14,6 @@ from socialagent.actor import (
     ToolEntry,
     ToolStore,
     act,
-    build_qa_prompt,
-    build_title_prompt,
-    build_vqa_prompt,
     categorize_two_level,
     load_taxonomy,
     load_toolstore,
@@ -106,16 +103,19 @@ class TestToolStore:
 
 
 class TestPromptBuilders:
+    """The prompt each action sends, as the actor's provider receives it."""
+
     def test_wrong_action_rejected(self):
         spec = ActionSpec.for_id(1, "answer")
         with pytest.raises(WrongActionError):
-            build_title_prompt(spec, reasoned())
+            categorize_two_level((), taxonomy(), reasoned(), mock_provider(), spec=spec)
 
     def test_title_builder_ends_with_title_directive(self):
-        spec = ActionSpec.for_id(3, "make a headline")
-        prompt = build_title_prompt(spec, reasoned())
-        assert prompt.text_segments()[-1].startswith("Respond with a final line")
-        assert "TITLE:" in prompt.text_segments()[-1]
+        provider = mock_provider("TITLE: t")
+        act(ActionSpec.for_id(3, "make a headline"), reasoned(), None, provider)
+        last = provider.call_log[0][0].messages[-1].text
+        assert last.startswith("Respond with a final line")
+        assert "TITLE:" in last
 
     def test_vqa_builder_preserves_images_in_order(self):
         spec = ActionSpec.for_id(
@@ -127,16 +127,19 @@ class TestPromptBuilders:
                 ContentItem.from_image("b.png", "image/png"),
             ),
         )
-        prompt = build_vqa_prompt(spec, reasoned())
-        images = [s.image.location for s in prompt.segments if s.image is not None]
+        provider = mock_provider("ANSWER: a", supports_images=True)
+        act(spec, reasoned(), None, provider)
+        messages = provider.call_log[0][0].messages
+        images = [s.image.location for s in messages if s.image is not None]
         assert images == ["a.png", "b.png"]
 
     def test_qa_with_image_input_is_allowed(self):
         spec = ActionSpec.for_id(
             1, "answer about the picture", inputs=(ContentItem.from_image("x.png", "image/png"),)
         )
-        prompt = build_qa_prompt(spec, reasoned())
-        assert any(s.image is not None for s in prompt.segments)
+        provider = mock_provider("ANSWER: a", supports_images=True)
+        act(spec, reasoned(), None, provider)
+        assert any(s.image is not None for s in provider.call_log[0][0].messages)
 
 
 class TestActTextActions:
@@ -222,6 +225,26 @@ class TestActCategorization:
         assert result.structured == CategoryPair("sport", "tennis")
         assert result.provider_calls == 2
         assert result.answer == "sport / tennis"
+
+
+    def test_hierarchical_stages_carry_knowledge_and_revision(self):
+        store = ToolStore(
+            entries={"sport": ToolEntry(title="Sport", facts=("Tennis uses rackets.",))}
+        )
+        provider = mock_provider("CATEGORY: sport", "CATEGORY: tennis")
+        act(
+            ActionSpec.for_id(4, "classify\nKNOWLEDGE: sport"),
+            reasoned(),
+            store,
+            provider,
+            taxonomy=taxonomy(),
+            revision="weigh the equipment",
+        )
+        assert len(provider.call_log) == 2
+        for sent, _ in provider.call_log:
+            text = sent.flattened()
+            assert "Tennis uses rackets." in text
+            assert "weigh the equipment\nProduce an improved response." in text
 
 
 class TestCategorizeTwoLevel:

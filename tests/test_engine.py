@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import engine_config, mock_config
@@ -8,6 +10,7 @@ from socialagent.core import (
     ContentItem,
     EnvironmentContext,
     ReasoningStrategy,
+    SamplingConfig,
     Task,
     Transcript,
     UnitRole,
@@ -123,6 +126,36 @@ class TestSolveScenarios:
                 if role is UnitRole.ROLE_WRITER:
                     continue
                 assert request.system_role == role_text, role
+
+    def test_solve_records_into_the_callers_empty_transcript(self):
+        setup = fixtures.scenario_setup("scenario_a")
+        transcript = Transcript()
+        response = solve(fixtures.scenario_task(), ENV, setup.engine, transcript=transcript)
+        assert response.transcript is transcript
+        assert transcript.signature() == fixtures.SCENARIO_SEQUENCES["scenario_a"]
+
+    def test_every_unit_sends_its_bound_sampling(self):
+        # reflection, critic and refiner all run: scenario B's gate fires
+        setup = fixtures.scenario_setup("scenario_b")
+        creative = SamplingConfig.creative()
+        bindings = {
+            role: replace(binding, sampling=creative)
+            for role, binding in setup.engine.role_bindings.items()
+        }
+        bindings[UnitRole.REASONER] = replace(
+            bindings[UnitRole.REASONER], script=MockScript.of(*("trace", "reflection") * 3)
+        )
+        config = replace(
+            setup.engine,
+            role_bindings=bindings,
+            strategy=ReasoningStrategy.cot_and_reflection(),
+        )
+        units = build_units(config)
+        solve(fixtures.scenario_task(), ENV, config, units=units)
+        for role in UnitRole:
+            requests = [request for request, _ in units[role].call_log]
+            assert requests, role
+            assert {request.sampling for request in requests} == {creative}, role
 
     def test_trial_bound_honored(self):
         # trials=2: at most one critic+refiner pair even though gate fires

@@ -13,7 +13,7 @@ from socialagent.core import (
 )
 from socialagent.critic import RefinedInstructions
 from socialagent.errors import InvariantError, PlanParseError
-from socialagent.planner import parse_plan, plan, replan
+from socialagent.planner import parse_plan, plan
 
 ALL_ACTIONS = frozenset({1, 2, 3, 4})
 
@@ -150,14 +150,21 @@ class TestPlanOperation:
 
 
 class TestReplanOperation:
+    """A replan is plan() with the refiner's corrective instructions."""
+
     def test_corrective_context_included_and_shared_parsing(self):
         task = Task(id="t", goal="answer", allowed_actions=frozenset({1}))
         raw = block('{"actions": [{"id": 1, "instructions": "only QA"}]}')
         provider = mock_provider(raw)
         refined = RefinedInstructions(instructions="drop action 2", derived_from="d")
-        parsed = replan(EnvironmentContext(), task, refined, provider)
+        parsed = plan(
+            EnvironmentContext(), task, reasoned_prompt(task), provider, corrective=refined
+        )
         assert [a.action_id for a in parsed.actions] == [1]
-        assert "drop action 2" in provider.call_log[0][0].flattened()
+        assert (
+            "Corrective instructions from plan review:\ndrop action 2"
+            in provider.call_log[0][0].flattened()
+        )
 
     def test_empty_refined_instructions_rejected(self):
         with pytest.raises(InvariantError):
@@ -168,7 +175,13 @@ class TestReplanOperation:
         raw = block('{"actions": [{"id": 1, "instructions": "answer"}]}')
         direct = plan(EnvironmentContext(), task, reasoned_prompt(task), mock_provider(raw))
         refined = RefinedInstructions(instructions="be brief", derived_from="d")
-        redone = replan(EnvironmentContext(), task, refined, mock_provider(raw))
+        redone = plan(
+            EnvironmentContext(),
+            task,
+            reasoned_prompt(task),
+            mock_provider(raw),
+            corrective=refined,
+        )
         assert direct.actions == redone.actions
 
     def test_replan_records_replan_operation(self):
@@ -176,5 +189,13 @@ class TestReplanOperation:
         raw = block('{"actions": [{"id": 1, "instructions": "answer"}]}')
         transcript = Transcript()
         refined = RefinedInstructions(instructions="tighten", derived_from="d")
-        replan(EnvironmentContext(), task, refined, mock_provider(raw), transcript=transcript)
+        plan(
+            EnvironmentContext(),
+            task,
+            reasoned_prompt(task),
+            mock_provider(raw),
+            transcript=transcript,
+            operation="replan",
+            corrective=refined,
+        )
         assert transcript.signature() == (("planner", "replan"),)

@@ -91,6 +91,25 @@ class TestMockCompletions:
             e.response_digest for e in t2.events
         ]
 
+    def test_each_event_digests_each_text_once(self, monkeypatch):
+        from socialagent import core, providers
+
+        digested = []
+
+        def counting(text: str) -> str:
+            digested.append(text)
+            return original(text)
+
+        original = core.digest
+        monkeypatch.setattr(core, "digest", counting)
+        monkeypatch.setattr(providers, "digest", counting)
+        transcript = Transcript()
+        provider = mock_provider("reply")
+        provider.complete(request("hello"), transcript=transcript, unit=UnitRole.PLANNER)
+        provider.embed("text", transcript=transcript, unit=UnitRole.CRITIC)
+        assert len(transcript) == 2
+        assert len(digested) == 4
+
     def test_recording_requires_unit(self):
         provider = mock_provider("x")
         with pytest.raises(InvariantError):

@@ -11,7 +11,7 @@ from pathlib import Path
 from . import canonical, engine, evaluation
 from .actor import load_taxonomy, load_toolstore
 from .core import EngineConfig, EnvironmentContext, ReasoningStrategy, StrategyKind, Task
-from .errors import AgentError, ConfigError, MalformedInputError, TaskFailure
+from .errors import AgentError, ConfigError, InvariantError, MalformedInputError, TaskFailure
 from .evaluation import RunSetup, TaskKind
 from .providers import Backend
 
@@ -73,8 +73,6 @@ def build_parser() -> _Parser:
 
 
 def _load_setup(path: str) -> RunSetup:
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         return evaluation.load_setup(path)
     except (MalformedInputError, AgentError) as exc:
@@ -82,8 +80,6 @@ def _load_setup(path: str) -> RunSetup:
 
 
 def _load_task(path: str) -> Task:
-    if not Path(path).exists():
-        raise ConfigError(f"task file not found: {path}")
     value = canonical.deserialize(Path(path).read_text(encoding="utf-8"))
     if not isinstance(value, Task):
         raise ConfigError(f"{path} does not contain a Task")
@@ -109,7 +105,10 @@ def _apply_overrides(setup: RunSetup, args: argparse.Namespace) -> RunSetup:
         else:
             changes["strategy"] = ReasoningStrategy(kind)
     if changes:
-        config = replace(config, **changes)
+        try:
+            config = replace(config, **changes)
+        except InvariantError as exc:
+            raise ConfigError(f"invalid override: {exc}") from exc
     if args.seed is not None:
         bindings = {
             role: (
@@ -233,9 +232,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except ValueError:
         valid = ", ".join(k.value for k in TaskKind)
         raise ConfigError(f"unknown task kind {args.kind!r}; valid kinds: {valid}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     setup = _apply_overrides(_load_setup(args.config), args)
-    if not Path(args.dataset).exists():
-        raise ConfigError(f"dataset file not found: {args.dataset}")
     records = evaluation.load_dataset(args.dataset, kind)
     tools, taxonomy = _stores(setup)
     report = evaluation.run_eval(
@@ -257,7 +256,9 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"solve": cmd_solve, "eval": cmd_eval, "plan": cmd_plan}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    # every provider-side OSError is a ProviderError, so an OSError here is a
+    # file the operator named: a config, task, dataset, store or --out path
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AgentError as exc:

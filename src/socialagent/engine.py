@@ -197,14 +197,11 @@ class TrialView:
 @dataclass(frozen=True)
 class TrialsOutcome:
     executed: Plan
-    plan_a: Plan
-    optimized_text: str
-    plan_b: Plan | None
-    trials_executed: int
-    gate_decisions: tuple[GateDecision, ...]
-    critiques: tuple[Critique, ...]
-    refinements: tuple[RefinedInstructions, ...]
     trial_views: tuple[TrialView, ...] = ()
+
+    @property
+    def trials_executed(self) -> int:
+        return len(self.trial_views)
 
 
 def run_trials(
@@ -221,21 +218,12 @@ def run_trials(
     refiner run (feeding a replan) or the loop breaks with the optimized
     plan. The final trial always exits with the best available plan."""
     tgd = _tgd_config(config)
-    gates: list[GateDecision] = []
-    critiques: list[Critique] = []
-    refinements: list[RefinedInstructions] = []
     views: list[TrialView] = []
     pending: RefinedInstructions | None = None
     prompt = create_task_prompt(task, env, role.text)
-
     executed: Plan | None = None
-    plan_a: Plan | None = None
-    optimized_text = ""
-    plan_b: Plan | None = None
-    trials_executed = 0
 
     for trial in range(config.trials):
-        trials_executed = trial + 1
         reasoned = reason(
             prompt, config.strategy, units[UnitRole.REASONER], transcript=transcript
         )
@@ -275,7 +263,6 @@ def run_trials(
                 config.theta,
                 transcript=transcript,
             )
-            gates.append(gate)
         if gate is None or not gate.activate or plan_b is None:
             # The final trial, a gate pass, or an optimizer output that is no
             # plan: run the best available plan without a critique.
@@ -291,7 +278,6 @@ def run_trials(
                 system_role=role.text,
                 transcript=transcript,
             )
-            critiques.append(critique)
             if critique.actionable:
                 refined = refine(
                     env,
@@ -301,7 +287,6 @@ def run_trials(
                     system_role=role.text,
                     transcript=transcript,
                 )
-                refinements.append(refined)
             else:
                 executed = plan_a if critique.selected is PlanChoice.PLAN_A else plan_b
         views.append(
@@ -314,18 +299,8 @@ def run_trials(
         pending = refined
         prompt = create_task_prompt(task, env, role.text, refined=refined)
 
-    assert executed is not None and plan_a is not None
-    return TrialsOutcome(
-        executed=executed,
-        plan_a=plan_a,
-        optimized_text=optimized_text,
-        plan_b=plan_b,
-        trials_executed=trials_executed,
-        gate_decisions=tuple(gates),
-        critiques=tuple(critiques),
-        refinements=tuple(refinements),
-        trial_views=tuple(views),
-    )
+    assert executed is not None
+    return TrialsOutcome(executed=executed, trial_views=tuple(views))
 
 
 def _bind_inputs(plan: Plan, task: Task) -> Plan:
@@ -433,13 +408,14 @@ def solve(
         taxonomy=taxonomy,
         transcript=transcript,
     )
+    views = outcome.trial_views
     return TaskResponse(
         results=results,
         plan_used=executed,
         trials_executed=outcome.trials_executed,
         transcript=transcript,
-        gate_decisions=outcome.gate_decisions,
-        critiques=outcome.critiques,
+        gate_decisions=tuple(v.gate for v in views if v.gate is not None),
+        critiques=tuple(v.critique for v in views if v.critique is not None),
         error=error,
     )
 

@@ -95,6 +95,16 @@ ALT_QA_PLAN_BLOCK = (
 )
 
 
+# One trace/reflection pair per reason site; three pairs cover every bundled
+# config (at most two planning trials plus one action) under a reflection
+# strategy. The other strategies never consume them.
+REASONER_SCRIPT = tuple(
+    text
+    for site in (1, 2, 3)
+    for text in (f"reasoning trace {site}", f"reflection on trace {site}")
+)
+
+
 def _mock(model_name: str, *responses: str, **kwargs) -> ProviderConfig:
     return ProviderConfig(
         backend=Backend.MOCK,
@@ -129,7 +139,7 @@ def _eval_bindings(plan_block: str) -> dict[UnitRole, ProviderConfig]:
     comes from the per-record overrides."""
     return {
         UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a careful social-content analyst."),
-        UnitRole.REASONER: _mock("unit-reasoner"),
+        UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
         UnitRole.PLANNER: _mock("unit-planner", plan_block),
         UnitRole.OPTIMIZER: _mock("unit-optimizer", *_optimizer_script([plan_block], 1)),
         UnitRole.CRITIC: _mock("unit-critic"),
@@ -335,7 +345,7 @@ def solve_setup() -> RunSetup:
         engine=EngineConfig(
             role_bindings={
                 UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a careful social-content analyst."),
-                UnitRole.REASONER: _mock("unit-reasoner"),
+                UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
                 UnitRole.PLANNER: _mock("unit-planner", QA_PLAN_BLOCK),
                 UnitRole.OPTIMIZER: _mock(
                     "unit-optimizer", *_optimizer_script([QA_PLAN_BLOCK], 1)
@@ -369,7 +379,7 @@ def plan_identical_setup() -> RunSetup:
         engine=EngineConfig(
             role_bindings={
                 UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a planning analyst."),
-                UnitRole.REASONER: _mock("unit-reasoner"),
+                UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
                 UnitRole.PLANNER: _mock("unit-planner", COMPOSITE_PLAN_BLOCK),
                 UnitRole.OPTIMIZER: _mock(
                     "unit-optimizer", *_optimizer_script([COMPOSITE_PLAN_BLOCK], 0)
@@ -404,7 +414,7 @@ def plan_divergent_setup() -> RunSetup:
         engine=EngineConfig(
             role_bindings={
                 UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a planning analyst."),
-                UnitRole.REASONER: _mock("unit-reasoner"),
+                UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
                 UnitRole.PLANNER: _mock(
                     "unit-planner", COMPOSITE_PLAN_BLOCK, COMPOSITE_PLAN_BLOCK
                 ),
@@ -491,7 +501,7 @@ def scenario_setup(name: str) -> RunSetup:
     actor = _mock("unit-actor", "ANSWER: the outer belt", "ANSWER: the outer asteroid belt")
     common = {
         UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a careful analyst."),
-        UnitRole.REASONER: _mock("unit-reasoner"),
+        UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
         UnitRole.ACTOR: actor,
     }
     if name == "scenario_a":

@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import http.client
+import json
 import logging
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-
-import requests
 
 from .core import ContentItem, ContentKind, SamplingConfig, Transcript, UnitRole, digest
 from .divergence import EmbeddingVector
@@ -33,6 +35,7 @@ log = logging.getLogger(__name__)
 DEFAULT_EMBED_DIMENSION = 8
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 0.5
+TIMEOUT_S = 60
 
 
 class Backend(Enum):
@@ -229,15 +232,28 @@ class MockProvider:
         return len(self._entries) - self._cursor
 
 
+def _post(url: str, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+    """One POST; returns the status and body of any reply, error statuses
+    included. Raises ValueError for a request that cannot be sent, and
+    OSError or http.client.HTTPException when no reply arrives."""
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=TIMEOUT_S) as reply:
+            return reply.status, reply.read()
+    except urllib.error.HTTPError as reply:
+        with reply:
+            return reply.code, reply.read()
+
+
 class HttpChatProvider:
     """Generic chat-completion client: one JSON POST per call, base64 image
-    parts inlined at the wire boundary, bounded retries on transport errors."""
+    parts inlined at the wire boundary, bounded retries on transport errors,
+    429 and 5xx."""
 
-    def __init__(self, config: ProviderConfig, session: requests.Session | None = None) -> None:
+    def __init__(self, config: ProviderConfig) -> None:
         if config.backend is not Backend.HTTP_CHAT:
             raise InvariantError("HttpChatProvider requires an http backend config")
         self.config = config
-        self._session = session or requests.Session()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.config.api_key_env or "")
@@ -252,15 +268,18 @@ class HttpChatProvider:
         for item in request.messages:
             if item.kind is ContentKind.TEXT:
                 parts.append({"type": "text", "text": item.text})
-            else:
-                encoded = base64.b64encode(Path(item.image.location).read_bytes()).decode()
-                parts.append(
-                    {
-                        "type": "image",
-                        "media_type": item.image.media_type,
-                        "data": encoded,
-                    }
-                )
+                continue
+            try:
+                raw = Path(item.image.location).read_bytes()
+            except OSError as exc:
+                raise ProviderError(f"cannot read image {item.image.location!r}: {exc}") from exc
+            parts.append(
+                {
+                    "type": "image",
+                    "media_type": item.image.media_type,
+                    "data": base64.b64encode(raw).decode(),
+                }
+            )
         return parts
 
     def _post_with_retries(
@@ -274,33 +293,31 @@ class HttpChatProvider:
         operation: str,
         request_text: str,
     ) -> dict:
-        last_error: Exception | None = None
+        data = json.dumps(body).encode("utf-8")
+        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         for attempt in range(1, RETRY_ATTEMPTS + 1):
             try:
-                reply = self._session.post(
-                    url,
-                    json=body,
-                    headers={"Authorization": f"Bearer {key}"},
-                    timeout=60,
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                _record(transcript, unit, f"{operation}.attempt", request_text, f"transport error: {exc}")
-                if attempt < RETRY_ATTEMPTS:
-                    time.sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
-                continue
-            if reply.status_code in (401, 403):
-                raise AuthenticationError(f"backend rejected credentials ({reply.status_code})")
-            if 400 <= reply.status_code < 500:
-                raise ProviderError(f"backend error {reply.status_code}: {reply.text[:200]}")
-            if reply.status_code >= 500:
-                last_error = ProviderError(f"server error {reply.status_code}")
-                _record(transcript, unit, f"{operation}.attempt", request_text, f"server error {reply.status_code}")
-                if attempt < RETRY_ATTEMPTS:
-                    time.sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
-                continue
-            return reply.json()
-        raise TransportError(str(last_error), attempts=RETRY_ATTEMPTS)
+                status, reply = _post(url, data, headers)
+            except ValueError as exc:  # malformed URL or header: nothing was sent
+                raise ProviderError(f"cannot send request to {url!r}: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                failure = f"transport error: {exc}"
+            else:
+                if status in (401, 403):
+                    raise AuthenticationError(f"backend rejected credentials ({status})")
+                if 200 <= status < 300:
+                    try:
+                        return json.loads(reply)
+                    except ValueError as exc:
+                        raise ProviderError(f"reply is not JSON: {exc}") from exc
+                if status != 429 and status < 500:
+                    text = reply[:200].decode("utf-8", "replace")
+                    raise ProviderError(f"backend error {status}: {text}")
+                failure = f"backend status {status}"
+            _record(transcript, unit, f"{operation}.attempt", request_text, failure)
+            if attempt < RETRY_ATTEMPTS:
+                time.sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
+        raise TransportError(failure, attempts=RETRY_ATTEMPTS)
 
     def complete(
         self,
@@ -336,7 +353,7 @@ class HttpChatProvider:
         try:
             choice = payload["choices"][0]
             text = choice.get("message", {}).get("content", choice.get("text", ""))
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProviderError(f"unrecognized completion payload: {exc}") from exc
         if not isinstance(text, str):
             raise ProviderError("completion content is not text")
@@ -370,7 +387,9 @@ class HttpChatProvider:
             components = payload["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"unrecognized embedding payload: {exc}") from exc
-        vector = EmbeddingVector(tuple(float(c) for c in components))
+        if not isinstance(components, list) or any(type(c) not in (int, float) for c in components):
+            raise ProviderError("embedding is not a list of numbers")
+        vector = EmbeddingVector(tuple(components))
         _record(transcript, unit, operation, text, repr(vector.components))
         return vector
 

@@ -141,6 +141,43 @@ class TestSolve:
         assert "few-shot" in stderr
 
 
+def _solve_argv(*extra: str, config=None, task=None) -> list[str]:
+    config = config or fixture_path("solve_config.json")
+    task = task or fixture_path("example_task.json")
+    return ["solve", "--config", str(config), "--task", str(task), *extra]
+
+
+def _eval_argv(*extra: str, dataset=None) -> list[str]:
+    config = fixture_path("qa_eval_config.json")
+    dataset = dataset or fixture_path("mini_qa.jsonl")
+    return ["eval", "--config", str(config), "--dataset", str(dataset), "--kind", "qa", *extra]
+
+
+def _latin1_dataset(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes('{"id": "q", "question": "café?", "answer": "x"}\n'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda tmp: _solve_argv(config=tmp), id="config-is-a-directory"),
+        pytest.param(lambda tmp: _solve_argv(task=tmp), id="task-is-a-directory"),
+        pytest.param(lambda tmp: _eval_argv(dataset=_latin1_dataset(tmp)), id="non-utf8-dataset"),
+        pytest.param(lambda tmp: _solve_argv("--out", str(tmp / "no" / "r.json")), id="unwritable-out"),
+        pytest.param(lambda tmp: _solve_argv("--theta", "2"), id="theta-2"),
+        pytest.param(lambda tmp: _solve_argv("--trials", "0"), id="trials-0"),
+        pytest.param(lambda tmp: _solve_argv("--iterations", "0"), id="iterations-0"),
+        pytest.param(lambda tmp: _eval_argv("--workers", "0"), id="workers-0"),
+    ],
+)
+def test_configuration_errors_exit_1_with_a_message(capsys, tmp_path, argv):
+    code, _, stderr = run_cli(capsys, *argv(tmp_path))
+    assert code == EXIT_CONFIG
+    assert stderr.startswith("error: ")
+
+
 class TestEval:
     @pytest.mark.parametrize(
         "kind,dataset,config,golden",
@@ -318,3 +355,60 @@ class TestConfigRoundTrip:
         assert code == EXIT_OK
         # identical texts embed identically for any seed
         assert "gate: pass (JSD 0.0000 < θ)" in stdout
+
+
+@pytest.mark.parametrize(
+    "command,config,task",
+    [
+        ("solve", "solve_config.json", "example_task.json"),
+        ("solve", "scenario_a_config.json", "scenario_task.json"),
+        ("solve", "scenario_b_config.json", "scenario_task.json"),
+        ("solve", "scenario_c_config.json", "scenario_task.json"),
+        ("plan", "plan_identical_config.json", "plan_task.json"),
+        ("plan", "plan_divergent_config.json", "plan_task.json"),
+    ],
+)
+def test_reflection_strategy_runs_on_bundled_task_configs(capsys, command, config, task):
+    code, _, stderr = run_cli(
+        capsys,
+        command,
+        "--config",
+        str(fixture_path(config)),
+        "--task",
+        str(fixture_path(task)),
+        "--strategy",
+        "car",
+    )
+    assert code == EXIT_OK, stderr
+
+
+@pytest.mark.parametrize(
+    "kind,dataset,config,golden",
+    [
+        ("qa", "mini_qa.jsonl", "qa_eval_config.json", "golden_qa_report.json"),
+        ("title", "mini_title.jsonl", "title_eval_config.json", "golden_title_report.json"),
+        (
+            "categorize",
+            "mini_category.jsonl",
+            "category_eval_config.json",
+            "golden_category_report.json",
+        ),
+    ],
+)
+def test_reflection_strategy_eval_reproduces_golden_reports(
+    capsys, kind, dataset, config, golden
+):
+    code, stdout, stderr = run_cli(
+        capsys,
+        "eval",
+        "--config",
+        str(fixture_path(config)),
+        "--dataset",
+        str(fixture_path(dataset)),
+        "--kind",
+        kind,
+        "--strategy",
+        "car",
+    )
+    assert code == EXIT_OK, stderr
+    assert stdout == fixture_path(golden).read_text(encoding="utf-8")

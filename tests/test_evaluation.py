@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import threading
+from dataclasses import replace
 
 import pytest
 
-from socialagent import canonical, engine, fixtures
+from socialagent import canonical, engine, fixtures, providers
 from socialagent.actor import CategoryPair
-from socialagent.core import ContentKind
+from socialagent.core import ContentKind, UnitRole
 from socialagent.errors import DatasetFormatError, InvariantError
 from socialagent.evaluation import (
     EvalRecord,
@@ -18,6 +20,7 @@ from socialagent.evaluation import (
     run_eval,
 )
 from socialagent.fixtures import fixture_path
+from socialagent.providers import Backend, ProviderConfig
 
 
 class TestLoadDataset:
@@ -206,6 +209,47 @@ class TestRunEval:
         assert all(v == 0.0 for v in failed.scores.values())
         passed = {r.id: r for r in report.per_record}["qa-01"]
         assert passed.failed is False
+
+    def test_one_malformed_live_reply_fails_only_its_record(self, monkeypatch):
+        # the actor is bound to the HTTP backend; the substituted transport
+        # answers each record from its fixture script, except qa-03, whose
+        # first reply is not JSON
+        setup = load_setup(fixture_path("qa_eval_config.json"))
+        bindings = dict(setup.engine.role_bindings)
+        bindings[UnitRole.ACTOR] = ProviderConfig(
+            backend=Backend.HTTP_CHAT,
+            model_name="live-actor",
+            endpoint="https://example.invalid/v1/chat",
+            api_key_env="TEST_PROVIDER_KEY",
+        )
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        records = load_dataset(fixture_path("mini_qa.jsonl"), TaskKind.QA)
+        replies = {r.id: list(fixtures.QA_ACTOR_SCRIPTS[r.id]) for r in records}
+        lock = threading.Lock()
+
+        def post(url, data, headers):
+            parts = json.loads(data)["messages"][1]["content"]
+            text = "\n".join(part.get("text", "") for part in parts)
+            record_id = next(r.id for r in records if r.inputs[0].text in text)
+            if record_id == "qa-03":
+                return 200, b"<html>bad gateway</html>"
+            with lock:
+                answer = replies[record_id].pop(0)
+            return 200, json.dumps({"choices": [{"message": {"content": answer}}]}).encode()
+
+        monkeypatch.setattr(providers, "_post", post)
+        report = run_eval(
+            records,
+            TaskKind.QA,
+            replace(setup.engine, role_bindings=bindings),
+            workers=fixtures.GOLDEN_WORKERS,
+        )
+        scored = {r.id: r for r in report.per_record}
+        assert scored.pop("qa-03").failed is True
+        golden = canonical.deserialize(
+            fixture_path("golden_qa_report.json").read_text(encoding="utf-8")
+        )
+        assert scored == {r.id: r for r in golden.per_record if r.id != "qa-03"}
 
     def test_categorize_report_carries_disagreements(self):
         setup = load_setup(fixture_path("category_eval_config.json"))

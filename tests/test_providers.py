@@ -1,9 +1,19 @@
 from __future__ import annotations
 
+import http.server
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from urllib.error import URLError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mock_config, mock_provider
+from socialagent import providers
 from socialagent.core import ContentItem, Transcript, UnitRole
 from socialagent.errors import (
     AuthenticationError,
@@ -146,36 +156,36 @@ class TestMockEmbeddings:
         assert all(-1.0 <= c < 1.0 for c in a.components)
 
 
-class _FakeReply:
-    def __init__(self, status_code: int, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = str(payload)
+class _FakePost:
+    """Stands in for `providers._post`: replays queued replies, each a
+    (status, payload) pair or an exception to raise, and keeps every POST."""
 
-    def json(self):
-        return self._payload
-
-
-class _FakeSession:
     def __init__(self, replies):
         self.replies = list(replies)
         self.calls = 0
         self.posted: list[tuple[str, dict]] = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def __call__(self, url, data, headers):
         self.calls += 1
-        self.posted.append((url, json))
+        self.posted.append((url, json.loads(data)))
         reply = self.replies.pop(0)
         if isinstance(reply, Exception):
             raise reply
-        return reply
+        status, payload = reply
+        return status, payload if isinstance(payload, bytes) else json.dumps(payload).encode()
 
 
-def http_config(**kwargs) -> ProviderConfig:
+def fake_post(monkeypatch, *replies) -> _FakePost:
+    poster = _FakePost(replies)
+    monkeypatch.setattr(providers, "_post", poster)
+    return poster
+
+
+def http_config(endpoint: str = "https://example.invalid/v1/chat", **kwargs) -> ProviderConfig:
     return ProviderConfig(
         backend=Backend.HTTP_CHAT,
         model_name="live-model",
-        endpoint="https://example.invalid/v1/chat",
+        endpoint=endpoint,
         api_key_env="TEST_PROVIDER_KEY",
         **kwargs,
     )
@@ -184,77 +194,67 @@ def http_config(**kwargs) -> ProviderConfig:
 class TestHttpChat:
     def test_missing_api_key_fails_before_any_network_call(self, monkeypatch):
         monkeypatch.delenv("TEST_PROVIDER_KEY", raising=False)
-        session = _FakeSession([])
-        provider = HttpChatProvider(http_config(), session=session)
+        poster = fake_post(monkeypatch)
+        provider = HttpChatProvider(http_config())
         with pytest.raises(AuthenticationError):
             provider.complete(request("hello"))
-        assert session.calls == 0
+        assert poster.calls == 0
 
     def test_completion_parsed_from_first_choice(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        session = _FakeSession(
-            [_FakeReply(200, {"choices": [{"message": {"content": "hi"}}]})]
-        )
-        provider = HttpChatProvider(http_config(), session=session)
+        fake_post(monkeypatch, (200, {"choices": [{"message": {"content": "hi"}}]}))
+        provider = HttpChatProvider(http_config())
         assert provider.complete(request("hello")).text == "hi"
 
     def test_retries_on_transport_error_then_succeeds(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         monkeypatch.setattr("socialagent.providers.time.sleep", lambda _: None)
-        import requests
-
-        session = _FakeSession(
-            [
-                requests.ConnectionError("down"),
-                _FakeReply(200, {"choices": [{"message": {"content": "ok"}}]}),
-            ]
+        poster = fake_post(
+            monkeypatch,
+            URLError("down"),
+            (200, {"choices": [{"message": {"content": "ok"}}]}),
         )
-        provider = HttpChatProvider(http_config(), session=session)
+        provider = HttpChatProvider(http_config())
         transcript = Transcript()
         response = provider.complete(
             request("hello"), transcript=transcript, unit=UnitRole.ACTOR
         )
         assert response.text == "ok"
-        assert session.calls == 2
+        assert poster.calls == 2
         # each transport attempt is recorded distinctly; success exactly once
         operations = [e.operation for e in transcript.events]
         assert operations == ["complete.attempt", "complete"]
 
     def test_no_retry_on_4xx(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        session = _FakeSession([_FakeReply(400, {"error": "bad"})])
-        provider = HttpChatProvider(http_config(), session=session)
+        poster = fake_post(monkeypatch, (400, {"error": "bad"}))
+        provider = HttpChatProvider(http_config())
         with pytest.raises(ProviderError):
             provider.complete(request("hello"))
-        assert session.calls == 1
+        assert poster.calls == 1
 
     def test_auth_status_maps_to_auth_error(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        session = _FakeSession([_FakeReply(401)])
-        provider = HttpChatProvider(http_config(), session=session)
+        fake_post(monkeypatch, (401, {}))
+        provider = HttpChatProvider(http_config())
         with pytest.raises(AuthenticationError):
             provider.complete(request("hello"))
 
     def test_transport_exhaustion_surfaces_attempt_count(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         monkeypatch.setattr("socialagent.providers.time.sleep", lambda _: None)
-        import requests
-
-        session = _FakeSession([requests.ConnectionError("down")] * 3)
-        provider = HttpChatProvider(http_config(), session=session)
+        fake_post(monkeypatch, *[URLError("down")] * 3)
+        provider = HttpChatProvider(http_config())
         with pytest.raises(TransportError) as excinfo:
             provider.complete(request("hello"))
         assert excinfo.value.attempts == 3
 
-
     def test_wire_body_carries_model_messages_and_sampling(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        session = _FakeSession(
-            [_FakeReply(200, {"choices": [{"message": {"content": "hi"}}]})]
-        )
-        provider = HttpChatProvider(http_config(), session=session)
+        poster = fake_post(monkeypatch, (200, {"choices": [{"message": {"content": "hi"}}]}))
+        provider = HttpChatProvider(http_config())
         provider.complete(request("hello there", system_role="be brief"))
-        url, body = session.posted[0]
+        url, body = poster.posted[0]
         assert url == "https://example.invalid/v1/chat"
         assert body["model"] == "live-model"
         assert body["messages"][0] == {"role": "system", "content": "be brief"}
@@ -269,10 +269,8 @@ class TestHttpChat:
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         image_file = tmp_path / "img.png"
         image_file.write_bytes(b"fake-png-bytes")
-        session = _FakeSession(
-            [_FakeReply(200, {"choices": [{"message": {"content": "seen"}}]})]
-        )
-        provider = HttpChatProvider(http_config(supports_images=True), session=session)
+        poster = fake_post(monkeypatch, (200, {"choices": [{"message": {"content": "seen"}}]}))
+        provider = HttpChatProvider(http_config(supports_images=True))
         mixed = ProviderRequest(
             system_role="s",
             messages=(
@@ -281,7 +279,7 @@ class TestHttpChat:
             ),
         )
         provider.complete(mixed)
-        parts = session.posted[0][1]["messages"][1]["content"]
+        parts = poster.posted[0][1]["messages"][1]["content"]
         assert parts[0] == {"type": "text", "text": "caption this"}
         assert parts[1]["type"] == "image"
         assert parts[1]["media_type"] == "image/png"
@@ -289,23 +287,154 @@ class TestHttpChat:
 
     def test_embedding_parsed_from_data_payload(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        session = _FakeSession(
-            [_FakeReply(200, {"data": [{"embedding": [0.1, 0.2, 0.3]}]})]
-        )
+        fake_post(monkeypatch, (200, {"data": [{"embedding": [0.1, 0.2, 0.3]}]}))
         provider = HttpChatProvider(
-            http_config(embed_endpoint="https://example.invalid/v1/embed"),
-            session=session,
+            http_config(embed_endpoint="https://example.invalid/v1/embed")
         )
         vector = provider.embed("hello")
         assert vector.components == (0.1, 0.2, 0.3)
 
     def test_embed_empty_text_rejected_before_network(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        session = _FakeSession([])
-        provider = HttpChatProvider(http_config(), session=session)
+        poster = fake_post(monkeypatch)
+        provider = HttpChatProvider(http_config())
         with pytest.raises(EmptyTextError):
             provider.embed("")
-        assert session.calls == 0
+        assert poster.calls == 0
+
+
+class TestHttpChatFaults:
+    """Live-backend failure modes, injected through a substituted `_post`:
+    each surfaces as a ProviderError, never as a raw exception."""
+
+    def test_unreadable_image_fails_before_any_post(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        poster = fake_post(monkeypatch)
+        provider = HttpChatProvider(http_config(supports_images=True))
+        missing = ProviderRequest(
+            system_role="s",
+            messages=(ContentItem.from_image(str(tmp_path / "gone.png"), "image/png"),),
+        )
+        with pytest.raises(ProviderError, match="gone.png"):
+            provider.complete(missing)
+        assert poster.calls == 0
+
+    def test_non_json_success_body_is_a_provider_error(self, monkeypatch):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        poster = fake_post(monkeypatch, (200, b"<html>gateway</html>"))
+        with pytest.raises(ProviderError, match="not JSON"):
+            HttpChatProvider(http_config()).complete(request("hello"))
+        assert poster.calls == 1
+
+    def test_rate_limit_is_retried(self, monkeypatch):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        monkeypatch.setattr("socialagent.providers.time.sleep", lambda _: None)
+        poster = fake_post(
+            monkeypatch,
+            (429, {"error": "slow down"}),
+            (200, {"choices": [{"message": {"content": "ok"}}]}),
+        )
+        transcript = Transcript()
+        response = HttpChatProvider(http_config()).complete(
+            request("hello"), transcript=transcript, unit=UnitRole.ACTOR, operation="act"
+        )
+        assert response.text == "ok"
+        assert poster.calls == 2
+        assert [e.operation for e in transcript.events] == ["act.attempt", "act"]
+
+    def test_non_object_choice_is_a_provider_error(self, monkeypatch):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        fake_post(monkeypatch, (200, {"choices": ["x"]}))
+        with pytest.raises(ProviderError):
+            HttpChatProvider(http_config()).complete(request("hello"))
+
+    def test_non_numeric_embedding_is_a_provider_error(self, monkeypatch):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        fake_post(monkeypatch, (200, {"data": [{"embedding": ["a", "b"]}]}))
+        with pytest.raises(ProviderError, match="list of numbers"):
+            HttpChatProvider(http_config()).embed("hello")
+
+    def test_malformed_endpoint_is_a_provider_error(self, monkeypatch):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        provider = HttpChatProvider(http_config(endpoint="example.invalid/v1/chat"))
+        with pytest.raises(ProviderError, match="cannot send"):
+            provider.complete(request("hello"))
+
+
+class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the server's next queued (status, payload)
+    and keeps the Authorization header and JSON body it received."""
+
+    def do_POST(self):  # noqa: N802
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.headers["Authorization"], json.loads(raw)))
+        status, payload = self.server.replies.pop(0)
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    server.replies, server.seen = [], []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_loopback_round_trip_retries_429_and_exhausts_5xx(monkeypatch, loopback):
+    monkeypatch.setenv("TEST_PROVIDER_KEY", "secret")
+    monkeypatch.setattr(providers, "RETRY_BASE_DELAY", 0)
+    provider = HttpChatProvider(
+        http_config(endpoint=f"http://127.0.0.1:{loopback.server_port}/v1/chat")
+    )
+    loopback.replies += [(429, {}), (200, {"choices": [{"message": {"content": "hi"}}]})]
+    assert provider.complete(request("hello", system_role="be brief")).text == "hi"
+    assert len(loopback.seen) == 2
+    authorization, body = loopback.seen[1]
+    assert authorization == "Bearer secret"
+    assert body == {
+        "model": "live-model",
+        "messages": [
+            {"role": "system", "content": "be brief"},
+            {"role": "user", "content": [{"type": "text", "text": "hello"}]},
+        ],
+        "temperature": 0.0,
+        "top_p": 0.99,
+    }
+
+    loopback.replies += [(503, {"error": "down"})] * 3
+    with pytest.raises(TransportError) as excinfo:
+        provider.complete(request("again"))
+    assert excinfo.value.attempts == 3
+    assert len(loopback.seen) == 5
+
+
+def test_cli_imports_without_requests():
+    src = Path(providers.__file__).parents[1]
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; sys.modules['requests'] = None; import socialagent.cli",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_http_config_requires_endpoint_and_key_env():

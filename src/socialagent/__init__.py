@@ -25,7 +25,6 @@ from .core import (
     ImageRef,
     Plan,
     PromptArtifact,
-    Provenance,
     ReasoningStrategy,
     SamplingConfig,
     StrategyKind,
@@ -49,6 +48,7 @@ from .engine import (
     RoleDescription,
     TaskResponse,
     TrialsOutcome,
+    TrialView,
     UnitSet,
     bootstrap_role,
     build_units,
@@ -59,8 +59,10 @@ from .engine import (
 )
 from .errors import AgentError
 from .evaluation import (
+    DisagreementEntry,
     EvalRecord,
     MetricReport,
+    RecordScore,
     RunSetup,
     TaskKind,
     load_dataset,

@@ -99,14 +99,14 @@ class ActionResult:
 
 def load_toolstore(path: str | Path) -> ToolStore:
     """Read a knowledge store from its canonical text file."""
-    value = canonical.deserialize(Path(path).read_text(encoding="utf-8"))
+    value = canonical.load(path)
     if not isinstance(value, ToolStore):
         raise InvariantError(f"{path} does not contain a ToolStore")
     return ToolStore(entries=dict(value.entries), loaded_from=str(path))
 
 
 def load_taxonomy(path: str | Path) -> CategoryTaxonomy:
-    value = canonical.deserialize(Path(path).read_text(encoding="utf-8"))
+    value = canonical.load(path)
     if not isinstance(value, CategoryTaxonomy):
         raise InvariantError(f"{path} does not contain a CategoryTaxonomy")
     return value
@@ -288,6 +288,3 @@ def act(
     return ActionResult(
         action_id=spec.action_id, answer=label, structured=label, provider_calls=1
     )
-
-
-canonical.register(ToolEntry, ToolStore, CategoryPair, CategoryTaxonomy, ActionResult)

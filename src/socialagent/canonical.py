@@ -3,42 +3,28 @@ self-describing type envelope, byte-stable across runs."""
 
 from __future__ import annotations
 
-import importlib
 import json
+import sys
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
+from pathlib import Path
 
 from .errors import MalformedInputError
 
-_REGISTRY: dict[str, type] = {}
 
-# Modules whose import registers every serializable type.
-_TYPE_MODULES = (
-    "core",
-    "providers",
-    "divergence",
-    "optimizer",
-    "critic",
-    "actor",
-    "engine",
-    "evaluation",
-)
+def _exports() -> dict[str, object]:
+    return vars(sys.modules[__package__])
 
 
-def register(*types: type) -> None:
-    for tp in types:
-        _REGISTRY[tp.__name__] = tp
-
-
-def registered(name: str) -> type | None:
-    return _REGISTRY.get(name)
-
-
-def _ensure_types_loaded() -> None:
-    for module in _TYPE_MODULES:
-        importlib.import_module(f".{module}", __package__)
+def _kind(name: object) -> type | None:
+    """The class a ``kind`` names: a dataclass, or a class that rebuilds
+    itself with ``from_jsonable``, exported from the package."""
+    cls = _exports().get(name) if isinstance(name, str) else None
+    if isinstance(cls, type) and (is_dataclass(cls) or hasattr(cls, "from_jsonable")):
+        return cls
+    return None
 
 
 def to_jsonable(value: object) -> object:
@@ -68,23 +54,12 @@ def to_jsonable(value: object) -> object:
     raise MalformedInputError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _hints_for(tp: type) -> dict[str, object]:
-    try:
-        return typing.get_type_hints(tp, localns=_REGISTRY)
-    except NameError:
-        _ensure_types_loaded()
-        return typing.get_type_hints(tp, localns=_REGISTRY)
-
-
 def from_jsonable(data: object, tp: object, path: str = "$") -> object:
     """Rebuild a domain value of declared type ``tp`` from plain data."""
-    # Forward references inside builtin generics survive get_type_hints as
-    # bare strings; resolve them against the registry.
+    # Before Python 3.11, forward references inside builtin generics survive
+    # get_type_hints as bare strings; resolve them against the package's kinds.
     if isinstance(tp, str):
-        resolved = _REGISTRY.get(tp)
-        if resolved is None:
-            _ensure_types_loaded()
-            resolved = _REGISTRY.get(tp)
+        resolved = _kind(tp)
         if resolved is None:
             raise MalformedInputError(f"{path}: unresolved type reference {tp!r}")
         tp = resolved
@@ -149,7 +124,7 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
     if is_dataclass(tp):
         if not isinstance(data, dict):
             raise MalformedInputError(f"{path}: expected object for {tp.__name__}")
-        hints = _hints_for(tp)
+        hints = typing.get_type_hints(tp, localns=_exports())
         known = {f.name: f for f in fields(tp)}
         unknown = sorted(set(data) - set(known))
         if unknown:
@@ -191,10 +166,10 @@ def dumps(data: object) -> str:
 
 
 def serialize(value: object) -> str:
-    """Render any registered domain value as canonical text."""
+    """Render a value of any kind as canonical text."""
     name = type(value).__name__
-    if name not in _REGISTRY:
-        raise MalformedInputError(f"type {name} is not registered for serialization")
+    if _kind(name) is not type(value):
+        raise MalformedInputError(f"type {name} is not a serializable kind")
     return dumps({"kind": name, "value": to_jsonable(value)})
 
 
@@ -210,12 +185,25 @@ def parse_text(text: str) -> object:
 
 def deserialize(text: str) -> object:
     """Rebuild a domain value from canonical text produced by serialize()."""
-    _ensure_types_loaded()
     data = parse_text(text)
     if not isinstance(data, dict) or set(data) != {"kind", "value"}:
         raise MalformedInputError("expected an object with 'kind' and 'value'")
     kind = data["kind"]
-    cls = _REGISTRY.get(kind) if isinstance(kind, str) else None
+    cls = _kind(kind)
     if cls is None:
         raise MalformedInputError(f"unknown kind {kind!r}")
     return from_jsonable(data["value"], cls, path=str(kind))
+
+
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 input file; a decode error names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason = f"{exc.reason} in file {path}"
+        raise
+
+
+def load(path: str | Path) -> object:
+    """Rebuild the domain value stored in a canonical text file."""
+    return deserialize(read_text(path))

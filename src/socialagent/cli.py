@@ -80,7 +80,7 @@ def _load_setup(path: str) -> RunSetup:
 
 
 def _load_task(path: str) -> Task:
-    value = canonical.deserialize(Path(path).read_text(encoding="utf-8"))
+    value = canonical.load(path)
     if not isinstance(value, Task):
         raise ConfigError(f"{path} does not contain a Task")
     return value
@@ -176,13 +176,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     setup = _apply_overrides(_load_setup(args.config), args)
     task = _load_task(args.task)
     env = EnvironmentContext()
-    try:
-        units = engine.build_units(setup.engine)
-        role = engine.bootstrap_role(task, setup.engine, units)
-        outcome = engine.run_trials(task, env, setup.engine, units, role)
-    except AgentError as exc:
-        print(f"task failed: {exc}", file=sys.stderr)
-        return EXIT_TASK
+    units = engine.build_units(setup.engine)
+    role = engine.bootstrap_role(task, setup.engine, units)
+    outcome = engine.run_trials(task, env, setup.engine, units, role)
     lines = [f"task: {task.id}"]
     for view in outcome.trial_views:
         lines += [

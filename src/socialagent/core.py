@@ -226,14 +226,6 @@ class ReasoningStrategy:
         return cls(StrategyKind.COT_AND_REFLECTION)
 
 
-class Provenance(Enum):
-    USER_TASK = "user_task"
-    PLANNER_OUTPUT = "planner_output"
-    OPTIMIZER_FEEDBACK = "optimizer_feedback"
-    CRITIC_FEEDBACK = "critic_feedback"
-    REFINER_OUTPUT = "refiner_output"
-
-
 @dataclass(frozen=True)
 class PromptArtifact:
     """A composite prompt: system role, ordered segments, and the reasoning
@@ -242,7 +234,6 @@ class PromptArtifact:
     system_role: str
     segments: tuple[ContentItem, ...]
     strategy: ReasoningStrategy = field(default_factory=ReasoningStrategy.none)
-    provenance: Provenance = Provenance.USER_TASK
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -421,22 +412,3 @@ class Transcript:
         if not isinstance(other, Transcript):
             return NotImplemented
         return self._events == list(other.events)
-
-
-from . import canonical  # noqa: E402  (registration only)
-
-canonical.register(
-    ImageRef,
-    ContentItem,
-    Task,
-    ValidationReport,
-    EnvironmentContext,
-    ActionSpec,
-    Plan,
-    ReasoningStrategy,
-    PromptArtifact,
-    SamplingConfig,
-    EngineConfig,
-    TranscriptEvent,
-    Transcript,
-)

@@ -158,8 +158,3 @@ def refine(
         provider, UnitRole.REFINER, "refine", system_role, tuple(segments), transcript=transcript
     )
     return RefinedInstructions(instructions=text, derived_from=critique.digest())
-
-
-from . import canonical  # noqa: E402  (registration only)
-
-canonical.register(Critique, RefinedInstructions)

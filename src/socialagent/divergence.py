@@ -118,8 +118,3 @@ def should_criticize(
     )
     divergence = jsd(p, q)
     return GateDecision(divergence=divergence, theta=theta, activate=divergence >= theta)
-
-
-from . import canonical  # noqa: E402  (registration only)
-
-canonical.register(EmbeddingVector, Distribution, GateDecision)

@@ -14,7 +14,6 @@ from .core import (
     EnvironmentContext,
     Plan,
     PromptArtifact,
-    Provenance,
     Task,
     Transcript,
     UnitRole,
@@ -52,7 +51,6 @@ _ISOLATED_UNITS = (
 @dataclass(frozen=True)
 class RoleDescription:
     text: str
-    generated_by: str = ""
 
 
 @dataclass(frozen=True)
@@ -108,9 +106,8 @@ def bootstrap_role(
     subsequent prompt of this run. The role-writer must not share a model
     with any other unit."""
     _check_role_isolation(config)
-    provider = units[UnitRole.ROLE_WRITER]
     text = invoke(
-        provider,
+        units[UnitRole.ROLE_WRITER],
         UnitRole.ROLE_WRITER,
         "bootstrap_role",
         BOOTSTRAP_SYSTEM_ROLE,
@@ -123,7 +120,7 @@ def bootstrap_role(
         ),
         transcript=transcript,
     )
-    return RoleDescription(text=text.strip(), generated_by=provider.config.model_name)
+    return RoleDescription(text=text.strip())
 
 
 def _as_planning_segment(item: ContentItem) -> ContentItem:
@@ -150,28 +147,20 @@ def create_task_prompt(
         segments.append(ContentItem.from_text(f"Environment:\n{env.description}"))
     segments.append(ContentItem.from_text(task.goal))
     segments.extend(_as_planning_segment(item) for item in task.inputs)
-    provenance = Provenance.USER_TASK
     if refined is not None:
         segments.append(
             ContentItem.from_text(
                 f"Corrective instructions from plan review:\n{refined.instructions}"
             )
         )
-        provenance = Provenance.REFINER_OUTPUT
-    return PromptArtifact(
-        system_role=role_text, segments=tuple(segments), provenance=provenance
-    )
+    return PromptArtifact(system_role=role_text, segments=tuple(segments))
 
 
 def create_action_prompt(spec, role_text: str) -> PromptArtifact:
     """Deterministic prompt templating from one plan action."""
     segments = [ContentItem.from_text(f"Your current action:\n{spec.instructions}")]
     segments.extend(spec.inputs)
-    return PromptArtifact(
-        system_role=role_text,
-        segments=tuple(segments),
-        provenance=Provenance.PLANNER_OUTPUT,
-    )
+    return PromptArtifact(system_role=role_text, segments=tuple(segments))
 
 
 def _tgd_config(config: EngineConfig) -> TGDConfig:
@@ -392,7 +381,7 @@ def solve(
     try:
         role = bootstrap_role(task, config, units, transcript=transcript)
         outcome = run_trials(task, env, config, units, role, transcript=transcript)
-    except BindingCollisionError:
+    except ConfigError:
         raise
     except AgentError as exc:
         raise TaskFailure(str(exc), transcript=transcript) from exc
@@ -436,6 +425,3 @@ def run_report(task: Task, response: TaskResponse) -> str:
         "transcript": events,
     }
     return canonical.dumps(report)
-
-
-canonical.register(RoleDescription, TaskResponse, TrialView, TrialsOutcome)

@@ -93,21 +93,20 @@ class WrongActionError(AgentError):
     """An action spec was passed to a builder for a different action."""
 
 
-class BindingCollisionError(AgentError):
-    """The role-writer shares a model with another unit."""
-
-
 class ConfigError(AgentError):
     """Engine or CLI configuration is unusable."""
 
 
-class TaskFailure(AgentError):
-    """A task run aborted; carries whatever transcript and results exist."""
+class BindingCollisionError(ConfigError):
+    """The role-writer shares a model with another unit."""
 
-    def __init__(self, message: str, transcript=None, partial_results=()) -> None:
+
+class TaskFailure(AgentError):
+    """A task run aborted; carries the transcript recorded so far."""
+
+    def __init__(self, message: str, transcript=None) -> None:
         super().__init__(message)
         self.transcript = transcript
-        self.partial_results = tuple(partial_results)
 
 
 class DatasetFormatError(AgentError):

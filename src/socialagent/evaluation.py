@@ -12,7 +12,7 @@ from pathlib import Path
 from . import canonical, engine, metrics
 from .actor import CategoryPair, CategoryTaxonomy, ToolStore
 from .core import ContentItem, EngineConfig, EnvironmentContext, Task, UnitRole
-from .errors import AgentError, DatasetFormatError, InvariantError
+from .errors import AgentError, ConfigError, DatasetFormatError, InvariantError
 from .providers import MockScript, MockScriptEntry
 
 REPORT_DECIMALS = 4
@@ -100,7 +100,7 @@ def load_setup(path: str | Path) -> RunSetup:
     """Read a run configuration; store paths given as relative are resolved
     against the config file's own directory."""
     path = Path(path)
-    value = canonical.deserialize(path.read_text(encoding="utf-8"))
+    value = canonical.load(path)
     if not isinstance(value, RunSetup):
         raise InvariantError(f"{path} does not contain a RunSetup")
     base = path.resolve().parent
@@ -187,9 +187,7 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
     """Read line-delimited records in the public layout of each benchmark
     family; format problems are reported with their line number."""
     records: list[EvalRecord] = []
-    for number, raw_line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for number, raw_line in enumerate(canonical.read_text(path).splitlines(), start=1):
         if not raw_line.strip():
             continue
         try:
@@ -288,7 +286,8 @@ def evaluate_record(
     record_scripts: dict[str, dict[UnitRole, tuple[MockScriptEntry, ...]]] | None = None,
 ) -> RecordOutcome:
     """One engine run for one record (single attempt, fresh providers);
-    engine failures score zero and are flagged rather than raised."""
+    engine failures score zero and are flagged rather than raised, except
+    configuration errors, which no record can survive."""
     effective = _with_record_scripts(config, (record_scripts or {}).get(record.id, {}))
     task = build_task(record, kind)
     try:
@@ -301,6 +300,8 @@ def evaluate_record(
         )
         if response.error is not None:
             raise AgentError(response.error)
+    except ConfigError:
+        raise
     except AgentError:
         return RecordOutcome(record, None, _zero_scores(kind), True, 0)
     prediction = extract_prediction(response, kind)
@@ -441,8 +442,3 @@ def run_eval(
         aggregates=aggregates,
         disagreements=disagreements,
     )
-
-
-canonical.register(
-    EvalRecord, RecordScore, DisagreementEntry, MetricReport, RunSetup
-)

@@ -709,9 +709,7 @@ def fixture_integrity_check() -> IntegrityReport:
     ):
         check(config_name, lambda name=config_name: evaluation.load_setup(fixture_path(name)))
     for task_name in ("example_task.json", "plan_task.json", "scenario_task.json"):
-        check(task_name, lambda name=task_name: canonical.deserialize(
-            fixture_path(name).read_text(encoding="utf-8")
-        ))
+        check(task_name, lambda name=task_name: canonical.load(fixture_path(name)))
 
     for dataset_name, config_name, golden_name, kind in _EVAL_FIXTURES.values():
         def regen(dataset_name=dataset_name, config_name=config_name, golden_name=golden_name, kind=kind):
@@ -723,7 +721,7 @@ def fixture_integrity_check() -> IntegrityReport:
 
     def regen_solve():
         setup = evaluation.load_setup(fixture_path("solve_config.json"))
-        task = canonical.deserialize(fixture_path("example_task.json").read_text(encoding="utf-8"))
+        task = canonical.load(fixture_path("example_task.json"))
         fresh = _solve_report_text(setup, task)
         committed = fixture_path("golden_solve_report.json").read_text(encoding="utf-8")
         _expect(fresh == committed, "regenerated report differs from committed golden")
@@ -745,10 +743,16 @@ def _expect(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-if __name__ == "__main__":
+def main() -> int:
+    """Regenerate every fixture file, then check them; 1 if a check fails."""
     names = regenerate()
     print(f"wrote {len(names)} fixture files to {fixture_dir()}")
     report = fixture_integrity_check()
     print("integrity:", "ok" if report.ok else "FAILED")
     for failure in report.failures:
         print(" -", failure)
+    return 0 if report.ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

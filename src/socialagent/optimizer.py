@@ -54,7 +54,6 @@ class GradientNote:
     """Feedback on improving the variable; the textual gradient."""
 
     feedback: str
-    produced_by: str = ""
 
     def __post_init__(self) -> None:
         if not self.feedback.strip():
@@ -155,7 +154,7 @@ def gradient(
     text = invoke(
         provider, UnitRole.OPTIMIZER, "gradient", system_role, segments, transcript=transcript
     )
-    return GradientNote(feedback=text, produced_by=provider.config.model_name)
+    return GradientNote(feedback=text)
 
 
 def step(
@@ -239,8 +238,3 @@ def resolved_value(variable: Variable, marker: str = DEFAULT_EARLY_STOP_MARKER) 
     if marker and marker in variable.value and variable.history:
         return variable.history[-1]
     return variable.value
-
-
-from . import canonical  # noqa: E402  (registration only)
-
-canonical.register(Variable, TextLoss, GradientNote, TGDConfig)

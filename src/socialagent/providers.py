@@ -421,8 +421,3 @@ def build_provider(config: ProviderConfig) -> Provider:
     if config.backend is Backend.MOCK:
         return MockProvider(config)
     return HttpChatProvider(config)
-
-
-from . import canonical  # noqa: E402  (registration only)
-
-canonical.register(MockScriptEntry, MockScript, ProviderConfig, ProviderRequest, ProviderResponse)

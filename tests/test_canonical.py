@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import socialagent
 from socialagent import canonical
 from socialagent.core import (
     ActionSpec,
@@ -18,7 +19,11 @@ from socialagent.core import (
     Transcript,
     UnitRole,
 )
+from socialagent.critic import Critique, PlanChoice, RefinedInstructions
+from socialagent.divergence import GateDecision
+from socialagent.engine import TrialView
 from socialagent.errors import MalformedInputError
+from socialagent.evaluation import DisagreementEntry, EvalRecord, RecordOutcome, RecordScore
 from socialagent.providers import Backend, MockScript, MockScriptEntry, ProviderConfig
 
 text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=20)
@@ -141,6 +146,42 @@ def test_deserialize_reports_position_on_malformed_text():
 def test_deserialize_rejects_unknown_kind():
     with pytest.raises(MalformedInputError, match="unknown kind"):
         canonical.deserialize('{"kind": "NoSuchThing", "value": {}}\n')
+
+
+@pytest.mark.parametrize("name", ["solve", "ActionName", "AgentError", "core"])
+def test_deserialize_rejects_exports_that_are_not_kinds(name):
+    # a function, an enum, an exception and a module are all package exports
+    assert hasattr(socialagent, name)
+    with pytest.raises(MalformedInputError, match="unknown kind"):
+        canonical.deserialize(f'{{"kind": "{name}", "value": {{}}}}\n')
+
+
+def test_serialize_rejects_an_unexported_dataclass():
+    outcome = RecordOutcome(
+        EvalRecord("r", (ContentItem.from_text("t"),), gold="g"), "g", {}, False, 0
+    )
+    with pytest.raises(MalformedInputError, match="RecordOutcome"):
+        canonical.serialize(outcome)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        TrialView(
+            trial=1,
+            plan_a_raw="plan a",
+            optimized_text="plan b",
+            gate=GateDecision(divergence=0.5, theta=0.25, activate=True),
+            critique=Critique(PlanChoice.PLAN_B, "tighten step 2", True, "VERDICT: B"),
+            refined=RefinedInstructions("tighten step 2", derived_from="abc"),
+        ),
+        RecordScore(id="r1", scores={"em": 100.0, "f1": 50.0}, failed=True),
+        DisagreementEntry(gold="news", predicted="sports", count=2),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_element_types_of_public_fields_round_trip(value):
+    assert canonical.deserialize(canonical.serialize(value)) == value
 
 
 def test_deserialize_rejects_unknown_fields():

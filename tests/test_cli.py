@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from socialagent import canonical
 from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, main
+from socialagent.core import UnitRole
 from socialagent.evaluation import load_setup
 from socialagent.fixtures import fixture_path
+from socialagent.providers import MockScript
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -61,11 +64,6 @@ class TestSolve:
 
     def test_plan_parse_failure_exits_2_with_partial_transcript(self, tmp_path, capsys):
         setup = load_setup(fixture_path("solve_config.json"))
-        from dataclasses import replace
-
-        from socialagent.core import UnitRole
-        from socialagent.providers import MockScript
-
         bindings = dict(setup.engine.role_bindings)
         bindings[UnitRole.PLANNER] = replace(
             bindings[UnitRole.PLANNER], script=MockScript.of("no structure here")
@@ -96,11 +94,6 @@ class TestSolve:
         # actor script runs dry after the first call: planning succeeds, the
         # action loop fails, partial results land in the report
         setup = load_setup(fixture_path("solve_config.json"))
-        from dataclasses import replace
-
-        from socialagent.core import UnitRole
-        from socialagent.providers import MockScript
-
         bindings = dict(setup.engine.role_bindings)
         bindings[UnitRole.ACTOR] = replace(
             bindings[UnitRole.ACTOR], script=MockScript.of("ANSWER: only one")
@@ -147,8 +140,12 @@ def _solve_argv(*extra: str, config=None, task=None) -> list[str]:
     return ["solve", "--config", str(config), "--task", str(task), *extra]
 
 
-def _eval_argv(*extra: str, dataset=None) -> list[str]:
-    config = fixture_path("qa_eval_config.json")
+def _plan_argv(*extra: str, config=None) -> list[str]:
+    return ["plan", *_solve_argv(*extra, config=config)[1:]]
+
+
+def _eval_argv(*extra: str, config=None, dataset=None) -> list[str]:
+    config = config or fixture_path("qa_eval_config.json")
     dataset = dataset or fixture_path("mini_qa.jsonl")
     return ["eval", "--config", str(config), "--dataset", str(dataset), "--kind", "qa", *extra]
 
@@ -159,23 +156,75 @@ def _latin1_dataset(tmp_path):
     return path
 
 
+def _latin1_task(tmp_path):
+    path = tmp_path / "latin1_task.json"
+    path.write_bytes('{"kind": "Task", "value": {"goal": "café?"}}\n'.encode("latin-1"))
+    return path
+
+
+def _qa_config_with(tmp_path, change):
+    """The bundled QA eval config with its role bindings edited by ``change``."""
+    setup = load_setup(fixture_path("qa_eval_config.json"))
+    bindings = dict(setup.engine.role_bindings)
+    change(bindings)
+    path = tmp_path / "edited_config.json"
+    edited = replace(setup, engine=replace(setup.engine, role_bindings=bindings))
+    path.write_text(canonical.serialize(edited), encoding="utf-8")
+    return path
+
+
+def _actor_shares_writer_model(bindings):
+    writer = bindings[UnitRole.ROLE_WRITER].model_name
+    bindings[UnitRole.ACTOR] = replace(bindings[UnitRole.ACTOR], model_name=writer)
+
+
+def _critic_unbound(bindings):
+    del bindings[UnitRole.CRITIC]
+
+
+_SHARED_MODEL = "role-writer model 'role-scribe' is also bound to actor"
+_UNBOUND_CRITIC = "missing role bindings: critic"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,mentions",
     [
-        pytest.param(lambda tmp: _solve_argv(config=tmp), id="config-is-a-directory"),
-        pytest.param(lambda tmp: _solve_argv(task=tmp), id="task-is-a-directory"),
-        pytest.param(lambda tmp: _eval_argv(dataset=_latin1_dataset(tmp)), id="non-utf8-dataset"),
-        pytest.param(lambda tmp: _solve_argv("--out", str(tmp / "no" / "r.json")), id="unwritable-out"),
-        pytest.param(lambda tmp: _solve_argv("--theta", "2"), id="theta-2"),
-        pytest.param(lambda tmp: _solve_argv("--trials", "0"), id="trials-0"),
-        pytest.param(lambda tmp: _solve_argv("--iterations", "0"), id="iterations-0"),
-        pytest.param(lambda tmp: _eval_argv("--workers", "0"), id="workers-0"),
+        pytest.param(lambda tmp: _solve_argv(config=tmp), "", id="config-is-a-directory"),
+        pytest.param(lambda tmp: _solve_argv(task=tmp), "", id="task-is-a-directory"),
+        pytest.param(
+            lambda tmp: _eval_argv(dataset=_latin1_dataset(tmp)),
+            "{tmp}/latin1.jsonl",
+            id="non-utf8-dataset",
+        ),
+        pytest.param(
+            lambda tmp: _solve_argv(task=_latin1_task(tmp)),
+            "{tmp}/latin1_task.json",
+            id="non-utf8-task",
+        ),
+        pytest.param(lambda tmp: _solve_argv("--out", str(tmp / "no" / "r.json")), "", id="unwritable-out"),
+        pytest.param(lambda tmp: _solve_argv("--theta", "2"), "", id="theta-2"),
+        pytest.param(lambda tmp: _solve_argv("--trials", "0"), "", id="trials-0"),
+        pytest.param(lambda tmp: _solve_argv("--iterations", "0"), "", id="iterations-0"),
+        pytest.param(lambda tmp: _eval_argv("--workers", "0"), "", id="workers-0"),
+        *(
+            pytest.param(
+                lambda tmp, argv=argv, change=change: argv(config=_qa_config_with(tmp, change)),
+                mentions,
+                id=f"{command}-{case}",
+            )
+            for command, argv in (("solve", _solve_argv), ("plan", _plan_argv), ("eval", _eval_argv))
+            for case, change, mentions in (
+                ("actor-shares-writer-model", _actor_shares_writer_model, _SHARED_MODEL),
+                ("critic-unbound", _critic_unbound, _UNBOUND_CRITIC),
+            )
+        ),
     ],
 )
-def test_configuration_errors_exit_1_with_a_message(capsys, tmp_path, argv):
+def test_configuration_errors_exit_1_with_a_message(capsys, tmp_path, argv, mentions):
     code, _, stderr = run_cli(capsys, *argv(tmp_path))
     assert code == EXIT_CONFIG
     assert stderr.startswith("error: ")
+    assert mentions.format(tmp=tmp_path) in stderr
 
 
 class TestEval:

@@ -13,30 +13,41 @@ def test_pristine_checkout_passes_integrity():
     assert len(report.checked) >= 20
 
 
-def test_corrupted_golden_named_in_report(tmp_path, monkeypatch):
+def _stage_fixtures(tmp_path, monkeypatch):
+    """Point the fixture module at a copy of the bundled fixture files."""
     staged = tmp_path / "fixtures"
     shutil.copytree(fixture_dir(), staged)
-    golden = staged / "golden_qa_report.json"
-    golden.write_text(golden.read_text(encoding="utf-8") + "tampered\n", encoding="utf-8")
     monkeypatch.setattr(fixtures, "fixture_dir", lambda: staged)
     monkeypatch.setattr(fixtures, "fixture_path", lambda name: staged / name)
+    return staged
+
+
+def test_corrupted_golden_named_in_report(tmp_path, monkeypatch):
+    staged = _stage_fixtures(tmp_path, monkeypatch)
+    golden = staged / "golden_qa_report.json"
+    golden.write_text(golden.read_text(encoding="utf-8") + "tampered\n", encoding="utf-8")
     report = fixture_integrity_check()
     assert not report.ok
     assert any("golden_qa_report.json" in failure for failure in report.failures)
 
 
+def test_regenerating_exits_1_when_the_integrity_check_fails(tmp_path, monkeypatch, capsys):
+    _stage_fixtures(tmp_path, monkeypatch)
+    assert fixtures.main() == 0
+    # datasets written one record short: every golden still regenerates from
+    # them, but the record-count check fails
+    full_text = fixtures._dataset_text
+    monkeypatch.setattr(fixtures, "_dataset_text", lambda rows: full_text(rows[:-1]))
+    assert fixtures.main() == 1
+    out = capsys.readouterr().out
+    assert "integrity: FAILED" in out
+    assert "mini_qa.jsonl: record count mismatch" in out
+
+
 def test_regenerated_fixtures_hash_identical(tmp_path):
-    fixtures.regenerate(tmp_path)
-    for name in (
-        "mini_qa.jsonl",
-        "taxonomy.json",
-        "qa_eval_config.json",
-        "golden_qa_report.json",
-        "golden_title_report.json",
-        "golden_category_report.json",
-        "golden_solve_report.json",
-        "scenario_b_sequence.json",
-    ):
+    names = fixtures.regenerate(tmp_path)
+    assert sorted(names) == sorted(p.name for p in fixture_dir().iterdir() if p.is_file())
+    for name in names:
         committed = hashlib.sha256(fixture_path(name).read_bytes()).hexdigest()
         regenerated = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert committed == regenerated, name

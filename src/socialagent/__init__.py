@@ -70,7 +70,6 @@ from .evaluation import (
 )
 from .optimizer import (
     GradientNote,
-    TGDConfig,
     TextLoss,
     Variable,
     compute_loss,

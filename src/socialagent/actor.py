@@ -41,7 +41,6 @@ class ToolStore:
     """Static factual knowledge, immutable after load."""
 
     entries: dict[str, ToolEntry] = field(default_factory=dict)
-    loaded_from: str = ""
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def load_toolstore(path: str | Path) -> ToolStore:
     value = canonical.load(path)
     if not isinstance(value, ToolStore):
         raise InvariantError(f"{path} does not contain a ToolStore")
-    return ToolStore(entries=dict(value.entries), loaded_from=str(path))
+    return value
 
 
 def load_taxonomy(path: str | Path) -> CategoryTaxonomy:

@@ -19,10 +19,9 @@ def _exports() -> dict[str, object]:
 
 
 def _kind(name: object) -> type | None:
-    """The class a ``kind`` names: a dataclass, or a class that rebuilds
-    itself with ``from_jsonable``, exported from the package."""
+    """The class a ``kind`` names: a dataclass exported from the package."""
     cls = _exports().get(name) if isinstance(name, str) else None
-    if isinstance(cls, type) and (is_dataclass(cls) or hasattr(cls, "from_jsonable")):
+    if isinstance(cls, type) and is_dataclass(cls):
         return cls
     return None
 
@@ -35,8 +34,6 @@ def to_jsonable(value: object) -> object:
         return value
     if isinstance(value, Enum):
         return value.value
-    if hasattr(value, "to_jsonable"):
-        return value.to_jsonable()
     if is_dataclass(value):
         return {f.name: to_jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (list, tuple)):
@@ -111,16 +108,15 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
             raise MalformedInputError(f"{path}: expected object")
         out = {}
         for key, item in data.items():
-            parsed_key = key_tp(key) if isinstance(key_tp, type) and issubclass(key_tp, Enum) else key
-            out[parsed_key] = from_jsonable(item, val_tp, f"{path}.{key}")
+            out[from_jsonable(key, key_tp, f"{path}.{key}")] = from_jsonable(
+                item, val_tp, f"{path}.{key}"
+            )
         return out
     if isinstance(tp, type) and issubclass(tp, Enum):
         try:
             return tp(data)
         except ValueError as exc:
             raise MalformedInputError(f"{path}: {exc}") from exc
-    if isinstance(tp, type) and hasattr(tp, "from_jsonable"):
-        return tp.from_jsonable(data)
     if is_dataclass(tp):
         if not isinstance(data, dict):
             raise MalformedInputError(f"{path}: expected object for {tp.__name__}")

@@ -128,10 +128,6 @@ class EnvironmentContext:
     """The closed, static environment a task run executes in."""
 
     description: str = ""
-    knowledge_refs: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "knowledge_refs", tuple(self.knowledge_refs))
 
 
 @dataclass(frozen=True)
@@ -293,9 +289,7 @@ class EngineConfig:
     theta: float = 0.1
     trials: int = 2
     tgd_iterations: int = 1
-    step_directive: str | None = None
     strategy: ReasoningStrategy = field(default_factory=ReasoningStrategy.cot_and_reflection)
-    early_stop_marker: str = DEFAULT_EARLY_STOP_MARKER
 
     def __post_init__(self) -> None:
         if not (0 <= self.theta <= 1):
@@ -304,8 +298,6 @@ class EngineConfig:
             raise InvariantError("trials must be >= 1")
         if self.tgd_iterations < 1:
             raise InvariantError("tgd_iterations must be >= 1")
-        if not self.early_stop_marker:
-            raise InvariantError("early_stop_marker must be non-empty")
 
 
 def digest(text: str) -> str:
@@ -336,6 +328,7 @@ class TranscriptEvent:
         }
 
 
+@dataclass
 class Transcript:
     """Append-only record of unit invocations for one task run.
 
@@ -344,8 +337,10 @@ class Transcript:
     internal lock only keeps the sequence counter coherent).
     """
 
-    def __init__(self, events: tuple[TranscriptEvent, ...] = ()) -> None:
-        self._events: list[TranscriptEvent] = list(events)
+    events: tuple[TranscriptEvent, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.events = tuple(self.events)
         self._lock = threading.Lock()
 
     def record(
@@ -353,62 +348,27 @@ class Transcript:
     ) -> TranscriptEvent:
         with self._lock:
             event = TranscriptEvent(
-                seq=len(self._events),
+                seq=len(self.events),
                 unit=unit,
                 operation=operation,
                 request_digest=digest(request_text),
                 response_digest=digest(response_text),
                 timestamp=time.time(),
             )
-            self._events.append(event)
+            self.events += (event,)
         return event
-
-    @property
-    def events(self) -> tuple[TranscriptEvent, ...]:
-        return tuple(self._events)
-
-    def to_jsonable(self) -> dict:
-        return {"events": [{**e.to_report(), "timestamp": e.timestamp} for e in self._events]}
-
-    @classmethod
-    def from_jsonable(cls, data: object) -> Transcript:
-        from .errors import MalformedInputError
-
-        if not isinstance(data, dict) or "events" not in data:
-            raise MalformedInputError("Transcript: expected an object with 'events'")
-        events = []
-        for i, raw in enumerate(data["events"]):
-            try:
-                events.append(
-                    TranscriptEvent(
-                        seq=int(raw["seq"]),
-                        unit=UnitRole(raw["unit"]),
-                        operation=str(raw["operation"]),
-                        request_digest=str(raw["request_digest"]),
-                        response_digest=str(raw["response_digest"]),
-                        timestamp=float(raw["timestamp"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedInputError(f"Transcript.events[{i}]: {exc}") from exc
-        return cls(tuple(events))
 
     def signature(self) -> tuple[tuple[str, str], ...]:
         """(unit, operation) labels in invocation order, for conformance checks."""
-        return tuple(e.label() for e in self._events)
+        return tuple(e.label() for e in self.events)
 
     def count(self, unit: UnitRole | None = None, operation: str | None = None) -> int:
         return sum(
             1
-            for e in self._events
+            for e in self.events
             if (unit is None or e.unit is unit)
             and (operation is None or e.operation == operation)
         )
 
     def __len__(self) -> int:
-        return len(self._events)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Transcript):
-            return NotImplemented
-        return self._events == list(other.events)
+        return len(self.events)

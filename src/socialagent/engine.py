@@ -29,7 +29,7 @@ from .errors import (
     PlanParseError,
     TaskFailure,
 )
-from .optimizer import TGDConfig, TextLoss, Variable, optimize, resolved_value
+from .optimizer import TextLoss, Variable, optimize, resolved_value
 from .providers import Provider, build_provider, invoke
 from .reasoner import reason
 
@@ -79,10 +79,15 @@ class UnitSet:
         return self.providers[role]
 
 
-def build_units(config: EngineConfig) -> UnitSet:
+def check_bindings(config: EngineConfig) -> None:
+    """Reject a config that leaves any unit role without a provider."""
     missing = [role.value for role in UnitRole if role not in config.role_bindings]
     if missing:
         raise ConfigError(f"missing role bindings: {', '.join(missing)}")
+
+
+def build_units(config: EngineConfig) -> UnitSet:
+    check_bindings(config)
     return UnitSet({role: build_provider(cfg) for role, cfg in config.role_bindings.items()})
 
 
@@ -163,14 +168,6 @@ def create_action_prompt(spec, role_text: str) -> PromptArtifact:
     return PromptArtifact(system_role=role_text, segments=tuple(segments))
 
 
-def _tgd_config(config: EngineConfig) -> TGDConfig:
-    return TGDConfig(
-        iterations=config.tgd_iterations,
-        step_directive=config.step_directive,
-        early_stop_marker=config.early_stop_marker,
-    )
-
-
 @dataclass(frozen=True)
 class TrialView:
     """What one planning trial produced, for inspection and reporting."""
@@ -206,7 +203,6 @@ def run_trials(
     on non-final trials the divergence gate decides whether the critic and
     refiner run (feeding a replan) or the loop breaks with the optimized
     plan. The final trial always exits with the best available plan."""
-    tgd = _tgd_config(config)
     views: list[TrialView] = []
     pending: RefinedInstructions | None = None
     prompt = create_task_prompt(task, env, role.text)
@@ -231,11 +227,11 @@ def run_trials(
             variable,
             reasoned,
             TextLoss(context=(task.goal,)),
-            tgd,
+            config.tgd_iterations,
             units[UnitRole.OPTIMIZER],
             transcript=transcript,
         )
-        optimized_text = resolved_value(optimized, config.early_stop_marker)
+        optimized_text = resolved_value(optimized)
         try:
             plan_b = planner_mod.parse_plan(optimized_text, task.permitted_actions())
         except PlanParseError:
@@ -303,7 +299,6 @@ def _bind_inputs(plan: Plan, task: Task) -> Plan:
 def execute_actions(
     plan: Plan,
     role: RoleDescription,
-    env: EnvironmentContext,
     config: EngineConfig,
     units: UnitSet,
     *,
@@ -316,7 +311,6 @@ def execute_actions(
     then act again with the optimizer's feedback as revision context. An
     action failure aborts the rest; completed results are returned with the
     error marker."""
-    tgd = _tgd_config(config)
     results: list[ActionResult] = []
     for index, spec in enumerate(plan.actions):
         try:
@@ -339,11 +333,11 @@ def execute_actions(
                 variable,
                 reasoned,
                 TextLoss(context=(task.goal, spec.instructions)),
-                tgd,
+                config.tgd_iterations,
                 units[UnitRole.OPTIMIZER],
                 transcript=transcript,
             )
-            revision = resolved_value(optimized, config.early_stop_marker)
+            revision = resolved_value(optimized)
             final = act(
                 spec,
                 reasoned,
@@ -389,7 +383,6 @@ def solve(
     results, error = execute_actions(
         executed,
         role,
-        env,
         config,
         units,
         task=task,

@@ -398,6 +398,8 @@ def run_eval(
         raise InvariantError("dataset must contain at least one record")
     if workers < 1:
         raise InvariantError("workers must be >= 1")
+    # record scripts override bindings, so every role must be bound first
+    engine.check_bindings(config)
 
     def work(record: EvalRecord) -> RecordOutcome:
         return evaluate_record(

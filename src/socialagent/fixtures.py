@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -590,18 +591,27 @@ def _dataset_text(rows: list[dict]) -> str:
     return "\n".join(json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows) + "\n"
 
 
-def _resolve_store(path: str | None) -> str | None:
-    if path is None or Path(path).is_absolute():
-        return path
-    return str(fixture_dir() / path)
+# Every bundled run configuration, by file name.
+_SETUPS = {
+    "qa_eval_config.json": qa_setup,
+    "title_eval_config.json": title_setup,
+    "category_eval_config.json": category_setup,
+    "solve_config.json": solve_setup,
+    "plan_identical_config.json": plan_identical_setup,
+    "plan_divergent_config.json": plan_divergent_setup,
+    **{f"{name}_config.json": partial(scenario_setup, name) for name in SCENARIO_SEQUENCES},
+}
 
 
-def _eval_report_text(setup: RunSetup, dataset_name: str, kind: TaskKind) -> str:
-    records = load_dataset(fixture_path(dataset_name), kind)
-    taxonomy_path = _resolve_store(setup.taxonomy_path)
-    toolstore_path = _resolve_store(setup.toolstore_path)
-    taxonomy_obj = load_taxonomy(taxonomy_path) if taxonomy_path else None
-    tools = load_toolstore(toolstore_path) if toolstore_path else None
+def _eval_report_text(
+    directory: Path, dataset_name: str, config_name: str, kind: TaskKind
+) -> str:
+    """The eval report for fixture files in ``directory``, loaded as the CLI
+    loads them."""
+    setup = evaluation.load_setup(directory / config_name)
+    records = load_dataset(directory / dataset_name, kind)
+    taxonomy_obj = load_taxonomy(setup.taxonomy_path) if setup.taxonomy_path else None
+    tools = load_toolstore(setup.toolstore_path) if setup.toolstore_path else None
     report = run_eval(
         records,
         kind,
@@ -614,14 +624,16 @@ def _eval_report_text(setup: RunSetup, dataset_name: str, kind: TaskKind) -> str
     return canonical.serialize(report)
 
 
-def _solve_report_text(setup: RunSetup, task: Task) -> str:
+def _solve_report_text(directory: Path) -> str:
+    setup = evaluation.load_setup(directory / "solve_config.json")
+    task = canonical.load(directory / "example_task.json")
     response = engine.solve(task, EnvironmentContext(), setup.engine)
     return engine.run_report(task, response)
 
 
 def regenerate(target: Path | None = None) -> list[str]:
     """Write every fixture file (datasets, stores, configs, reference
-    sequences) and regenerate the golden reports from their scripts."""
+    sequences) and regenerate the golden reports from the files written."""
     target = target or fixture_dir()
     target.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -635,19 +647,8 @@ def regenerate(target: Path | None = None) -> list[str]:
     write("taxonomy.json", canonical.serialize(taxonomy()))
     write("toolstore.json", canonical.serialize(toolstore()))
 
-    setups = {
-        "qa_eval_config.json": qa_setup(),
-        "title_eval_config.json": title_setup(),
-        "category_eval_config.json": category_setup(),
-        "solve_config.json": solve_setup(),
-        "plan_identical_config.json": plan_identical_setup(),
-        "plan_divergent_config.json": plan_divergent_setup(),
-        "scenario_a_config.json": scenario_setup("scenario_a"),
-        "scenario_b_config.json": scenario_setup("scenario_b"),
-        "scenario_c_config.json": scenario_setup("scenario_c"),
-    }
-    for name, setup in setups.items():
-        write(name, canonical.serialize(setup))
+    for name, setup in _SETUPS.items():
+        write(name, canonical.serialize(setup()))
 
     write("example_task.json", canonical.serialize(example_task()))
     write("plan_task.json", canonical.serialize(plan_task()))
@@ -660,8 +661,8 @@ def regenerate(target: Path | None = None) -> list[str]:
         )
 
     for dataset_name, config_name, golden_name, kind in _EVAL_FIXTURES.values():
-        write(golden_name, _eval_report_text(setups[config_name], dataset_name, kind))
-    write("golden_solve_report.json", _solve_report_text(solve_setup(), example_task()))
+        write(golden_name, _eval_report_text(target, dataset_name, config_name, kind))
+    write("golden_solve_report.json", _solve_report_text(target))
     return written
 
 
@@ -696,33 +697,20 @@ def fixture_integrity_check() -> IntegrityReport:
     check("taxonomy.json", lambda: load_taxonomy(fixture_path("taxonomy.json")))
     check("toolstore.json", lambda: load_toolstore(fixture_path("toolstore.json")))
 
-    for config_name in (
-        "qa_eval_config.json",
-        "title_eval_config.json",
-        "category_eval_config.json",
-        "solve_config.json",
-        "plan_identical_config.json",
-        "plan_divergent_config.json",
-        "scenario_a_config.json",
-        "scenario_b_config.json",
-        "scenario_c_config.json",
-    ):
+    for config_name in _SETUPS:
         check(config_name, lambda name=config_name: evaluation.load_setup(fixture_path(name)))
     for task_name in ("example_task.json", "plan_task.json", "scenario_task.json"):
         check(task_name, lambda name=task_name: canonical.load(fixture_path(name)))
 
     for dataset_name, config_name, golden_name, kind in _EVAL_FIXTURES.values():
         def regen(dataset_name=dataset_name, config_name=config_name, golden_name=golden_name, kind=kind):
-            setup = evaluation.load_setup(fixture_path(config_name))
-            fresh = _eval_report_text(setup, dataset_name, kind)
+            fresh = _eval_report_text(fixture_dir(), dataset_name, config_name, kind)
             committed = fixture_path(golden_name).read_text(encoding="utf-8")
             _expect(fresh == committed, "regenerated report differs from committed golden")
         check(golden_name, regen)
 
     def regen_solve():
-        setup = evaluation.load_setup(fixture_path("solve_config.json"))
-        task = canonical.load(fixture_path("example_task.json"))
-        fresh = _solve_report_text(setup, task)
+        fresh = _solve_report_text(fixture_dir())
         committed = fixture_path("golden_solve_report.json").read_text(encoding="utf-8")
         _expect(fresh == committed, "regenerated report differs from committed golden")
 

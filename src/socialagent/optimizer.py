@@ -37,16 +37,13 @@ class Variable:
 
 @dataclass(frozen=True)
 class TextLoss:
-    """Natural-language objective: the evaluation instruction plus the
-    initial questions/task context it is judged against."""
+    """Natural-language objective: the initial questions/task context that
+    ``DEFAULT_TEXT_LOSS`` judges a prediction against."""
 
-    instruction: str = DEFAULT_TEXT_LOSS
     context: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "context", tuple(self.context))
-        if not self.instruction.strip():
-            raise InvariantError("loss instruction must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -58,19 +55,6 @@ class GradientNote:
     def __post_init__(self) -> None:
         if not self.feedback.strip():
             raise InvariantError("gradient feedback must be non-empty")
-
-
-@dataclass(frozen=True)
-class TGDConfig:
-    iterations: int = 1
-    step_directive: str | None = None
-    early_stop_marker: str = DEFAULT_EARLY_STOP_MARKER
-
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise InvariantError("iterations must be >= 1")
-        if not self.early_stop_marker:
-            raise InvariantError("early_stop_marker must be non-empty")
 
 
 def forward(
@@ -110,7 +94,7 @@ def compute_loss(
     instruction and its context."""
     if not prediction.strip():
         raise InvariantError("prediction must be non-empty")
-    segments = [ContentItem.from_text(loss.instruction)]
+    segments = [ContentItem.from_text(DEFAULT_TEXT_LOSS)]
     if loss.context:
         segments.append(
             ContentItem.from_text("Initial questions:\n" + "\n".join(loss.context))
@@ -160,7 +144,6 @@ def gradient(
 def step(
     variable: Variable,
     grad: GradientNote,
-    config: TGDConfig,
     provider: Provider,
     *,
     system_role: str = "",
@@ -168,23 +151,19 @@ def step(
 ) -> Variable:
     """One provider call rewriting the variable with the feedback applied;
     the previous value is pushed onto the history."""
-    segments = [
+    segments = (
         ContentItem.from_text(
             f"Rewrite the following {variable.role_note} by applying the feedback."
         ),
         ContentItem.from_text(f"Current version:\n{variable.value}"),
         ContentItem.from_text(f"Feedback:\n{grad.feedback}"),
-    ]
-    if config.step_directive:
-        segments.append(ContentItem.from_text(config.step_directive))
-    segments.append(
         ContentItem.from_text(
             "Respond with only the improved text, or with the single marker "
-            f"{config.early_stop_marker} if no further improvement is possible."
-        )
+            f"{DEFAULT_EARLY_STOP_MARKER} if no further improvement is possible."
+        ),
     )
     text = invoke(
-        provider, UnitRole.OPTIMIZER, "step", system_role, tuple(segments), transcript=transcript
+        provider, UnitRole.OPTIMIZER, "step", system_role, segments, transcript=transcript
     )
     return replace(variable, value=text, history=variable.history + (variable.value,))
 
@@ -193,7 +172,7 @@ def optimize(
     initial: Variable,
     context: PromptArtifact,
     loss: TextLoss,
-    config: TGDConfig,
+    iterations: int,
     provider: Provider,
     *,
     transcript: Transcript | None = None,
@@ -201,10 +180,12 @@ def optimize(
     """Run the full loop: iterations of forward, loss, gradient, step,
     stopping early when a step output carries the early-stop marker.
     Provider errors abort with the partial history attached."""
+    if iterations < 1:
+        raise InvariantError("iterations must be >= 1")
     variable = initial
     system_role = context.system_role
     try:
-        for _ in range(config.iterations):
+        for _ in range(iterations):
             prediction = forward(variable, context, provider, transcript=transcript)
             evaluation = compute_loss(
                 prediction, loss, provider, system_role=system_role, transcript=transcript
@@ -218,23 +199,18 @@ def optimize(
                 transcript=transcript,
             )
             variable = step(
-                variable,
-                grad,
-                config,
-                provider,
-                system_role=system_role,
-                transcript=transcript,
+                variable, grad, provider, system_role=system_role, transcript=transcript
             )
-            if config.early_stop_marker in variable.value:
+            if DEFAULT_EARLY_STOP_MARKER in variable.value:
                 break
     except ProviderError as exc:
         raise OptimizationAborted(str(exc), partial=variable) from exc
     return variable
 
 
-def resolved_value(variable: Variable, marker: str = DEFAULT_EARLY_STOP_MARKER) -> str:
+def resolved_value(variable: Variable) -> str:
     """The usable text of an optimized variable: when the loop halted on the
     marker, the last pre-marker value is the result."""
-    if marker and marker in variable.value and variable.history:
+    if DEFAULT_EARLY_STOP_MARKER in variable.value and variable.history:
         return variable.history[-1]
     return variable.value

@@ -99,7 +99,6 @@ class TestToolStore:
         path.write_text(canonical.serialize(self.store()), encoding="utf-8")
         loaded = load_toolstore(path)
         assert loaded.entries == self.store().entries
-        assert loaded.loaded_from == str(path)
 
 
 class TestPromptBuilders:

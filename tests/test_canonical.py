@@ -128,7 +128,7 @@ def test_engine_config_serializations_are_byte_identical():
             for role in UnitRole
         },
         theta=0.25,
-        step_directive="make minimal edits",
+        tgd_iterations=3,
     )
     first = canonical.serialize(config)
     second = canonical.serialize(config)

@@ -182,8 +182,26 @@ def _critic_unbound(bindings):
     del bindings[UnitRole.CRITIC]
 
 
+def _actor_unbound(bindings):
+    del bindings[UnitRole.ACTOR]
+
+
+def _qa_config_file_with(tmp_path, edit):
+    """The bundled QA eval config file with its JSON value edited by ``edit``."""
+    data = json.loads(fixture_path("qa_eval_config.json").read_text(encoding="utf-8"))
+    edit(data["value"])
+    path = tmp_path / "edited_config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def _rename_key(table, old, new):
+    table[new] = table.pop(old)
+
+
 _SHARED_MODEL = "role-writer model 'role-scribe' is also bound to actor"
 _UNBOUND_CRITIC = "missing role bindings: critic"
+_UNBOUND_ACTOR = "missing role bindings: actor"
 
 
 @pytest.mark.parametrize(
@@ -216,6 +234,36 @@ _UNBOUND_CRITIC = "missing role bindings: critic"
             for case, change, mentions in (
                 ("actor-shares-writer-model", _actor_shares_writer_model, _SHARED_MODEL),
                 ("critic-unbound", _critic_unbound, _UNBOUND_CRITIC),
+                ("actor-unbound", _actor_unbound, _UNBOUND_ACTOR),
+            )
+        ),
+        *(
+            pytest.param(
+                lambda tmp, edit=edit: _solve_argv(config=_qa_config_file_with(tmp, edit)),
+                mentions,
+                id=case,
+            )
+            for case, edit, mentions in (
+                (
+                    "mistyped-bound-role",
+                    lambda v: _rename_key(v["engine"]["role_bindings"], "actor", "actr"),
+                    "role_bindings.actr: 'actr' is not a valid UnitRole",
+                ),
+                (
+                    "mistyped-scripted-role",
+                    lambda v: _rename_key(v["record_scripts"]["qa-01"], "actor", "actr"),
+                    "record_scripts.qa-01.actr: 'actr' is not a valid UnitRole",
+                ),
+                (
+                    "removed-step-directive",
+                    lambda v: v["engine"].update(step_directive=None),
+                    "unknown fields ['step_directive'] for EngineConfig",
+                ),
+                (
+                    "removed-early-stop-marker",
+                    lambda v: v["engine"].update(early_stop_marker="NO_FURTHER_IMPROVEMENT"),
+                    "unknown fields ['early_stop_marker'] for EngineConfig",
+                ),
             )
         ),
     ],

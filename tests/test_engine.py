@@ -411,7 +411,6 @@ class TestExecuteActionsDirectly:
         results, error = execute_actions(
             plan,
             RoleDescription(text="role"),
-            ENV,
             config,
             units,
             task=qa_task(),

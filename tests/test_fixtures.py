@@ -3,7 +3,8 @@ from __future__ import annotations
 import hashlib
 import shutil
 
-from socialagent import fixtures
+from socialagent import canonical, fixtures
+from socialagent.evaluation import TaskKind
 from socialagent.fixtures import fixture_dir, fixture_path, fixture_integrity_check
 
 
@@ -64,3 +65,12 @@ def test_datasets_are_the_synthetic_builder_output():
     for name, rows in expected.items():
         committed = fixture_path(name).read_text(encoding="utf-8")
         assert committed == fixtures._dataset_text(rows), name
+
+
+def test_regenerated_goldens_come_from_the_files_written(tmp_path, monkeypatch):
+    shortened = (fixtures.QA_DATASET[:4], TaskKind.QA)
+    monkeypatch.setitem(fixtures._DATASETS, "mini_qa.jsonl", shortened)
+    fixtures.regenerate(tmp_path)
+    golden = canonical.load(tmp_path / "golden_qa_report.json")
+    assert golden.n == 4
+    assert [record.id for record in golden.per_record] == ["qa-01", "qa-02", "qa-03", "qa-04"]

@@ -8,7 +8,6 @@ from socialagent.errors import InvariantError, OptimizationAborted
 from socialagent.optimizer import (
     DEFAULT_TEXT_LOSS,
     GradientNote,
-    TGDConfig,
     TextLoss,
     Variable,
     compute_loss,
@@ -33,15 +32,14 @@ class TestVariableAndConfig:
             Variable(value="  ")
 
     def test_iterations_zero_rejected(self):
+        provider = mock_provider()
         with pytest.raises(InvariantError):
-            TGDConfig(iterations=0)
+            optimize(Variable("v"), context_prompt(), TextLoss(), 0, provider)
+        assert provider.call_log == []
 
     def test_empty_gradient_rejected(self):
         with pytest.raises(InvariantError):
             GradientNote(feedback=" ")
-
-    def test_default_loss_instruction_is_the_critical_evaluation_phrase(self):
-        assert TextLoss().instruction == DEFAULT_TEXT_LOSS
 
 
 class TestSingleOperations:
@@ -79,22 +77,16 @@ class TestSingleOperations:
 
     def test_step_pushes_history_and_applies_feedback(self):
         provider = mock_provider("improved text")
-        updated = step(Variable("old text"), GradientNote("fix it"), TGDConfig(), provider)
+        updated = step(Variable("old text"), GradientNote("fix it"), provider)
         assert updated.value == "improved text"
         assert updated.history == ("old text",)
         assert "fix it" in provider.call_log[0][0].flattened()
-
-    def test_step_directive_included_verbatim(self):
-        provider = mock_provider("improved")
-        config = TGDConfig(step_directive="make minimal edits")
-        step(Variable("v"), GradientNote("g"), config, provider)
-        assert "make minimal edits" in provider.call_log[0][0].flattened()
 
     def test_history_grows_by_exactly_one_per_step(self):
         variable = Variable("v0")
         for index in range(3):
             variable = step(
-                variable, GradientNote("g"), TGDConfig(), mock_provider(f"v{index + 1}")
+                variable, GradientNote("g"), mock_provider(f"v{index + 1}")
             )
             assert len(variable.history) == index + 1
         assert variable.history == ("v0", "v1", "v2")
@@ -116,7 +108,7 @@ class TestOptimizeLoop:
             Variable("v0"),
             context_prompt(),
             TextLoss(),
-            TGDConfig(iterations=iterations),
+            iterations,
             provider,
             transcript=transcript,
         )
@@ -138,7 +130,7 @@ class TestOptimizeLoop:
             Variable("v0"),
             context_prompt(),
             TextLoss(),
-            TGDConfig(iterations=3),
+            3,
             provider,
         )
         assert len(provider.call_log) == 8
@@ -151,7 +143,7 @@ class TestOptimizeLoop:
             Variable("v0"),
             context_prompt(),
             TextLoss(),
-            TGDConfig(iterations=5),
+            5,
             mock_provider(*script),
         )
         assert len(result.history) == 1
@@ -162,7 +154,7 @@ class TestOptimizeLoop:
             Variable("start"),
             context_prompt(),
             TextLoss(),
-            TGDConfig(iterations=3),
+            3,
             provider,
         )
         assert result.history == ("start", "value1", "value2")
@@ -176,7 +168,7 @@ class TestOptimizeLoop:
                 Variable("v0"),
                 context_prompt(),
                 TextLoss(),
-                TGDConfig(iterations=2),
+                2,
                 provider,
             )
         partial = excinfo.value.partial

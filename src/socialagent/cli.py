@@ -9,7 +9,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import canonical, engine, evaluation
-from .actor import load_taxonomy, load_toolstore
 from .core import EngineConfig, EnvironmentContext, ReasoningStrategy, StrategyKind, Task
 from .errors import AgentError, ConfigError, InvariantError, MalformedInputError, TaskFailure
 from .evaluation import RunSetup, TaskKind
@@ -129,16 +128,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _stores(setup: RunSetup):
-    tools = load_toolstore(setup.toolstore_path) if setup.toolstore_path else None
-    taxonomy = load_taxonomy(setup.taxonomy_path) if setup.taxonomy_path else None
-    return tools, taxonomy
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     setup = _apply_overrides(_load_setup(args.config), args)
     task = _load_task(args.task)
-    tools, taxonomy = _stores(setup)
+    tools, taxonomy = evaluation.load_stores(setup)
     env = EnvironmentContext()
     try:
         response = engine.solve(
@@ -232,7 +225,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     setup = _apply_overrides(_load_setup(args.config), args)
     records = evaluation.load_dataset(args.dataset, kind)
-    tools, taxonomy = _stores(setup)
+    tools, taxonomy = evaluation.load_stores(setup)
     report = evaluation.run_eval(
         records,
         kind,

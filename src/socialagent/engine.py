@@ -204,7 +204,6 @@ def run_trials(
     refiner run (feeding a replan) or the loop breaks with the optimized
     plan. The final trial always exits with the best available plan."""
     views: list[TrialView] = []
-    pending: RefinedInstructions | None = None
     prompt = create_task_prompt(task, env, role.text)
     executed: Plan | None = None
 
@@ -212,15 +211,10 @@ def run_trials(
         reasoned = reason(
             prompt, config.strategy, units[UnitRole.REASONER], transcript=transcript
         )
-        operation = "plan" if pending is None else "replan"
+        # every trial after the first follows a refinement
+        operation = "replan" if trial else "plan"
         plan_a = planner_mod.plan(
-            env,
-            task,
-            reasoned,
-            units[UnitRole.PLANNER],
-            transcript=transcript,
-            operation=operation,
-            corrective=pending,
+            task, reasoned, units[UnitRole.PLANNER], transcript=transcript, operation=operation
         )
         variable = Variable(value=plan_a.raw, role_note="plan under optimization")
         optimized = optimize(
@@ -281,7 +275,6 @@ def run_trials(
         )
         if refined is None:
             break
-        pending = refined
         prompt = create_task_prompt(task, env, role.text, refined=refined)
 
     assert executed is not None

@@ -10,7 +10,13 @@ from enum import Enum
 from pathlib import Path
 
 from . import canonical, engine, metrics
-from .actor import CategoryPair, CategoryTaxonomy, ToolStore
+from .actor import (
+    CategoryPair,
+    CategoryTaxonomy,
+    ToolStore,
+    load_taxonomy,
+    load_toolstore,
+)
 from .core import ContentItem, EngineConfig, EnvironmentContext, Task, UnitRole
 from .errors import AgentError, ConfigError, DatasetFormatError, InvariantError
 from .providers import MockScript, MockScriptEntry
@@ -115,6 +121,13 @@ def load_setup(path: str | Path) -> RunSetup:
         toolstore_path=resolve(value.toolstore_path),
         taxonomy_path=resolve(value.taxonomy_path),
     )
+
+
+def load_stores(setup: RunSetup) -> tuple[ToolStore | None, CategoryTaxonomy | None]:
+    """The knowledge store and taxonomy a run configuration names, if any."""
+    tools = load_toolstore(setup.toolstore_path) if setup.toolstore_path else None
+    taxonomy = load_taxonomy(setup.taxonomy_path) if setup.taxonomy_path else None
+    return tools, taxonomy
 
 
 def _require_str(payload: dict, line: int, *names: str) -> str:
@@ -239,12 +252,18 @@ def extract_prediction(
     return chosen.answer
 
 
+# The per-record score keys of each kind, in report order; a text kind's
+# aggregate of a key is labelled ``key.upper()``.
+_SCORE_KEYS = {
+    TaskKind.QA: ("em", "f1", "p", "r"),
+    TaskKind.VQA: ("em", "f1", "p", "r"),
+    TaskKind.TITLE: ("em", "b4", "rl_f1", "rl_p", "rl_r"),
+    TaskKind.CATEGORIZE: ("l1_correct", "l2_correct"),
+}
+
+
 def _zero_scores(kind: TaskKind) -> dict[str, float]:
-    if kind in (TaskKind.QA, TaskKind.VQA):
-        return {"em": 0.0, "f1": 0.0, "p": 0.0, "r": 0.0}
-    if kind is TaskKind.TITLE:
-        return {"em": 0.0, "b4": 0.0, "rl_f1": 0.0, "rl_p": 0.0, "rl_r": 0.0}
-    return {"l1_correct": 0.0, "l2_correct": 0.0}
+    return dict.fromkeys(_SCORE_KEYS[kind], 0.0)
 
 
 def _score_text(kind: TaskKind, prediction: str, gold: str) -> dict[str, float]:
@@ -368,19 +387,6 @@ def _disagreements(outcomes: list[RecordOutcome]) -> dict[str, tuple[Disagreemen
     return report
 
 
-_AGGREGATE_KEYS = {
-    TaskKind.QA: (("em", "EM"), ("f1", "F1"), ("p", "P"), ("r", "R")),
-    TaskKind.VQA: (("em", "EM"), ("f1", "F1"), ("p", "P"), ("r", "R")),
-    TaskKind.TITLE: (
-        ("em", "EM"),
-        ("b4", "B4"),
-        ("rl_f1", "RL_F1"),
-        ("rl_p", "RL_P"),
-        ("rl_r", "RL_R"),
-    ),
-}
-
-
 def run_eval(
     dataset: list[EvalRecord],
     task_kind: TaskKind,
@@ -412,11 +418,8 @@ def run_eval(
             record_scripts=record_scripts,
         )
 
-    if workers == 1:
-        outcomes = [work(record) for record in dataset]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, dataset))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(work, dataset))
     outcomes.sort(key=lambda outcome: outcome.record.id)
 
     per_record = tuple(
@@ -434,8 +437,8 @@ def run_eval(
     else:
         n = len(outcomes)
         aggregates = {
-            label: _round(sum(o.scores[key] for o in outcomes) / n * 100)
-            for key, label in _AGGREGATE_KEYS[task_kind]
+            key.upper(): _round(sum(o.scores[key] for o in outcomes) / n * 100)
+            for key in _SCORE_KEYS[task_kind]
         }
     return MetricReport(
         kind=task_kind.value,

@@ -5,13 +5,14 @@ and the golden reports they must reproduce byte-for-byte."""
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
 from . import canonical, engine, evaluation
-from .actor import CategoryTaxonomy, ToolEntry, ToolStore, load_taxonomy, load_toolstore
+from .actor import CategoryTaxonomy, ToolEntry, ToolStore
 from .core import (
     ContentItem,
     EngineConfig,
@@ -135,18 +136,39 @@ def _optimizer_script(trial_blocks: list[str], action_rounds: int) -> list[str]:
     return script
 
 
-def _eval_bindings(plan_block: str) -> dict[UnitRole, ProviderConfig]:
-    """Static per-unit scripts for one evaluation record; the actor script
-    comes from the per-record overrides."""
+def _bindings(
+    writer: str,
+    planner_responses: list[str],
+    optimizer_blocks: list[str],
+    action_rounds: int,
+    *,
+    actor: tuple[str, ...] = (),
+    critic: ProviderConfig | None = None,
+    refiner: tuple[str, ...] = (),
+) -> dict[UnitRole, ProviderConfig]:
+    """All seven mock bindings of one run: the role-writer's one reply, the
+    planner's replies, an optimizer script of one quartet per planning trial
+    (``optimizer_blocks`` are its step outputs) plus ``action_rounds`` action
+    quartets, and the replies of the remaining units (none by default)."""
     return {
-        UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a careful social-content analyst."),
+        UnitRole.ROLE_WRITER: _mock("role-scribe", writer),
         UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
-        UnitRole.PLANNER: _mock("unit-planner", plan_block),
-        UnitRole.OPTIMIZER: _mock("unit-optimizer", *_optimizer_script([plan_block], 1)),
-        UnitRole.CRITIC: _mock("unit-critic"),
-        UnitRole.REFINER: _mock("unit-refiner"),
-        UnitRole.ACTOR: _mock("unit-actor"),
+        UnitRole.PLANNER: _mock("unit-planner", *planner_responses),
+        UnitRole.OPTIMIZER: _mock(
+            "unit-optimizer", *_optimizer_script(optimizer_blocks, action_rounds)
+        ),
+        UnitRole.CRITIC: critic or _mock("unit-critic"),
+        UnitRole.REFINER: _mock("unit-refiner", *refiner),
+        UnitRole.ACTOR: _mock("unit-actor", *actor),
     }
+
+
+def _gate_critic(verdict: str, plan_a: str, plan_b: str) -> ProviderConfig:
+    """A critic whose embeddings put the two plans far apart, so the gate
+    fires, and whose one reply is ``verdict``."""
+    return _mock(
+        "unit-critic", verdict, embedding_overrides={plan_a: (2.0, 0.0), plan_b: (0.0, 2.0)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,53 +299,35 @@ def toolstore() -> ToolStore:
     )
 
 
-def qa_setup() -> RunSetup:
+_ANALYST = "You are a careful social-content analyst."
+
+
+def _eval_setup(
+    plan_block: str, actor_scripts: dict[str, tuple[str, ...]], taxonomy_path: str | None = None
+) -> RunSetup:
+    """One planning trial of ``plan_block`` and one action per record; the
+    actor's replies come from the per-record overrides."""
+    bindings = _bindings(_ANALYST, [plan_block], [plan_block], 1)
     return RunSetup(
-        engine=EngineConfig(
-            role_bindings=_eval_bindings(QA_PLAN_BLOCK),
-            theta=0.1,
-            trials=1,
-            tgd_iterations=1,
-            strategy=ReasoningStrategy.none(),
-        ),
+        engine=EngineConfig(role_bindings=bindings, trials=1, strategy=ReasoningStrategy.none()),
+        taxonomy_path=taxonomy_path,  # resolved against the config file's directory
         record_scripts={
             record_id: {UnitRole.ACTOR: _entries(*script)}
-            for record_id, script in QA_ACTOR_SCRIPTS.items()
+            for record_id, script in actor_scripts.items()
         },
     )
+
+
+def qa_setup() -> RunSetup:
+    return _eval_setup(QA_PLAN_BLOCK, QA_ACTOR_SCRIPTS)
 
 
 def title_setup() -> RunSetup:
-    return RunSetup(
-        engine=EngineConfig(
-            role_bindings=_eval_bindings(TITLE_PLAN_BLOCK),
-            theta=0.1,
-            trials=1,
-            tgd_iterations=1,
-            strategy=ReasoningStrategy.none(),
-        ),
-        record_scripts={
-            record_id: {UnitRole.ACTOR: _entries(*script)}
-            for record_id, script in TITLE_ACTOR_SCRIPTS.items()
-        },
-    )
+    return _eval_setup(TITLE_PLAN_BLOCK, TITLE_ACTOR_SCRIPTS)
 
 
 def category_setup() -> RunSetup:
-    return RunSetup(
-        engine=EngineConfig(
-            role_bindings=_eval_bindings(CATEGORY_PLAN_BLOCK),
-            theta=0.1,
-            trials=1,
-            tgd_iterations=1,
-            strategy=ReasoningStrategy.none(),
-        ),
-        taxonomy_path="taxonomy.json",  # resolved against the config file's directory
-        record_scripts={
-            record_id: {UnitRole.ACTOR: _entries(*script)}
-            for record_id, script in CATEGORY_ACTOR_SCRIPTS.items()
-        },
-    )
+    return _eval_setup(CATEGORY_PLAN_BLOCK, CATEGORY_ACTOR_SCRIPTS, "taxonomy.json")
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +346,16 @@ def example_task() -> Task:
 
 
 def solve_setup() -> RunSetup:
+    bindings = _bindings(
+        _ANALYST,
+        [QA_PLAN_BLOCK],
+        [QA_PLAN_BLOCK],
+        1,
+        actor=("ANSWER: a tower", "ANSWER: the eiffel tower"),
+    )
     return RunSetup(
         engine=EngineConfig(
-            role_bindings={
-                UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a careful social-content analyst."),
-                UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
-                UnitRole.PLANNER: _mock("unit-planner", QA_PLAN_BLOCK),
-                UnitRole.OPTIMIZER: _mock(
-                    "unit-optimizer", *_optimizer_script([QA_PLAN_BLOCK], 1)
-                ),
-                UnitRole.CRITIC: _mock("unit-critic"),
-                UnitRole.REFINER: _mock("unit-refiner"),
-                UnitRole.ACTOR: _mock(
-                    "unit-actor", "ANSWER: a tower", "ANSWER: the eiffel tower"
-                ),
-            },
-            theta=0.1,
-            trials=2,
-            tgd_iterations=1,
-            strategy=ReasoningStrategy.zero_shot_cot(),
+            role_bindings=bindings, trials=2, strategy=ReasoningStrategy.zero_shot_cot()
         )
     )
 
@@ -374,66 +369,35 @@ def plan_task() -> Task:
     )
 
 
+_PLANNER_WRITER = "You are a planning analyst."
+
+
 def plan_identical_setup() -> RunSetup:
     """Optimizer echoes the planner's output: the gate sees divergence 0."""
+    bindings = _bindings(_PLANNER_WRITER, [COMPOSITE_PLAN_BLOCK], [COMPOSITE_PLAN_BLOCK], 0)
     return RunSetup(
-        engine=EngineConfig(
-            role_bindings={
-                UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a planning analyst."),
-                UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
-                UnitRole.PLANNER: _mock("unit-planner", COMPOSITE_PLAN_BLOCK),
-                UnitRole.OPTIMIZER: _mock(
-                    "unit-optimizer", *_optimizer_script([COMPOSITE_PLAN_BLOCK], 0)
-                ),
-                UnitRole.CRITIC: _mock("unit-critic"),
-                UnitRole.REFINER: _mock("unit-refiner"),
-                UnitRole.ACTOR: _mock("unit-actor"),
-            },
-            theta=0.1,
-            trials=2,
-            tgd_iterations=1,
-            strategy=ReasoningStrategy.none(),
-        )
+        engine=EngineConfig(role_bindings=bindings, trials=2, strategy=ReasoningStrategy.none())
     )
 
 
 def plan_divergent_setup() -> RunSetup:
     """Optimizer rewrites the plan; forced embeddings make the gate fire,
     the critic prefers plan A, and the refiner feeds a replan."""
-    critic = ProviderConfig(
-        backend=Backend.MOCK,
-        model_name="unit-critic",
-        script=MockScript.of(
-            "VERDICT: A\nFEEDBACK: Keep the headline first; classification should use it."
+    bindings = _bindings(
+        _PLANNER_WRITER,
+        [COMPOSITE_PLAN_BLOCK, COMPOSITE_PLAN_BLOCK],
+        [ALT_COMPOSITE_PLAN_BLOCK, COMPOSITE_PLAN_BLOCK],
+        0,
+        critic=_gate_critic(
+            "VERDICT: A\nFEEDBACK: Keep the headline first; classification should use it.",
+            COMPOSITE_PLAN_BLOCK,
+            ALT_COMPOSITE_PLAN_BLOCK,
         ),
-        embedding_overrides={
-            COMPOSITE_PLAN_BLOCK: (2.0, 0.0),
-            ALT_COMPOSITE_PLAN_BLOCK: (0.0, 2.0),
-        },
+        refiner=("Keep the title action before categorization and reuse its output.",),
     )
     return RunSetup(
         engine=EngineConfig(
-            role_bindings={
-                UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a planning analyst."),
-                UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
-                UnitRole.PLANNER: _mock(
-                    "unit-planner", COMPOSITE_PLAN_BLOCK, COMPOSITE_PLAN_BLOCK
-                ),
-                UnitRole.OPTIMIZER: _mock(
-                    "unit-optimizer",
-                    *_optimizer_script([ALT_COMPOSITE_PLAN_BLOCK, COMPOSITE_PLAN_BLOCK], 0),
-                ),
-                UnitRole.CRITIC: critic,
-                UnitRole.REFINER: _mock(
-                    "unit-refiner",
-                    "Keep the title action before categorization and reuse its output.",
-                ),
-                UnitRole.ACTOR: _mock("unit-actor"),
-            },
-            theta=0.05,
-            trials=2,
-            tgd_iterations=1,
-            strategy=ReasoningStrategy.none(),
+            role_bindings=bindings, theta=0.05, trials=2, strategy=ReasoningStrategy.none()
         )
     )
 
@@ -441,32 +405,11 @@ def plan_divergent_setup() -> RunSetup:
 # ---------------------------------------------------------------------------
 # protocol scenarios with hand-derived reference sequences
 
-_TRIAL_BLOCK = [
-    ("reasoner", "reason"),
-    ("planner", "plan"),
-    ("optimizer", "forward"),
-    ("optimizer", "compute_loss"),
-    ("optimizer", "gradient"),
-    ("optimizer", "step"),
-]
-_REPLAN_BLOCK_SEQ = [
-    ("reasoner", "reason"),
-    ("planner", "replan"),
-    ("optimizer", "forward"),
-    ("optimizer", "compute_loss"),
-    ("optimizer", "gradient"),
-    ("optimizer", "step"),
-]
+_TGD = [("optimizer", op) for op in ("forward", "compute_loss", "gradient", "step")]
+_TRIAL_BLOCK = [("reasoner", "reason"), ("planner", "plan"), *_TGD]
+_REPLAN_BLOCK_SEQ = [("reasoner", "reason"), ("planner", "replan"), *_TGD]
 _GATE = [("critic", "embed"), ("critic", "embed")]
-_ACTION_BLOCK = [
-    ("reasoner", "reason"),
-    ("actor", "act"),
-    ("optimizer", "forward"),
-    ("optimizer", "compute_loss"),
-    ("optimizer", "gradient"),
-    ("optimizer", "step"),
-    ("actor", "act"),
-]
+_ACTION_BLOCK = [("reasoner", "reason"), ("actor", "act"), *_TGD, ("actor", "act")]
 
 SCENARIO_SEQUENCES: dict[str, tuple[tuple[str, str], ...]] = {
     # gate passes on trial 0: break straight to action execution
@@ -499,66 +442,34 @@ def scenario_task() -> Task:
 
 
 def scenario_setup(name: str) -> RunSetup:
-    actor = _mock("unit-actor", "ANSWER: the outer belt", "ANSWER: the outer asteroid belt")
-    common = {
-        UnitRole.ROLE_WRITER: _mock("role-scribe", "You are a careful analyst."),
-        UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
-        UnitRole.ACTOR: actor,
-    }
-    if name == "scenario_a":
-        bindings = {
-            **common,
-            UnitRole.PLANNER: _mock("unit-planner", QA_PLAN_BLOCK),
-            UnitRole.OPTIMIZER: _mock("unit-optimizer", *_optimizer_script([QA_PLAN_BLOCK], 1)),
-            UnitRole.CRITIC: _mock("unit-critic"),
-            UnitRole.REFINER: _mock("unit-refiner"),
-        }
-        trials = 2
-    elif name == "scenario_b":
-        critic = ProviderConfig(
-            backend=Backend.MOCK,
-            model_name="unit-critic",
-            script=MockScript.of(
-                "VERDICT: A\nFEEDBACK: Tie the answer to the cited passage."
-            ),
-            embedding_overrides={
-                QA_PLAN_BLOCK: (2.0, 0.0),
-                ALT_QA_PLAN_BLOCK: (0.0, 2.0),
-            },
-        )
-        bindings = {
-            **common,
-            UnitRole.PLANNER: _mock("unit-planner", QA_PLAN_BLOCK, REPLAN_BLOCK),
-            UnitRole.OPTIMIZER: _mock(
-                "unit-optimizer",
-                *_optimizer_script([ALT_QA_PLAN_BLOCK, REPLAN_BLOCK], 1),
-            ),
-            UnitRole.CRITIC: critic,
-            UnitRole.REFINER: _mock(
-                "unit-refiner", "Plan a single QA action citing the passage."
-            ),
-        }
-        trials = 2
-    elif name == "scenario_c":
-        bindings = {
-            **common,
-            UnitRole.PLANNER: _mock("unit-planner", QA_PLAN_BLOCK),
-            UnitRole.OPTIMIZER: _mock("unit-optimizer", *_optimizer_script([QA_PLAN_BLOCK], 1)),
-            UnitRole.CRITIC: _mock("unit-critic"),
-            UnitRole.REFINER: _mock("unit-refiner"),
-        }
-        trials = 1
-    else:
+    """Scenarios A and C plan once and differ only in the trial budget;
+    scenario B's gate fires and its refiner feeds one replan."""
+    if name not in SCENARIO_SEQUENCES:
         raise ValueError(f"unknown scenario {name!r}")
-    return RunSetup(
-        engine=EngineConfig(
-            role_bindings=bindings,
-            theta=0.1,
-            trials=trials,
-            tgd_iterations=1,
-            strategy=ReasoningStrategy.zero_shot_cot(),
+    writer = "You are a careful analyst."
+    actor = ("ANSWER: the outer belt", "ANSWER: the outer asteroid belt")
+    if name == "scenario_b":
+        bindings = _bindings(
+            writer,
+            [QA_PLAN_BLOCK, REPLAN_BLOCK],
+            [ALT_QA_PLAN_BLOCK, REPLAN_BLOCK],
+            1,
+            actor=actor,
+            critic=_gate_critic(
+                "VERDICT: A\nFEEDBACK: Tie the answer to the cited passage.",
+                QA_PLAN_BLOCK,
+                ALT_QA_PLAN_BLOCK,
+            ),
+            refiner=("Plan a single QA action citing the passage.",),
         )
+    else:
+        bindings = _bindings(writer, [QA_PLAN_BLOCK], [QA_PLAN_BLOCK], 1, actor=actor)
+    engine_config = EngineConfig(
+        role_bindings=bindings,
+        trials=1 if name == "scenario_c" else 2,
+        strategy=ReasoningStrategy.zero_shot_cot(),
     )
+    return RunSetup(engine=engine_config)
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +481,11 @@ _DATASETS = {
     "mini_category.jsonl": (CATEGORY_DATASET, TaskKind.CATEGORIZE),
 }
 
-_EVAL_FIXTURES = {
-    "qa": ("mini_qa.jsonl", "qa_eval_config.json", "golden_qa_report.json", TaskKind.QA),
-    "title": (
-        "mini_title.jsonl",
-        "title_eval_config.json",
-        "golden_title_report.json",
-        TaskKind.TITLE,
-    ),
-    "categorize": (
-        "mini_category.jsonl",
-        "category_eval_config.json",
-        "golden_category_report.json",
-        TaskKind.CATEGORIZE,
-    ),
+# The dataset and run configuration each eval golden is regenerated from.
+_EVAL_GOLDENS = {
+    "golden_qa_report.json": ("mini_qa.jsonl", "qa_eval_config.json"),
+    "golden_title_report.json": ("mini_title.jsonl", "title_eval_config.json"),
+    "golden_category_report.json": ("mini_category.jsonl", "category_eval_config.json"),
 }
 
 
@@ -603,15 +505,13 @@ _SETUPS = {
 }
 
 
-def _eval_report_text(
-    directory: Path, dataset_name: str, config_name: str, kind: TaskKind
-) -> str:
+def _eval_report_text(directory: Path, dataset_name: str, config_name: str) -> str:
     """The eval report for fixture files in ``directory``, loaded as the CLI
     loads them."""
+    kind = _DATASETS[dataset_name][1]
     setup = evaluation.load_setup(directory / config_name)
     records = load_dataset(directory / dataset_name, kind)
-    taxonomy_obj = load_taxonomy(setup.taxonomy_path) if setup.taxonomy_path else None
-    tools = load_toolstore(setup.toolstore_path) if setup.toolstore_path else None
+    tools, taxonomy_obj = evaluation.load_stores(setup)
     report = run_eval(
         records,
         kind,
@@ -660,8 +560,8 @@ def regenerate(target: Path | None = None) -> list[str]:
             canonical.dumps({"sequence": [list(pair) for pair in sequence]}),
         )
 
-    for dataset_name, config_name, golden_name, kind in _EVAL_FIXTURES.values():
-        write(golden_name, _eval_report_text(target, dataset_name, config_name, kind))
+    for golden_name, (dataset_name, config_name) in _EVAL_GOLDENS.items():
+        write(golden_name, _eval_report_text(target, dataset_name, config_name))
     write("golden_solve_report.json", _solve_report_text(target))
     return written
 
@@ -674,61 +574,26 @@ class IntegrityReport:
 
 
 def fixture_integrity_check() -> IntegrityReport:
-    """Verify every bundled fixture parses under its loader and that each
-    golden report regenerates byte-identically from its scripts."""
-    checked: list[str] = []
+    """Regenerate every fixture into a scratch directory and report each
+    bundled file that differs from its regeneration byte for byte; a file
+    that matches must also load (datasets with their full record count)."""
     failures: list[str] = []
-
-    def check(name: str, fn) -> None:
-        checked.append(name)
-        try:
-            fn()
-        except Exception as exc:  # report-style: collect, never raise
-            failures.append(f"{name}: {exc}")
-
-    for name, (rows, kind) in _DATASETS.items():
-        check(
-            name,
-            lambda name=name, rows=rows, kind=kind: _expect(
-                len(load_dataset(fixture_path(name), kind)) == len(rows),
-                "record count mismatch",
-            ),
-        )
-    check("taxonomy.json", lambda: load_taxonomy(fixture_path("taxonomy.json")))
-    check("toolstore.json", lambda: load_toolstore(fixture_path("toolstore.json")))
-
-    for config_name in _SETUPS:
-        check(config_name, lambda name=config_name: evaluation.load_setup(fixture_path(name)))
-    for task_name in ("example_task.json", "plan_task.json", "scenario_task.json"):
-        check(task_name, lambda name=task_name: canonical.load(fixture_path(name)))
-
-    for dataset_name, config_name, golden_name, kind in _EVAL_FIXTURES.values():
-        def regen(dataset_name=dataset_name, config_name=config_name, golden_name=golden_name, kind=kind):
-            fresh = _eval_report_text(fixture_dir(), dataset_name, config_name, kind)
-            committed = fixture_path(golden_name).read_text(encoding="utf-8")
-            _expect(fresh == committed, "regenerated report differs from committed golden")
-        check(golden_name, regen)
-
-    def regen_solve():
-        fresh = _solve_report_text(fixture_dir())
-        committed = fixture_path("golden_solve_report.json").read_text(encoding="utf-8")
-        _expect(fresh == committed, "regenerated report differs from committed golden")
-
-    check("golden_solve_report.json", regen_solve)
-
-    for name, sequence in SCENARIO_SEQUENCES.items():
-        def match(name=name, sequence=sequence):
-            data = json.loads(fixture_path(f"{name}_sequence.json").read_text(encoding="utf-8"))
-            committed = tuple(tuple(pair) for pair in data["sequence"])
-            _expect(committed == sequence, "committed sequence differs from the protocol reference")
-        check(f"{name}_sequence.json", match)
-
-    return IntegrityReport(ok=not failures, checked=tuple(checked), failures=tuple(failures))
-
-
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
+    with tempfile.TemporaryDirectory() as scratch:
+        names = regenerate(Path(scratch))
+        for name in names:
+            try:
+                committed = fixture_path(name).read_bytes()
+                if committed != (Path(scratch) / name).read_bytes():
+                    failures.append(f"{name}: differs from its regeneration")
+                elif name in _DATASETS:
+                    rows, kind = _DATASETS[name]
+                    if len(load_dataset(fixture_path(name), kind)) != len(rows):
+                        failures.append(f"{name}: record count mismatch")
+                elif "kind" in json.loads(committed):
+                    canonical.load(fixture_path(name))
+            except Exception as exc:  # report-style: collect, never raise
+                failures.append(f"{name}: {exc}")
+    return IntegrityReport(ok=not failures, checked=tuple(names), failures=tuple(failures))
 
 
 def main() -> int:

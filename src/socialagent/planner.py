@@ -10,7 +10,6 @@ from .core import (
     ACTION_NAMES_BY_ID,
     ActionSpec,
     ContentItem,
-    EnvironmentContext,
     Plan,
     PromptArtifact,
     Task,
@@ -18,7 +17,6 @@ from .core import (
     UnitRole,
     VALID_ACTION_IDS,
 )
-from .critic import RefinedInstructions
 from .errors import InvariantError, PlanParseError
 from .providers import Provider, invoke
 
@@ -77,13 +75,8 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
     return Plan(actions=tuple(actions), rationale=rationale, raw=raw)
 
 
-def _planning_segments(
-    env: EnvironmentContext,
-    task: Task,
-    reasoned: PromptArtifact,
-    corrective: RefinedInstructions | None,
-) -> tuple[ContentItem, ...]:
-    segments: list[ContentItem] = [
+def _planning_segments(task: Task, reasoned: PromptArtifact) -> tuple[ContentItem, ...]:
+    return (
         ContentItem.from_text(
             "Plan how to complete the task below as an ordered sequence of actions."
         ),
@@ -92,33 +85,24 @@ def _planning_segments(
             "Allowed action ids: "
             + ", ".join(str(i) for i in sorted(task.permitted_actions()))
         ),
-    ]
-    if env.description:
-        segments.append(ContentItem.from_text(f"Environment:\n{env.description}"))
-    segments.extend(reasoned.segments)
-    if corrective is not None:
-        segments.append(
-            ContentItem.from_text(
-                f"Corrective instructions from plan review:\n{corrective.instructions}"
-            )
-        )
-    segments.append(ContentItem.from_text(_BLOCK_DIRECTIVE))
-    return tuple(segments)
+        *reasoned.segments,
+        ContentItem.from_text(_BLOCK_DIRECTIVE),
+    )
 
 
 def plan(
-    env: EnvironmentContext,
     task: Task,
     reasoned: PromptArtifact,
     provider: Provider,
     *,
     transcript: Transcript | None = None,
     operation: str = "plan",
-    corrective: RefinedInstructions | None = None,
 ) -> Plan:
     """One provider call producing a validated Plan; the raw model output is
-    kept verbatim on the result. A replan passes the refiner's corrective
-    instructions and records itself under operation "replan"."""
+    kept verbatim on the result. The reasoned prompt carries the environment
+    and, on a replan, the refiner's corrective instructions (see
+    ``engine.create_task_prompt``); a replan records itself under operation
+    "replan"."""
     if task.goal not in "\n".join(reasoned.text_segments()):
         raise InvariantError("reasoned prompt does not carry the task goal")
     text = invoke(
@@ -126,7 +110,7 @@ def plan(
         UnitRole.PLANNER,
         operation,
         reasoned.system_role,
-        _planning_segments(env, task, reasoned, corrective),
+        _planning_segments(task, reasoned),
         transcript=transcript,
     )
     return parse_plan(text, task.permitted_actions())

@@ -164,6 +164,18 @@ class TestSolveScenarios:
         assert response.transcript.count(operation="criticize") <= setup.engine.trials - 1
         assert response.transcript.count(operation="refine") <= setup.engine.trials - 1
 
+    def test_replan_request_carries_corrective_instructions_once(self):
+        setup = fixtures.scenario_setup("scenario_b")
+        units = build_units(setup.engine)
+        solve(fixtures.scenario_task(), ENV, setup.engine, units=units)
+        plan_request, replan_request = (
+            request.flattened() for request, _ in units[UnitRole.PLANNER].call_log
+        )
+        marker = "Corrective instructions from plan review:"
+        assert marker not in plan_request
+        assert replan_request.count(marker) == 1
+        assert replan_request.count("Plan a single QA action citing the passage.") == 1
+
 
 class TestArbitration:
     def test_executed_plan_is_optimizer_output_when_parseable(self):

@@ -74,3 +74,16 @@ def test_regenerated_goldens_come_from_the_files_written(tmp_path, monkeypatch):
     golden = canonical.load(tmp_path / "golden_qa_report.json")
     assert golden.n == 4
     assert [record.id for record in golden.per_record] == ["qa-01", "qa-02", "qa-03", "qa-04"]
+
+
+def test_hand_edited_config_named_in_report(tmp_path, monkeypatch):
+    # no golden is regenerated from this config, so only a comparison with the
+    # builders' output can see the edit
+    staged = _stage_fixtures(tmp_path, monkeypatch)
+    config = staged / "plan_identical_config.json"
+    text = config.read_text(encoding="utf-8")
+    assert text.count('"theta": 0.1,') == 1
+    config.write_text(text.replace('"theta": 0.1,', '"theta": 0.2,'), encoding="utf-8")
+    report = fixture_integrity_check()
+    assert not report.ok
+    assert report.failures == ("plan_identical_config.json: differs from its regeneration",)

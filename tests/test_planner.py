@@ -12,6 +12,7 @@ from socialagent.core import (
     Transcript,
 )
 from socialagent.critic import RefinedInstructions
+from socialagent.engine import create_task_prompt
 from socialagent.errors import InvariantError, PlanParseError
 from socialagent.planner import parse_plan, plan
 
@@ -106,7 +107,7 @@ class TestPlanOperation:
             ' {"id": 4, "instructions": "classify"}]}'
         )
         provider = mock_provider(raw)
-        parsed = plan(EnvironmentContext(), task, reasoned_prompt(task), provider)
+        parsed = plan(task, reasoned_prompt(task), provider)
         assert [a.name for a in parsed.actions] == [
             ActionName.TITLE_GENERATION,
             ActionName.CATEGORIZATION,
@@ -118,14 +119,14 @@ class TestPlanOperation:
         task = Task(id="t", goal="do something")
         provider = mock_provider("no structure here")
         with pytest.raises(PlanParseError) as excinfo:
-            plan(EnvironmentContext(), task, reasoned_prompt(task), provider)
+            plan(task, reasoned_prompt(task), provider)
         assert excinfo.value.raw == "no structure here"
 
     def test_disallowed_action_enforced_from_task(self):
         task = Task(id="t", goal="answer", allowed_actions=frozenset({1}))
         provider = mock_provider(block('{"actions": [{"id": 2, "instructions": "x"}]}'))
         with pytest.raises(PlanParseError, match="disallowed action"):
-            plan(EnvironmentContext(), task, reasoned_prompt(task), provider)
+            plan(task, reasoned_prompt(task), provider)
 
     def test_reasoned_prompt_must_carry_goal(self):
         task = Task(id="t", goal="the goal text")
@@ -133,33 +134,38 @@ class TestPlanOperation:
             system_role="analyst", segments=(ContentItem.from_text("unrelated"),)
         )
         with pytest.raises(InvariantError, match="goal"):
-            plan(EnvironmentContext(), task, other, mock_provider("x"))
+            plan(task, other, mock_provider("x"))
 
     def test_one_provider_call_and_transcript_event(self):
         task = Task(id="t", goal="answer")
         provider = mock_provider(block('{"actions": [{"id": 1, "instructions": "a"}]}'))
         transcript = Transcript()
-        plan(EnvironmentContext(), task, reasoned_prompt(task), provider, transcript=transcript)
+        plan(task, reasoned_prompt(task), provider, transcript=transcript)
         assert transcript.signature() == (("planner", "plan"),)
 
     def test_allowed_ids_listed_in_request(self):
         task = Task(id="t", goal="answer", allowed_actions=frozenset({1, 3}))
         provider = mock_provider(block('{"actions": [{"id": 1, "instructions": "a"}]}'))
-        plan(EnvironmentContext(), task, reasoned_prompt(task), provider)
+        plan(task, reasoned_prompt(task), provider)
         assert "Allowed action ids: 1, 3" in provider.call_log[0][0].flattened()
 
 
+def replan_prompt(task: Task, refined: RefinedInstructions) -> PromptArtifact:
+    """The task prompt of a replan trial: it carries the corrective
+    instructions."""
+    return create_task_prompt(task, EnvironmentContext(), "analyst", refined=refined)
+
+
 class TestReplanOperation:
-    """A replan is plan() with the refiner's corrective instructions."""
+    """A replan is plan() over a task prompt that carries the refiner's
+    corrective instructions."""
 
     def test_corrective_context_included_and_shared_parsing(self):
         task = Task(id="t", goal="answer", allowed_actions=frozenset({1}))
         raw = block('{"actions": [{"id": 1, "instructions": "only QA"}]}')
         provider = mock_provider(raw)
         refined = RefinedInstructions(instructions="drop action 2", derived_from="d")
-        parsed = plan(
-            EnvironmentContext(), task, reasoned_prompt(task), provider, corrective=refined
-        )
+        parsed = plan(task, replan_prompt(task, refined), provider)
         assert [a.action_id for a in parsed.actions] == [1]
         assert (
             "Corrective instructions from plan review:\ndrop action 2"
@@ -173,15 +179,9 @@ class TestReplanOperation:
     def test_same_script_gives_same_plan_as_plan(self):
         task = Task(id="t", goal="answer")
         raw = block('{"actions": [{"id": 1, "instructions": "answer"}]}')
-        direct = plan(EnvironmentContext(), task, reasoned_prompt(task), mock_provider(raw))
+        direct = plan(task, reasoned_prompt(task), mock_provider(raw))
         refined = RefinedInstructions(instructions="be brief", derived_from="d")
-        redone = plan(
-            EnvironmentContext(),
-            task,
-            reasoned_prompt(task),
-            mock_provider(raw),
-            corrective=refined,
-        )
+        redone = plan(task, replan_prompt(task, refined), mock_provider(raw))
         assert direct.actions == redone.actions
 
     def test_replan_records_replan_operation(self):
@@ -190,12 +190,10 @@ class TestReplanOperation:
         transcript = Transcript()
         refined = RefinedInstructions(instructions="tighten", derived_from="d")
         plan(
-            EnvironmentContext(),
             task,
-            reasoned_prompt(task),
+            replan_prompt(task, refined),
             mock_provider(raw),
             transcript=transcript,
             operation="replan",
-            corrective=refined,
         )
         assert transcript.signature() == (("planner", "replan"),)

@@ -3,6 +3,7 @@ self-describing type envelope, byte-stable across runs."""
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import types
@@ -24,6 +25,13 @@ def _kind(name: object) -> type | None:
     if isinstance(cls, type) and is_dataclass(cls):
         return cls
     return None
+
+
+@functools.cache
+def _hints(tp: type) -> dict[str, object]:
+    """A dataclass's resolved field types, computed once per class; every
+    caller shares the returned dict, so it is only read."""
+    return typing.get_type_hints(tp, localns=_exports())
 
 
 def to_jsonable(value: object) -> object:
@@ -120,7 +128,7 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
     if is_dataclass(tp):
         if not isinstance(data, dict):
             raise MalformedInputError(f"{path}: expected object for {tp.__name__}")
-        hints = typing.get_type_hints(tp, localns=_exports())
+        hints = _hints(tp)
         known = {f.name: f for f in fields(tp)}
         unknown = sorted(set(data) - set(known))
         if unknown:

@@ -305,7 +305,7 @@ def evaluate_record(
     record_scripts: dict[str, dict[UnitRole, tuple[MockScriptEntry, ...]]] | None = None,
 ) -> RecordOutcome:
     """One engine run for one record (single attempt, fresh providers);
-    engine failures score zero and are flagged rather than raised, except
+    any failure scores zero and is flagged rather than raised, except
     configuration errors, which no record can survive."""
     effective = _with_record_scripts(config, (record_scripts or {}).get(record.id, {}))
     task = build_task(record, kind)
@@ -321,7 +321,7 @@ def evaluate_record(
             raise AgentError(response.error)
     except ConfigError:
         raise
-    except AgentError:
+    except Exception:  # any other error fails only its record, not the whole eval
         return RecordOutcome(record, None, _zero_scores(kind), True, 0)
     prediction = extract_prediction(response, kind)
     if prediction is None:

@@ -5,14 +5,11 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import http.client
 import json
 import logging
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -235,7 +232,12 @@ class MockProvider:
 def _post(url: str, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
     """One POST; returns the status and body of any reply, error statuses
     included. Raises ValueError for a request that cannot be sent, and
-    OSError or http.client.HTTPException when no reply arrives."""
+    OSError or http.client.HTTPException when no reply arrives. The urllib
+    stack is imported here, on the first request, so mock-only runs never
+    load it."""
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=TIMEOUT_S) as reply:
@@ -293,6 +295,8 @@ class HttpChatProvider:
         operation: str,
         request_text: str,
     ) -> dict:
+        import http.client
+
         data = json.dumps(body).encode("utf-8")
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         for attempt in range(1, RETRY_ATTEMPTS + 1):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +26,14 @@ from socialagent.critic import Critique, PlanChoice, RefinedInstructions
 from socialagent.divergence import GateDecision
 from socialagent.engine import TrialView
 from socialagent.errors import MalformedInputError
-from socialagent.evaluation import DisagreementEntry, EvalRecord, RecordOutcome, RecordScore
+from socialagent.evaluation import (
+    DisagreementEntry,
+    EvalRecord,
+    RecordOutcome,
+    RecordScore,
+    load_setup,
+)
+from socialagent.fixtures import fixture_path
 from socialagent.providers import Backend, MockScript, MockScriptEntry, ProviderConfig
 
 text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=20)
@@ -211,3 +221,46 @@ def test_strategy_kinds_round_trip():
         back = canonical.deserialize(canonical.serialize(strategy))
         assert back == strategy
         assert back.kind is StrategyKind(strategy.kind.value)
+
+
+def _dataclasses_in(value: object, found: set[type]) -> set[type]:
+    if dataclasses.is_dataclass(value):
+        found.add(type(value))
+        for f in dataclasses.fields(value):
+            _dataclasses_in(getattr(value, f.name), found)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _dataclasses_in(item, found)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            _dataclasses_in(item, found)
+    return found
+
+
+def test_type_hints_resolved_once_per_class(monkeypatch):
+    resolved: list[type] = []
+    original = typing.get_type_hints
+
+    def counting(tp, *args, **kwargs):
+        resolved.append(tp)
+        return original(tp, *args, **kwargs)
+
+    canonical._hints.cache_clear()
+    monkeypatch.setattr(typing, "get_type_hints", counting)
+    configs = sorted(fixture_path("solve_config.json").parent.glob("*_config.json"))
+    reached: set[type] = set()
+    for config in configs:
+        _dataclasses_in(load_setup(config), reached)
+    first_pass = len(resolved)
+    for config in configs:
+        load_setup(config)
+    assert 0 < first_pass <= len(reached)
+    assert len(resolved) == first_pass
+
+
+def test_bare_string_type_reference_names_a_kind():
+    config = ProviderConfig(backend=Backend.MOCK, model_name="m", script=MockScript.of("a"))
+    data = canonical.to_jsonable(config)
+    assert canonical.from_jsonable(data, "ProviderConfig") == config
+    with pytest.raises(MalformedInputError, match="unresolved type reference"):
+        canonical.from_jsonable({}, "NotAKind")

@@ -251,6 +251,33 @@ class TestRunEval:
         )
         assert scored == {r.id: r for r in golden.per_record if r.id != "qa-03"}
 
+    def test_unexpected_error_fails_only_its_record(self, monkeypatch):
+        original = engine.solve
+
+        def solve(task, *args, **kwargs):
+            if task.id == "qa-02":
+                raise RuntimeError("unexpected")
+            return original(task, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve", solve)
+        setup = load_setup(fixture_path("qa_eval_config.json"))
+        records = load_dataset(fixture_path("mini_qa.jsonl"), TaskKind.QA)
+        report = run_eval(
+            records,
+            TaskKind.QA,
+            setup.engine,
+            record_scripts=setup.record_scripts,
+            workers=fixtures.GOLDEN_WORKERS,
+        )
+        scored = {r.id: r for r in report.per_record}
+        failed = scored.pop("qa-02")
+        assert failed.failed is True
+        assert all(v == 0.0 for v in failed.scores.values())
+        golden = canonical.deserialize(
+            fixture_path("golden_qa_report.json").read_text(encoding="utf-8")
+        )
+        assert scored == {r.id: r for r in golden.per_record if r.id != "qa-02"}
+
     def test_categorize_report_carries_disagreements(self):
         setup = load_setup(fixture_path("category_eval_config.json"))
         records = load_dataset(fixture_path("mini_category.jsonl"), TaskKind.CATEGORIZE)

@@ -437,6 +437,31 @@ def test_cli_imports_without_requests():
     assert result.returncode == 0, result.stderr
 
 
+def test_mock_only_run_never_loads_the_http_stack():
+    src = Path(providers.__file__).parents[1]
+    script = """
+import sys
+import socialagent.cli
+from socialagent import canonical, engine
+from socialagent.core import EnvironmentContext
+from socialagent.evaluation import load_setup
+from socialagent.fixtures import fixture_path
+
+setup = load_setup(fixture_path("solve_config.json"))
+task = canonical.load(fixture_path("example_task.json"))
+assert engine.solve(task, EnvironmentContext(), setup.engine).error is None
+print(sorted({"urllib.request", "http.client", "ssl"} & set(sys.modules)))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_http_config_requires_endpoint_and_key_env():
     with pytest.raises(InvariantError):
         ProviderConfig(backend=Backend.HTTP_CHAT, model_name="m")

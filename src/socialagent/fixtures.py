@@ -97,14 +97,26 @@ ALT_QA_PLAN_BLOCK = (
 )
 
 
-# One trace/reflection pair per reason site; three pairs cover every bundled
-# config (at most two planning trials plus one action) under a reflection
-# strategy. The other strategies never consume them.
-REASONER_SCRIPT = tuple(
-    text
-    for site in (1, 2, 3)
-    for text in (f"reasoning trace {site}", f"reflection on trace {site}")
+MULTI_ACTION_PLAN_BLOCK = (
+    "Answer, headline, then classify the post.\n"
+    "```json\n"
+    '{"actions": [{"id": 1, "instructions": "State what the council passed."}, '
+    '{"id": 3, "instructions": "Write a headline for the post.\\nKNOWLEDGE: solar"}, '
+    '{"id": 4, "instructions": "Classify the post for the monitoring feed."}], '
+    '"rationale": "answer, summarize, then classify"}\n'
+    "```"
 )
+
+
+def _reasoner_script(sites: int) -> tuple[str, ...]:
+    """One trace/reflection pair per reason site. Three sites cover a config
+    of at most two planning trials plus one action under a reflection
+    strategy; the other strategies never consume them."""
+    return tuple(
+        text
+        for site in range(1, sites + 1)
+        for text in (f"reasoning trace {site}", f"reflection on trace {site}")
+    )
 
 
 def _mock(model_name: str, *responses: str, **kwargs) -> ProviderConfig:
@@ -145,14 +157,16 @@ def _bindings(
     actor: tuple[str, ...] = (),
     critic: ProviderConfig | None = None,
     refiner: tuple[str, ...] = (),
+    reason_sites: int = 3,
 ) -> dict[UnitRole, ProviderConfig]:
     """All seven mock bindings of one run: the role-writer's one reply, the
-    planner's replies, an optimizer script of one quartet per planning trial
+    reasoner's ``reason_sites`` trace/reflection pairs, the planner's
+    replies, an optimizer script of one quartet per planning trial
     (``optimizer_blocks`` are its step outputs) plus ``action_rounds`` action
     quartets, and the replies of the remaining units (none by default)."""
     return {
         UnitRole.ROLE_WRITER: _mock("role-scribe", writer),
-        UnitRole.REASONER: _mock("unit-reasoner", *REASONER_SCRIPT),
+        UnitRole.REASONER: _mock("unit-reasoner", *_reasoner_script(reason_sites)),
         UnitRole.PLANNER: _mock("unit-planner", *planner_responses),
         UnitRole.OPTIMIZER: _mock(
             "unit-optimizer", *_optimizer_script(optimizer_blocks, action_rounds)
@@ -402,6 +416,36 @@ def plan_divergent_setup() -> RunSetup:
     )
 
 
+def multi_action_setup() -> RunSetup:
+    """The plan task solved by one reflection-reasoned planning trial and
+    three actions (QA, a title drawing on the knowledge store, two-level
+    categorization): four reason sites, one per action after the trial."""
+    bindings = _bindings(
+        _PLANNER_WRITER,
+        [MULTI_ACTION_PLAN_BLOCK],
+        [MULTI_ACTION_PLAN_BLOCK],
+        3,
+        actor=(
+            "ANSWER: a budget",
+            "ANSWER: the new parks budget",
+            "TITLE: council budget",
+            "TITLE: council passes new parks budget",
+            "CATEGORY: politics",
+            "CATEGORY: policy",
+            "CATEGORY: politics",
+            "CATEGORY: policy",
+        ),
+        reason_sites=4,
+    )
+    return RunSetup(
+        engine=EngineConfig(
+            role_bindings=bindings, trials=1, strategy=ReasoningStrategy.cot_and_reflection()
+        ),
+        toolstore_path="toolstore.json",  # resolved against the config file's directory
+        taxonomy_path="taxonomy.json",
+    )
+
+
 # ---------------------------------------------------------------------------
 # protocol scenarios with hand-derived reference sequences
 
@@ -501,6 +545,7 @@ _SETUPS = {
     "solve_config.json": solve_setup,
     "plan_identical_config.json": plan_identical_setup,
     "plan_divergent_config.json": plan_divergent_setup,
+    "multi_action_config.json": multi_action_setup,
     **{f"{name}_config.json": partial(scenario_setup, name) for name in SCENARIO_SEQUENCES},
 }
 
@@ -524,10 +569,22 @@ def _eval_report_text(directory: Path, dataset_name: str, config_name: str) -> s
     return canonical.serialize(report)
 
 
-def _solve_report_text(directory: Path) -> str:
-    setup = evaluation.load_setup(directory / "solve_config.json")
-    task = canonical.load(directory / "example_task.json")
-    response = engine.solve(task, EnvironmentContext(), setup.engine)
+# The run configuration and task each solve golden is regenerated from.
+_SOLVE_GOLDENS = {
+    "golden_solve_report.json": ("solve_config.json", "example_task.json"),
+    "golden_multi_action_solve_report.json": ("multi_action_config.json", "plan_task.json"),
+}
+
+
+def _solve_report_text(directory: Path, config_name: str, task_name: str) -> str:
+    """The solve report for fixture files in ``directory``, run as the CLI's
+    solve command runs it."""
+    setup = evaluation.load_setup(directory / config_name)
+    task = canonical.load(directory / task_name)
+    tools, taxonomy_obj = evaluation.load_stores(setup)
+    response = engine.solve(
+        task, EnvironmentContext(), setup.engine, tools=tools, taxonomy=taxonomy_obj
+    )
     return engine.run_report(task, response)
 
 
@@ -562,7 +619,8 @@ def regenerate(target: Path | None = None) -> list[str]:
 
     for golden_name, (dataset_name, config_name) in _EVAL_GOLDENS.items():
         write(golden_name, _eval_report_text(target, dataset_name, config_name))
-    write("golden_solve_report.json", _solve_report_text(target))
+    for golden_name, (config_name, task_name) in _SOLVE_GOLDENS.items():
+        write(golden_name, _solve_report_text(target, config_name, task_name))
     return written
 
 

@@ -37,6 +37,23 @@ class TestSolve:
             "golden_solve_report.json"
         ).read_text(encoding="utf-8")
 
+    def test_multi_action_solve_reproduces_its_golden(self, tmp_path, capsys):
+        out = tmp_path / "run.report"
+        code, _, stderr = run_cli(
+            capsys,
+            "solve",
+            "--config",
+            str(fixture_path("multi_action_config.json")),
+            "--task",
+            str(fixture_path("plan_task.json")),
+            "--out",
+            str(out),
+        )
+        assert code == EXIT_OK, stderr
+        assert out.read_text(encoding="utf-8") == fixture_path(
+            "golden_multi_action_solve_report.json"
+        ).read_text(encoding="utf-8")
+
     def test_solve_stdout_is_machine_parseable_without_out(self, capsys):
         code, stdout, _ = run_cli(
             capsys,
@@ -461,6 +478,7 @@ class TestConfigRoundTrip:
         ("solve", "scenario_a_config.json", "scenario_task.json"),
         ("solve", "scenario_b_config.json", "scenario_task.json"),
         ("solve", "scenario_c_config.json", "scenario_task.json"),
+        ("solve", "multi_action_config.json", "plan_task.json"),
         ("plan", "plan_identical_config.json", "plan_task.json"),
         ("plan", "plan_divergent_config.json", "plan_task.json"),
     ],

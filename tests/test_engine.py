@@ -29,7 +29,8 @@ from socialagent.errors import (
     ConfigError,
     TaskFailure,
 )
-from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK
+from socialagent.evaluation import load_setup, load_stores
+from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
 from socialagent.providers import Backend, MockScript, ProviderConfig
 
 ENV = EnvironmentContext()
@@ -307,6 +308,23 @@ class TestActionLoop:
         assert len(response.results) == 1
         assert response.error is not None
         assert "action 2" in response.error
+
+    def test_multi_action_fixture_reaches_the_knowledge_store(self):
+        setup = load_setup(fixture_path("multi_action_config.json"))
+        tools, taxonomy = load_stores(setup)
+        units = build_units(setup.engine)
+        response = solve(
+            fixtures.plan_task(), ENV, setup.engine, units=units, tools=tools, taxonomy=taxonomy
+        )
+        assert response.error is None
+        assert [r.action_id for r in response.results] == [1, 3, 4]
+        with_facts = [
+            reply
+            for request, reply in units[UnitRole.ACTOR].call_log
+            if "Photovoltaic cells convert sunlight" in request.flattened()
+        ]
+        # only the title action carries a KNOWLEDGE: line, on both of its calls
+        assert [reply.split(":")[0] for reply in with_facts] == ["TITLE", "TITLE"]
 
     def test_action_inputs_rebound_from_task(self):
         setup = fixtures.scenario_setup("scenario_a")

@@ -48,6 +48,7 @@ def test_regenerating_exits_1_when_the_integrity_check_fails(tmp_path, monkeypat
 def test_regenerated_fixtures_hash_identical(tmp_path):
     names = fixtures.regenerate(tmp_path)
     assert sorted(names) == sorted(p.name for p in fixture_dir().iterdir() if p.is_file())
+    assert {"multi_action_config.json", "golden_multi_action_solve_report.json"} <= set(names)
     for name in names:
         committed = hashlib.sha256(fixture_path(name).read_bytes()).hexdigest()
         regenerated = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

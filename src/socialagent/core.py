@@ -332,9 +332,14 @@ class TranscriptEvent:
 class Transcript:
     """Append-only record of unit invocations for one task run.
 
-    The engine owns one per run and appends sequentially; sharing a
-    transcript across threads requires external synchronization (the
-    internal lock only keeps the sequence counter coherent).
+    ``seq`` is plan order: the order in which a sequential run would make
+    the calls. The engine reasons one plan action ahead into a separate
+    transcript and ``absorb``s it just before that action acts, so the
+    merged events, and every report built from them, are the same as a
+    sequential run's. ``timestamp`` is wall clock when the call was
+    recorded, so an absorbed event can carry an earlier time than the
+    event before it. The internal lock only keeps the sequence counter
+    coherent; one transcript is appended to by one thread at a time.
     """
 
     events: tuple[TranscriptEvent, ...] = ()
@@ -357,6 +362,15 @@ class Transcript:
             )
             self.events += (event,)
         return event
+
+    def absorb(self, other: Transcript) -> None:
+        """Append ``other``'s events after this transcript's own, renumbering
+        their ``seq`` to continue this transcript's."""
+        with self._lock:
+            start = len(self.events)
+            self.events += tuple(
+                replace(event, seq=start + offset) for offset, event in enumerate(other.events)
+            )
 
     def signature(self) -> tuple[tuple[str, str], ...]:
         """(unit, operation) labels in invocation order, for conformance checks."""

@@ -4,11 +4,15 @@ feedback-and-retry pass for every action."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 from . import canonical, planner as planner_mod
 from .actor import ActionResult, CategoryTaxonomy, ToolStore, act
 from .core import (
+    ActionSpec,
     ContentItem,
     EngineConfig,
     EnvironmentContext,
@@ -161,7 +165,7 @@ def create_task_prompt(
     return PromptArtifact(system_role=role_text, segments=tuple(segments))
 
 
-def create_action_prompt(spec, role_text: str) -> PromptArtifact:
+def create_action_prompt(spec: ActionSpec, role_text: str) -> PromptArtifact:
     """Deterministic prompt templating from one plan action."""
     segments = [ContentItem.from_text(f"Your current action:\n{spec.instructions}")]
     segments.extend(spec.inputs)
@@ -289,6 +293,33 @@ def _bind_inputs(plan: Plan, task: Task) -> Plan:
     return Plan(actions=actions, rationale=plan.rationale, raw=plan.raw)
 
 
+def _reason_ahead(
+    pool: ThreadPoolExecutor,
+    actions: tuple[ActionSpec, ...],
+    reasoning: Callable[[ActionSpec, Transcript | None], PromptArtifact],
+    transcript: Transcript | None,
+) -> Iterator[PromptArtifact]:
+    """Each action's reasoned prompt, in plan order. Taking one submits the
+    next action's reasoning to ``pool``, into a transcript of its own that
+    is absorbed into ``transcript`` when that prompt is taken, so the
+    reasoner runs while the caller acts on the current action."""
+
+    def submit(spec: ActionSpec) -> tuple[Transcript | None, Future]:
+        into = None if transcript is None else Transcript()
+        return into, pool.submit(reasoning, spec, into)
+
+    queued = submit(actions[0])
+    for index in range(len(actions)):
+        into, future = queued
+        future.exception()  # wait; a failure is raised below, after its events
+        if into is not None:
+            transcript.absorb(into)
+        reasoned = future.result()
+        if index + 1 < len(actions):
+            queued = submit(actions[index + 1])
+        yield reasoned
+
+
 def execute_actions(
     plan: Plan,
     role: RoleDescription,
@@ -301,48 +332,74 @@ def execute_actions(
     transcript: Transcript | None = None,
 ) -> tuple[tuple[ActionResult, ...], str | None]:
     """Run every plan action in order: reason, act, optimize the response,
-    then act again with the optimizer's feedback as revision context. An
-    action failure aborts the rest; completed results are returned with the
-    error marker."""
+    then act again with the optimizer's feedback as revision context. The
+    first action to fail, in plan order, aborts the rest; the results before
+    it are returned with its error marker.
+
+    An action's reasoning needs only the action and the role, so with two or
+    more actions and a reasoner provider that is neither the actor's nor the
+    optimizer's, one worker thread reasons one action ahead: action i+1's
+    reasoning runs while action i acts, optimizes and acts again. Each
+    provider still sees its requests in plan order, and the transcript is
+    in plan order (see ``Transcript``); the reasoner's provider must accept
+    one call running at the same time as an actor or optimizer call. When
+    action i fails, the events of action i+1's reasoning are dropped, and
+    the worker is joined before returning, so no provider call outlives this
+    function. Any other plan runs inline, as it always has."""
+    actions = plan.actions
+    reasoner = units[UnitRole.REASONER]
+
+    def reasoning(spec: ActionSpec, into: Transcript | None) -> PromptArtifact:
+        prompt = create_action_prompt(spec, role.text)
+        return reason(prompt, config.strategy, reasoner, transcript=into)
+
+    ahead = (
+        len(actions) > 1
+        and reasoner is not units[UnitRole.ACTOR]
+        and reasoner is not units[UnitRole.OPTIMIZER]
+    )
     results: list[ActionResult] = []
-    for index, spec in enumerate(plan.actions):
-        try:
-            prompt = create_action_prompt(spec, role.text)
-            reasoned = reason(
-                prompt, config.strategy, units[UnitRole.REASONER], transcript=transcript
-            )
-            first = act(
-                spec,
-                reasoned,
-                tools,
-                units[UnitRole.ACTOR],
-                taxonomy=taxonomy,
-                transcript=transcript,
-            )
-            variable = Variable(
-                value=first.answer, role_note=f"response for action {spec.action_id}"
-            )
-            optimized = optimize(
-                variable,
-                reasoned,
-                TextLoss(context=(task.goal, spec.instructions)),
-                config.tgd_iterations,
-                units[UnitRole.OPTIMIZER],
-                transcript=transcript,
-            )
-            revision = resolved_value(optimized)
-            final = act(
-                spec,
-                reasoned,
-                tools,
-                units[UnitRole.ACTOR],
-                taxonomy=taxonomy,
-                revision=revision,
-                transcript=transcript,
-            )
-            results.append(final)
-        except AgentError as exc:
-            return tuple(results), f"action {index + 1} ({spec.name.value}): {exc}"
+    with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as pool:
+        reasonings = (
+            _reason_ahead(pool, actions, reasoning, transcript)
+            if ahead
+            else (reasoning(spec, transcript) for spec in actions)
+        )
+        for index, spec in enumerate(actions):
+            try:
+                reasoned = next(reasonings)
+                first = act(
+                    spec,
+                    reasoned,
+                    tools,
+                    units[UnitRole.ACTOR],
+                    taxonomy=taxonomy,
+                    transcript=transcript,
+                )
+                variable = Variable(
+                    value=first.answer, role_note=f"response for action {spec.action_id}"
+                )
+                optimized = optimize(
+                    variable,
+                    reasoned,
+                    TextLoss(context=(task.goal, spec.instructions)),
+                    config.tgd_iterations,
+                    units[UnitRole.OPTIMIZER],
+                    transcript=transcript,
+                )
+                revision = resolved_value(optimized)
+                final = act(
+                    spec,
+                    reasoned,
+                    tools,
+                    units[UnitRole.ACTOR],
+                    taxonomy=taxonomy,
+                    revision=revision,
+                    transcript=transcript,
+                )
+                results.append(final)
+            except AgentError as exc:
+                return tuple(results), f"action {index + 1} ({spec.name.value}): {exc}"
     return tuple(results), None
 
 

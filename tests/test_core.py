@@ -152,6 +152,24 @@ class TestTranscript:
         transcript.record(UnitRole.ACTOR, "act", "c", "d")
         assert transcript.signature() == (("reasoner", "reason"), ("actor", "act"))
 
+    def test_absorb_appends_in_order_and_renumbers_seq(self):
+        transcript = Transcript()
+        transcript.record(UnitRole.ACTOR, "act", "a", "b")
+        other = Transcript()
+        other.record(UnitRole.REASONER, "reason", "c", "d")
+        other.record(UnitRole.REASONER, "reason", "e", "f")
+        transcript.absorb(other)
+        assert transcript.signature() == (
+            ("actor", "act"),
+            ("reasoner", "reason"),
+            ("reasoner", "reason"),
+        )
+        assert [e.seq for e in transcript.events] == [0, 1, 2]
+        assert [e.timestamp for e in transcript.events[1:]] == [
+            e.timestamp for e in other.events
+        ]
+        assert [e.seq for e in other.events] == [0, 1]
+
     def test_count_filters(self):
         transcript = Transcript()
         transcript.record(UnitRole.OPTIMIZER, "forward", "a", "b")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import pytest
 
-from conftest import engine_config, mock_config
-from socialagent import fixtures
+from conftest import engine_config, mock_config, mock_provider
+from socialagent import engine as engine_mod, fixtures
+from socialagent.actor import CategoryTaxonomy
 from socialagent.core import (
     ContentItem,
     EnvironmentContext,
@@ -17,6 +19,8 @@ from socialagent.core import (
 )
 from socialagent.critic import PlanChoice
 from socialagent.engine import (
+    RoleDescription,
+    UnitSet,
     bootstrap_role,
     build_units,
     execute_actions,
@@ -31,7 +35,8 @@ from socialagent.errors import (
 )
 from socialagent.evaluation import load_setup, load_stores
 from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
-from socialagent.providers import Backend, MockScript, ProviderConfig
+from socialagent.planner import parse_plan
+from socialagent.providers import Backend, MockProvider, MockScript, ProviderConfig
 
 ENV = EnvironmentContext()
 
@@ -479,3 +484,171 @@ class TestRunTrialsDirectly:
 
         with pytest.raises(InvariantError):
             Plan(actions=())
+
+
+# A three-action plan (QA, flat categorization, title) under cot_and_reflection:
+# each action makes two reasoner calls, its actor calls and one optimizer
+# quartet.
+THREE_ACTION_BLOCK = (
+    "plan\n```json\n"
+    '{"actions": [{"id": 1, "instructions": "answer"}, '
+    '{"id": 4, "instructions": "classify"}, '
+    '{"id": 3, "instructions": "headline"}], "rationale": "r"}\n'
+    "```"
+)
+FLAT_TAXONOMY = CategoryTaxonomy(level1=("news", "sport"))
+REASONER_REPLIES = ("trace 1", "reflection 1", "trace 2", "reflection 2", "trace 3", "reflection 3")
+ACTOR_REPLIES = (
+    ("ANSWER: draft 1", "ANSWER: final 1"),
+    ("CATEGORY: sport", "CATEGORY: news"),
+    ("TITLE: draft 3", "TITLE: final 3"),
+)
+ACTION_SIGNATURE = (
+    ("reasoner", "reason"),
+    ("reasoner", "reason"),
+    ("actor", "act"),
+    ("optimizer", "forward"),
+    ("optimizer", "compute_loss"),
+    ("optimizer", "gradient"),
+    ("optimizer", "step"),
+    ("actor", "act"),
+)
+# Long enough for any host; only an engine that never overlaps the two calls
+# waits this long, and then it fails rather than hangs.
+MEETING_TIMEOUT_S = 10.0
+
+
+def _optimizer_replies(action: int) -> tuple[str, ...]:
+    return tuple(fixtures._optimizer_script([], 3)[4 * action : 4 * action + 4])
+
+
+def _three_action_units(
+    reasoner: tuple[str, ...] = REASONER_REPLIES,
+    actor: tuple[str, ...] = sum(ACTOR_REPLIES, ()),
+    provider=MockProvider,
+    **kwargs,
+) -> UnitSet:
+    def bound(name, replies):
+        return provider(mock_config(name, *replies), **kwargs.get(name, {}))
+
+    return UnitSet(
+        {
+            UnitRole.REASONER: bound("unit-reasoner", reasoner),
+            UnitRole.ACTOR: bound("unit-actor", actor),
+            UnitRole.OPTIMIZER: bound("unit-optimizer", fixtures._optimizer_script([], 3)),
+        }
+    )
+
+
+def _run_three(units: UnitSet, block: str = THREE_ACTION_BLOCK):
+    transcript = Transcript()
+    results, error = execute_actions(
+        parse_plan(block, frozenset({1, 3, 4})),
+        RoleDescription(text="role"),
+        engine_config(strategy=ReasoningStrategy.cot_and_reflection()),
+        units,
+        task=qa_task(),
+        taxonomy=FLAT_TAXONOMY,
+        transcript=transcript,
+    )
+    return results, error, transcript
+
+
+class _MeetingMock(MockProvider):
+    """A mock whose ``meet_at``-th completion (counting from 0) sets
+    ``arrived`` and waits, bounded, for ``partner``; ``met`` records whether
+    the partner arrived in time."""
+
+    def __init__(self, config, meet_at=None, arrived=None, partner=None):
+        super().__init__(config)
+        self._meet_at = meet_at
+        self._arrived = arrived
+        self._partner = partner
+        self._calls = 0
+        self.met = None
+
+    def complete(self, request, **kwargs):
+        if self._calls == self._meet_at:
+            self._arrived.set()
+            self.met = self._partner.wait(MEETING_TIMEOUT_S)
+        self._calls += 1
+        return super().complete(request, **kwargs)
+
+
+class TestReasonAhead:
+    def test_next_action_reasons_while_the_current_one_acts(self):
+        # action 2's trace call (the reasoner's third) and action 1's first
+        # actor call each wait for the other: only an engine that runs them
+        # at the same time gets both through without a timeout
+        trace_started, act_started = threading.Event(), threading.Event()
+        units = _three_action_units(
+            provider=_MeetingMock,
+            **{
+                "unit-reasoner": {
+                    "meet_at": 2,
+                    "arrived": trace_started,
+                    "partner": act_started,
+                },
+                "unit-actor": {"meet_at": 0, "arrived": act_started, "partner": trace_started},
+            },
+        )
+        results, error, transcript = _run_three(units)
+        assert units[UnitRole.ACTOR].met is True
+        assert units[UnitRole.REASONER].met is True
+        assert error is None
+        assert [r.answer for r in results] == ["final 1", "news", "final 3"]
+        assert transcript.signature() == ACTION_SIGNATURE * 3
+        assert [e.seq for e in transcript.events] == list(range(len(transcript)))
+
+    def test_one_provider_for_reasoner_actor_and_optimizer_runs_inline(self, monkeypatch):
+        # the shared provider's script is in sequential order, so any overlap
+        # would hand a reply to the wrong unit
+        script = ()
+        for action, replies in enumerate(ACTOR_REPLIES):
+            script += REASONER_REPLIES[2 * action : 2 * action + 2]
+            script += replies[:1] + _optimizer_replies(action) + replies[1:]
+        shared = mock_provider(*script, model_name="shared")
+        separate = _run_three(_three_action_units())
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a shared provider must not be reasoned ahead")
+
+        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", no_thread)
+        results, error, transcript = _run_three(
+            UnitSet({role: shared for role in (UnitRole.REASONER, UnitRole.ACTOR, UnitRole.OPTIMIZER)})
+        )
+        assert error is None
+        assert results == separate[0]
+        assert [e.to_report() for e in transcript.events] == [
+            e.to_report() for e in separate[2].events
+        ]
+        assert shared.remaining == 0
+
+    def test_single_action_plan_runs_inline(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-action plan must not start a thread")
+
+        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", no_thread)
+        setup = fixtures.scenario_setup("scenario_a")
+        response = solve(fixtures.scenario_task(), ENV, setup.engine)
+        assert response.error is None
+
+    def test_failed_action_drops_the_prefetched_reasoning(self):
+        actor = ACTOR_REPLIES[0] + ("no label here",)
+        units = _three_action_units(actor=actor)
+        results, error, transcript = _run_three(units)
+        assert [r.action_id for r in results] == [1]
+        assert error.startswith("action 2 (categorization):")
+        # action 3 was reasoned ahead and its calls were spent before the
+        # return, but none of its events reached the transcript
+        assert units[UnitRole.REASONER].remaining == 0
+        assert transcript.signature() == ACTION_SIGNATURE + ACTION_SIGNATURE[:3]
+        assert transcript.count(unit=UnitRole.REASONER) == 4
+
+    def test_reasoner_failure_is_reported_at_its_own_action(self):
+        units = _three_action_units(reasoner=REASONER_REPLIES[:4])
+        results, error, transcript = _run_three(units)
+        assert [r.action_id for r in results] == [1, 4]
+        assert error.startswith("action 3 (title_generation):")
+        assert "exhausted" in error
+        assert transcript.signature() == ACTION_SIGNATURE * 2

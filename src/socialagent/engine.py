@@ -311,10 +311,11 @@ def _reason_ahead(
     queued = submit(actions[0])
     for index in range(len(actions)):
         into, future = queued
-        future.exception()  # wait; a failure is raised below, after its events
-        if into is not None:
-            transcript.absorb(into)
-        reasoned = future.result()
+        try:
+            reasoned = future.result()
+        finally:  # a failed reasoning keeps the events it recorded
+            if into is not None:
+                transcript.absorb(into)
         if index + 1 < len(actions):
             queued = submit(actions[index + 1])
         yield reasoned

@@ -525,17 +525,14 @@ def _optimizer_replies(action: int) -> tuple[str, ...]:
 def _three_action_units(
     reasoner: tuple[str, ...] = REASONER_REPLIES,
     actor: tuple[str, ...] = sum(ACTOR_REPLIES, ()),
-    provider=MockProvider,
-    **kwargs,
 ) -> UnitSet:
-    def bound(name, replies):
-        return provider(mock_config(name, *replies), **kwargs.get(name, {}))
-
     return UnitSet(
         {
-            UnitRole.REASONER: bound("unit-reasoner", reasoner),
-            UnitRole.ACTOR: bound("unit-actor", actor),
-            UnitRole.OPTIMIZER: bound("unit-optimizer", fixtures._optimizer_script([], 3)),
+            UnitRole.REASONER: mock_provider(*reasoner, model_name="unit-reasoner"),
+            UnitRole.ACTOR: mock_provider(*actor, model_name="unit-actor"),
+            UnitRole.OPTIMIZER: mock_provider(
+                *fixtures._optimizer_script([], 3), model_name="unit-optimizer"
+            ),
         }
     )
 
@@ -555,12 +552,12 @@ def _run_three(units: UnitSet, block: str = THREE_ACTION_BLOCK):
 
 
 class _MeetingMock(MockProvider):
-    """A mock whose ``meet_at``-th completion (counting from 0) sets
-    ``arrived`` and waits, bounded, for ``partner``; ``met`` records whether
-    the partner arrived in time."""
+    """A copy of ``provider`` whose ``meet_at``-th completion (counting from
+    0) sets ``arrived`` and waits, bounded, for ``partner``; ``met`` records
+    whether the partner arrived in time."""
 
-    def __init__(self, config, meet_at=None, arrived=None, partner=None):
-        super().__init__(config)
+    def __init__(self, provider, meet_at, arrived, partner):
+        super().__init__(provider.config)
         self._meet_at = meet_at
         self._arrived = arrived
         self._partner = partner
@@ -581,16 +578,12 @@ class TestReasonAhead:
         # actor call each wait for the other: only an engine that runs them
         # at the same time gets both through without a timeout
         trace_started, act_started = threading.Event(), threading.Event()
-        units = _three_action_units(
-            provider=_MeetingMock,
-            **{
-                "unit-reasoner": {
-                    "meet_at": 2,
-                    "arrived": trace_started,
-                    "partner": act_started,
-                },
-                "unit-actor": {"meet_at": 0, "arrived": act_started, "partner": trace_started},
-            },
+        units = _three_action_units()
+        units.providers[UnitRole.REASONER] = _MeetingMock(
+            units[UnitRole.REASONER], 2, trace_started, act_started
+        )
+        units.providers[UnitRole.ACTOR] = _MeetingMock(
+            units[UnitRole.ACTOR], 0, act_started, trace_started
         )
         results, error, transcript = _run_three(units)
         assert units[UnitRole.ACTOR].met is True

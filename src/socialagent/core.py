@@ -333,10 +333,11 @@ class Transcript:
     """Append-only record of unit invocations for one task run.
 
     ``seq`` is plan order: the order in which a sequential run would make
-    the calls. The engine reasons one plan action ahead into a separate
-    transcript and ``absorb``s it just before that action acts, so the
-    merged events, and every report built from them, are the same as a
-    sequential run's. ``timestamp`` is wall clock when the call was
+    the calls. The engine records every plan action's reasoning into a
+    transcript of its own, reasoned on the calling thread or one action
+    ahead on a worker, and ``absorb``s it just before that action acts, so
+    the merged events, and every report built from them, are the same as
+    a sequential run's. ``timestamp`` is wall clock when the call was
     recorded, so an absorbed event can carry an earlier time than the
     event before it. The internal lock only keeps the sequence counter
     coherent; one transcript is appended to by one thread at a time.

@@ -4,8 +4,7 @@ feedback-and-retry pass for every action."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -40,17 +39,6 @@ from .reasoner import reason
 BOOTSTRAP_SYSTEM_ROLE = (
     "You write precise system-role descriptions for task-solving assistants."
 )
-
-# Units whose model must differ from the role-writer's.
-_ISOLATED_UNITS = (
-    UnitRole.REASONER,
-    UnitRole.PLANNER,
-    UnitRole.OPTIMIZER,
-    UnitRole.CRITIC,
-    UnitRole.REFINER,
-    UnitRole.ACTOR,
-)
-
 
 @dataclass(frozen=True)
 class RoleDescription:
@@ -97,8 +85,8 @@ def build_units(config: EngineConfig) -> UnitSet:
 
 def _check_role_isolation(config: EngineConfig) -> None:
     writer = config.role_bindings[UnitRole.ROLE_WRITER].model_name
-    for role in _ISOLATED_UNITS:
-        if config.role_bindings[role].model_name == writer:
+    for role in UnitRole:
+        if role is not UnitRole.ROLE_WRITER and config.role_bindings[role].model_name == writer:
             raise BindingCollisionError(
                 f"role-writer model {writer!r} is also bound to {role.value}"
             )
@@ -293,34 +281,6 @@ def _bind_inputs(plan: Plan, task: Task) -> Plan:
     return Plan(actions=actions, rationale=plan.rationale, raw=plan.raw)
 
 
-def _reason_ahead(
-    pool: ThreadPoolExecutor,
-    actions: tuple[ActionSpec, ...],
-    reasoning: Callable[[ActionSpec, Transcript | None], PromptArtifact],
-    transcript: Transcript | None,
-) -> Iterator[PromptArtifact]:
-    """Each action's reasoned prompt, in plan order. Taking one submits the
-    next action's reasoning to ``pool``, into a transcript of its own that
-    is absorbed into ``transcript`` when that prompt is taken, so the
-    reasoner runs while the caller acts on the current action."""
-
-    def submit(spec: ActionSpec) -> tuple[Transcript | None, Future]:
-        into = None if transcript is None else Transcript()
-        return into, pool.submit(reasoning, spec, into)
-
-    queued = submit(actions[0])
-    for index in range(len(actions)):
-        into, future = queued
-        try:
-            reasoned = future.result()
-        finally:  # a failed reasoning keeps the events it recorded
-            if into is not None:
-                transcript.absorb(into)
-        if index + 1 < len(actions):
-            queued = submit(actions[index + 1])
-        yield reasoned
-
-
 def execute_actions(
     plan: Plan,
     role: RoleDescription,
@@ -337,20 +297,24 @@ def execute_actions(
     first action to fail, in plan order, aborts the rest; the results before
     it are returned with its error marker.
 
-    An action's reasoning needs only the action and the role, so with two or
-    more actions and a reasoner provider that is neither the actor's nor the
-    optimizer's, one worker thread reasons one action ahead: action i+1's
-    reasoning runs while action i acts, optimizes and acts again. Each
-    provider still sees its requests in plan order, and the transcript is
-    in plan order (see ``Transcript``); the reasoner's provider must accept
-    one call running at the same time as an actor or optimizer call. When
-    action i fails, the events of action i+1's reasoning are dropped, and
-    the worker is joined before returning, so no provider call outlives this
-    function. Any other plan runs inline, as it always has."""
+    Every action's reasoning records into a transcript of its own, absorbed
+    into ``transcript`` just before the action acts, so the transcript is in
+    plan order (see ``Transcript``). An action's reasoning needs only the
+    action and the role, so with two or more actions and a reasoner provider
+    that is neither the actor's nor the optimizer's, one worker thread
+    reasons one action ahead: the first action is reasoned on the calling
+    thread, and action i+1's reasoning runs while action i acts, optimizes
+    and acts again. Each provider still sees its requests in plan order; the
+    reasoner's provider must accept one call running at the same time as an
+    actor or optimizer call. When action i fails, the events of action i+1's
+    reasoning are dropped, and the worker is joined before returning, so no
+    provider call outlives this function. Any other plan runs inline."""
     actions = plan.actions
     reasoner = units[UnitRole.REASONER]
+    if transcript is None:
+        transcript = Transcript()
 
-    def reasoning(spec: ActionSpec, into: Transcript | None) -> PromptArtifact:
+    def reasoning(spec: ActionSpec, into: Transcript) -> PromptArtifact:
         prompt = create_action_prompt(spec, role.text)
         return reason(prompt, config.strategy, reasoner, transcript=into)
 
@@ -360,15 +324,17 @@ def execute_actions(
         and reasoner is not units[UnitRole.OPTIMIZER]
     )
     results: list[ActionResult] = []
+    into, pending = Transcript(), None
     with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as pool:
-        reasonings = (
-            _reason_ahead(pool, actions, reasoning, transcript)
-            if ahead
-            else (reasoning(spec, transcript) for spec in actions)
-        )
         for index, spec in enumerate(actions):
             try:
-                reasoned = next(reasonings)
+                try:
+                    reasoned = pending.result() if pending else reasoning(spec, into)
+                finally:  # a failed reasoning keeps the events it recorded
+                    transcript.absorb(into)
+                into, pending = Transcript(), None
+                if ahead and index + 1 < len(actions):
+                    pending = pool.submit(reasoning, actions[index + 1], into)
                 first = act(
                     spec,
                     reasoned,

@@ -18,7 +18,7 @@ from .actor import (
     load_toolstore,
 )
 from .core import ContentItem, EngineConfig, EnvironmentContext, Task, UnitRole
-from .errors import AgentError, ConfigError, DatasetFormatError, InvariantError
+from .errors import ConfigError, DatasetFormatError, InvariantError
 from .providers import MockScript, MockScriptEntry
 
 REPORT_DECIMALS = 4
@@ -138,36 +138,44 @@ def _require_str(payload: dict, line: int, *names: str) -> str:
     raise DatasetFormatError(f"missing field (one of: {', '.join(names)})", line=line)
 
 
-def _context_passages(payload: dict) -> tuple[str, ...]:
+def _context_passages(payload: dict, line: int) -> tuple[str, ...]:
     raw = payload.get("context")
     if raw is None:
         return ()
+    if not isinstance(raw, list):
+        raise DatasetFormatError("context must be a list of passages", line=line)
     passages: list[str] = []
-    if isinstance(raw, list):
-        for item in raw:
-            if isinstance(item, str):
-                passages.append(item)
-            elif (
-                isinstance(item, list)
-                and len(item) == 2
-                and isinstance(item[0], str)
-                and isinstance(item[1], list)
-            ):
-                # multi-hop layout: [title, [sentences...]]
-                passages.append(item[0] + ": " + " ".join(str(s) for s in item[1]))
+    for item in raw:
+        if isinstance(item, str):
+            passages.append(item)
+        elif (
+            isinstance(item, list)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and isinstance(item[1], list)
+        ):
+            # multi-hop layout: [title, [sentences...]]
+            passages.append(item[0] + ": " + " ".join(str(s) for s in item[1]))
+        else:
+            raise DatasetFormatError(f"context passage {item!r} is not text", line=line)
     return tuple(passages)
 
 
-def _image_items(payload: dict) -> tuple[ContentItem, ...]:
-    images = payload.get("images") or []
+def _image_items(payload: dict, line: int) -> tuple[ContentItem, ...]:
+    images = payload.get("images")
+    if images is None:
+        return ()
+    if not isinstance(images, list):
+        raise DatasetFormatError("images must be a list", line=line)
     items = []
     for image in images:
-        if isinstance(image, dict) and "location" in image:
-            items.append(
-                ContentItem.from_image(
-                    image["location"], image.get("media_type", "image/jpeg")
-                )
+        fields = image if isinstance(image, dict) else {}
+        location, media_type = fields.get("location"), fields.get("media_type", "image/jpeg")
+        if not all(isinstance(value, str) and value for value in (location, media_type)):
+            raise DatasetFormatError(
+                f"image {image!r} needs a non-empty location and media_type", line=line
             )
+        items.append(ContentItem.from_image(location, media_type))
     return tuple(items)
 
 
@@ -176,15 +184,15 @@ def _record_from_payload(payload: dict, kind: TaskKind, line: int) -> EvalRecord
     if kind in (TaskKind.QA, TaskKind.VQA):
         question = _require_str(payload, line, "question")
         gold = _require_str(payload, line, "answer", "gold")
-        context = _context_passages(payload)
+        context = _context_passages(payload, line)
         inputs = (ContentItem.from_text(f"Question: {question}"),)
         inputs += tuple(ContentItem.from_text(p) for p in context)
-        inputs += _image_items(payload)
+        inputs += _image_items(payload, line)
         return EvalRecord(id=record_id, inputs=inputs, gold=gold, context=context)
     if kind is TaskKind.TITLE:
         text = _require_str(payload, line, "text", "section_text")
         gold = _require_str(payload, line, "title", "gold")
-        inputs = (ContentItem.from_text(text),) + _image_items(payload)
+        inputs = (ContentItem.from_text(text),) + _image_items(payload, line)
         return EvalRecord(id=record_id, inputs=inputs, gold=gold)
     text = _require_str(payload, line, "text")
     level1 = _require_str(payload, line, "level1", "category_level_1")
@@ -266,7 +274,16 @@ def _zero_scores(kind: TaskKind) -> dict[str, float]:
     return dict.fromkeys(_SCORE_KEYS[kind], 0.0)
 
 
-def _score_text(kind: TaskKind, prediction: str, gold: str) -> dict[str, float]:
+def _labels(pair: object) -> tuple[str, str]:
+    """A category pair's (level1, level2) labels; anything else has empty ones."""
+    return (pair.level1, pair.level2) if isinstance(pair, CategoryPair) else ("", "")
+
+
+def _score(kind: TaskKind, prediction: str | CategoryPair, record: EvalRecord) -> dict[str, float]:
+    if kind is TaskKind.CATEGORIZE:
+        pred, gold = _labels(prediction), _labels(record.gold_category)
+        return {"l1_correct": float(pred[0] == gold[0]), "l2_correct": float(pred[1] == gold[1])}
+    gold = record.gold
     if kind in (TaskKind.QA, TaskKind.VQA):
         overlap = metrics.token_f1(prediction, gold)
         return {
@@ -317,41 +334,25 @@ def evaluate_record(
             tools=tools,
             taxonomy=taxonomy,
         )
-        if response.error is not None:
-            raise AgentError(response.error)
     except ConfigError:
         raise
     except Exception:  # any other error fails only its record, not the whole eval
         return RecordOutcome(record, None, _zero_scores(kind), True, 0)
-    prediction = extract_prediction(response, kind)
+    events = len(response.transcript)
+    prediction = None if response.error else extract_prediction(response, kind)
     if prediction is None:
-        return RecordOutcome(record, None, _zero_scores(kind), True, len(response.transcript))
-    if kind is TaskKind.CATEGORIZE:
-        assert record.gold_category is not None
-        scores = {
-            "l1_correct": float(prediction.level1 == record.gold_category.level1),
-            "l2_correct": float(prediction.level2 == record.gold_category.level2),
-        }
-    else:
-        scores = _score_text(kind, prediction, record.gold)
-    return RecordOutcome(record, prediction, scores, False, len(response.transcript))
+        return RecordOutcome(record, None, _zero_scores(kind), True, events)
+    return RecordOutcome(record, prediction, _score(kind, prediction, record), False, events)
 
 
 def _round(value: float) -> float:
     return round(value, REPORT_DECIMALS)
 
 
-def _category_aggregates(outcomes: list[RecordOutcome]) -> dict[str, float]:
-    preds = []
-    golds = []
-    for outcome in outcomes:
-        gold = outcome.record.gold_category
-        assert gold is not None
-        golds.append((gold.level1, gold.level2))
-        if isinstance(outcome.prediction, CategoryPair):
-            preds.append((outcome.prediction.level1, outcome.prediction.level2))
-        else:
-            preds.append(("", ""))
+Labels = list[tuple[str, str]]
+
+
+def _category_aggregates(preds: Labels, golds: Labels) -> dict[str, float]:
     levels = metrics.hierarchical_scores(preds, golds)
     aggregates = {}
     for name, key in (("level1", "L1"), ("level2", "L2")):
@@ -363,22 +364,15 @@ def _category_aggregates(outcomes: list[RecordOutcome]) -> dict[str, float]:
     return aggregates
 
 
-def _disagreements(outcomes: list[RecordOutcome]) -> dict[str, tuple[DisagreementEntry, ...]]:
+def _disagreements(preds: Labels, golds: Labels) -> dict[str, tuple[DisagreementEntry, ...]]:
     """Mismatch counts per (gold, predicted) pair at each level, most
     frequent first."""
     report: dict[str, tuple[DisagreementEntry, ...]] = {}
     for level, index in (("level1", 0), ("level2", 1)):
         counts: dict[tuple[str, str], int] = {}
-        for outcome in outcomes:
-            gold = outcome.record.gold_category
-            assert gold is not None
-            gold_label = (gold.level1, gold.level2)[index]
-            if isinstance(outcome.prediction, CategoryPair):
-                pred_label = (outcome.prediction.level1, outcome.prediction.level2)[index]
-            else:
-                pred_label = ""
-            if pred_label != gold_label:
-                key = (gold_label, pred_label)
+        for pred, gold in zip(preds, golds):
+            if pred[index] != gold[index]:
+                key = (gold[index], pred[index])
                 counts[key] = counts.get(key, 0) + 1
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
         report[level] = tuple(
@@ -432,8 +426,10 @@ def run_eval(
     )
     disagreements = None
     if task_kind is TaskKind.CATEGORIZE:
-        aggregates = _category_aggregates(outcomes)
-        disagreements = _disagreements(outcomes)
+        preds = [_labels(o.prediction) for o in outcomes]
+        golds = [_labels(o.record.gold_category) for o in outcomes]
+        aggregates = _category_aggregates(preds, golds)
+        disagreements = _disagreements(preds, golds)
     else:
         n = len(outcomes)
         aggregates = {

@@ -572,6 +572,18 @@ class _MeetingMock(MockProvider):
         return super().complete(request, **kwargs)
 
 
+class _ThreadRecordingMock(MockProvider):
+    """A copy of ``provider`` that records the thread of every completion."""
+
+    def __init__(self, provider):
+        super().__init__(provider.config)
+        self.threads = []
+
+    def complete(self, request, **kwargs):
+        self.threads.append(threading.current_thread())
+        return super().complete(request, **kwargs)
+
+
 class TestReasonAhead:
     def test_next_action_reasons_while_the_current_one_acts(self):
         # action 2's trace call (the reasoner's third) and action 1's first
@@ -645,3 +657,24 @@ class TestReasonAhead:
         assert error.startswith("action 3 (title_generation):")
         assert "exhausted" in error
         assert transcript.signature() == ACTION_SIGNATURE * 2
+
+    def test_first_action_is_reasoned_on_the_calling_thread(self):
+        units = _three_action_units()
+        units.providers[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
+        results, error, transcript = _run_three(units)
+        assert error is None
+        assert transcript.signature() == ACTION_SIGNATURE * 3
+        # action 1's trace and reflection calls
+        assert units[UnitRole.REASONER].threads[:2] == [threading.current_thread()] * 2
+
+    def test_reasoner_failure_at_the_first_action_spends_nothing_after_it(self):
+        units = _three_action_units(reasoner=REASONER_REPLIES[:1])
+        units.providers[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
+        results, error, transcript = _run_three(units)
+        assert results == ()
+        assert error.startswith("action 1 (qa):")
+        assert "exhausted" in error
+        # the trace call is kept; the reflection call ran out of script
+        assert transcript.signature() == (("reasoner", "reason"),)
+        assert len(units[UnitRole.REASONER].threads) == 2
+        assert units[UnitRole.ACTOR].remaining == len(sum(ACTOR_REPLIES, ()))

@@ -115,6 +115,40 @@ class TestLoadDataset:
         )
         assert len(load_dataset(path, TaskKind.QA)) == 1
 
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            (TaskKind.QA, {"context": "a SQuAD-style passage"}),
+            (TaskKind.QA, {"context": ["ok", 5]}),
+            (TaskKind.VQA, {"images": "pic.png"}),
+            (TaskKind.VQA, {"images": [{"path": "pic.png"}]}),
+            (TaskKind.VQA, {"images": [{"location": 123}]}),
+            (TaskKind.VQA, {"images": [{"location": ""}]}),
+            (TaskKind.VQA, {"images": [{"location": "pic.png", "media_type": 5}]}),
+            (TaskKind.TITLE, {"images": ["pic.png"]}),
+        ],
+        ids=[
+            "string-context",
+            "non-text-passage",
+            "string-images",
+            "image-without-location",
+            "int-location",
+            "empty-location",
+            "int-media-type",
+            "title-image-string",
+        ],
+    )
+    def test_malformed_context_or_images_cite_line_number(self, tmp_path, kind, fields):
+        # a record that would lose its passage or image is rejected, not scored
+        base = {"id": "r", "question": "q", "answer": "a", "text": "t", "title": "h"}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps(base) + "\n" + json.dumps({**base, **fields}) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(path, kind)
+        assert excinfo.value.line == 2
+
     def test_bundled_fixtures_parse(self):
         assert len(load_dataset(fixture_path("mini_qa.jsonl"), TaskKind.QA)) == 5
         assert len(load_dataset(fixture_path("mini_title.jsonl"), TaskKind.TITLE)) == 5

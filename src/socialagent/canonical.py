@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import types
 import typing
@@ -143,7 +144,13 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
     if tp is float:
         if isinstance(data, bool) or not isinstance(data, (int, float)):
             raise MalformedInputError(f"{path}: expected number")
-        return float(data)
+        try:
+            value = float(data)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise MalformedInputError(f"{path}: expected a finite number, got {value}")
+        return value
     if tp is int:
         if isinstance(data, bool) or not isinstance(data, int):
             raise MalformedInputError(f"{path}: expected integer")

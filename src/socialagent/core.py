@@ -3,7 +3,7 @@ and the per-run invocation transcript."""
 
 from __future__ import annotations
 
-import hashlib
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -11,6 +11,15 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import InvariantError
+
+# hashlib loads OpenSSL's libcrypto (~3.7 MB resident); the interpreter ships its own SHA-256
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from .providers import ProviderConfig
@@ -262,8 +271,8 @@ class SamplingConfig:
     top_p: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise InvariantError("temperature must be >= 0")
+        if not (0 <= self.temperature < math.inf):
+            raise InvariantError("temperature must be finite and >= 0")
         if not (0 < self.top_p <= 1):
             raise InvariantError("top_p must be in (0, 1]")
 
@@ -302,7 +311,7 @@ class EngineConfig:
 
 def digest(text: str) -> str:
     """Short stable content digest used in transcripts and reports."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    return sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,10 @@ def _context_passages(payload: dict, line: int) -> tuple[str, ...]:
             and len(item) == 2
             and isinstance(item[0], str)
             and isinstance(item[1], list)
+            and all(isinstance(sentence, str) for sentence in item[1])
         ):
             # multi-hop layout: [title, [sentences...]]
-            passages.append(item[0] + ": " + " ".join(str(s) for s in item[1]))
+            passages.append(item[0] + ": " + " ".join(item[1]))
         else:
             raise DatasetFormatError(f"context passage {item!r} is not text", line=line)
     return tuple(passages)

@@ -4,7 +4,6 @@ tests and a generic JSON-over-HTTP chat client for live models."""
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import logging
 import os
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .core import ContentItem, ContentKind, SamplingConfig, Transcript, UnitRole, digest
+from .core import ContentItem, ContentKind, SamplingConfig, Transcript, UnitRole, digest, sha256
 from .divergence import EmbeddingVector
 from .errors import (
     AuthenticationError,
@@ -157,7 +156,7 @@ def hash_embedding(text: str, dimension: int, seed: int) -> EmbeddingVector:
     seeded digest of the text, mapped into [-1, 1)."""
     components = []
     for i in range(dimension):
-        raw = hashlib.sha256(f"{seed}:{i}:{text}".encode("utf-8")).digest()
+        raw = sha256(f"{seed}:{i}:{text}".encode("utf-8")).digest()
         value = int.from_bytes(raw[:8], "big") / 2**64
         components.append(value * 2.0 - 1.0)
     return EmbeddingVector(tuple(components))

@@ -281,6 +281,25 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
                     lambda v: v["engine"].update(early_stop_marker="NO_FURTHER_IMPROVEMENT"),
                     "unknown fields ['early_stop_marker'] for EngineConfig",
                 ),
+                (
+                    "nan-actor-temperature",
+                    lambda v: v["engine"]["role_bindings"]["actor"]["sampling"].update(
+                        temperature=float("nan")
+                    ),
+                    "role_bindings.actor.sampling.temperature: expected a finite number, got nan",
+                ),
+                (
+                    "infinite-critic-embedding",
+                    lambda v: v["engine"]["role_bindings"]["critic"].update(
+                        embedding_overrides={"plan": [float("inf")] * 8}
+                    ),
+                    "embedding_overrides.plan[0]: expected a finite number, got inf",
+                ),
+                (
+                    "float-overflowing-theta",
+                    lambda v: v["engine"].update(theta=10**400),
+                    "engine.theta: expected a finite number, got inf",
+                ),
             )
         ),
     ],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from socialagent.core import (
@@ -17,6 +19,7 @@ from socialagent.core import (
     Task,
     Transcript,
     UnitRole,
+    digest,
     validate_task,
 )
 from socialagent.errors import InvariantError
@@ -120,6 +123,20 @@ class TestSamplingConfig:
             SamplingConfig(temperature=-1)
         with pytest.raises(InvariantError):
             SamplingConfig(top_p=0.0)
+        for temperature in (float("nan"), float("inf")):
+            with pytest.raises(InvariantError):
+                SamplingConfig(temperature=temperature)
+
+
+class TestDigest:
+    # hashlib.sha256 is the reference the built-in SHA-256 must match
+
+    def test_empty_text(self):
+        assert digest("") == "e3b0c44298fc"
+
+    def test_non_ascii_text_matches_hashlib(self):
+        text = "héllo — 社会 🙂"
+        assert digest(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
 class TestEngineConfig:

@@ -120,6 +120,7 @@ class TestLoadDataset:
         [
             (TaskKind.QA, {"context": "a SQuAD-style passage"}),
             (TaskKind.QA, {"context": ["ok", 5]}),
+            (TaskKind.QA, {"context": [["t", [1, None]]]}),
             (TaskKind.VQA, {"images": "pic.png"}),
             (TaskKind.VQA, {"images": [{"path": "pic.png"}]}),
             (TaskKind.VQA, {"images": [{"location": 123}]}),
@@ -130,6 +131,7 @@ class TestLoadDataset:
         ids=[
             "string-context",
             "non-text-passage",
+            "non-text-multi-hop-sentence",
             "string-images",
             "image-without-location",
             "int-location",

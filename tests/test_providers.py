@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mock_config, mock_provider
 from socialagent import providers
-from socialagent.core import ContentItem, Transcript, UnitRole
+from socialagent.core import ContentItem, Transcript, UnitRole, digest
 from socialagent.errors import (
     AuthenticationError,
     EmptyTextError,
@@ -154,6 +154,19 @@ class TestMockEmbeddings:
         b = hash_embedding("abc", 8, seed=1)
         assert a != b
         assert all(-1.0 <= c < 1.0 for c in a.components)
+
+    def test_vector_is_pinned(self):
+        # the components hashlib.sha256 gives; gate decisions and goldens rest on them
+        assert hash_embedding("plan", 8, seed=0).components == (
+            -0.7036474507552666,
+            -0.4913039504194773,
+            -0.3914592104832808,
+            -0.2381647618701873,
+            -0.10397413864932614,
+            -0.7088553679824381,
+            -0.6674438818014298,
+            0.5042312377699669,
+        )
 
 
 class _FakePost:
@@ -438,19 +451,35 @@ def test_cli_imports_without_requests():
 
 
 def test_mock_only_run_never_loads_the_http_stack():
+    # nor OpenSSL: transcript digests and mock embeddings use the built-in SHA-256
     src = Path(providers.__file__).parents[1]
     script = """
 import sys
+
+def loaded():
+    watched = {"urllib.request", "http.client", "ssl", "hashlib", "_hashlib"}
+    print(sorted(watched & set(sys.modules)))
+
 import socialagent.cli
+loaded()
 from socialagent import canonical, engine
 from socialagent.core import EnvironmentContext
 from socialagent.evaluation import load_setup
-from socialagent.fixtures import fixture_path
+from socialagent.fixtures import fixture_integrity_check, fixture_path
 
 setup = load_setup(fixture_path("solve_config.json"))
 task = canonical.load(fixture_path("example_task.json"))
 assert engine.solve(task, EnvironmentContext(), setup.engine).error is None
-print(sorted({"urllib.request", "http.client", "ssl"} & set(sys.modules)))
+loaded()
+setup = load_setup(fixture_path("plan_divergent_config.json"))
+task = canonical.load(fixture_path("plan_task.json"))
+units = engine.build_units(setup.engine)
+role = engine.bootstrap_role(task, setup.engine, units)
+outcome = engine.run_trials(task, EnvironmentContext(), setup.engine, units, role)
+assert outcome.trial_views[0].gate.activate
+loaded()
+assert fixture_integrity_check().ok
+loaded()
 """
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -459,7 +488,31 @@ print(sorted({"urllib.request", "http.client", "ssl"} & set(sys.modules)))
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]"] * 4
+
+
+def test_interpreter_without_builtin_sha256_falls_back_to_hashlib():
+    src = Path(providers.__file__).parents[1]
+    text = "h\u00e9llo \u793e"
+    script = f"""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from socialagent.core import digest
+from socialagent.providers import hash_embedding
+print(digest(""), digest({ascii(text)}), hash_embedding("plan", 8, 0).components[0])
+print("_hashlib" in sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"{digest('')} {digest(text)} {hash_embedding('plan', 8, 0).components[0]}",
+        "True",
+    ]
 
 
 def test_http_config_requires_endpoint_and_key_env():

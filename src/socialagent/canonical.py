@@ -146,8 +146,10 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
             raise MalformedInputError(f"{path}: expected number")
         try:
             value = float(data)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
+        except OverflowError:
+            raise MalformedInputError(
+                f"{path}: integer {len(str(abs(data)))} digits long is beyond the float range"
+            ) from None
         if not math.isfinite(value):
             raise MalformedInputError(f"{path}: expected a finite number, got {value}")
         return value
@@ -191,6 +193,10 @@ def parse_text(text: str) -> object:
         raise MalformedInputError(
             f"malformed canonical text at line {exc.lineno} column {exc.colno}: {exc.msg}",
             position=exc.pos,
+        ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise MalformedInputError(
+            "malformed canonical text: an integer literal is too long to read"
         ) from exc
 
 

@@ -3,7 +3,9 @@ and the per-run invocation transcript."""
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -12,17 +14,28 @@ from typing import TYPE_CHECKING
 
 from .errors import InvariantError
 
-# hashlib loads OpenSSL's libcrypto (~3.7 MB resident); the interpreter ships its own SHA-256
-try:
-    from _sha2 import sha256
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-
 if TYPE_CHECKING:
     from .providers import ProviderConfig
+
+
+def _sha256_constructor():
+    """CPython's own C SHA-256 (_sha2 on 3.12+, _sha256 before), else hashlib's.
+
+    hashlib loads OpenSSL's libcrypto (~3.7 MB resident), which a run with
+    mock backends needs for nothing else. The built-in modules are private,
+    and other interpreters may implement them in slow pure Python."""
+    if sys.implementation.name == "cpython":
+        for name in ("_sha2", "_sha256"):
+            try:
+                return importlib.import_module(name).sha256
+            except ImportError:
+                pass
+    import hashlib
+
+    return hashlib.sha256
+
+
+sha256 = _sha256_constructor()
 
 VALID_ACTION_IDS = (1, 2, 3, 4)
 

@@ -216,6 +216,8 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
             payload = json.loads(raw_line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"invalid JSON ({exc.msg})", line=number) from exc
+        except ValueError as exc:  # an integer literal past the interpreter's digit limit
+            raise DatasetFormatError("an integer literal is too long to read", line=number) from exc
         if not isinstance(payload, dict):
             raise DatasetFormatError("record must be an object", line=number)
         records.append(_record_from_payload(payload, kind, number))

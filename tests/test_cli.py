@@ -212,6 +212,14 @@ def _qa_config_file_with(tmp_path, edit):
     return path
 
 
+def _config_with_long_theta(tmp_path):
+    """The bundled QA eval config with a 5,000-digit theta, past json's digit limit."""
+    path = _qa_config_file_with(tmp_path, lambda v: v["engine"].update(theta="THETA"))
+    text = path.read_text(encoding="utf-8").replace('"THETA"', "1" * 5000)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def _rename_key(table, old, new):
     table[new] = table.pop(old)
 
@@ -241,6 +249,11 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
         pytest.param(lambda tmp: _solve_argv("--trials", "0"), "", id="trials-0"),
         pytest.param(lambda tmp: _solve_argv("--iterations", "0"), "", id="iterations-0"),
         pytest.param(lambda tmp: _eval_argv("--workers", "0"), "", id="workers-0"),
+        pytest.param(
+            lambda tmp: _solve_argv(config=_config_with_long_theta(tmp)),
+            "too long to read",
+            id="theta-past-digit-limit",
+        ),
         *(
             pytest.param(
                 lambda tmp, argv=argv, change=change: argv(config=_qa_config_with(tmp, change)),
@@ -298,7 +311,7 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
                 (
                     "float-overflowing-theta",
                     lambda v: v["engine"].update(theta=10**400),
-                    "engine.theta: expected a finite number, got inf",
+                    "engine.theta: integer 401 digits long is beyond the float range",
                 ),
             )
         ),

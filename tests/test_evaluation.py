@@ -101,6 +101,17 @@ class TestLoadDataset:
         assert excinfo.value.line == 3
         assert "line 3" in str(excinfo.value)
 
+    def test_integer_too_long_to_read_cites_line_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id": "a", "question": "q", "answer": "x"}\n'
+            '{"id": "b", "question": "q", "answer": ' + "1" * 5000 + "}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(path, TaskKind.QA)
+        assert excinfo.value.line == 2
+
     def test_missing_field_cites_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "question": "q"}\n', encoding="utf-8")

@@ -76,6 +76,11 @@ class TestParsePlan:
         with pytest.raises(PlanParseError, match="malformed"):
             parse_plan(block('{"actions": [,]}'), ALL_ACTIONS)
 
+    def test_integer_too_long_to_read_rejected(self):
+        raw = block('{"actions": [{"id": ' + "1" * 5000 + ', "instructions": "x"}]}')
+        with pytest.raises(PlanParseError, match="too long to read"):
+            parse_plan(raw, ALL_ACTIONS)
+
     def test_unknown_action_id_rejected(self):
         with pytest.raises(PlanParseError, match="unknown action id"):
             parse_plan(block('{"actions": [{"id": 9, "instructions": "x"}]}'), ALL_ACTIONS)

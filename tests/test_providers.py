@@ -491,12 +491,23 @@ loaded()
     assert result.stdout.splitlines() == ["[]"] * 4
 
 
-def test_interpreter_without_builtin_sha256_falls_back_to_hashlib():
+@pytest.mark.parametrize(
+    "setup",
+    [
+        pytest.param('sys.modules["_sha2"] = sys.modules["_sha256"] = None', id="modules-missing"),
+        pytest.param(
+            'sys.implementation = types.SimpleNamespace(**{**vars(sys.implementation), "name": "pypy"})',
+            id="not-cpython",
+        ),
+    ],
+)
+def test_interpreter_without_builtin_sha256_falls_back_to_hashlib(setup):
+    # CPython's private _sha2/_sha256 may be slow pure Python elsewhere, so only CPython uses them
     src = Path(providers.__file__).parents[1]
     text = "h\u00e9llo \u793e"
     script = f"""
-import sys
-sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import sys, types
+{setup}
 from socialagent.core import digest
 from socialagent.providers import hash_embedding
 print(digest(""), digest({ascii(text)}), hash_embedding("plan", 8, 0).components[0])

@@ -32,8 +32,6 @@ from .core import (
     Transcript,
     TranscriptEvent,
     UnitRole,
-    ValidationReport,
-    validate_task,
 )
 from .critic import Critique, PlanChoice, RefinedInstructions, criticize, parse_critique, refine
 from .divergence import (

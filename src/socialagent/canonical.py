@@ -87,7 +87,7 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
             except (MalformedInputError, ValueError, TypeError) as exc:
                 last_error = exc
         raise MalformedInputError(f"{path}: no union arm matched ({last_error})")
-    if origin in (tuple,):
+    if origin is tuple:
         args = typing.get_args(tp)
         if not isinstance(data, list):
             raise MalformedInputError(f"{path}: expected array")
@@ -101,16 +101,11 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
             from_jsonable(item, arm, f"{path}[{i}]")
             for i, (item, arm) in enumerate(zip(data, args))
         )
-    if origin in (list,):
+    if origin is frozenset:
         (arm,) = typing.get_args(tp)
         if not isinstance(data, list):
             raise MalformedInputError(f"{path}: expected array")
-        return [from_jsonable(item, arm, f"{path}[{i}]") for i, item in enumerate(data)]
-    if origin in (set, frozenset):
-        (arm,) = typing.get_args(tp)
-        if not isinstance(data, list):
-            raise MalformedInputError(f"{path}: expected array")
-        return origin(from_jsonable(item, arm, path) for item in data)
+        return frozenset(from_jsonable(item, arm, path) for item in data)
     if origin is dict:
         key_tp, val_tp = typing.get_args(tp)
         if not isinstance(data, dict):
@@ -164,8 +159,6 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
     if tp is str:
         if not isinstance(data, str):
             raise MalformedInputError(f"{path}: expected string")
-        return data
-    if tp in (object, typing.Any):
         return data
     raise MalformedInputError(f"{path}: unsupported declared type {tp!r}")
 

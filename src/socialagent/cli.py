@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import canonical, engine, evaluation
 from .core import EngineConfig, EnvironmentContext, ReasoningStrategy, StrategyKind, Task
-from .errors import AgentError, ConfigError, InvariantError, MalformedInputError, TaskFailure
+from .errors import AgentError, ConfigError, InvariantError, TaskFailure
 from .evaluation import RunSetup, TaskKind
 from .providers import Backend
 
@@ -74,7 +74,7 @@ def build_parser() -> _Parser:
 def _load_setup(path: str) -> RunSetup:
     try:
         return evaluation.load_setup(path)
-    except (MalformedInputError, AgentError) as exc:
+    except AgentError as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
 
 
@@ -138,7 +138,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             task, env, setup.engine, tools=tools, taxonomy=taxonomy
         )
     except TaskFailure as exc:
-        events = [e.to_report() for e in (exc.transcript.events if exc.transcript else ())]
+        events = exc.transcript.report() if exc.transcript else []
         _emit(
             canonical.dumps(
                 {"task_id": task.id, "error": str(exc), "transcript": events}

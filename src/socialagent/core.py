@@ -7,7 +7,6 @@ import importlib
 import math
 import sys
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -115,34 +114,22 @@ class Task:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.allowed_actions is not None:
             object.__setattr__(self, "allowed_actions", frozenset(self.allowed_actions))
-        report = validate_task(self)
-        if not report.ok:
-            raise InvariantError("; ".join(report.problems))
+        problems = []
+        if not self.goal.strip():
+            problems.append("empty goal")
+        if self.allowed_actions is not None:
+            bad = sorted(self.allowed_actions - set(VALID_ACTION_IDS))
+            if bad:
+                problems.append(f"unknown action id(s): {bad}")
+            if not self.allowed_actions:
+                problems.append("allowed_actions is empty")
+        if problems:
+            raise InvariantError("; ".join(problems))
 
     def permitted_actions(self) -> frozenset[int]:
         if self.allowed_actions is None:
             return frozenset(VALID_ACTION_IDS)
         return self.allowed_actions
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problems: tuple[str, ...] = ()
-
-
-def validate_task(task: Task) -> ValidationReport:
-    """Report every violated Task invariant; never mutates the input."""
-    problems: list[str] = []
-    if not task.goal.strip():
-        problems.append("empty goal")
-    if task.allowed_actions is not None:
-        bad = sorted(set(task.allowed_actions) - set(VALID_ACTION_IDS))
-        if bad:
-            problems.append(f"unknown action id(s): {bad}")
-        if not task.allowed_actions:
-            problems.append("allowed_actions is empty")
-    return ValidationReport(ok=not problems, problems=tuple(problems))
 
 
 @dataclass(frozen=True)
@@ -329,40 +316,26 @@ def digest(text: str) -> str:
 
 @dataclass(frozen=True)
 class TranscriptEvent:
-    seq: int
     unit: UnitRole
     operation: str
     request_digest: str
     response_digest: str
-    timestamp: float
 
     def label(self) -> tuple[str, str]:
         return (self.unit.value, self.operation)
-
-    def to_report(self) -> dict:
-        """The timestamp-free form that run reports carry."""
-        return {
-            "seq": self.seq,
-            "unit": self.unit.value,
-            "operation": self.operation,
-            "request_digest": self.request_digest,
-            "response_digest": self.response_digest,
-        }
 
 
 @dataclass
 class Transcript:
     """Append-only record of unit invocations for one task run.
 
-    ``seq`` is plan order: the order in which a sequential run would make
-    the calls. The engine records every plan action's reasoning into a
-    transcript of its own, reasoned on the calling thread or one action
-    ahead on a worker, and ``absorb``s it just before that action acts, so
-    the merged events, and every report built from them, are the same as
-    a sequential run's. ``timestamp`` is wall clock when the call was
-    recorded, so an absorbed event can carry an earlier time than the
-    event before it. The internal lock only keeps the sequence counter
-    coherent; one transcript is appended to by one thread at a time.
+    An event's position is plan order: the order in which a sequential run
+    would make the calls. The engine records every plan action's reasoning
+    into a transcript of its own, reasoned on the calling thread or one
+    action ahead on a worker, and ``absorb``s it just before that action
+    acts, so the merged events, and every report built from them, are the
+    same as a sequential run's. The internal lock makes each append atomic;
+    the engine appends to one transcript from one thread at a time.
     """
 
     events: tuple[TranscriptEvent, ...] = ()
@@ -374,26 +347,28 @@ class Transcript:
     def record(
         self, unit: UnitRole, operation: str, request_text: str, response_text: str
     ) -> TranscriptEvent:
+        event = TranscriptEvent(unit, operation, digest(request_text), digest(response_text))
         with self._lock:
-            event = TranscriptEvent(
-                seq=len(self.events),
-                unit=unit,
-                operation=operation,
-                request_digest=digest(request_text),
-                response_digest=digest(response_text),
-                timestamp=time.time(),
-            )
             self.events += (event,)
         return event
 
     def absorb(self, other: Transcript) -> None:
-        """Append ``other``'s events after this transcript's own, renumbering
-        their ``seq`` to continue this transcript's."""
+        """Append ``other``'s events after this transcript's own."""
         with self._lock:
-            start = len(self.events)
-            self.events += tuple(
-                replace(event, seq=start + offset) for offset, event in enumerate(other.events)
-            )
+            self.events += other.events
+
+    def report(self) -> list[dict]:
+        """The events as run reports carry them; ``seq`` is the position."""
+        return [
+            {
+                "seq": seq,
+                "unit": e.unit.value,
+                "operation": e.operation,
+                "request_digest": e.request_digest,
+                "response_digest": e.response_digest,
+            }
+            for seq, e in enumerate(self.events)
+        ]
 
     def signature(self) -> tuple[tuple[str, str], ...]:
         """(unit, operation) labels in invocation order, for conformance checks."""

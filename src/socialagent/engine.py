@@ -20,7 +20,6 @@ from .core import (
     Task,
     Transcript,
     UnitRole,
-    validate_task,
 )
 from .critic import Critique, PlanChoice, RefinedInstructions, criticize, refine
 from .divergence import GateDecision, should_criticize
@@ -28,7 +27,6 @@ from .errors import (
     AgentError,
     BindingCollisionError,
     ConfigError,
-    InvariantError,
     PlanParseError,
     TaskFailure,
 )
@@ -383,9 +381,6 @@ def solve(
     """Solve one task end to end, returning the accumulated action results
     and the full invocation transcript. Failures inside the planning loop
     abort with the partial transcript attached."""
-    report = validate_task(task)
-    if not report.ok:
-        raise InvariantError("; ".join(report.problems))
     units = units or build_units(config)
     if transcript is None:
         transcript = Transcript()
@@ -422,7 +417,7 @@ def solve(
 def run_report(task: Task, response: TaskResponse) -> str:
     """Canonical, timestamp-free run report suitable for golden-file
     comparison; timing is reported as logical event counts."""
-    events = [e.to_report() for e in response.transcript.events]
+    events = response.transcript.report()
     report = {
         "task_id": task.id,
         "plan": canonical.to_jsonable(response.plan_used),

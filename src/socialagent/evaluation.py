@@ -52,11 +52,9 @@ class EvalRecord:
     inputs: tuple[ContentItem, ...]
     gold: str = ""
     gold_category: CategoryPair | None = None
-    context: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "context", tuple(self.context))
         if not self.id:
             raise InvariantError("record id must be non-empty")
         if bool(self.gold) == (self.gold_category is not None):
@@ -185,11 +183,10 @@ def _record_from_payload(payload: dict, kind: TaskKind, line: int) -> EvalRecord
     if kind in (TaskKind.QA, TaskKind.VQA):
         question = _require_str(payload, line, "question")
         gold = _require_str(payload, line, "answer", "gold")
-        context = _context_passages(payload, line)
         inputs = (ContentItem.from_text(f"Question: {question}"),)
-        inputs += tuple(ContentItem.from_text(p) for p in context)
+        inputs += tuple(ContentItem.from_text(p) for p in _context_passages(payload, line))
         inputs += _image_items(payload, line)
-        return EvalRecord(id=record_id, inputs=inputs, gold=gold, context=context)
+        return EvalRecord(id=record_id, inputs=inputs, gold=gold)
     if kind is TaskKind.TITLE:
         text = _require_str(payload, line, "text", "section_text")
         gold = _require_str(payload, line, "title", "gold")
@@ -311,7 +308,6 @@ class RecordOutcome:
     prediction: str | CategoryPair | None
     scores: dict[str, float]
     failed: bool
-    transcript_events: int
 
 
 def evaluate_record(
@@ -340,12 +336,11 @@ def evaluate_record(
     except ConfigError:
         raise
     except Exception:  # any other error fails only its record, not the whole eval
-        return RecordOutcome(record, None, _zero_scores(kind), True, 0)
-    events = len(response.transcript)
+        return RecordOutcome(record, None, _zero_scores(kind), True)
     prediction = None if response.error else extract_prediction(response, kind)
     if prediction is None:
-        return RecordOutcome(record, None, _zero_scores(kind), True, events)
-    return RecordOutcome(record, prediction, _score(kind, prediction, record), False, events)
+        return RecordOutcome(record, None, _zero_scores(kind), True)
+    return RecordOutcome(record, prediction, _score(kind, prediction, record), False)
 
 
 def _round(value: float) -> float:

@@ -61,7 +61,7 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
         if not isinstance(entry, dict):
             raise PlanParseError(f"action {i} is not an object", raw=raw)
         action_id = entry.get("id")
-        if not isinstance(action_id, int) or action_id not in VALID_ACTION_IDS:
+        if type(action_id) is not int or action_id not in VALID_ACTION_IDS:
             raise PlanParseError(f"unknown action id {action_id!r}", raw=raw)
         if action_id not in allowed:
             raise PlanParseError(f"disallowed action {action_id}", raw=raw)

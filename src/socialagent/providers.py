@@ -114,8 +114,6 @@ class ProviderRequest:
 @dataclass(frozen=True)
 class ProviderResponse:
     text: str
-    usage: dict[str, int] | None = None
-    latency: float = 0.0
 
 
 def _check_images(config: ProviderConfig, request: ProviderRequest) -> None:
@@ -201,7 +199,7 @@ class MockProvider:
                 )
             self.call_log.append((request, entry.response))
         _record(transcript, unit, operation, flattened, entry.response)
-        return ProviderResponse(text=entry.response, usage=None, latency=0.0)
+        return ProviderResponse(entry.response)
 
     def embed(
         self,
@@ -342,7 +340,6 @@ class HttpChatProvider:
             "top_p": request.sampling.top_p,
         }
         flattened = request.flattened()
-        started = time.monotonic()
         payload = self._post_with_retries(
             self.config.endpoint,
             body,
@@ -352,7 +349,6 @@ class HttpChatProvider:
             operation=operation,
             request_text=flattened,
         )
-        elapsed = time.monotonic() - started
         try:
             choice = payload["choices"][0]
             text = choice.get("message", {}).get("content", choice.get("text", ""))
@@ -360,9 +356,8 @@ class HttpChatProvider:
             raise ProviderError(f"unrecognized completion payload: {exc}") from exc
         if not isinstance(text, str):
             raise ProviderError("completion content is not text")
-        usage = payload.get("usage")
         _record(transcript, unit, operation, flattened, text)
-        return ProviderResponse(text=text, usage=usage, latency=elapsed)
+        return ProviderResponse(text)
 
     def embed(
         self,
@@ -392,7 +387,10 @@ class HttpChatProvider:
             raise ProviderError(f"unrecognized embedding payload: {exc}") from exc
         if not isinstance(components, list) or any(type(c) not in (int, float) for c in components):
             raise ProviderError("embedding is not a list of numbers")
-        vector = EmbeddingVector(tuple(components))
+        try:
+            vector = EmbeddingVector(tuple(components))
+        except (InvariantError, OverflowError) as exc:  # < 2, or not finite floats
+            raise ProviderError(f"unusable embedding: {exc}") from exc
         _record(transcript, unit, operation, text, repr(vector.components))
         return vector
 

@@ -168,7 +168,7 @@ def test_deserialize_rejects_exports_that_are_not_kinds(name):
 
 def test_serialize_rejects_an_unexported_dataclass():
     outcome = RecordOutcome(
-        EvalRecord("r", (ContentItem.from_text("t"),), gold="g"), "g", {}, False, 0
+        EvalRecord("r", (ContentItem.from_text("t"),), gold="g"), "g", {}, False
     )
     with pytest.raises(MalformedInputError, match="RecordOutcome"):
         canonical.serialize(outcome)

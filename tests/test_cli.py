@@ -104,7 +104,16 @@ class TestSolve:
         assert "task failed" in stderr
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["error"]
-        assert any(e["operation"] == "plan" for e in payload["transcript"])
+        events = payload["transcript"]
+        assert [(e["seq"], e["unit"], e["operation"]) for e in events] == [
+            (0, "role_writer", "bootstrap_role"),
+            (1, "reasoner", "reason"),
+            (2, "planner", "plan"),
+        ]
+        assert all(
+            set(e) == {"seq", "unit", "operation", "request_digest", "response_digest"}
+            for e in events
+        )
 
 
     def test_action_phase_failure_exits_2_with_report_written(self, tmp_path, capsys):

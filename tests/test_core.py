@@ -20,7 +20,6 @@ from socialagent.core import (
     Transcript,
     UnitRole,
     digest,
-    validate_task,
 )
 from socialagent.errors import InvariantError
 
@@ -33,34 +32,23 @@ def make_task(**overrides) -> Task:
 
 class TestValidateTask:
     def test_empty_goal_reported(self):
-        # build an invalid value without tripping __post_init__
-        task = object.__new__(Task)
-        object.__setattr__(task, "id", "t")
-        object.__setattr__(task, "goal", "")
-        object.__setattr__(task, "inputs", ())
-        object.__setattr__(task, "allowed_actions", None)
-        report = validate_task(task)
-        assert not report.ok
-        assert any("empty goal" in p for p in report.problems)
+        with pytest.raises(InvariantError, match="^empty goal$"):
+            make_task(goal=" ")
 
     def test_unknown_action_id_reported(self):
-        task = object.__new__(Task)
-        object.__setattr__(task, "id", "t")
-        object.__setattr__(task, "goal", "summarize post")
-        object.__setattr__(task, "inputs", ())
-        object.__setattr__(task, "allowed_actions", frozenset({5}))
-        report = validate_task(task)
-        assert not report.ok
-        assert any("unknown action id" in p for p in report.problems)
+        with pytest.raises(InvariantError, match=r"^unknown action id\(s\): \[5\]$"):
+            make_task(allowed_actions=frozenset({5}))
 
     def test_minimal_valid_task_ok(self):
-        assert validate_task(make_task()).ok
+        assert make_task().permitted_actions() == frozenset({1})
 
     def test_constructor_enforces_invariants(self):
         with pytest.raises(InvariantError):
             Task(id="t", goal="")
         with pytest.raises(InvariantError):
             Task(id="t", goal="g", allowed_actions=frozenset({9}))
+        with pytest.raises(InvariantError, match="^empty goal; allowed_actions is empty$"):
+            Task(id="t", goal="", allowed_actions=frozenset())
 
 
 class TestContentItem:
@@ -160,8 +148,8 @@ class TestTranscript:
         transcript = Transcript()
         for i in range(5):
             transcript.record(UnitRole.PLANNER, f"op{i}", "req", "res")
-        seqs = [e.seq for e in transcript.events]
-        assert seqs == sorted(seqs) == list(range(5))
+        seqs = [e["seq"] for e in transcript.report()]
+        assert seqs == list(range(5))
 
     def test_signature_reflects_order(self):
         transcript = Transcript()
@@ -181,11 +169,9 @@ class TestTranscript:
             ("reasoner", "reason"),
             ("reasoner", "reason"),
         )
-        assert [e.seq for e in transcript.events] == [0, 1, 2]
-        assert [e.timestamp for e in transcript.events[1:]] == [
-            e.timestamp for e in other.events
-        ]
-        assert [e.seq for e in other.events] == [0, 1]
+        assert transcript.events[1:] == other.events
+        assert [e["seq"] for e in transcript.report()] == [0, 1, 2]
+        assert [e["seq"] for e in other.report()] == [0, 1]
 
     def test_count_filters(self):
         transcript = Transcript()

@@ -41,7 +41,7 @@ class TestLoadDataset:
         records = load_dataset(path, TaskKind.QA)
         assert records[0].id == "h1"
         assert records[0].gold == "them"
-        assert "Sentence one." in records[0].context[0]
+        assert records[0].inputs[1].text == "Title: Sentence one. Sentence two."
 
     def test_title_layout(self, tmp_path):
         path = tmp_path / "t.jsonl"

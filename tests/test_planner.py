@@ -81,9 +81,11 @@ class TestParsePlan:
         with pytest.raises(PlanParseError, match="too long to read"):
             parse_plan(raw, ALL_ACTIONS)
 
-    def test_unknown_action_id_rejected(self):
+    @pytest.mark.parametrize("action_id", ["9", "true", '"1"', "1.0"])
+    def test_unknown_action_id_rejected(self, action_id):
+        raw = block('{"actions": [{"id": ' + action_id + ', "instructions": "x"}]}')
         with pytest.raises(PlanParseError, match="unknown action id"):
-            parse_plan(block('{"actions": [{"id": 9, "instructions": "x"}]}'), ALL_ACTIONS)
+            parse_plan(raw, ALL_ACTIONS)
 
     def test_disallowed_action_rejected(self):
         with pytest.raises(PlanParseError, match="disallowed action"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import math
 import os
 import subprocess
 import sys
@@ -361,10 +362,20 @@ class TestHttpChatFaults:
         with pytest.raises(ProviderError):
             HttpChatProvider(http_config()).complete(request("hello"))
 
-    def test_non_numeric_embedding_is_a_provider_error(self, monkeypatch):
+    @pytest.mark.parametrize(
+        ("components", "message"),
+        [
+            (["a", "b"], "list of numbers"),
+            ([10**400, 0], "unusable embedding"),
+            ([math.inf, 0], "unusable embedding"),
+            ([0.5], "unusable embedding"),
+        ],
+        ids=["text", "int-beyond-float-range", "infinite", "one-component"],
+    )
+    def test_non_numeric_embedding_is_a_provider_error(self, monkeypatch, components, message):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        fake_post(monkeypatch, (200, {"data": [{"embedding": ["a", "b"]}]}))
-        with pytest.raises(ProviderError, match="list of numbers"):
+        fake_post(monkeypatch, (200, {"data": [{"embedding": components}]}))
+        with pytest.raises(ProviderError, match=message):
             HttpChatProvider(http_config()).embed("hello")
 
     def test_malformed_endpoint_is_a_provider_error(self, monkeypatch):

@@ -98,17 +98,11 @@ class ActionResult:
 
 def load_toolstore(path: str | Path) -> ToolStore:
     """Read a knowledge store from its canonical text file."""
-    value = canonical.load(path)
-    if not isinstance(value, ToolStore):
-        raise InvariantError(f"{path} does not contain a ToolStore")
-    return value
+    return canonical.load(path, ToolStore)
 
 
 def load_taxonomy(path: str | Path) -> CategoryTaxonomy:
-    value = canonical.load(path)
-    if not isinstance(value, CategoryTaxonomy):
-        raise InvariantError(f"{path} does not contain a CategoryTaxonomy")
-    return value
+    return canonical.load(path, CategoryTaxonomy)
 
 
 def lookup(tools: ToolStore, query: str) -> list[str]:

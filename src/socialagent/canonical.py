@@ -15,6 +15,9 @@ from pathlib import Path
 
 from .errors import MalformedInputError
 
+_T = typing.TypeVar("_T")
+_SCALARS = {int: "integer", bool: "boolean", str: "string"}
+
 
 def _exports() -> dict[str, object]:
     return vars(sys.modules[__package__])
@@ -148,17 +151,10 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
         if not math.isfinite(value):
             raise MalformedInputError(f"{path}: expected a finite number, got {value}")
         return value
-    if tp is int:
-        if isinstance(data, bool) or not isinstance(data, int):
-            raise MalformedInputError(f"{path}: expected integer")
-        return data
-    if tp is bool:
-        if not isinstance(data, bool):
-            raise MalformedInputError(f"{path}: expected boolean")
-        return data
-    if tp is str:
-        if not isinstance(data, str):
-            raise MalformedInputError(f"{path}: expected string")
+    if tp in _SCALARS:
+        # bool is an int subclass: only a bool is a boolean, and no bool an integer
+        if isinstance(data, bool) is not (tp is bool) or not isinstance(data, tp):
+            raise MalformedInputError(f"{path}: expected {_SCALARS[tp]}")
         return data
     raise MalformedInputError(f"{path}: unsupported declared type {tp!r}")
 
@@ -214,6 +210,10 @@ def read_text(path: str | Path) -> str:
         raise
 
 
-def load(path: str | Path) -> object:
-    """Rebuild the domain value stored in a canonical text file."""
-    return deserialize(read_text(path))
+def load(path: str | Path, kind: type[_T] = object) -> _T:
+    """Rebuild the domain value stored in a canonical text file, which must
+    be a ``kind``."""
+    value = deserialize(read_text(path))
+    if not isinstance(value, kind):
+        raise MalformedInputError(f"{path} does not contain a {kind.__name__}")
+    return value

@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import canonical, engine, evaluation
+from .actor import CategoryTaxonomy, ToolStore
 from .core import EngineConfig, EnvironmentContext, ReasoningStrategy, StrategyKind, Task
 from .errors import AgentError, ConfigError, InvariantError, TaskFailure
 from .evaluation import RunSetup, TaskKind
@@ -71,18 +72,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_setup(path: str) -> RunSetup:
+def _load_setup(path: str) -> tuple[RunSetup, ToolStore | None, CategoryTaxonomy | None]:
+    """A config and the stores it names; a fault in any is a config error."""
     try:
-        return evaluation.load_setup(path)
+        setup = evaluation.load_setup(path)
+        return (setup, *evaluation.load_stores(setup))
     except AgentError as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
 
 
-def _load_task(path: str) -> Task:
-    value = canonical.load(path)
-    if not isinstance(value, Task):
-        raise ConfigError(f"{path} does not contain a Task")
-    return value
+def _check_out(out: str | None) -> None:
+    """Reject, before any provider call, an --out the report cannot go to."""
+    if not out:
+        return
+    target = Path(out)
+    if target.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
+    if not target.parent.is_dir():
+        raise ConfigError(f"--out {out}: {target.parent} is not a directory")
 
 
 def _apply_overrides(setup: RunSetup, args: argparse.Namespace) -> RunSetup:
@@ -129,9 +136,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    setup = _apply_overrides(_load_setup(args.config), args)
-    task = _load_task(args.task)
-    tools, taxonomy = evaluation.load_stores(setup)
+    setup, tools, taxonomy = _load_setup(args.config)
+    setup = _apply_overrides(setup, args)
+    task = canonical.load(args.task, Task)
     env = EnvironmentContext()
     try:
         response = engine.solve(
@@ -166,8 +173,8 @@ def _gate_line(view: engine.TrialView) -> str:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    setup = _apply_overrides(_load_setup(args.config), args)
-    task = _load_task(args.task)
+    setup = _apply_overrides(_load_setup(args.config)[0], args)
+    task = canonical.load(args.task, Task)
     env = EnvironmentContext()
     units = engine.build_units(setup.engine)
     role = engine.bootstrap_role(task, setup.engine, units)
@@ -223,9 +230,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown task kind {args.kind!r}; valid kinds: {valid}")
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    setup = _apply_overrides(_load_setup(args.config), args)
+    setup, tools, taxonomy = _load_setup(args.config)
+    setup = _apply_overrides(setup, args)
     records = evaluation.load_dataset(args.dataset, kind)
-    tools, taxonomy = evaluation.load_stores(setup)
     report = evaluation.run_eval(
         records,
         kind,
@@ -244,6 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"solve": cmd_solve, "eval": cmd_eval, "plan": cmd_plan}
     try:
+        _check_out(args.out)
         return handlers[args.command](args)
     # every provider-side OSError is a ProviderError, so an OSError here is a
     # file the operator named: a config, task, dataset, store or --out path

@@ -4,6 +4,7 @@ feedback-and-retry pass for every action."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .optimizer import TextLoss, Variable, optimize, resolved_value
 from .providers import Provider, build_provider, invoke
-from .reasoner import reason
+from .reasoner import LOCAL_KINDS, reason
 
 BOOTSTRAP_SYSTEM_ROLE = (
     "You write precise system-role descriptions for task-solving assistants."
@@ -74,6 +75,23 @@ def check_bindings(config: EngineConfig) -> None:
     missing = [role.value for role in UnitRole if role not in config.role_bindings]
     if missing:
         raise ConfigError(f"missing role bindings: {', '.join(missing)}")
+
+
+def check_image_support(config: EngineConfig, inputs: Iterable[ContentItem]) -> None:
+    """Reject, before any provider call, image inputs that would reach a
+    binding without image support. An action's inputs go to the optimizer
+    and the actor, and to the reasoner under a reflection strategy; the
+    planning units see images only as text references."""
+    if all(item.image is None for item in inputs):
+        return
+    roles = (UnitRole.OPTIMIZER, UnitRole.ACTOR)
+    if config.strategy.kind not in LOCAL_KINDS:
+        roles = (UnitRole.REASONER, *roles)
+    lacking = [role.value for role in roles if not config.role_bindings[role].supports_images]
+    if lacking:
+        raise ConfigError(
+            f"image inputs need supports_images on these bindings: {', '.join(lacking)}"
+        )
 
 
 def build_units(config: EngineConfig) -> UnitSet:
@@ -382,6 +400,7 @@ def solve(
     and the full invocation transcript. Failures inside the planning loop
     abort with the partial transcript attached."""
     units = units or build_units(config)
+    check_image_support(config, task.inputs)
     if transcript is None:
         transcript = Transcript()
     try:

@@ -104,9 +104,7 @@ def load_setup(path: str | Path) -> RunSetup:
     """Read a run configuration; store paths given as relative are resolved
     against the config file's own directory."""
     path = Path(path)
-    value = canonical.load(path)
-    if not isinstance(value, RunSetup):
-        raise InvariantError(f"{path} does not contain a RunSetup")
+    value = canonical.load(path, RunSetup)
     base = path.resolve().parent
 
     def resolve(store_path: str | None) -> str | None:
@@ -244,17 +242,10 @@ def _with_record_scripts(
 def extract_prediction(
     response: engine.TaskResponse, kind: TaskKind
 ) -> str | CategoryPair | None:
-    """The prediction to score: the result of the action matching the task
-    kind, falling back to the last result."""
-    wanted = KIND_ACTION_IDS[kind]
-    chosen = None
-    for result in response.results:
-        if result.action_id == wanted:
-            chosen = result
-    if chosen is None and response.results:
-        chosen = response.results[-1]
-    if chosen is None:
-        return None
+    """The prediction to score: the last result of a run without error. A
+    task from build_task allows only the kind's action, so every result is
+    that action's."""
+    chosen = response.results[-1]
     if kind is TaskKind.CATEGORIZE:
         return chosen.structured if isinstance(chosen.structured, CategoryPair) else None
     return chosen.answer
@@ -398,6 +389,7 @@ def run_eval(
         raise InvariantError("workers must be >= 1")
     # record scripts override bindings, so every role must be bound first
     engine.check_bindings(config)
+    engine.check_image_support(config, (item for record in dataset for item in record.inputs))
 
     def work(record: EvalRecord) -> RecordOutcome:
         return evaluate_record(

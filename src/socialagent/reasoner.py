@@ -19,7 +19,8 @@ from .providers import Provider, invoke
 COT_PHRASE = "let's think step by step"
 REFLECTION_INSTRUCTION = "apply reflection to the following reasoning trace"
 
-_LOCAL_KINDS = (StrategyKind.NONE, StrategyKind.FEW_SHOT, StrategyKind.ZERO_SHOT_COT)
+# the strategies that make no provider call
+LOCAL_KINDS = (StrategyKind.NONE, StrategyKind.FEW_SHOT, StrategyKind.ZERO_SHOT_COT)
 
 
 def _has_cot_suffix(prompt: PromptArtifact) -> bool:
@@ -88,7 +89,7 @@ def reason(
     """Produce the reasoned prompt consumed by planner, actor, and
     optimizer. Local strategies make zero provider calls; reflection
     variants make exactly two (trace, then reflection)."""
-    if strategy.kind in _LOCAL_KINDS:
+    if strategy.kind in LOCAL_KINDS:
         decorated = apply_strategy(prompt, strategy)
         if transcript is not None:
             transcript.record(

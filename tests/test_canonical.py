@@ -22,6 +22,7 @@ from socialagent.core import (
     Transcript,
     UnitRole,
 )
+from socialagent.actor import CategoryPair
 from socialagent.critic import Critique, PlanChoice, RefinedInstructions
 from socialagent.divergence import GateDecision
 from socialagent.engine import TrialView
@@ -31,6 +32,7 @@ from socialagent.evaluation import (
     EvalRecord,
     RecordOutcome,
     RecordScore,
+    RunSetup,
     load_setup,
 )
 from socialagent.fixtures import fixture_path
@@ -264,3 +266,70 @@ def test_bare_string_type_reference_names_a_kind():
     assert canonical.from_jsonable(data, "ProviderConfig") == config
     with pytest.raises(MalformedInputError, match="unresolved type reference"):
         canonical.from_jsonable({}, "NotAKind")
+
+
+def _decode(data, tp):
+    return lambda: canonical.from_jsonable(data, tp)
+
+
+@pytest.mark.parametrize(
+    "decode,message",
+    [
+        pytest.param(_decode(0, type(None)), "$: expected null", id="null"),
+        pytest.param(_decode({}, tuple[int, ...]), "$: expected array", id="tuple"),
+        pytest.param(_decode("ab", frozenset[int]), "$: expected array", id="frozenset"),
+        pytest.param(_decode([], dict[str, int]), "$: expected object", id="dict"),
+        pytest.param(
+            _decode([], EnvironmentContext),
+            "$: expected object for EnvironmentContext",
+            id="dataclass",
+        ),
+        pytest.param(_decode("1", float), "$: expected number", id="number"),
+        pytest.param(_decode(True, float), "$: expected number", id="bool-as-number"),
+        pytest.param(_decode(1.0, int), "$: expected integer", id="integer"),
+        pytest.param(_decode(True, int), "$: expected integer", id="bool-as-integer"),
+        pytest.param(_decode(1, bool), "$: expected boolean", id="boolean"),
+        pytest.param(_decode(1, str), "$: expected string", id="string"),
+        pytest.param(_decode(False, str), "$: expected string", id="bool-as-string"),
+        pytest.param(
+            _decode({"level1": 1, "level2": "b"}, CategoryPair),
+            "$.level1: expected string",
+            id="field-path",
+        ),
+        pytest.param(
+            _decode({"level2": "b"}, CategoryPair),
+            "$: missing field 'level1' for CategoryPair",
+            id="missing-field",
+        ),
+        pytest.param(
+            _decode(1, str | None),
+            "$: no union arm matched ($: expected string)",
+            id="no-union-arm",
+        ),
+        pytest.param(_decode([1], tuple[int, int]), "$: expected 2 items", id="tuple-count"),
+        pytest.param(
+            lambda: canonical.deserialize("[]"),
+            "expected an object with 'kind' and 'value'",
+            id="envelope-not-object",
+        ),
+        pytest.param(
+            lambda: canonical.deserialize('{"kind": "Task"}'),
+            "expected an object with 'kind' and 'value'",
+            id="envelope-without-value",
+        ),
+    ],
+)
+def test_decoder_error_messages(decode, message):
+    with pytest.raises(MalformedInputError) as excinfo:
+        decode()
+    assert str(excinfo.value) == message
+
+
+def test_load_checks_the_kind_of_the_stored_value(tmp_path):
+    path = tmp_path / "task.json"
+    task = Task("t", "goal", ())
+    path.write_text(canonical.serialize(task), encoding="utf-8")
+    assert canonical.load(path) == canonical.load(path, Task) == task
+    with pytest.raises(MalformedInputError) as excinfo:
+        canonical.load(path, RunSetup)
+    assert str(excinfo.value) == f"{path} does not contain a RunSetup"

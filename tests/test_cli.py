@@ -7,10 +7,24 @@ import pytest
 
 from socialagent import canonical
 from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, main
-from socialagent.core import UnitRole
+from socialagent.core import ContentItem, UnitRole
 from socialagent.evaluation import load_setup
 from socialagent.fixtures import fixture_path
-from socialagent.providers import MockScript
+from socialagent.providers import MockProvider, MockScript
+
+
+@pytest.fixture
+def provider_calls(monkeypatch):
+    """The name of every completion and embedding a mock provider serves."""
+    calls: list[str] = []
+    for name in ("complete", "embed"):
+
+        def counting(self, *args, _name=name, _original=getattr(MockProvider, name), **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MockProvider, name, counting)
+    return calls
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -170,10 +184,10 @@ def _plan_argv(*extra: str, config=None) -> list[str]:
     return ["plan", *_solve_argv(*extra, config=config)[1:]]
 
 
-def _eval_argv(*extra: str, config=None, dataset=None) -> list[str]:
+def _eval_argv(*extra: str, config=None, dataset=None, kind="qa") -> list[str]:
     config = config or fixture_path("qa_eval_config.json")
     dataset = dataset or fixture_path("mini_qa.jsonl")
-    return ["eval", "--config", str(config), "--dataset", str(dataset), "--kind", "qa", *extra]
+    return ["eval", "--config", str(config), "--dataset", str(dataset), "--kind", kind, *extra]
 
 
 def _latin1_dataset(tmp_path):
@@ -233,6 +247,62 @@ def _rename_key(table, old, new):
     table[new] = table.pop(old)
 
 
+def _config_naming_store(tmp_path, store_field, text):
+    """The bundled QA eval config naming, as ``store_field``, a store file
+    that holds ``text``."""
+    store = tmp_path / "store.json"
+    store.write_text(text, encoding="utf-8")
+    return _qa_config_file_with(tmp_path, lambda v: v.update({store_field: str(store)}))
+
+
+def _image_task(tmp_path):
+    """The bundled example task with one image input added."""
+    task = canonical.load(fixture_path("example_task.json"))
+    image = ContentItem.from_image("chart.png", "image/png")
+    path = tmp_path / "image_task.json"
+    path.write_text(canonical.serialize(replace(task, inputs=(*task.inputs, image))), "utf-8")
+    return path
+
+
+def _image_dataset(tmp_path):
+    path = tmp_path / "vqa.jsonl"
+    record = {"id": "v1", "question": "what?", "answer": "a", "images": [{"location": "c.png"}]}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+def _fixture_text(name):
+    return fixture_path(name).read_text(encoding="utf-8")
+
+
+_STORE_CASES = (
+    (
+        "toolstore-wrong-kind",
+        "toolstore_path",
+        lambda: _fixture_text("taxonomy.json"),
+        "{tmp}/store.json does not contain a ToolStore",
+    ),
+    (
+        "taxonomy-wrong-kind",
+        "taxonomy_path",
+        lambda: _fixture_text("toolstore.json"),
+        "{tmp}/store.json does not contain a CategoryTaxonomy",
+    ),
+    (
+        "taxonomy-invalid",
+        "taxonomy_path",
+        lambda: '{"kind": "CategoryTaxonomy", "value": {"level1": []}}',
+        "taxonomy requires at least one level-1 category",
+    ),
+    (
+        "toolstore-not-json",
+        "toolstore_path",
+        lambda: "not json",
+        "malformed canonical text at line 1 column 1",
+    ),
+)
+
+
 _SHARED_MODEL = "role-writer model 'role-scribe' is also bound to actor"
 _UNBOUND_CRITIC = "missing role bindings: critic"
 _UNBOUND_ACTOR = "missing role bindings: actor"
@@ -253,7 +323,41 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
             "{tmp}/latin1_task.json",
             id="non-utf8-task",
         ),
-        pytest.param(lambda tmp: _solve_argv("--out", str(tmp / "no" / "r.json")), "", id="unwritable-out"),
+        pytest.param(
+            lambda tmp: _solve_argv("--out", str(tmp / "no" / "r.json")),
+            "--out {tmp}/no/r.json: {tmp}/no is not a directory",
+            id="unwritable-out",
+        ),
+        pytest.param(
+            lambda tmp: _eval_argv("--out", str(tmp / "no" / "r.json")),
+            "{tmp}/no is not a directory",
+            id="eval-unwritable-out",
+        ),
+        pytest.param(
+            lambda tmp: _plan_argv("--out", str(tmp / "no" / "r.txt")),
+            "{tmp}/no is not a directory",
+            id="plan-unwritable-out",
+        ),
+        pytest.param(
+            lambda tmp: _solve_argv("--out", str(tmp)),
+            "--out {tmp} is a directory",
+            id="out-is-a-directory",
+        ),
+        pytest.param(
+            lambda tmp: _solve_argv(task=_image_task(tmp)),
+            "image inputs need supports_images on these bindings: optimizer, actor",
+            id="solve-image-input-text-only-bindings",
+        ),
+        pytest.param(
+            lambda tmp: _solve_argv("--strategy", "car", task=_image_task(tmp)),
+            "image inputs need supports_images on these bindings: reasoner, optimizer, actor",
+            id="solve-image-input-reflection-text-only-bindings",
+        ),
+        pytest.param(
+            lambda tmp: _eval_argv(dataset=_image_dataset(tmp), kind="vqa"),
+            "image inputs need supports_images on these bindings: optimizer, actor",
+            id="eval-image-input-text-only-bindings",
+        ),
         pytest.param(lambda tmp: _solve_argv("--theta", "2"), "", id="theta-2"),
         pytest.param(lambda tmp: _solve_argv("--trials", "0"), "", id="trials-0"),
         pytest.param(lambda tmp: _solve_argv("--iterations", "0"), "", id="iterations-0"),
@@ -324,13 +428,36 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
                 ),
             )
         ),
+        *(
+            pytest.param(
+                lambda tmp, argv=argv, store_field=store_field, text=text: argv(
+                    config=_config_naming_store(tmp, store_field, text())
+                ),
+                "cannot load config {tmp}/edited_config.json: " + mentions,
+                id=f"{command}-{case}",
+            )
+            for command, argv in (("solve", _solve_argv), ("plan", _plan_argv), ("eval", _eval_argv))
+            for case, store_field, text, mentions in _STORE_CASES
+        ),
     ],
 )
-def test_configuration_errors_exit_1_with_a_message(capsys, tmp_path, argv, mentions):
+def test_configuration_errors_exit_1_with_a_message(
+    capsys, tmp_path, provider_calls, argv, mentions
+):
     code, _, stderr = run_cli(capsys, *argv(tmp_path))
     assert code == EXIT_CONFIG
     assert stderr.startswith("error: ")
     assert mentions.format(tmp=tmp_path) in stderr
+    assert provider_calls == []
+    assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("argv", [_solve_argv, _plan_argv], ids=["solve", "plan"])
+def test_task_file_of_another_kind_is_a_malformed_task(capsys, argv):
+    config = fixture_path("solve_config.json")
+    code, _, stderr = run_cli(capsys, *argv(config=config)[:-2], "--task", str(config))
+    assert code == EXIT_TASK
+    assert f"task failed: {config} does not contain a Task" in stderr
 
 
 class TestEval:

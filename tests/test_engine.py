@@ -385,10 +385,11 @@ class TestMultimodalActions:
         assert any(m.image is not None for m in first_request.messages)
 
     def test_text_only_actor_rejects_image_action(self):
-        response = solve(self.vqa_task(), ENV, self.config(supports_images=False))
-        assert response.results == ()
-        assert response.error is not None
-        assert "image" in response.error.lower()
+        config = self.config(supports_images=False)
+        units = build_units(config)
+        with pytest.raises(ConfigError, match="supports_images on these bindings: actor$"):
+            solve(self.vqa_task(), ENV, config, units=units)
+        assert not any(p.call_log or p.embed_log for p in units.providers.values())
 
 
 class TestFailuresAndReport:

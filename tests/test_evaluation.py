@@ -8,8 +8,8 @@ import pytest
 
 from socialagent import canonical, engine, fixtures, providers
 from socialagent.actor import CategoryPair
-from socialagent.core import ContentKind, UnitRole
-from socialagent.errors import DatasetFormatError, InvariantError
+from socialagent.core import ContentItem, ContentKind, UnitRole
+from socialagent.errors import ConfigError, DatasetFormatError, InvariantError
 from socialagent.evaluation import (
     EvalRecord,
     TaskKind,
@@ -189,6 +189,19 @@ class TestRunEval:
         setup = fixtures.qa_setup()
         with pytest.raises(InvariantError):
             run_eval([], TaskKind.QA, setup.engine)
+
+    def test_image_record_on_text_only_bindings_fails_before_any_record_runs(
+        self, monkeypatch
+    ):
+        solved = []
+        monkeypatch.setattr(engine, "solve", lambda task, *a, **k: solved.append(task.id))
+        setup = load_setup(fixture_path("qa_eval_config.json"))
+        records = load_dataset(fixture_path("mini_qa.jsonl"), TaskKind.QA)
+        image = ContentItem.from_image("chart.png", "image/png")
+        records[-1] = replace(records[-1], inputs=(*records[-1].inputs, image))
+        with pytest.raises(ConfigError, match="supports_images on these bindings"):
+            run_eval(records, TaskKind.QA, setup.engine, workers=1)
+        assert solved == []
 
     def test_golden_qa_report_reproduced(self):
         setup = load_setup(fixture_path("qa_eval_config.json"))

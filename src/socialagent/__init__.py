@@ -10,7 +10,6 @@ from .actor import (
     ToolEntry,
     ToolStore,
     act,
-    categorize_two_level,
     load_taxonomy,
     load_toolstore,
     lookup,

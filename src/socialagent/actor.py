@@ -16,7 +16,7 @@ from .core import (
     Transcript,
     UnitRole,
 )
-from .errors import ActionParseError, InvariantError, WrongActionError
+from .errors import ActionParseError, InvariantError
 from .providers import Provider, invoke
 
 ANSWER_PREFIX = "ANSWER:"
@@ -199,36 +199,6 @@ def _classify(
     return label
 
 
-def categorize_two_level(
-    items: tuple[ContentItem, ...],
-    taxonomy: CategoryTaxonomy,
-    reasoned: PromptArtifact,
-    provider: Provider,
-    *,
-    spec: ActionSpec | None = None,
-    tools: ToolStore | None = None,
-    revision: str | None = None,
-    transcript: Transcript | None = None,
-) -> CategoryPair:
-    """Two provider calls: classify into a level-1 category, then into one
-    of that category's children. The result is always parent/child."""
-    if spec is None:
-        spec = ActionSpec.for_id(4, "Classify the content.", tuple(items))
-    elif spec.name is not ActionName.CATEGORIZATION:
-        raise WrongActionError(f"categorization got a {spec.name.value} action")
-    extra = _context_segments(spec, tools, revision)
-    level1 = _classify(spec, reasoned, provider, extra, transcript, taxonomy.level1)
-    if level1 not in taxonomy.level1:
-        raise ActionParseError(f"unknown category {level1!r}")
-    children = taxonomy.children(level1)
-    if not children:
-        raise ActionParseError(f"category {level1!r} has no second-level children")
-    level2 = _classify(spec, reasoned, provider, extra, transcript, children)
-    if level2 not in children:
-        raise ActionParseError(f"{level2!r} is not a child of {level1}")
-    return CategoryPair(level1=level1, level2=level2)
-
-
 def act(
     spec: ActionSpec,
     reasoned: PromptArtifact,
@@ -240,12 +210,13 @@ def act(
     transcript: Transcript | None = None,
 ) -> ActionResult:
     """Execute one action: build its prompt, call the provider, parse the
-    action-specific answer. Categorization against a hierarchical taxonomy
-    makes two calls; every other action makes exactly one."""
+    action-specific answer. Categorization classifies into a level-1
+    category and, against a hierarchical taxonomy, then into one of that
+    category's children, so it makes two calls; every other action makes
+    exactly one."""
+    extra = _context_segments(spec, tools, revision)
     if spec.name is not ActionName.CATEGORIZATION:
-        text, answer = _ask(
-            spec, reasoned, provider, _context_segments(spec, tools, revision), transcript
-        )
+        text, answer = _ask(spec, reasoned, provider, extra, transcript)
         if answer is None:
             answer = text.strip()  # prose fallback; QA-style metrics tolerate it
         structured = answer if spec.name is ActionName.TITLE_GENERATION else None
@@ -257,27 +228,22 @@ def act(
         )
     if taxonomy is None:
         raise InvariantError("categorization requires a taxonomy")
-    if taxonomy.is_hierarchical():
-        pair = categorize_two_level(
-            spec.inputs,
-            taxonomy,
-            reasoned,
-            provider,
-            spec=spec,
-            tools=tools,
-            revision=revision,
-            transcript=transcript,
-        )
+    level1 = _classify(spec, reasoned, provider, extra, transcript, taxonomy.level1)
+    if level1 not in taxonomy.level1:
+        raise ActionParseError(f"unknown category {level1!r}")
+    if not taxonomy.is_hierarchical():
         return ActionResult(
-            action_id=spec.action_id,
-            answer=f"{pair.level1} / {pair.level2}",
-            structured=pair,
-            provider_calls=2,
+            action_id=spec.action_id, answer=level1, structured=level1, provider_calls=1
         )
-    extra = _context_segments(spec, tools, revision)
-    label = _classify(spec, reasoned, provider, extra, transcript, taxonomy.level1)
-    if label not in taxonomy.level1:
-        raise ActionParseError(f"unknown category {label!r}")
+    children = taxonomy.children(level1)
+    if not children:
+        raise ActionParseError(f"category {level1!r} has no second-level children")
+    level2 = _classify(spec, reasoned, provider, extra, transcript, children)
+    if level2 not in children:
+        raise ActionParseError(f"{level2!r} is not a child of {level1}")
     return ActionResult(
-        action_id=spec.action_id, answer=label, structured=label, provider_calls=1
+        action_id=spec.action_id,
+        answer=f"{level1} / {level2}",
+        structured=CategoryPair(level1=level1, level2=level2),
+        provider_calls=2,
     )

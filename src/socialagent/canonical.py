@@ -187,6 +187,8 @@ def parse_text(text: str) -> object:
         raise MalformedInputError(
             "malformed canonical text: an integer literal is too long to read"
         ) from exc
+    except RecursionError as exc:
+        raise MalformedInputError("malformed canonical text: nested too deeply to read") from exc
 
 
 def deserialize(text: str) -> object:

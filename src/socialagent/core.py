@@ -6,7 +6,6 @@ from __future__ import annotations
 import importlib
 import math
 import sys
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -334,28 +333,24 @@ class Transcript:
     into a transcript of its own, reasoned on the calling thread or one
     action ahead on a worker, and ``absorb``s it just before that action
     acts, so the merged events, and every report built from them, are the
-    same as a sequential run's. The internal lock makes each append atomic;
-    the engine appends to one transcript from one thread at a time.
+    same as a sequential run's.
     """
 
     events: tuple[TranscriptEvent, ...] = ()
 
     def __post_init__(self) -> None:
         self.events = tuple(self.events)
-        self._lock = threading.Lock()
 
     def record(
         self, unit: UnitRole, operation: str, request_text: str, response_text: str
     ) -> TranscriptEvent:
         event = TranscriptEvent(unit, operation, digest(request_text), digest(response_text))
-        with self._lock:
-            self.events += (event,)
+        self.events += (event,)
         return event
 
     def absorb(self, other: Transcript) -> None:
         """Append ``other``'s events after this transcript's own."""
-        with self._lock:
-            self.events += other.events
+        self.events += other.events
 
     def report(self) -> list[dict]:
         """The events as run reports carry them; ``seq`` is the position."""

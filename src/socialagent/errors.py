@@ -89,10 +89,6 @@ class ActionParseError(AgentError):
     """Actor output could not be parsed for a structured action."""
 
 
-class WrongActionError(AgentError):
-    """An action spec was passed to a builder for a different action."""
-
-
 class ConfigError(AgentError):
     """Engine or CLI configuration is unusable."""
 

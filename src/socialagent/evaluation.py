@@ -213,6 +213,8 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
             raise DatasetFormatError(f"invalid JSON ({exc.msg})", line=number) from exc
         except ValueError as exc:  # an integer literal past the interpreter's digit limit
             raise DatasetFormatError("an integer literal is too long to read", line=number) from exc
+        except RecursionError as exc:
+            raise DatasetFormatError("nested too deeply to read", line=number) from exc
         if not isinstance(payload, dict):
             raise DatasetFormatError("record must be an object", line=number)
         records.append(_record_from_payload(payload, kind, number))
@@ -390,6 +392,9 @@ def run_eval(
     # record scripts override bindings, so every role must be bound first
     engine.check_bindings(config)
     engine.check_image_support(config, (item for record in dataset for item in record.inputs))
+    # every categorize gold is a level-1/level-2 pair, so a flat taxonomy fails every record
+    if task_kind is TaskKind.CATEGORIZE and (taxonomy is None or not taxonomy.is_hierarchical()):
+        raise ConfigError("a categorize eval needs a two-level taxonomy (taxonomy_path)")
 
     def work(record: EvalRecord) -> RecordOutcome:
         return evaluate_record(

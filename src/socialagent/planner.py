@@ -51,6 +51,8 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
         raise PlanParseError(f"malformed plan block: {exc.msg}", raw=raw) from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise PlanParseError("malformed plan block: an integer is too long to read", raw=raw) from exc
+    except RecursionError as exc:
+        raise PlanParseError("malformed plan block: nested too deeply to read", raw=raw) from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("actions"), list):
         raise PlanParseError("plan block must carry an 'actions' array", raw=raw)
     entries = payload["actions"]

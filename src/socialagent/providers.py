@@ -311,6 +311,8 @@ class HttpChatProvider:
                         return json.loads(reply)
                     except ValueError as exc:
                         raise ProviderError(f"reply is not JSON: {exc}") from exc
+                    except RecursionError as exc:
+                        raise ProviderError("reply is nested too deeply to read") from exc
                 if status != 429 and status < 500:
                     text = reply[:200].decode("utf-8", "replace")
                     raise ProviderError(f"backend error {status}: {text}")

@@ -18,6 +18,7 @@ from reference_metrics import ref_bleu4, ref_jsd_base2, ref_rouge_l
 from socialagent import engine, fixtures, metrics
 from socialagent.cli import EXIT_OK, main
 from socialagent.core import (
+    ActionSpec,
     ContentItem,
     EnvironmentContext,
     PromptArtifact,
@@ -165,11 +166,12 @@ def test_criterion_4_metric_oracles():
 
 def test_criterion_5_two_level_categorization_safety():
     with criterion(5, "two-level categorization safety", 5.0):
-        from socialagent.actor import CategoryTaxonomy, categorize_two_level
+        from socialagent.actor import CategoryTaxonomy, act
 
         reasoned = PromptArtifact(
             system_role="s", segments=(ContentItem.from_text("content"),)
         )
+        spec = ActionSpec.for_id(4, "Classify the content.")
         rng = random.Random(0xCA7)
         alphabet = "abcdefghijklmnop"
         for _ in range(100):
@@ -185,7 +187,7 @@ def test_criterion_5_two_level_categorization_safety():
             parent = rng.choice(level1)
             child = rng.choice(list(taxonomy.children(parent)))
             provider = mock_provider(f"CATEGORY: {parent}", f"CATEGORY: {child}")
-            pair = categorize_two_level((), taxonomy, reasoned, provider)
+            pair = act(spec, reasoned, None, provider, taxonomy=taxonomy).structured
             assert pair.level2 in taxonomy.children(pair.level1)
 
             # non-child outputs are rejected whenever another parent's child
@@ -199,7 +201,7 @@ def test_criterion_5_two_level_categorization_safety():
             bad = rng.choice(other_children)
             provider = mock_provider(f"CATEGORY: {parent}", f"CATEGORY: {bad}")
             with pytest.raises(ActionParseError):
-                categorize_two_level((), taxonomy, reasoned, provider)
+                act(spec, reasoned, None, provider, taxonomy=taxonomy)
 
 
 def test_criterion_6_end_to_end_golden_reports(tmp_path, capsys):

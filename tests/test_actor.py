@@ -14,13 +14,12 @@ from socialagent.actor import (
     ToolEntry,
     ToolStore,
     act,
-    categorize_two_level,
     load_taxonomy,
     load_toolstore,
     lookup,
 )
 from socialagent.core import ActionSpec, ContentItem, PromptArtifact
-from socialagent.errors import ActionParseError, InvariantError, WrongActionError
+from socialagent.errors import ActionParseError, InvariantError
 
 
 def reasoned(*texts: str) -> PromptArtifact:
@@ -103,11 +102,6 @@ class TestToolStore:
 
 class TestPromptBuilders:
     """The prompt each action sends, as the actor's provider receives it."""
-
-    def test_wrong_action_rejected(self):
-        spec = ActionSpec.for_id(1, "answer")
-        with pytest.raises(WrongActionError):
-            categorize_two_level((), taxonomy(), reasoned(), mock_provider(), spec=spec)
 
     def test_title_builder_ends_with_title_directive(self):
         provider = mock_provider("TITLE: t")
@@ -246,10 +240,18 @@ class TestActCategorization:
             assert "weigh the equipment\nProduce an improved response." in text
 
 
+def categorize(tax: CategoryTaxonomy, provider) -> CategoryPair:
+    """Two-level categorization through ``act``; its structured pair."""
+    spec = ActionSpec.for_id(4, "Classify the content.")
+    result = act(spec, reasoned(), None, provider, taxonomy=tax)
+    assert result.provider_calls == 2
+    return result.structured
+
+
 class TestCategorizeTwoLevel:
     def test_scripted_two_stage(self):
         provider = mock_provider("CATEGORY: sport", "CATEGORY: tennis")
-        pair = categorize_two_level((), taxonomy(), reasoned(), provider)
+        pair = categorize(taxonomy(), provider)
         assert pair == CategoryPair("sport", "tennis")
         # stage 2 offers only the children of the predicted parent
         second_request = provider.call_log[1][0].flattened()
@@ -259,24 +261,24 @@ class TestCategorizeTwoLevel:
     def test_non_child_rejected(self):
         provider = mock_provider("CATEGORY: sport", "CATEGORY: elections")
         with pytest.raises(ActionParseError, match="not a child of sport"):
-            categorize_two_level((), taxonomy(), reasoned(), provider)
+            categorize(taxonomy(), provider)
 
     def test_stage_one_unknown_rejected(self):
         provider = mock_provider("CATEGORY: astrology")
         with pytest.raises(ActionParseError, match="unknown category"):
-            categorize_two_level((), taxonomy(), reasoned(), provider)
+            categorize(taxonomy(), provider)
 
     def test_degenerate_single_path_taxonomy(self):
         degenerate = CategoryTaxonomy(level1=("only",), level2={"only": ("child",)})
         provider = mock_provider("CATEGORY: only", "CATEGORY: child")
-        pair = categorize_two_level((), degenerate, reasoned(), provider)
+        pair = categorize(degenerate, provider)
         assert pair == CategoryPair("only", "child")
 
     def test_childless_parent_is_an_error(self):
         childless = CategoryTaxonomy(level1=("solo", "full"), level2={"full": ("kid",)})
         provider = mock_provider("CATEGORY: solo")
         with pytest.raises(ActionParseError, match="no second-level children"):
-            categorize_two_level((), childless, reasoned(), provider)
+            categorize(childless, provider)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -294,7 +296,7 @@ class TestCategorizeTwoLevel:
         parent = data.draw(st.sampled_from([p for p in level1 if tax.children(p)]))
         scripted_child = data.draw(st.sampled_from(list(tax.children(parent))))
         provider = mock_provider(f"CATEGORY: {parent}", f"CATEGORY: {scripted_child}")
-        pair = categorize_two_level((), tax, reasoned(), provider)
+        pair = categorize(tax, provider)
         assert pair.level2 in tax.children(pair.level1)
 
     @settings(max_examples=30, deadline=None)
@@ -303,7 +305,7 @@ class TestCategorizeTwoLevel:
         tax = taxonomy()
         provider = mock_provider("CATEGORY: sport", "CATEGORY: elections")
         with pytest.raises(ActionParseError):
-            categorize_two_level((), tax, reasoned(), provider)
+            categorize(tax, provider)
 
 
 def test_action_result_requires_answer():

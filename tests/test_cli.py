@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import pytest
 
-from socialagent import canonical
+from socialagent import canonical, providers
+from socialagent.actor import CategoryTaxonomy
 from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, main
 from socialagent.core import ContentItem, UnitRole
 from socialagent.evaluation import load_setup
 from socialagent.fixtures import fixture_path
-from socialagent.providers import MockProvider, MockScript
+from socialagent.providers import Backend, MockProvider, MockScript
 
 
 @pytest.fixture
@@ -94,15 +95,9 @@ class TestSolve:
         assert "/nonexistent/missing.cfg" in stderr
 
     def test_plan_parse_failure_exits_2_with_partial_transcript(self, tmp_path, capsys):
-        setup = load_setup(fixture_path("solve_config.json"))
-        bindings = dict(setup.engine.role_bindings)
-        bindings[UnitRole.PLANNER] = replace(
-            bindings[UnitRole.PLANNER], script=MockScript.of("no structure here")
+        config_path = _solve_config_binding(
+            tmp_path, UnitRole.PLANNER, script=MockScript.of("no structure here")
         )
-        broken = replace(setup, engine=replace(setup.engine, role_bindings=bindings))
-        config_path = tmp_path / "broken.cfg"
-        config_path.write_text(canonical.serialize(broken), encoding="utf-8")
-
         out = tmp_path / "run.report"
         code, _, stderr = run_cli(
             capsys,
@@ -133,15 +128,9 @@ class TestSolve:
     def test_action_phase_failure_exits_2_with_report_written(self, tmp_path, capsys):
         # actor script runs dry after the first call: planning succeeds, the
         # action loop fails, partial results land in the report
-        setup = load_setup(fixture_path("solve_config.json"))
-        bindings = dict(setup.engine.role_bindings)
-        bindings[UnitRole.ACTOR] = replace(
-            bindings[UnitRole.ACTOR], script=MockScript.of("ANSWER: only one")
+        config_path = _solve_config_binding(
+            tmp_path, UnitRole.ACTOR, script=MockScript.of("ANSWER: only one")
         )
-        broken = replace(setup, engine=replace(setup.engine, role_bindings=bindings))
-        config_path = tmp_path / "truncated.cfg"
-        config_path.write_text(canonical.serialize(broken), encoding="utf-8")
-
         out = tmp_path / "run.report"
         code, _, stderr = run_cli(
             capsys,
@@ -241,6 +230,21 @@ def _config_with_long_theta(tmp_path):
     text = path.read_text(encoding="utf-8").replace('"THETA"', "1" * 5000)
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _category_eval_argv(tmp_path, taxonomy):
+    """A categorize eval of the bundled dataset whose config names ``taxonomy``,
+    or no taxonomy when it is None."""
+    data = json.loads(_fixture_text("category_eval_config.json"))
+    del data["value"]["taxonomy_path"]
+    if taxonomy is not None:
+        path = tmp_path / "taxonomy.json"
+        path.write_text(canonical.serialize(taxonomy), encoding="utf-8")
+        data["value"]["taxonomy_path"] = str(path)
+    config = tmp_path / "edited_config.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    dataset = fixture_path("mini_category.jsonl")
+    return _eval_argv(config=config, dataset=dataset, kind="categorize")
 
 
 def _rename_key(table, old, new):
@@ -358,6 +362,16 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
             "image inputs need supports_images on these bindings: optimizer, actor",
             id="eval-image-input-text-only-bindings",
         ),
+        pytest.param(
+            lambda tmp: _category_eval_argv(tmp, None),
+            "a categorize eval needs a two-level taxonomy",
+            id="categorize-eval-without-taxonomy",
+        ),
+        pytest.param(
+            lambda tmp: _category_eval_argv(tmp, CategoryTaxonomy(level1=("sport", "politics"))),
+            "a categorize eval needs a two-level taxonomy",
+            id="categorize-eval-flat-taxonomy",
+        ),
         pytest.param(lambda tmp: _solve_argv("--theta", "2"), "", id="theta-2"),
         pytest.param(lambda tmp: _solve_argv("--trials", "0"), "", id="trials-0"),
         pytest.param(lambda tmp: _solve_argv("--iterations", "0"), "", id="iterations-0"),
@@ -458,6 +472,86 @@ def test_task_file_of_another_kind_is_a_malformed_task(capsys, argv):
     code, _, stderr = run_cli(capsys, *argv(config=config)[:-2], "--task", str(config))
     assert code == EXIT_TASK
     assert f"task failed: {config} does not contain a Task" in stderr
+
+
+_NESTED = "[" * 100_000  # past the interpreter's recursion limit
+
+
+def _nested_file(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(_NESTED, encoding="utf-8")
+    return path
+
+
+def _solve_config_binding(tmp_path, role, **change):
+    """The bundled solve config with ``role``'s binding edited by ``change``."""
+    setup = load_setup(fixture_path("solve_config.json"))
+    bindings = dict(setup.engine.role_bindings)
+    bindings[role] = replace(bindings[role], **change)
+    path = tmp_path / "edited_config.json"
+    edited = replace(setup, engine=replace(setup.engine, role_bindings=bindings))
+    path.write_text(canonical.serialize(edited), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv,code,mentions",
+    [
+        pytest.param(
+            lambda tmp: _solve_argv(config=_nested_file(tmp, "config.json")),
+            EXIT_CONFIG,
+            "error: cannot load config {tmp}/config.json: malformed canonical text: "
+            "nested too deeply to read",
+            id="config",
+        ),
+        pytest.param(
+            lambda tmp: _solve_argv(task=_nested_file(tmp, "task.json")),
+            EXIT_TASK,
+            "task failed: malformed canonical text: nested too deeply to read",
+            id="task",
+        ),
+        pytest.param(
+            lambda tmp: _eval_argv(dataset=_nested_file(tmp, "dataset.jsonl")),
+            EXIT_TASK,
+            "task failed: line 1: nested too deeply to read",
+            id="dataset-line",
+        ),
+        pytest.param(
+            lambda tmp: _solve_argv(
+                config=_solve_config_binding(
+                    tmp, UnitRole.PLANNER, script=MockScript.of(f"```json\n{_NESTED}\n```")
+                )
+            ),
+            EXIT_TASK,
+            "task failed: malformed plan block: nested too deeply to read",
+            id="plan-block",
+        ),
+        pytest.param(
+            lambda tmp: _solve_argv(
+                config=_solve_config_binding(
+                    tmp,
+                    UnitRole.ACTOR,
+                    backend=Backend.HTTP_CHAT,
+                    endpoint="https://example.invalid/v1/chat",
+                    api_key_env="NESTED_REPLY_KEY",
+                    script=None,
+                )
+            ),
+            EXIT_TASK,
+            "task failed: action 1 (qa): reply is nested too deeply to read",
+            id="http-reply",
+        ),
+    ],
+)
+def test_over_nested_json_is_reported_not_raised(
+    capsys, tmp_path, monkeypatch, argv, code, mentions
+):
+    # the http case's backend answers every post with the nested body
+    monkeypatch.setenv("NESTED_REPLY_KEY", "k")
+    monkeypatch.setattr(providers, "_post", lambda *_: (200, _NESTED.encode()))
+    out = tmp_path / "run.report"
+    exit_code, _, stderr = run_cli(capsys, *argv(tmp_path), "--out", str(out))
+    assert (exit_code, stderr) == (code, mentions.format(tmp=tmp_path) + "\n")
 
 
 class TestEval:

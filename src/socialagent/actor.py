@@ -170,12 +170,14 @@ def _ask(
     transcript: Transcript | None,
     labels: tuple[str, ...] = (),
 ) -> tuple[str, str | None]:
-    """One actor call; returns the response text and its answer line, if any."""
+    """One actor call; returns the response text and its answer line, if any.
+    The action's inputs follow its instructions only where the reasoned
+    prompt does not already hold them, so each input is sent once."""
     prefix, directive = _ACTIONS[spec.name]
     segments = (
         reasoned.segments
         + (ContentItem.from_text(f"Action instructions:\n{spec.instructions}"),)
-        + spec.inputs
+        + tuple(item for item in spec.inputs if item not in reasoned.segments)
         + extra
         + (ContentItem.from_text(directive.format(labels=", ".join(labels))),)
     )

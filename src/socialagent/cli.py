@@ -5,19 +5,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
+from typing import TypeVar
 
 from . import canonical, engine, evaluation
 from .actor import CategoryTaxonomy, ToolStore
 from .core import EngineConfig, EnvironmentContext, ReasoningStrategy, StrategyKind, Task
-from .errors import AgentError, ConfigError, InvariantError, TaskFailure
+from .errors import AgentError, ConfigError, InvariantError, MalformedInputError, TaskFailure
 from .evaluation import RunSetup, TaskKind
 from .providers import Backend
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TASK = 2
+
+_T = TypeVar("_T")
 
 _STRATEGY_FLAGS = {
     "none": StrategyKind.NONE,
@@ -81,6 +85,18 @@ def _load_setup(path: str) -> tuple[RunSetup, ToolStore | None, CategoryTaxonomy
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
 
 
+def _load(what: str, load: Callable[..., _T], path: str, *args: object) -> _T:
+    """``load(path, *args)`` for a task or dataset; a fault's message names
+    the file exactly once."""
+    try:
+        return load(path, *args)
+    except AgentError as exc:
+        text = str(exc)
+        raise MalformedInputError(
+            text if path in text else f"cannot load {what} {path}: {text}"
+        ) from exc
+
+
 def _check_out(out: str | None) -> None:
     """Reject, before any provider call, an --out the report cannot go to."""
     if not out:
@@ -138,7 +154,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     setup, tools, taxonomy = _load_setup(args.config)
     setup = _apply_overrides(setup, args)
-    task = canonical.load(args.task, Task)
+    task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
     try:
         response = engine.solve(
@@ -174,7 +190,7 @@ def _gate_line(view: engine.TrialView) -> str:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     setup = _apply_overrides(_load_setup(args.config)[0], args)
-    task = canonical.load(args.task, Task)
+    task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
     units = engine.build_units(setup.engine)
     role = engine.bootstrap_role(task, setup.engine, units)
@@ -232,7 +248,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     setup, tools, taxonomy = _load_setup(args.config)
     setup = _apply_overrides(setup, args)
-    records = evaluation.load_dataset(args.dataset, kind)
+    records = _load("dataset", evaluation.load_dataset, args.dataset, kind)
     report = evaluation.run_eval(
         records,
         kind,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -631,18 +632,52 @@ class IntegrityReport:
     failures: tuple[str, ...]
 
 
+def _differing_paths(committed: object, regenerated: object, path: str = "") -> Iterator[str]:
+    """The paths (``value.engine.theta``, ``transcript[3].seq``) at which two
+    parsed JSON values differ."""
+    if isinstance(committed, dict) and isinstance(regenerated, dict):
+        for key in sorted(committed.keys() | regenerated.keys()):
+            where = f"{path}.{key}" if path else key
+            if key in committed and key in regenerated:
+                yield from _differing_paths(committed[key], regenerated[key], where)
+            else:
+                yield where
+    elif isinstance(committed, list) and isinstance(regenerated, list):
+        common = min(len(committed), len(regenerated))
+        for i in range(common):
+            yield from _differing_paths(committed[i], regenerated[i], f"{path}[{i}]")
+        if len(committed) != len(regenerated):
+            yield f"{path}[{common}:]"
+    elif type(committed) is not type(regenerated) or committed != regenerated:
+        yield path or "$"
+
+
+def _where(committed: bytes, regenerated: bytes) -> str:
+    """`` at <path>, ...`` naming where two JSON files differ in value; empty
+    for a file that is not JSON or differs only in its bytes."""
+    try:
+        paths = list(_differing_paths(json.loads(committed), json.loads(regenerated)))
+    except (ValueError, RecursionError):
+        return ""
+    return f" at {', '.join(paths)}" if paths else ""
+
+
 def fixture_integrity_check() -> IntegrityReport:
     """Regenerate every fixture into a scratch directory and report each
-    bundled file that differs from its regeneration byte for byte; a file
-    that matches must also load (datasets with their full record count)."""
+    bundled file that differs from its regeneration byte for byte, with the
+    JSON paths that differ; a file that matches must also load (datasets
+    with their full record count)."""
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as scratch:
         names = regenerate(Path(scratch))
         for name in names:
             try:
                 committed = fixture_path(name).read_bytes()
-                if committed != (Path(scratch) / name).read_bytes():
-                    failures.append(f"{name}: differs from its regeneration")
+                regenerated = (Path(scratch) / name).read_bytes()
+                if committed != regenerated:
+                    failures.append(
+                        f"{name}: differs from its regeneration{_where(committed, regenerated)}"
+                    )
                 elif name in _DATASETS:
                     rows, kind = _DATASETS[name]
                     if len(load_dataset(fixture_path(name), kind)) != len(rows):

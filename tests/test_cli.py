@@ -472,6 +472,7 @@ def test_task_file_of_another_kind_is_a_malformed_task(capsys, argv):
     code, _, stderr = run_cli(capsys, *argv(config=config)[:-2], "--task", str(config))
     assert code == EXIT_TASK
     assert f"task failed: {config} does not contain a Task" in stderr
+    assert stderr.count(str(config)) == 1
 
 
 _NESTED = "[" * 100_000  # past the interpreter's recursion limit
@@ -507,13 +508,15 @@ def _solve_config_binding(tmp_path, role, **change):
         pytest.param(
             lambda tmp: _solve_argv(task=_nested_file(tmp, "task.json")),
             EXIT_TASK,
-            "task failed: malformed canonical text: nested too deeply to read",
+            "task failed: cannot load task {tmp}/task.json: malformed canonical text: "
+            "nested too deeply to read",
             id="task",
         ),
         pytest.param(
             lambda tmp: _eval_argv(dataset=_nested_file(tmp, "dataset.jsonl")),
             EXIT_TASK,
-            "task failed: line 1: nested too deeply to read",
+            "task failed: cannot load dataset {tmp}/dataset.jsonl: line 1: "
+            "nested too deeply to read",
             id="dataset-line",
         ),
         pytest.param(

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import engine_config, mock_config, mock_provider
-from socialagent import engine as engine_mod, fixtures
+from socialagent import canonical, engine as engine_mod, fixtures
 from socialagent.actor import CategoryTaxonomy
 from socialagent.core import (
     ContentItem,
@@ -34,7 +34,7 @@ from socialagent.errors import (
     InvariantError,
     TaskFailure,
 )
-from socialagent.evaluation import load_setup, load_stores
+from socialagent.evaluation import load_dataset, load_setup, load_stores, run_eval
 from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
 from socialagent.planner import parse_plan
 from socialagent.providers import Backend, MockProvider, MockScript, ProviderConfig
@@ -672,3 +672,77 @@ class TestReasonAhead:
         assert transcript.signature() == (("reasoner", "reason"),)
         assert len(units[UnitRole.REASONER].threads) == 2
         assert units[UnitRole.ACTOR].remaining == len(sum(ACTOR_REPLIES, ()))
+
+
+def _solve_bundled(config, task, monkeypatch):
+    setup = load_setup(fixture_path(config))
+    tools, taxonomy = load_stores(setup)
+    units = build_units(setup.engine)
+    task = canonical.load(fixture_path(task))
+    response = solve(task, ENV, setup.engine, units=units, tools=tools, taxonomy=taxonomy)
+    assert response.error is None
+    return list(units.providers.values())
+
+
+def _plan_bundled(config, task, monkeypatch):
+    setup = load_setup(fixture_path(config))
+    units = build_units(setup.engine)
+    task = canonical.load(fixture_path(task))
+    role = bootstrap_role(task, setup.engine, units)
+    run_trials(task, ENV, setup.engine, units, role)
+    return list(units.providers.values())
+
+
+def _eval_bundled(config, dataset, monkeypatch):
+    built, build = [], engine_mod.build_provider
+
+    def recording(binding):
+        built.append(build(binding))
+        return built[-1]
+
+    monkeypatch.setattr(engine_mod, "build_provider", recording)
+    setup = load_setup(fixture_path(config))
+    tools, taxonomy = load_stores(setup)
+    kind = fixtures._DATASETS[dataset][1]
+    run_eval(
+        load_dataset(fixture_path(dataset), kind),
+        kind,
+        setup.engine,
+        tools=tools,
+        taxonomy=taxonomy,
+        record_scripts=setup.record_scripts,
+        workers=1,
+    )
+    return built
+
+
+@pytest.mark.parametrize(
+    "run,config,source",
+    [
+        pytest.param(run, config, source, id=f"{run.__name__.strip('_')}-{config}")
+        for run, config, source in (
+            (_solve_bundled, "solve_config.json", "example_task.json"),
+            (_solve_bundled, "multi_action_config.json", "plan_task.json"),
+            (_solve_bundled, "scenario_a_config.json", "scenario_task.json"),
+            (_solve_bundled, "scenario_b_config.json", "scenario_task.json"),
+            (_solve_bundled, "scenario_c_config.json", "scenario_task.json"),
+            (_plan_bundled, "plan_identical_config.json", "plan_task.json"),
+            (_plan_bundled, "plan_divergent_config.json", "plan_task.json"),
+            (_eval_bundled, "qa_eval_config.json", "mini_qa.jsonl"),
+            (_eval_bundled, "title_eval_config.json", "mini_title.jsonl"),
+            (_eval_bundled, "category_eval_config.json", "mini_category.jsonl"),
+        )
+    ],
+)
+def test_no_request_carries_an_item_twice(monkeypatch, run, config, source):
+    # every unit of every bundled run sends each content item at most once
+    # per request; the actor's reasoned prompt already holds the inputs
+    providers = run(config, source, monkeypatch)
+    repeats = [
+        f"{provider.config.model_name} request {i}"
+        for provider in providers
+        for i, (request, _) in enumerate(provider.call_log)
+        if len(set(request.messages)) != len(request.messages)
+    ]
+    assert sum(len(provider.call_log) for provider in providers) > 0
+    assert repeats == []

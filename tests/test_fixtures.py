@@ -29,7 +29,8 @@ def test_corrupted_golden_named_in_report(tmp_path, monkeypatch):
     golden.write_text(golden.read_text(encoding="utf-8") + "tampered\n", encoding="utf-8")
     report = fixture_integrity_check()
     assert not report.ok
-    assert any("golden_qa_report.json" in failure for failure in report.failures)
+    # no longer JSON, so no path is named
+    assert report.failures == ("golden_qa_report.json: differs from its regeneration",)
 
 
 def test_regenerating_exits_1_when_the_integrity_check_fails(tmp_path, monkeypatch, capsys):
@@ -87,4 +88,18 @@ def test_hand_edited_config_named_in_report(tmp_path, monkeypatch):
     config.write_text(text.replace('"theta": 0.1,', '"theta": 0.2,'), encoding="utf-8")
     report = fixture_integrity_check()
     assert not report.ok
-    assert report.failures == ("plan_identical_config.json: differs from its regeneration",)
+    assert report.failures == (
+        "plan_identical_config.json: differs from its regeneration at value.engine.theta",
+    )
+
+
+def test_edited_golden_value_named_by_its_json_path(tmp_path, monkeypatch):
+    staged = _stage_fixtures(tmp_path, monkeypatch)
+    golden = staged / "golden_solve_report.json"
+    text = golden.read_text(encoding="utf-8")
+    assert text.count('"seq": 3,') == 1
+    golden.write_text(text.replace('"seq": 3,', '"seq": 30,'), encoding="utf-8")
+    assert fixture_integrity_check().failures == (
+        "golden_solve_report.json: differs from its regeneration at transcript[3].seq",
+    )
+

@@ -13,9 +13,19 @@ from urllib.error import URLError
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mock_config, mock_provider
+from conftest import engine_config, mock_config, mock_provider
 from socialagent import providers
-from socialagent.core import ContentItem, Transcript, UnitRole, digest
+from socialagent.core import (
+    ActionSpec,
+    ContentItem,
+    Plan,
+    ReasoningStrategy,
+    Task,
+    Transcript,
+    UnitRole,
+    digest,
+)
+from socialagent.engine import RoleDescription, UnitSet, execute_actions
 from socialagent.errors import (
     AuthenticationError,
     EmptyTextError,
@@ -315,6 +325,40 @@ class TestHttpChat:
         with pytest.raises(EmptyTextError):
             provider.embed("")
         assert poster.calls == 0
+
+
+def test_http_actor_posts_each_image_input_once(monkeypatch, tmp_path):
+    # the reasoned prompt already holds the action's inputs, so the actor's
+    # request must not append them again
+    monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+    image_file = tmp_path / "kite.png"
+    image_file.write_bytes(b"fake-png-bytes")
+    inputs = (
+        ContentItem.from_text("Question: what flies over the field?"),
+        ContentItem.from_image(str(image_file), "image/png"),
+    )
+    spec = ActionSpec.for_id(2, "Answer from the image.", inputs=inputs)
+    reply = (200, {"choices": [{"message": {"content": "ANSWER: a red kite"}}]})
+    poster = fake_post(monkeypatch, reply, reply)
+    units = UnitSet(
+        {
+            UnitRole.REASONER: mock_provider(),
+            UnitRole.ACTOR: HttpChatProvider(http_config(supports_images=True)),
+            UnitRole.OPTIMIZER: mock_provider("p", "e", "g", "s", supports_images=True),
+        }
+    )
+    results, error = execute_actions(
+        Plan(actions=(spec,)),
+        RoleDescription(text="role"),
+        engine_config(strategy=ReasoningStrategy.none()),
+        units,
+        task=Task(id="t-vqa", goal="Describe the image.", inputs=inputs),
+    )
+    assert error is None and results[0].answer == "a red kite"
+    assert len(poster.posted) == 2
+    for _, body in poster.posted:
+        parts = body["messages"][1]["content"]
+        assert [part["type"] for part in parts].count("image") == 1
 
 
 class TestHttpChatFaults:

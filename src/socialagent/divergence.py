@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from .core import UnitRole
 from .errors import InvariantError
 
 if TYPE_CHECKING:
     from .core import Transcript
+    from .providers import Provider
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,6 @@ def jsd(p: Distribution, q: Distribution) -> float:
     return total
 
 
-class Embedder(Protocol):
-    def embed(
-        self,
-        text: str,
-        *,
-        transcript: "Transcript | None" = None,
-        unit: UnitRole | None = None,
-        operation: str = "embed",
-    ) -> EmbeddingVector: ...
-
-
 @dataclass(frozen=True)
 class GateDecision:
     divergence: float
@@ -99,7 +89,7 @@ class GateDecision:
 def should_criticize(
     plan_text: str,
     optimized_text: str,
-    embedder: Embedder,
+    embedder: "Provider",
     theta: float,
     *,
     transcript: "Transcript | None" = None,

@@ -70,11 +70,15 @@ class UnitSet:
         return self.providers[role]
 
 
-def check_bindings(config: EngineConfig) -> None:
-    """Reject a config that leaves any unit role without a provider."""
+def check_bindings(config: EngineConfig, units: UnitSet | None = None) -> None:
+    """Reject a config that leaves any unit role without a provider, and
+    caller-supplied units that lack one."""
     missing = [role.value for role in UnitRole if role not in config.role_bindings]
     if missing:
         raise ConfigError(f"missing role bindings: {', '.join(missing)}")
+    missing = [role.value for role in UnitRole if units and role not in units.providers]
+    if missing:
+        raise ConfigError(f"units lack a provider for: {', '.join(missing)}")
 
 
 def check_image_support(config: EngineConfig, inputs: Iterable[ContentItem]) -> None:
@@ -399,6 +403,7 @@ def solve(
     """Solve one task end to end, returning the accumulated action results
     and the full invocation transcript. Failures inside the planning loop
     abort with the partial transcript attached."""
+    check_bindings(config, units)
     units = units or build_units(config)
     check_image_support(config, task.inputs)
     if transcript is None:

@@ -131,6 +131,9 @@ def _require_str(payload: dict, line: int, *names: str) -> str:
         value = payload.get(name)
         if isinstance(value, str) and value.strip():
             return value
+    present = [name for name in names if name in payload]
+    if present:
+        raise DatasetFormatError(f"field {present[0]!r} must be a non-empty string", line=line)
     raise DatasetFormatError(f"missing field (one of: {', '.join(names)})", line=line)
 
 

@@ -9,8 +9,11 @@ import logging
 import os
 import threading
 import time
+from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 from .core import ContentItem, ContentKind, SamplingConfig, Transcript, UnitRole, digest, sha256
@@ -126,6 +129,10 @@ def _check_images(config: ProviderConfig, request: ProviderRequest) -> None:
             )
 
 
+# records one failed try of a call, given the reason it failed
+Attempt = Callable[[str], None]
+
+
 def _record(
     transcript: Transcript | None,
     unit: UnitRole | None,
@@ -160,19 +167,20 @@ def hash_embedding(text: str, dimension: int, seed: int) -> EmbeddingVector:
     return EmbeddingVector(tuple(components))
 
 
-class MockProvider:
-    """Fully deterministic backend: completions come from an ordered script,
-    embeddings from a seeded hash plus an override table."""
+class Provider(ABC):
+    """One unit call, the same for every backend: a completion checks image
+    support, an embed rejects empty text, and each records its event (and,
+    through ``attempt``, each failed try's ``<operation>.attempt`` event
+    before it). A backend supplies only the reply and the vector."""
+
+    backend: Backend
 
     def __init__(self, config: ProviderConfig) -> None:
-        if config.backend is not Backend.MOCK:
-            raise InvariantError("MockProvider requires a mock backend config")
+        if config.backend is not self.backend:
+            raise InvariantError(
+                f"{type(self).__name__} requires a {self.backend.value} backend config"
+            )
         self.config = config
-        self._entries = list((config.script or MockScript()).entries)
-        self._cursor = 0
-        self._lock = threading.Lock()
-        self.call_log: list[tuple[ProviderRequest, str]] = []
-        self.embed_log: list[str] = []
 
     def complete(
         self,
@@ -184,6 +192,50 @@ class MockProvider:
     ) -> ProviderResponse:
         _check_images(self.config, request)
         flattened = request.flattened()
+        attempt = partial(_record, transcript, unit, f"{operation}.attempt", flattened)
+        text = self._reply(request, flattened, attempt)
+        _record(transcript, unit, operation, flattened, text)
+        return ProviderResponse(text)
+
+    def embed(
+        self,
+        text: str,
+        *,
+        transcript: Transcript | None = None,
+        unit: UnitRole | None = None,
+        operation: str = "embed",
+    ) -> EmbeddingVector:
+        if not text:
+            raise EmptyTextError("cannot embed empty text")
+        attempt = partial(_record, transcript, unit, f"{operation}.attempt", text)
+        vector = self._vector(text, attempt)
+        _record(transcript, unit, operation, text, repr(vector.components))
+        return vector
+
+    @abstractmethod
+    def _reply(self, request: ProviderRequest, flattened: str, attempt: Attempt) -> str:
+        """The completion text for ``request``, whose flattened text is given."""
+
+    @abstractmethod
+    def _vector(self, text: str, attempt: Attempt) -> EmbeddingVector:
+        """The embedding of non-empty ``text``."""
+
+
+class MockProvider(Provider):
+    """Fully deterministic backend: completions come from an ordered script,
+    embeddings from a seeded hash plus an override table."""
+
+    backend = Backend.MOCK
+
+    def __init__(self, config: ProviderConfig) -> None:
+        super().__init__(config)
+        self._entries = list((config.script or MockScript()).entries)
+        self._cursor = 0
+        self._lock = threading.Lock()
+        self.call_log: list[tuple[ProviderRequest, str]] = []
+        self.embed_log: list[str] = []
+
+    def _reply(self, request: ProviderRequest, flattened: str, attempt: Attempt) -> str:
         with self._lock:
             if self._cursor >= len(self._entries):
                 raise MockScriptExhaustedError(
@@ -198,19 +250,9 @@ class MockProvider:
                     f"{entry.matcher!r}"
                 )
             self.call_log.append((request, entry.response))
-        _record(transcript, unit, operation, flattened, entry.response)
-        return ProviderResponse(entry.response)
+        return entry.response
 
-    def embed(
-        self,
-        text: str,
-        *,
-        transcript: Transcript | None = None,
-        unit: UnitRole | None = None,
-        operation: str = "embed",
-    ) -> EmbeddingVector:
-        if not text:
-            raise EmptyTextError("cannot embed empty text")
+    def _vector(self, text: str, attempt: Attempt) -> EmbeddingVector:
         override = self.config.embedding_overrides.get(text)
         if override is not None:
             vector = EmbeddingVector(tuple(override))
@@ -218,7 +260,6 @@ class MockProvider:
             vector = hash_embedding(text, self.config.embed_dimension, self.config.embed_seed)
         with self._lock:
             self.embed_log.append(text)
-        _record(transcript, unit, operation, text, repr(vector.components))
         return vector
 
     @property
@@ -244,15 +285,12 @@ def _post(url: str, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
             return reply.code, reply.read()
 
 
-class HttpChatProvider:
+class HttpChatProvider(Provider):
     """Generic chat-completion client: one JSON POST per call, base64 image
     parts inlined at the wire boundary, bounded retries on transport errors,
     429 and 5xx."""
 
-    def __init__(self, config: ProviderConfig) -> None:
-        if config.backend is not Backend.HTTP_CHAT:
-            raise InvariantError("HttpChatProvider requires an http backend config")
-        self.config = config
+    backend = Backend.HTTP_CHAT
 
     def _api_key(self) -> str:
         key = os.environ.get(self.config.api_key_env or "")
@@ -281,22 +319,12 @@ class HttpChatProvider:
             )
         return parts
 
-    def _post_with_retries(
-        self,
-        url: str,
-        body: dict,
-        key: str,
-        *,
-        transcript: Transcript | None,
-        unit: UnitRole | None,
-        operation: str,
-        request_text: str,
-    ) -> dict:
+    def _post_with_retries(self, url: str, body: dict, key: str, attempt: Attempt) -> dict:
         import http.client
 
         data = json.dumps(body).encode("utf-8")
         headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-        for attempt in range(1, RETRY_ATTEMPTS + 1):
+        for number in range(1, RETRY_ATTEMPTS + 1):
             try:
                 status, reply = _post(url, data, headers)
             except ValueError as exc:  # malformed URL or header: nothing was sent
@@ -317,20 +345,12 @@ class HttpChatProvider:
                     text = reply[:200].decode("utf-8", "replace")
                     raise ProviderError(f"backend error {status}: {text}")
                 failure = f"backend status {status}"
-            _record(transcript, unit, f"{operation}.attempt", request_text, failure)
-            if attempt < RETRY_ATTEMPTS:
-                time.sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
+            attempt(failure)
+            if number < RETRY_ATTEMPTS:
+                time.sleep(RETRY_BASE_DELAY * 2 ** (number - 1))
         raise TransportError(failure, attempts=RETRY_ATTEMPTS)
 
-    def complete(
-        self,
-        request: ProviderRequest,
-        *,
-        transcript: Transcript | None = None,
-        unit: UnitRole | None = None,
-        operation: str = "complete",
-    ) -> ProviderResponse:
-        _check_images(self.config, request)
+    def _reply(self, request: ProviderRequest, flattened: str, attempt: Attempt) -> str:
         key = self._api_key()
         body = {
             "model": self.config.model_name,
@@ -341,16 +361,7 @@ class HttpChatProvider:
             "temperature": request.sampling.temperature,
             "top_p": request.sampling.top_p,
         }
-        flattened = request.flattened()
-        payload = self._post_with_retries(
-            self.config.endpoint,
-            body,
-            key,
-            transcript=transcript,
-            unit=unit,
-            operation=operation,
-            request_text=flattened,
-        )
+        payload = self._post_with_retries(self.config.endpoint, body, key, attempt)
         try:
             choice = payload["choices"][0]
             text = choice.get("message", {}).get("content", choice.get("text", ""))
@@ -358,31 +369,13 @@ class HttpChatProvider:
             raise ProviderError(f"unrecognized completion payload: {exc}") from exc
         if not isinstance(text, str):
             raise ProviderError("completion content is not text")
-        _record(transcript, unit, operation, flattened, text)
-        return ProviderResponse(text)
+        return text
 
-    def embed(
-        self,
-        text: str,
-        *,
-        transcript: Transcript | None = None,
-        unit: UnitRole | None = None,
-        operation: str = "embed",
-    ) -> EmbeddingVector:
-        if not text:
-            raise EmptyTextError("cannot embed empty text")
+    def _vector(self, text: str, attempt: Attempt) -> EmbeddingVector:
         key = self._api_key()
         url = self.config.embed_endpoint or self.config.endpoint
         body = {"model": self.config.embed_model or self.config.model_name, "input": text}
-        payload = self._post_with_retries(
-            url,
-            body,
-            key,
-            transcript=transcript,
-            unit=unit,
-            operation=operation,
-            request_text=text,
-        )
+        payload = self._post_with_retries(url, body, key, attempt)
         try:
             components = payload["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -390,14 +383,9 @@ class HttpChatProvider:
         if not isinstance(components, list) or any(type(c) not in (int, float) for c in components):
             raise ProviderError("embedding is not a list of numbers")
         try:
-            vector = EmbeddingVector(tuple(components))
+            return EmbeddingVector(tuple(components))
         except (InvariantError, OverflowError) as exc:  # < 2, or not finite floats
             raise ProviderError(f"unusable embedding: {exc}") from exc
-        _record(transcript, unit, operation, text, repr(vector.components))
-        return vector
-
-
-Provider = MockProvider | HttpChatProvider
 
 
 def invoke(

@@ -84,6 +84,20 @@ class TestBootstrapRole:
         with pytest.raises(ConfigError, match="refiner"):
             build_units(replace(config, role_bindings=bindings))
 
+    @pytest.mark.parametrize("lacking", ["config", "units"])
+    def test_solve_with_units_rejects_an_unbound_role_before_any_call(self, lacking):
+        config = fixtures.scenario_setup("scenario_b").engine
+        units = build_units(config)
+        if lacking == "config":
+            bindings = dict(config.role_bindings)
+            del bindings[UnitRole.ACTOR]
+            config = replace(config, role_bindings=bindings)
+        else:
+            del units.providers[UnitRole.ACTOR]
+        with pytest.raises(ConfigError, match="actor"):
+            solve(fixtures.scenario_task(), ENV, config, units=units)
+        assert all(not p.call_log and not p.embed_log for p in units.providers.values())
+
 
 class TestSolveScenarios:
     def test_gate_pass_sequence_and_no_critic_events(self):

@@ -118,6 +118,7 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError) as excinfo:
             load_dataset(path, TaskKind.QA)
         assert excinfo.value.line == 1
+        assert "missing field (one of: answer, gold)" in str(excinfo.value)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ok.jsonl"
@@ -127,17 +128,23 @@ class TestLoadDataset:
         assert len(load_dataset(path, TaskKind.QA)) == 1
 
     @pytest.mark.parametrize(
-        "kind, fields",
+        "kind, fields, message",
         [
-            (TaskKind.QA, {"context": "a SQuAD-style passage"}),
-            (TaskKind.QA, {"context": ["ok", 5]}),
-            (TaskKind.QA, {"context": [["t", [1, None]]]}),
-            (TaskKind.VQA, {"images": "pic.png"}),
-            (TaskKind.VQA, {"images": [{"path": "pic.png"}]}),
-            (TaskKind.VQA, {"images": [{"location": 123}]}),
-            (TaskKind.VQA, {"images": [{"location": ""}]}),
-            (TaskKind.VQA, {"images": [{"location": "pic.png", "media_type": 5}]}),
-            (TaskKind.TITLE, {"images": ["pic.png"]}),
+            (TaskKind.QA, {"context": "a SQuAD-style passage"}, "context must be a list"),
+            (TaskKind.QA, {"context": ["ok", 5]}, "context passage 5 is not text"),
+            (TaskKind.QA, {"context": [["t", [1, None]]]}, "is not text"),
+            (TaskKind.VQA, {"images": "pic.png"}, "images must be a list"),
+            (TaskKind.VQA, {"images": [{"path": "pic.png"}]}, "needs a non-empty location"),
+            (TaskKind.VQA, {"images": [{"location": 123}]}, "needs a non-empty location"),
+            (TaskKind.VQA, {"images": [{"location": ""}]}, "needs a non-empty location"),
+            (
+                TaskKind.VQA,
+                {"images": [{"location": "pic.png", "media_type": 5}]},
+                "needs a non-empty location and media_type",
+            ),
+            (TaskKind.TITLE, {"images": ["pic.png"]}, "needs a non-empty location"),
+            (TaskKind.QA, {"id": 1}, "field 'id' must be a non-empty string"),
+            (TaskKind.QA, {"answer": ["a"]}, "field 'answer' must be a non-empty string"),
         ],
         ids=[
             "string-context",
@@ -149,10 +156,12 @@ class TestLoadDataset:
             "empty-location",
             "int-media-type",
             "title-image-string",
+            "int-id",
+            "list-answer",
         ],
     )
-    def test_malformed_context_or_images_cite_line_number(self, tmp_path, kind, fields):
-        # a record that would lose its passage or image is rejected, not scored
+    def test_malformed_context_or_images_cite_line_number(self, tmp_path, kind, fields, message):
+        # a record that would lose its passage, image or a field is rejected, not scored
         base = {"id": "r", "question": "q", "answer": "a", "text": "t", "title": "h"}
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -161,6 +170,7 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError) as excinfo:
             load_dataset(path, kind)
         assert excinfo.value.line == 2
+        assert message in str(excinfo.value)
 
     def test_bundled_fixtures_parse(self):
         assert len(load_dataset(fixture_path("mini_qa.jsonl"), TaskKind.QA)) == 5

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 from urllib.error import URLError
 
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import engine_config, mock_config, mock_provider
-from socialagent import providers
+from socialagent import canonical, providers
+from socialagent.cli import main
 from socialagent.core import (
     ActionSpec,
     ContentItem,
@@ -36,6 +38,8 @@ from socialagent.errors import (
     ProviderError,
     TransportError,
 )
+from socialagent.evaluation import load_setup
+from socialagent.fixtures import fixture_path
 from socialagent.providers import (
     Backend,
     HttpChatProvider,
@@ -87,16 +91,6 @@ class TestMockCompletions:
         )
         assert provider.complete(request("hay with needle inside")).text == "ok"
 
-    def test_image_to_text_only_backend_rejected(self):
-        provider = mock_provider("never used", supports_images=False)
-        image_request = ProviderRequest(
-            system_role="s",
-            messages=(ContentItem.from_image("x.png", "image/png"),),
-        )
-        with pytest.raises(ImageUnsupportedError):
-            provider.complete(image_request)
-        assert provider.remaining == 1  # error raised before consuming the script
-
     def test_deterministic_across_instances(self):
         config = mock_config("m", "r1", "r2")
         t1, t2 = Transcript(), Transcript()
@@ -111,30 +105,6 @@ class TestMockCompletions:
         assert [e.response_digest for e in t1.events] == [
             e.response_digest for e in t2.events
         ]
-
-    def test_each_event_digests_each_text_once(self, monkeypatch):
-        from socialagent import core, providers
-
-        digested = []
-
-        def counting(text: str) -> str:
-            digested.append(text)
-            return original(text)
-
-        original = core.digest
-        monkeypatch.setattr(core, "digest", counting)
-        monkeypatch.setattr(providers, "digest", counting)
-        transcript = Transcript()
-        provider = mock_provider("reply")
-        provider.complete(request("hello"), transcript=transcript, unit=UnitRole.PLANNER)
-        provider.embed("text", transcript=transcript, unit=UnitRole.CRITIC)
-        assert len(transcript) == 2
-        assert len(digested) == 4
-
-    def test_recording_requires_unit(self):
-        provider = mock_provider("x")
-        with pytest.raises(InvariantError):
-            provider.complete(request("a"), transcript=Transcript())
 
 
 class TestMockEmbeddings:
@@ -213,6 +183,62 @@ def http_config(endpoint: str = "https://example.invalid/v1/chat", **kwargs) -> 
         api_key_env="TEST_PROVIDER_KEY",
         **kwargs,
     )
+
+
+@pytest.fixture(params=[Backend.MOCK, Backend.HTTP_CHAT], ids=lambda backend: backend.value)
+def scripted(request, monkeypatch):
+    """Builds a provider of each backend that replies ``responses`` in order
+    (an http one through `fake_post`, then one embedding), with a count of
+    the replies served so far."""
+
+    def build(*responses: str, **kwargs):
+        if request.param is Backend.MOCK:
+            provider = mock_provider(*responses, **kwargs)
+            return provider, lambda: len(responses) - provider.remaining
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        replies = [(200, {"choices": [{"message": {"content": r}}]}) for r in responses]
+        poster = fake_post(monkeypatch, *replies, (200, {"data": [{"embedding": [0.1, 0.2]}]}))
+        return HttpChatProvider(http_config(**kwargs)), lambda: poster.calls
+
+    return build
+
+
+class TestUnitCallContract:
+    """What every backend's call checks and records, whatever replies."""
+
+    def test_image_to_text_only_backend_rejected(self, scripted):
+        provider, served = scripted("never used", supports_images=False)
+        image_request = ProviderRequest(
+            system_role="s",
+            messages=(ContentItem.from_image("x.png", "image/png"),),
+        )
+        with pytest.raises(ImageUnsupportedError):
+            provider.complete(image_request)
+        assert served() == 0  # raised before consuming the script or posting
+
+    def test_each_event_digests_each_text_once(self, scripted, monkeypatch):
+        from socialagent import core
+
+        digested = []
+
+        def counting(text: str) -> str:
+            digested.append(text)
+            return original(text)
+
+        original = core.digest
+        monkeypatch.setattr(core, "digest", counting)
+        monkeypatch.setattr(providers, "digest", counting)
+        transcript = Transcript()
+        provider, _ = scripted("reply")
+        provider.complete(request("hello"), transcript=transcript, unit=UnitRole.PLANNER)
+        provider.embed("text", transcript=transcript, unit=UnitRole.CRITIC)
+        assert len(transcript) == 2
+        assert len(digested) == 4
+
+    def test_recording_requires_unit(self, scripted):
+        provider, _ = scripted("x")
+        with pytest.raises(InvariantError):
+            provider.complete(request("a"), transcript=Transcript())
 
 
 class TestHttpChat:
@@ -436,7 +462,9 @@ class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802
         raw = self.rfile.read(int(self.headers["Content-Length"]))
         self.server.seen.append((self.headers["Authorization"], json.loads(raw)))
-        status, payload = self.server.replies.pop(0)
+        self.send_json(*self.server.replies.pop(0))
+
+    def send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -448,11 +476,28 @@ class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def loopback(monkeypatch):
+class _MockBehindHttp(_LoopbackHandler):
+    """Serves each role's mock binding in the chat wire format, picked by the
+    body's model: a completion gets the role's next scripted response, an
+    embed the role's mock embedding."""
+
+    def do_POST(self):  # noqa: N802
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        mock = self.server.mocks[body["model"]]
+        if "input" in body:
+            vector = mock.embed(body["input"])
+            self.send_json(200, {"data": [{"embedding": list(vector.components)}]})
+            return
+        system, user = body["messages"]
+        request = ProviderRequest(
+            system_role=system["content"],
+            messages=tuple(ContentItem.from_text(part["text"]) for part in user["content"]),
+        )
+        self.send_json(200, {"choices": [{"message": {"content": mock.complete(request).text}}]})
+
+
+def _running(monkeypatch, server):
     monkeypatch.setenv("no_proxy", "127.0.0.1")
-    server = http.server.HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
-    server.replies, server.seen = [], []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -460,6 +505,20 @@ def loopback(monkeypatch):
     server.server_close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    server = http.server.HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    server.replies, server.seen = [], []
+    yield from _running(monkeypatch, server)
+
+
+@pytest.fixture
+def mock_behind_http(monkeypatch):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _MockBehindHttp)
+    server.mocks = {}
+    yield from _running(monkeypatch, server)
 
 
 def test_loopback_round_trip_retries_429_and_exhausts_5xx(monkeypatch, loopback):
@@ -488,6 +547,42 @@ def test_loopback_round_trip_retries_429_and_exhausts_5xx(monkeypatch, loopback)
         provider.complete(request("again"))
     assert excinfo.value.attempts == 3
     assert len(loopback.seen) == 5
+
+
+@pytest.mark.parametrize(
+    "config_name, task_name, golden",
+    [
+        ("solve_config.json", "example_task.json", "golden_solve_report.json"),
+        ("multi_action_config.json", "plan_task.json", "golden_multi_action_solve_report.json"),
+    ],
+)
+def test_bundled_solve_through_http_chat_reproduces_its_golden(
+    monkeypatch, mock_behind_http, tmp_path, config_name, task_name, golden
+):
+    # every role rebound to http_chat on a loopback server that serves the
+    # role's own mock binding, so the run must be the mock run byte for byte
+    monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+    setup = load_setup(fixture_path(config_name))
+    endpoint = f"http://127.0.0.1:{mock_behind_http.server_port}/v1/chat"
+    bindings = {}
+    for role, binding in setup.engine.role_bindings.items():
+        mock_behind_http.mocks[binding.model_name] = MockProvider(binding)
+        bindings[role] = replace(
+            binding,
+            backend=Backend.HTTP_CHAT,
+            endpoint=endpoint,
+            api_key_env="TEST_PROVIDER_KEY",
+            script=None,
+        )
+    config = tmp_path / "http_config.json"
+    config.write_text(
+        canonical.serialize(replace(setup, engine=replace(setup.engine, role_bindings=bindings))),
+        encoding="utf-8",
+    )
+    out = tmp_path / "run.report"
+    argv = ["solve", "--config", str(config), "--task", str(fixture_path(task_name))]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == fixture_path(golden).read_bytes()
 
 
 def test_cli_imports_without_requests():

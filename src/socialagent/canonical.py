@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import sys
 import types
 import typing
@@ -17,6 +18,10 @@ from .errors import MalformedInputError
 
 _T = typing.TypeVar("_T")
 _SCALARS = {int: "integer", bool: "boolean", str: "string"}
+# files are read, and bytes decoded, as strict UTF-8, which rejects an encoded
+# lone surrogate: only an escape can put one in a decoded string
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def _exports() -> dict[str, object]:
@@ -175,25 +180,54 @@ def serialize(value: object) -> str:
     return dumps({"kind": name, "value": to_jsonable(value)})
 
 
-def parse_text(text: str) -> object:
+def _lone_surrogate(data: object) -> str | None:
+    """A lone surrogate in any string of parsed JSON (``json.loads`` joins
+    an escaped pair into one character), or None."""
+    pending = [data]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            pending += [*item, *item.values()]
+        elif isinstance(item, list):
+            pending += item
+        elif isinstance(item, str) and (found := _SURROGATE.search(item)):
+            return found.group()
+    return None
+
+
+def parse_text(text: str | bytes, what: str) -> object:
+    """The one reader of untrusted JSON (``bytes`` are decoded strictly, in
+    the encoding ``json.loads`` detects): plain data, or a MalformedInputError
+    naming ``what`` and the cause. A string holding a lone surrogate, which
+    no text can encode, is malformed too."""
     try:
-        return json.loads(text)
+        if isinstance(text, bytes):
+            text = text.decode(json.detect_encoding(text))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(
-            f"malformed canonical text at line {exc.lineno} column {exc.colno}: {exc.msg}",
+            f"malformed {what} at line {exc.lineno} column {exc.colno}: {exc.msg}",
             position=exc.pos,
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"malformed {what}: {exc}", position=exc.start) from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise MalformedInputError(
-            "malformed canonical text: an integer literal is too long to read"
+            f"malformed {what}: an integer literal is too long to read"
         ) from exc
     except RecursionError as exc:
-        raise MalformedInputError("malformed canonical text: nested too deeply to read") from exc
+        raise MalformedInputError(f"malformed {what}: nested too deeply to read") from exc
+    lone = _lone_surrogate(data) if _SURROGATE_ESCAPE.search(text) else None
+    if lone is not None:
+        raise MalformedInputError(
+            f"malformed {what}: a string holds the lone surrogate U+{ord(lone):04X}"
+        )
+    return data
 
 
 def deserialize(text: str) -> object:
     """Rebuild a domain value from canonical text produced by serialize()."""
-    data = parse_text(text)
+    data = parse_text(text, "canonical text")
     if not isinstance(data, dict) or set(data) != {"kind", "value"}:
         raise MalformedInputError("expected an object with 'kind' and 'value'")
     kind = data["kind"]

@@ -56,15 +56,6 @@ class StrategyRequiresProviderError(AgentError):
     """A reflection strategy was passed to the provider-free decorator."""
 
 
-class OptimizationAborted(ProviderError):
-    """A provider error interrupted the optimization loop; carries the
-    variable as of the last completed step."""
-
-    def __init__(self, message: str, partial=None) -> None:
-        super().__init__(message)
-        self.partial = partial
-
-
 class PlanParseError(AgentError):
     """Planner output lacked a usable plan block; carries the raw output."""
 

@@ -3,7 +3,6 @@ metric reports in the 0-100 convention."""
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -18,7 +17,7 @@ from .actor import (
     load_toolstore,
 )
 from .core import ContentItem, EngineConfig, EnvironmentContext, Task, UnitRole
-from .errors import ConfigError, DatasetFormatError, InvariantError
+from .errors import ConfigError, DatasetFormatError, InvariantError, MalformedInputError
 from .providers import MockScript, MockScriptEntry
 
 REPORT_DECIMALS = 4
@@ -211,13 +210,9 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
         if not raw_line.strip():
             continue
         try:
-            payload = json.loads(raw_line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"invalid JSON ({exc.msg})", line=number) from exc
-        except ValueError as exc:  # an integer literal past the interpreter's digit limit
-            raise DatasetFormatError("an integer literal is too long to read", line=number) from exc
-        except RecursionError as exc:
-            raise DatasetFormatError("nested too deeply to read", line=number) from exc
+            payload = canonical.parse_text(raw_line, "record")
+        except MalformedInputError as exc:
+            raise DatasetFormatError(str(exc), line=number) from exc
         if not isinstance(payload, dict):
             raise DatasetFormatError("record must be an object", line=number)
         records.append(_record_from_payload(payload, kind, number))

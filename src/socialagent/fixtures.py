@@ -22,6 +22,7 @@ from .core import (
     Task,
     UnitRole,
 )
+from .errors import MalformedInputError
 from .evaluation import RunSetup, TaskKind, load_dataset, run_eval
 from .providers import Backend, MockScript, MockScriptEntry, ProviderConfig
 
@@ -656,9 +657,10 @@ def _where(committed: bytes, regenerated: bytes) -> str:
     """`` at <path>, ...`` naming where two JSON files differ in value; empty
     for a file that is not JSON or differs only in its bytes."""
     try:
-        paths = list(_differing_paths(json.loads(committed), json.loads(regenerated)))
-    except (ValueError, RecursionError):
+        old, new = (canonical.parse_text(text, "fixture") for text in (committed, regenerated))
+    except MalformedInputError:
         return ""
+    paths = list(_differing_paths(old, new))
     return f" at {', '.join(paths)}" if paths else ""
 
 
@@ -682,7 +684,7 @@ def fixture_integrity_check() -> IntegrityReport:
                     rows, kind = _DATASETS[name]
                     if len(load_dataset(fixture_path(name), kind)) != len(rows):
                         failures.append(f"{name}: record count mismatch")
-                elif "kind" in json.loads(committed):
+                elif "kind" in canonical.parse_text(committed, "fixture"):
                     canonical.load(fixture_path(name))
             except Exception as exc:  # report-style: collect, never raise
                 failures.append(f"{name}: {exc}")

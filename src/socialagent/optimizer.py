@@ -12,7 +12,7 @@ from .core import (
     Transcript,
     UnitRole,
 )
-from .errors import InvariantError, OptimizationAborted, ProviderError
+from .errors import InvariantError
 from .providers import Provider, invoke
 
 DEFAULT_TEXT_LOSS = (
@@ -178,33 +178,29 @@ def optimize(
     transcript: Transcript | None = None,
 ) -> Variable:
     """Run the full loop: iterations of forward, loss, gradient, step,
-    stopping early when a step output carries the early-stop marker.
-    Provider errors abort with the partial history attached."""
+    stopping early when a step output carries the early-stop marker."""
     if iterations < 1:
         raise InvariantError("iterations must be >= 1")
     variable = initial
     system_role = context.system_role
-    try:
-        for _ in range(iterations):
-            prediction = forward(variable, context, provider, transcript=transcript)
-            evaluation = compute_loss(
-                prediction, loss, provider, system_role=system_role, transcript=transcript
-            )
-            grad = gradient(
-                variable,
-                prediction,
-                evaluation,
-                provider,
-                system_role=system_role,
-                transcript=transcript,
-            )
-            variable = step(
-                variable, grad, provider, system_role=system_role, transcript=transcript
-            )
-            if DEFAULT_EARLY_STOP_MARKER in variable.value:
-                break
-    except ProviderError as exc:
-        raise OptimizationAborted(str(exc), partial=variable) from exc
+    for _ in range(iterations):
+        prediction = forward(variable, context, provider, transcript=transcript)
+        evaluation = compute_loss(
+            prediction, loss, provider, system_role=system_role, transcript=transcript
+        )
+        grad = gradient(
+            variable,
+            prediction,
+            evaluation,
+            provider,
+            system_role=system_role,
+            transcript=transcript,
+        )
+        variable = step(
+            variable, grad, provider, system_role=system_role, transcript=transcript
+        )
+        if DEFAULT_EARLY_STOP_MARKER in variable.value:
+            break
     return variable
 
 

@@ -3,9 +3,9 @@ plan block into an ordered action sequence."""
 
 from __future__ import annotations
 
-import json
 import re
 
+from .canonical import parse_text
 from .core import (
     ACTION_NAMES_BY_ID,
     ActionSpec,
@@ -17,7 +17,7 @@ from .core import (
     UnitRole,
     VALID_ACTION_IDS,
 )
-from .errors import InvariantError, PlanParseError
+from .errors import InvariantError, MalformedInputError, PlanParseError
 from .providers import Provider, invoke
 
 _FENCED_BLOCK = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
@@ -46,13 +46,9 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
     if match is None:
         raise PlanParseError("no plan block found in planner output", raw=raw)
     try:
-        payload = json.loads(match.group(1))
-    except json.JSONDecodeError as exc:
-        raise PlanParseError(f"malformed plan block: {exc.msg}", raw=raw) from exc
-    except ValueError as exc:  # an integer literal past the interpreter's digit limit
-        raise PlanParseError("malformed plan block: an integer is too long to read", raw=raw) from exc
-    except RecursionError as exc:
-        raise PlanParseError("malformed plan block: nested too deeply to read", raw=raw) from exc
+        payload = parse_text(match.group(1), "plan block")
+    except MalformedInputError as exc:
+        raise PlanParseError(str(exc), raw=raw) from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("actions"), list):
         raise PlanParseError("plan block must carry an 'actions' array", raw=raw)
     entries = payload["actions"]

@@ -16,6 +16,7 @@ from enum import Enum
 from functools import partial
 from pathlib import Path
 
+from .canonical import parse_text
 from .core import ContentItem, ContentKind, SamplingConfig, Transcript, UnitRole, digest, sha256
 from .divergence import EmbeddingVector
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
     EmptyTextError,
     ImageUnsupportedError,
     InvariantError,
+    MalformedInputError,
     MockScriptExhaustedError,
     MockScriptMismatchError,
     ProviderError,
@@ -133,6 +135,11 @@ def _check_images(config: ProviderConfig, request: ProviderRequest) -> None:
 Attempt = Callable[[str], None]
 
 
+def _require_unit(transcript: Transcript | None, unit: UnitRole | None) -> None:
+    if transcript is not None and unit is None:
+        raise InvariantError("transcript recording requires a unit role")
+
+
 def _record(
     transcript: Transcript | None,
     unit: UnitRole | None,
@@ -143,8 +150,6 @@ def _record(
     # digests at normal verbosity, each computed once (the transcript's, when
     # there is one); full bodies only when debugging
     if transcript is not None:
-        if unit is None:
-            raise InvariantError("transcript recording requires a unit role")
         event = transcript.record(unit, operation, request_text, response_text)
         log.info(
             "%s request=%s response=%s", operation, event.request_digest, event.response_digest
@@ -168,10 +173,11 @@ def hash_embedding(text: str, dimension: int, seed: int) -> EmbeddingVector:
 
 
 class Provider(ABC):
-    """One unit call, the same for every backend: a completion checks image
-    support, an embed rejects empty text, and each records its event (and,
-    through ``attempt``, each failed try's ``<operation>.attempt`` event
-    before it). A backend supplies only the reply and the vector."""
+    """One unit call, the same for every backend. Before the backend is
+    asked, a call to be recorded needs its unit, a completion checks image
+    support and an embed rejects empty text. Each call records its event
+    (and, through ``attempt``, each failed try's ``<operation>.attempt``
+    event before it). A backend supplies only the reply and the vector."""
 
     backend: Backend
 
@@ -190,6 +196,7 @@ class Provider(ABC):
         unit: UnitRole | None = None,
         operation: str = "complete",
     ) -> ProviderResponse:
+        _require_unit(transcript, unit)
         _check_images(self.config, request)
         flattened = request.flattened()
         attempt = partial(_record, transcript, unit, f"{operation}.attempt", flattened)
@@ -205,6 +212,7 @@ class Provider(ABC):
         unit: UnitRole | None = None,
         operation: str = "embed",
     ) -> EmbeddingVector:
+        _require_unit(transcript, unit)
         if not text:
             raise EmptyTextError("cannot embed empty text")
         attempt = partial(_record, transcript, unit, f"{operation}.attempt", text)
@@ -336,11 +344,9 @@ class HttpChatProvider(Provider):
                     raise AuthenticationError(f"backend rejected credentials ({status})")
                 if 200 <= status < 300:
                     try:
-                        return json.loads(reply)
-                    except ValueError as exc:
-                        raise ProviderError(f"reply is not JSON: {exc}") from exc
-                    except RecursionError as exc:
-                        raise ProviderError("reply is nested too deeply to read") from exc
+                        return parse_text(reply, "reply body")
+                    except MalformedInputError as exc:
+                        raise ProviderError(str(exc)) from exc
                 if status != 429 and status < 500:
                     text = reply[:200].decode("utf-8", "replace")
                     raise ProviderError(f"backend error {status}: {text}")

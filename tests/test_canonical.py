@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,42 @@ def test_deserialize_reports_position_on_malformed_text():
         canonical.deserialize("{")
     assert excinfo.value.position is not None
     assert "line 1" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "text", ['"\\ud800"', b'"\\ud800"', '{"\\udfff": 1}', '["x\\uDC00y"]', b'"\xed\xa0\x80"']
+)
+def test_parse_text_rejects_a_lone_surrogate(text):
+    # escaped, in a key, lower case or not, or encoded in the bytes themselves
+    with pytest.raises(MalformedInputError, match="^malformed thing: "):
+        canonical.parse_text(text, "thing")
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ('"\\ud83d\\ude00"', "\U0001f600"),  # an escaped pair is one character
+        (b'"\\ud83d\\ude00"', "\U0001f600"),
+        ('"\\\\ud800"', "\\ud800"),  # an escaped backslash, not an escape
+        ('"\U0001f600"'.encode("utf-16"), "\U0001f600"),  # json.loads's detected encoding
+    ],
+)
+def test_parse_text_keeps_surrogate_pairs_and_escaped_backslashes(text, value):
+    assert canonical.parse_text(text, "thing") == value
+
+
+def test_canonical_is_the_only_json_reader():
+    """Every JSON text the package reads goes through canonical.parse_text."""
+    readers = set()
+    for module in Path(socialagent.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            named = isinstance(node, ast.Attribute) and node.attr == "loads"
+            if named and isinstance(node.value, ast.Name) and node.value.id == "json":
+                readers.add(module.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                if any(alias.name == "loads" for alias in node.names):
+                    readers.add(module.name)
+    assert readers == {"canonical.py"}
 
 
 def test_deserialize_rejects_unknown_kind():

@@ -475,15 +475,6 @@ def test_task_file_of_another_kind_is_a_malformed_task(capsys, argv):
     assert stderr.count(str(config)) == 1
 
 
-_NESTED = "[" * 100_000  # past the interpreter's recursion limit
-
-
-def _nested_file(tmp_path, name):
-    path = tmp_path / name
-    path.write_text(_NESTED, encoding="utf-8")
-    return path
-
-
 def _solve_config_binding(tmp_path, role, **change):
     """The bundled solve config with ``role``'s binding edited by ``change``."""
     setup = load_setup(fixture_path("solve_config.json"))
@@ -495,66 +486,125 @@ def _solve_config_binding(tmp_path, role, **change):
     return path
 
 
-@pytest.mark.parametrize(
-    "argv,code,mentions",
-    [
-        pytest.param(
-            lambda tmp: _solve_argv(config=_nested_file(tmp, "config.json")),
-            EXIT_CONFIG,
-            "error: cannot load config {tmp}/config.json: malformed canonical text: "
-            "nested too deeply to read",
-            id="config",
-        ),
-        pytest.param(
-            lambda tmp: _solve_argv(task=_nested_file(tmp, "task.json")),
-            EXIT_TASK,
-            "task failed: cannot load task {tmp}/task.json: malformed canonical text: "
-            "nested too deeply to read",
-            id="task",
-        ),
-        pytest.param(
-            lambda tmp: _eval_argv(dataset=_nested_file(tmp, "dataset.jsonl")),
-            EXIT_TASK,
-            "task failed: cannot load dataset {tmp}/dataset.jsonl: line 1: "
-            "nested too deeply to read",
-            id="dataset-line",
-        ),
-        pytest.param(
-            lambda tmp: _solve_argv(
-                config=_solve_config_binding(
-                    tmp, UnitRole.PLANNER, script=MockScript.of(f"```json\n{_NESTED}\n```")
-                )
-            ),
-            EXIT_TASK,
-            "task failed: malformed plan block: nested too deeply to read",
-            id="plan-block",
-        ),
-        pytest.param(
-            lambda tmp: _solve_argv(
-                config=_solve_config_binding(
-                    tmp,
-                    UnitRole.ACTOR,
-                    backend=Backend.HTTP_CHAT,
-                    endpoint="https://example.invalid/v1/chat",
-                    api_key_env="NESTED_REPLY_KEY",
-                    script=None,
-                )
-            ),
-            EXIT_TASK,
-            "task failed: action 1 (qa): reply is nested too deeply to read",
-            id="http-reply",
-        ),
-    ],
-)
-def test_over_nested_json_is_reported_not_raised(
-    capsys, tmp_path, monkeypatch, argv, code, mentions
+_SLOT = '"@hazard@"'  # the JSON string in a boundary's valid text that a hazard replaces
+
+
+def _slot_filled(value, reason):
+    return lambda doc: (doc.replace(_SLOT, value), f": {reason}")
+
+
+def _truncated(doc):
+    """``doc`` cut off where its slot starts, and where json finds it ends."""
+    cut = doc[: doc.index(_SLOT)]
+    line, column = cut.count("\n") + 1, len(cut) - cut.rfind("\n")
+    return cut, f" at line {line} column {column}: Expecting value"
+
+
+# hazard -> the text it makes of a boundary's valid text, and the reader's reason
+_HAZARDS = {
+    "nesting": _slot_filled("[" * 100_000, "nested too deeply to read"),
+    "long-integer": _slot_filled("1" * 5000, "an integer literal is too long to read"),
+    "lone-surrogate": _slot_filled('"\\ud800"', "a string holds the lone surrogate U+D800"),
+    "truncated": _truncated,
+}
+
+
+def _written(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _config_doc(tmp):
+    return _solve_config_binding(tmp, UnitRole.ACTOR, model_name="@hazard@").read_text("utf-8")
+
+
+def _task_doc(tmp):
+    task = canonical.load(fixture_path("example_task.json"))
+    return canonical.serialize(replace(task, goal="@hazard@"))
+
+
+def _dataset_doc(tmp):
+    """The bundled QA dataset with its first question in the slot."""
+    first, *rest = _fixture_text("mini_qa.jsonl").splitlines(keepends=True)
+    record = json.loads(first)
+    record["question"] = "@hazard@"
+    return "".join([json.dumps(record) + "\n", *rest])
+
+
+def _plan_block_argv(tmp, text, _):
+    script = MockScript.of(f"```json\n{text}```")
+    return _solve_argv(config=_solve_config_binding(tmp, UnitRole.PLANNER, script=script))
+
+
+def _http_reply_argv(tmp, text, monkeypatch):
+    """A solve whose actor is an http_chat backend answering every post with ``text``."""
+    monkeypatch.setenv("HAZARD_REPLY_KEY", "k")
+    monkeypatch.setattr(providers, "_post", lambda *_: (200, text.encode()))
+    config = _solve_config_binding(
+        tmp,
+        UnitRole.ACTOR,
+        backend=Backend.HTTP_CHAT,
+        endpoint="https://example.invalid/v1/chat",
+        api_key_env="HAZARD_REPLY_KEY",
+        script=None,
+    )
+    return _solve_argv(config=config)
+
+
+# boundary -> (its valid text holding the slot, the argv that feeds it a
+# hazard's text, exit code, stderr before the reason, whether it stops
+# before any provider call)
+_BOUNDARIES = {
+    "config": (
+        _config_doc,
+        lambda tmp, text, _: _solve_argv(config=_written(tmp / "config.json", text)),
+        EXIT_CONFIG,
+        "error: cannot load config {tmp}/config.json: malformed canonical text",
+        True,
+    ),
+    "task": (
+        _task_doc,
+        lambda tmp, text, _: _solve_argv(task=_written(tmp / "task.json", text)),
+        EXIT_TASK,
+        "task failed: cannot load task {tmp}/task.json: malformed canonical text",
+        True,
+    ),
+    "dataset-line": (
+        _dataset_doc,
+        lambda tmp, text, _: _eval_argv(dataset=_written(tmp / "dataset.jsonl", text)),
+        EXIT_TASK,
+        "task failed: cannot load dataset {tmp}/dataset.jsonl: line 1: malformed record",
+        True,
+    ),
+    "plan-block": (
+        lambda tmp: '{"actions": [{"id": 1, "instructions": "@hazard@"}], "rationale": "r"}',
+        _plan_block_argv,
+        EXIT_TASK,
+        "task failed: malformed plan block",
+        False,
+    ),
+    "http-reply": (
+        lambda tmp: '{"choices": [{"message": {"content": "@hazard@"}}]}',
+        _http_reply_argv,
+        EXIT_TASK,
+        "task failed: action 1 (qa): malformed reply body",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("boundary", list(_BOUNDARIES))
+@pytest.mark.parametrize("hazard", list(_HAZARDS))
+def test_untrusted_json_is_reported_not_raised(
+    capsys, tmp_path, monkeypatch, provider_calls, hazard, boundary
 ):
-    # the http case's backend answers every post with the nested body
-    monkeypatch.setenv("NESTED_REPLY_KEY", "k")
-    monkeypatch.setattr(providers, "_post", lambda *_: (200, _NESTED.encode()))
+    doc, argv, code, before, stops_before_any_call = _BOUNDARIES[boundary]
+    text, reason = _HAZARDS[hazard](doc(tmp_path))
     out = tmp_path / "run.report"
-    exit_code, _, stderr = run_cli(capsys, *argv(tmp_path), "--out", str(out))
-    assert (exit_code, stderr) == (code, mentions.format(tmp=tmp_path) + "\n")
+    exit_code, _, stderr = run_cli(capsys, *argv(tmp_path, text, monkeypatch), "--out", str(out))
+    assert (exit_code, stderr) == (code, before.format(tmp=tmp_path) + reason + "\n")
+    if stops_before_any_call:
+        assert provider_calls == []
 
 
 class TestEval:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import mock_provider
 from socialagent.core import ContentItem, PromptArtifact, Transcript
-from socialagent.errors import InvariantError, OptimizationAborted
+from socialagent.errors import InvariantError, MockScriptExhaustedError
 from socialagent.optimizer import (
     DEFAULT_TEXT_LOSS,
     GradientNote,
@@ -160,10 +160,11 @@ class TestOptimizeLoop:
         assert result.history == ("start", "value1", "value2")
         assert result.history[0] == "start"
 
-    def test_provider_error_attaches_partial_history(self):
+    def test_provider_error_propagates_unwrapped(self):
         # script runs out mid second iteration (after one full step)
         provider = mock_provider(*loop_script(1), "pred1")
-        with pytest.raises(OptimizationAborted) as excinfo:
+        exhausted = r"^mock script for 'mock' exhausted after 5 response\(s\)$"
+        with pytest.raises(MockScriptExhaustedError, match=exhausted):
             optimize(
                 Variable("v0"),
                 context_prompt(),
@@ -171,9 +172,6 @@ class TestOptimizeLoop:
                 2,
                 provider,
             )
-        partial = excinfo.value.partial
-        assert partial.value == "value1"
-        assert partial.history == ("v0",)
 
 
 class TestResolvedValue:

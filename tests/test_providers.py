@@ -189,12 +189,12 @@ def http_config(endpoint: str = "https://example.invalid/v1/chat", **kwargs) -> 
 def scripted(request, monkeypatch):
     """Builds a provider of each backend that replies ``responses`` in order
     (an http one through `fake_post`, then one embedding), with a count of
-    the replies served so far."""
+    the completions and embeddings served so far."""
 
     def build(*responses: str, **kwargs):
         if request.param is Backend.MOCK:
             provider = mock_provider(*responses, **kwargs)
-            return provider, lambda: len(responses) - provider.remaining
+            return provider, lambda: len(responses) - provider.remaining + len(provider.embed_log)
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         replies = [(200, {"choices": [{"message": {"content": r}}]}) for r in responses]
         poster = fake_post(monkeypatch, *replies, (200, {"data": [{"embedding": [0.1, 0.2]}]}))
@@ -236,9 +236,13 @@ class TestUnitCallContract:
         assert len(digested) == 4
 
     def test_recording_requires_unit(self, scripted):
-        provider, _ = scripted("x")
-        with pytest.raises(InvariantError):
+        provider, served = scripted("x")
+        unitless = "transcript recording requires a unit role"
+        with pytest.raises(InvariantError, match=unitless):
             provider.complete(request("a"), transcript=Transcript())
+        with pytest.raises(InvariantError, match=unitless):
+            provider.embed("a", transcript=Transcript())
+        assert served() == 0  # raised before consuming the script or posting
 
 
 class TestHttpChat:
@@ -406,7 +410,9 @@ class TestHttpChatFaults:
     def test_non_json_success_body_is_a_provider_error(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         poster = fake_post(monkeypatch, (200, b"<html>gateway</html>"))
-        with pytest.raises(ProviderError, match="not JSON"):
+        with pytest.raises(
+            ProviderError, match="^malformed reply body at line 1 column 1: Expecting value$"
+        ):
             HttpChatProvider(http_config()).complete(request("hello"))
         assert poster.calls == 1
 

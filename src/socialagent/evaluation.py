@@ -206,6 +206,8 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
     """Read line-delimited records in the public layout of each benchmark
     family; format problems are reported with their line number."""
     records: list[EvalRecord] = []
+    # record scripts and report order are keyed by id, so an id may not repeat
+    first_lines: dict[str, int] = {}
     for number, raw_line in enumerate(canonical.read_text(path).splitlines(), start=1):
         if not raw_line.strip():
             continue
@@ -215,7 +217,13 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
             raise DatasetFormatError(str(exc), line=number) from exc
         if not isinstance(payload, dict):
             raise DatasetFormatError("record must be an object", line=number)
-        records.append(_record_from_payload(payload, kind, number))
+        record = _record_from_payload(payload, kind, number)
+        first = first_lines.setdefault(record.id, number)
+        if first != number:
+            raise DatasetFormatError(
+                f"record id {record.id!r} repeats the record on line {first}", line=number
+            )
+        records.append(record)
     return records
 
 
@@ -390,9 +398,18 @@ def run_eval(
     # record scripts override bindings, so every role must be bound first
     engine.check_bindings(config)
     engine.check_image_support(config, (item for record in dataset for item in record.inputs))
-    # every categorize gold is a level-1/level-2 pair, so a flat taxonomy fails every record
-    if task_kind is TaskKind.CATEGORIZE and (taxonomy is None or not taxonomy.is_hierarchical()):
-        raise ConfigError("a categorize eval needs a two-level taxonomy (taxonomy_path)")
+    if task_kind is TaskKind.CATEGORIZE:
+        # every categorize gold is a level-1/level-2 pair, so a flat taxonomy fails every record
+        if taxonomy is None or not taxonomy.is_hierarchical():
+            raise ConfigError("a categorize eval needs a two-level taxonomy (taxonomy_path)")
+        # the actor answers only with taxonomy labels, so no other gold label can be scored
+        for record in dataset:
+            level1, level2 = _labels(record.gold_category)
+            if level2 not in taxonomy.children(level1):
+                label = level2 if level1 in taxonomy.level1 else level1
+                raise ConfigError(
+                    f"record {record.id!r}: gold label {label!r} is not in the taxonomy"
+                )
 
     def work(record: EvalRecord) -> RecordOutcome:
         return evaluate_record(

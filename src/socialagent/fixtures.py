@@ -24,6 +24,7 @@ from .core import (
 )
 from .errors import MalformedInputError
 from .evaluation import RunSetup, TaskKind, load_dataset, run_eval
+from .protocol import ActionShape, Shape, TrialShape, signature
 from .providers import Backend, MockScript, MockScriptEntry, ProviderConfig
 
 GOLDEN_WORKERS = 2
@@ -449,33 +450,18 @@ def multi_action_setup() -> RunSetup:
 
 
 # ---------------------------------------------------------------------------
-# protocol scenarios with hand-derived reference sequences
+# protocol scenarios; their committed sequences are the hand-derived oracle
 
-_TGD = [("optimizer", op) for op in ("forward", "compute_loss", "gradient", "step")]
-_TRIAL_BLOCK = [("reasoner", "reason"), ("planner", "plan"), *_TGD]
-_REPLAN_BLOCK_SEQ = [("reasoner", "reason"), ("planner", "replan"), *_TGD]
-_GATE = [("critic", "embed"), ("critic", "embed")]
-_ACTION_BLOCK = [("reasoner", "reason"), ("actor", "act"), *_TGD, ("actor", "act")]
-
-SCENARIO_SEQUENCES: dict[str, tuple[tuple[str, str], ...]] = {
+_QA = (ActionShape(a=1, k=1),)
+SCENARIO_SHAPES = {
     # gate passes on trial 0: break straight to action execution
-    "scenario_a": tuple(
-        [("role_writer", "bootstrap_role")] + _TRIAL_BLOCK + _GATE + _ACTION_BLOCK
-    ),
+    "scenario_a": Shape(False, (TrialShape(k=1, gate=True),), _QA),
     # gate fires on trial 0: one critic + one refiner, one replan cycle
-    "scenario_b": tuple(
-        [("role_writer", "bootstrap_role")]
-        + _TRIAL_BLOCK
-        + _GATE
-        + [("critic", "criticize"), ("refiner", "refine")]
-        + _REPLAN_BLOCK_SEQ
-        + _ACTION_BLOCK
-    ),
+    "scenario_b": Shape(False, (TrialShape(1, True, True, True), TrialShape(k=1)), _QA),
     # single trial: the gate is never evaluated
-    "scenario_c": tuple(
-        [("role_writer", "bootstrap_role")] + _TRIAL_BLOCK + _ACTION_BLOCK
-    ),
+    "scenario_c": Shape(False, (TrialShape(k=1),), _QA),
 }
+SCENARIO_SEQUENCES = {name: signature(shape) for name, shape in SCENARIO_SHAPES.items()}
 
 
 def scenario_task() -> Task:

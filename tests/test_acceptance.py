@@ -30,6 +30,7 @@ from socialagent.divergence import Distribution, jsd
 from socialagent.errors import ActionParseError, BindingCollisionError
 from socialagent.fixtures import fixture_path
 from socialagent.optimizer import TextLoss, Variable, optimize
+from socialagent.protocol import optimizer_block
 from socialagent.reasoner import COT_PHRASE, REFLECTION_INSTRUCTION, reason
 
 
@@ -98,7 +99,6 @@ def test_criterion_3_tgd_loop_contract():
         context = PromptArtifact(
             system_role="s", segments=(ContentItem.from_text("ctx"),)
         )
-        cycle = ("forward", "compute_loss", "gradient", "step")
         for k in (1, 2, 3):
             script = []
             for i in range(k):
@@ -116,9 +116,7 @@ def test_criterion_3_tgd_loop_contract():
                 transcript=transcript,
             )
             assert len(provider.call_log) == 4 * k
-            assert transcript.signature() == tuple(
-                ("optimizer", op) for _ in range(k) for op in cycle
-            )
+            assert transcript.signature() == optimizer_block(k)
             assert result.history == ("v0",) + tuple(f"v{i + 1}" for i in range(k - 1))
         # early stop: second of three budgeted iterations emits the marker
         script = ["p0", "e0", "g0", "v1", "p1", "e1", "g1", "NO_FURTHER_IMPROVEMENT"]

@@ -372,6 +372,21 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
             "a categorize eval needs a two-level taxonomy",
             id="categorize-eval-flat-taxonomy",
         ),
+        *(
+            pytest.param(
+                lambda tmp, old=old, new=new: _eval_argv(
+                    config=fixture_path("category_eval_config.json"),
+                    dataset=_written(
+                        tmp / "dataset.jsonl",
+                        _fixture_text("mini_category.jsonl").replace(f'"{old}"', f'"{new}"', 1),
+                    ),
+                    kind="categorize",
+                ),
+                f"record 'cc-01': gold label '{new}' is not in the taxonomy",
+                id=f"categorize-eval-gold-{level}-outside-taxonomy",
+            )
+            for level, old, new in (("level1", "sport", "sprot"), ("level2", "tennis", "space"))
+        ),
         pytest.param(lambda tmp: _solve_argv("--theta", "2"), "", id="theta-2"),
         pytest.param(lambda tmp: _solve_argv("--trials", "0"), "", id="trials-0"),
         pytest.param(lambda tmp: _solve_argv("--iterations", "0"), "", id="iterations-0"),

@@ -37,6 +37,7 @@ from socialagent.errors import (
 from socialagent.evaluation import load_dataset, load_setup, load_stores, run_eval
 from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
 from socialagent.planner import parse_plan
+from socialagent.protocol import ActionShape, action_block
 from socialagent.providers import Backend, MockProvider, MockScript, ProviderConfig
 
 ENV = EnvironmentContext()
@@ -466,16 +467,7 @@ class TestExecuteActionsDirectly:
         assert error is None
         assert [r.action_id for r in results] == [1, 3]
         assert [r.answer for r in results] == ["final one", "final t"]
-        action_block = (
-            ("reasoner", "reason"),
-            ("actor", "act"),
-            ("optimizer", "forward"),
-            ("optimizer", "compute_loss"),
-            ("optimizer", "gradient"),
-            ("optimizer", "step"),
-            ("actor", "act"),
-        )
-        assert transcript.signature() == action_block + action_block
+        assert transcript.signature() == action_block(ActionShape(a=1, k=1), reflection=False) * 2
 
 
 class TestRunTrialsDirectly:
@@ -514,16 +506,7 @@ ACTOR_REPLIES = (
     ("CATEGORY: sport", "CATEGORY: news"),
     ("TITLE: draft 3", "TITLE: final 3"),
 )
-ACTION_SIGNATURE = (
-    ("reasoner", "reason"),
-    ("reasoner", "reason"),
-    ("actor", "act"),
-    ("optimizer", "forward"),
-    ("optimizer", "compute_loss"),
-    ("optimizer", "gradient"),
-    ("optimizer", "step"),
-    ("actor", "act"),
-)
+ACTION_SIGNATURE = action_block(ActionShape(a=1, k=1), reflection=True)
 # Long enough for any host; only an engine that never overlaps the two calls
 # waits this long, and then it fails rather than hangs.
 MEETING_TIMEOUT_S = 10.0

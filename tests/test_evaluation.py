@@ -145,6 +145,7 @@ class TestLoadDataset:
             (TaskKind.TITLE, {"images": ["pic.png"]}, "needs a non-empty location"),
             (TaskKind.QA, {"id": 1}, "field 'id' must be a non-empty string"),
             (TaskKind.QA, {"answer": ["a"]}, "field 'answer' must be a non-empty string"),
+            (TaskKind.QA, {}, "record id 'r' repeats the record on line 1"),
         ],
         ids=[
             "string-context",
@@ -158,10 +159,11 @@ class TestLoadDataset:
             "title-image-string",
             "int-id",
             "list-answer",
+            "repeated-id",
         ],
     )
     def test_malformed_context_or_images_cite_line_number(self, tmp_path, kind, fields, message):
-        # a record that would lose its passage, image or a field is rejected, not scored
+        # a record that would lose its passage, image or a field, or repeats an id, is rejected
         base = {"id": "r", "question": "q", "answer": "a", "text": "t", "title": "h"}
         path = tmp_path / "bad.jsonl"
         path.write_text(

@@ -17,6 +17,7 @@ from socialagent.optimizer import (
     resolved_value,
     step,
 )
+from socialagent.protocol import optimizer_block
 
 
 def context_prompt() -> PromptArtifact:
@@ -113,12 +114,7 @@ class TestOptimizeLoop:
             transcript=transcript,
         )
         assert len(provider.call_log) == 4 * iterations
-        expected = tuple(
-            ("optimizer", op)
-            for _ in range(iterations)
-            for op in ("forward", "compute_loss", "gradient", "step")
-        )
-        assert transcript.signature() == expected
+        assert transcript.signature() == optimizer_block(iterations)
         assert result.value == f"value{iterations}"
         assert len(result.history) == iterations
 

@@ -171,16 +171,11 @@ def _ask(
     labels: tuple[str, ...] = (),
 ) -> tuple[str, str | None]:
     """One actor call; returns the response text and its answer line, if any.
-    The action's inputs follow its instructions only where the reasoned
-    prompt does not already hold them, so each input is sent once."""
+    The reasoned prompt already holds the action's instructions and inputs,
+    so the request adds only ``extra`` and the closing directive."""
     prefix, directive = _ACTIONS[spec.name]
-    segments = (
-        reasoned.segments
-        + (ContentItem.from_text(f"Action instructions:\n{spec.instructions}"),)
-        + tuple(item for item in spec.inputs if item not in reasoned.segments)
-        + extra
-        + (ContentItem.from_text(directive.format(labels=", ".join(labels))),)
-    )
+    closing = ContentItem.from_text(directive.format(labels=", ".join(labels)))
+    segments = reasoned.segments + extra + (closing,)
     text = invoke(
         provider, UnitRole.ACTOR, "act", reasoned.system_role, segments, transcript=transcript
     )
@@ -211,8 +206,10 @@ def act(
     revision: str | None = None,
     transcript: Transcript | None = None,
 ) -> ActionResult:
-    """Execute one action: build its prompt, call the provider, parse the
-    action-specific answer. Categorization classifies into a level-1
+    """Execute one action on its reasoned prompt, which holds the action's
+    instructions and inputs (``engine.create_action_prompt``): add any store
+    facts, revision feedback and the answer directive, call the provider,
+    parse the action-specific answer. Categorization classifies into a level-1
     category and, against a hierarchical taxonomy, then into one of that
     category's children, so it makes two calls; every other action makes
     exactly one."""

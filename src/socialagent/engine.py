@@ -174,10 +174,11 @@ def create_task_prompt(
 
 
 def create_action_prompt(spec: ActionSpec, role_text: str) -> PromptArtifact:
-    """Deterministic prompt templating from one plan action."""
-    segments = [ContentItem.from_text(f"Your current action:\n{spec.instructions}")]
-    segments.extend(spec.inputs)
-    return PromptArtifact(system_role=role_text, segments=tuple(segments))
+    """Deterministic prompt templating from one plan action: its
+    instructions under ``Action instructions:``, then its inputs. Reasoned,
+    this is the whole of the action the actor and the optimizer see."""
+    instructions = ContentItem.from_text(f"Action instructions:\n{spec.instructions}")
+    return PromptArtifact(system_role=role_text, segments=(instructions, *spec.inputs))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .core import (
 )
 from .errors import MalformedInputError
 from .evaluation import RunSetup, TaskKind, load_dataset, run_eval
+from .planner import plan_block
 from .protocol import ActionShape, Shape, TrialShape, signature
 from .providers import Backend, MockScript, MockScriptEntry, ProviderConfig
 
@@ -41,73 +42,56 @@ def fixture_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 # scripted plan blocks
 
-QA_PLAN_BLOCK = (
-    "The task needs one direct question-answering step.\n"
-    "```json\n"
-    '{"actions": [{"id": 1, "instructions": "Answer the question using the '
-    'provided content."}], "rationale": "a single QA action suffices"}\n'
-    "```"
+QA_PLAN_BLOCK = plan_block(
+    [(1, "Answer the question using the provided content.")],
+    "a single QA action suffices",
+    "The task needs one direct question-answering step.",
 )
 
-TITLE_PLAN_BLOCK = (
-    "A single headline-writing step covers the task.\n"
-    "```json\n"
-    '{"actions": [{"id": 3, "instructions": "Write a concise title for the '
-    'provided content."}], "rationale": "one title-generation action"}\n'
-    "```"
+TITLE_PLAN_BLOCK = plan_block(
+    [(3, "Write a concise title for the provided content.")],
+    "one title-generation action",
+    "A single headline-writing step covers the task.",
 )
 
-CATEGORY_PLAN_BLOCK = (
-    "Classification is the only required step.\n"
-    "```json\n"
-    '{"actions": [{"id": 4, "instructions": "Classify the content into the '
-    'predefined categories."}], "rationale": "one categorization action"}\n'
-    "```"
+CATEGORY_PLAN_BLOCK = plan_block(
+    [(4, "Classify the content into the predefined categories.")],
+    "one categorization action",
+    "Classification is the only required step.",
 )
 
-COMPOSITE_PLAN_BLOCK = (
-    "Title first, then categorize.\n"
-    "```json\n"
-    '{"actions": [{"id": 3, "instructions": "Write a headline."}, '
-    '{"id": 4, "instructions": "Classify the content."}], '
-    '"rationale": "summary plus classification"}\n'
-    "```"
+COMPOSITE_PLAN_BLOCK = plan_block(
+    [(3, "Write a headline."), (4, "Classify the content.")],
+    "summary plus classification",
+    "Title first, then categorize.",
 )
 
-ALT_COMPOSITE_PLAN_BLOCK = (
-    "Reordering for better coverage.\n"
-    "```json\n"
-    '{"actions": [{"id": 4, "instructions": "Classify the content first."}, '
-    '{"id": 3, "instructions": "Write a headline from the category view."}], '
-    '"rationale": "classification-led summary"}\n'
-    "```"
+ALT_COMPOSITE_PLAN_BLOCK = plan_block(
+    [(4, "Classify the content first."), (3, "Write a headline from the category view.")],
+    "classification-led summary",
+    "Reordering for better coverage.",
 )
 
-REPLAN_BLOCK = (
-    "Following the corrective instructions.\n"
-    "```json\n"
-    '{"actions": [{"id": 1, "instructions": "Answer the question directly, '
-    'citing the passage."}], "rationale": "focused single action"}\n'
-    "```"
+REPLAN_BLOCK = plan_block(
+    [(1, "Answer the question directly, citing the passage.")],
+    "focused single action",
+    "Following the corrective instructions.",
 )
 
-ALT_QA_PLAN_BLOCK = (
-    "An alternative breakdown.\n"
-    "```json\n"
-    '{"actions": [{"id": 1, "instructions": "Scan the passage, then answer '
-    'in one sentence."}], "rationale": "scan-then-answer"}\n'
-    "```"
+ALT_QA_PLAN_BLOCK = plan_block(
+    [(1, "Scan the passage, then answer in one sentence.")],
+    "scan-then-answer",
+    "An alternative breakdown.",
 )
 
-
-MULTI_ACTION_PLAN_BLOCK = (
-    "Answer, headline, then classify the post.\n"
-    "```json\n"
-    '{"actions": [{"id": 1, "instructions": "State what the council passed."}, '
-    '{"id": 3, "instructions": "Write a headline for the post.\\nKNOWLEDGE: solar"}, '
-    '{"id": 4, "instructions": "Classify the post for the monitoring feed."}], '
-    '"rationale": "answer, summarize, then classify"}\n'
-    "```"
+MULTI_ACTION_PLAN_BLOCK = plan_block(
+    [
+        (1, "State what the council passed."),
+        (3, "Write a headline for the post.\nKNOWLEDGE: solar"),
+        (4, "Classify the post for the monitoring feed."),
+    ],
+    "answer, summarize, then classify",
+    "Answer, headline, then classify the post.",
 )
 
 
@@ -122,7 +106,7 @@ def _reasoner_script(sites: int) -> tuple[str, ...]:
     )
 
 
-def _mock(model_name: str, *responses: str, **kwargs) -> ProviderConfig:
+def mock_config(model_name: str, *responses: str, **kwargs) -> ProviderConfig:
     return ProviderConfig(
         backend=Backend.MOCK,
         model_name=model_name,
@@ -168,22 +152,22 @@ def _bindings(
     (``optimizer_blocks`` are its step outputs) plus ``action_rounds`` action
     quartets, and the replies of the remaining units (none by default)."""
     return {
-        UnitRole.ROLE_WRITER: _mock("role-scribe", writer),
-        UnitRole.REASONER: _mock("unit-reasoner", *_reasoner_script(reason_sites)),
-        UnitRole.PLANNER: _mock("unit-planner", *planner_responses),
-        UnitRole.OPTIMIZER: _mock(
+        UnitRole.ROLE_WRITER: mock_config("role-scribe", writer),
+        UnitRole.REASONER: mock_config("unit-reasoner", *_reasoner_script(reason_sites)),
+        UnitRole.PLANNER: mock_config("unit-planner", *planner_responses),
+        UnitRole.OPTIMIZER: mock_config(
             "unit-optimizer", *_optimizer_script(optimizer_blocks, action_rounds)
         ),
-        UnitRole.CRITIC: critic or _mock("unit-critic"),
-        UnitRole.REFINER: _mock("unit-refiner", *refiner),
-        UnitRole.ACTOR: _mock("unit-actor", *actor),
+        UnitRole.CRITIC: critic or mock_config("unit-critic"),
+        UnitRole.REFINER: mock_config("unit-refiner", *refiner),
+        UnitRole.ACTOR: mock_config("unit-actor", *actor),
     }
 
 
 def _gate_critic(verdict: str, plan_a: str, plan_b: str) -> ProviderConfig:
     """A critic whose embeddings put the two plans far apart, so the gate
     fires, and whose one reply is ``verdict``."""
-    return _mock(
+    return mock_config(
         "unit-critic", verdict, embedding_overrides={plan_a: (2.0, 0.0), plan_b: (0.0, 2.0)}
     )
 

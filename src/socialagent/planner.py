@@ -3,7 +3,9 @@ plan block into an ordered action sequence."""
 
 from __future__ import annotations
 
+import json
 import re
+from collections.abc import Iterable
 
 from .canonical import parse_text
 from .core import (
@@ -37,6 +39,14 @@ _BLOCK_DIRECTIVE = (
     '"rationale": "<why>"}\n'
     "```"
 )
+
+
+def plan_block(actions: Iterable[tuple[int, str]], rationale: str, prose: str) -> str:
+    """Write the grammar ``parse_plan`` reads: ``prose``, then one fenced
+    JSON block of the (id, instructions) actions and the rationale."""
+    entries = [{"id": i, "instructions": text} for i, text in actions]
+    payload = json.dumps({"actions": entries, "rationale": rationale})
+    return f"{prose}\n```json\n{payload}\n```"
 
 
 def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:

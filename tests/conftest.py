@@ -3,16 +3,8 @@ from __future__ import annotations
 import pytest
 
 from socialagent.core import EngineConfig, ReasoningStrategy, UnitRole
-from socialagent.providers import Backend, MockProvider, MockScript, ProviderConfig
-
-
-def mock_config(model_name: str, *responses: str, **kwargs) -> ProviderConfig:
-    return ProviderConfig(
-        backend=Backend.MOCK,
-        model_name=model_name,
-        script=MockScript.of(*responses),
-        **kwargs,
-    )
+from socialagent.fixtures import mock_config
+from socialagent.providers import MockProvider, ProviderConfig
 
 
 def mock_provider(*responses: str, model_name: str = "mock", **kwargs) -> MockProvider:

@@ -19,6 +19,7 @@ from socialagent.actor import (
     lookup,
 )
 from socialagent.core import ActionSpec, ContentItem, PromptArtifact
+from socialagent.engine import create_action_prompt
 from socialagent.errors import ActionParseError, InvariantError
 
 
@@ -121,7 +122,7 @@ class TestPromptBuilders:
             ),
         )
         provider = mock_provider("ANSWER: a", supports_images=True)
-        act(spec, reasoned(), None, provider)
+        act(spec, create_action_prompt(spec, "analyst"), None, provider)
         messages = provider.call_log[0][0].messages
         images = [s.image.location for s in messages if s.image is not None]
         assert images == ["a.png", "b.png"]
@@ -131,7 +132,7 @@ class TestPromptBuilders:
             1, "answer about the picture", inputs=(ContentItem.from_image("x.png", "image/png"),)
         )
         provider = mock_provider("ANSWER: a", supports_images=True)
-        act(spec, reasoned(), None, provider)
+        act(spec, create_action_prompt(spec, "analyst"), None, provider)
         assert any(s.image is not None for s in provider.call_log[0][0].messages)
 
 

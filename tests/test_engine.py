@@ -36,9 +36,9 @@ from socialagent.errors import (
 )
 from socialagent.evaluation import load_dataset, load_setup, load_stores, run_eval
 from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
-from socialagent.planner import parse_plan
+from socialagent.planner import parse_plan, plan_block
 from socialagent.protocol import ActionShape, action_block
-from socialagent.providers import Backend, MockProvider, MockScript, ProviderConfig
+from socialagent.providers import MockProvider, MockScript
 
 ENV = EnvironmentContext()
 
@@ -218,14 +218,9 @@ class TestArbitration:
         assert response.plan_used.raw == QA_PLAN_BLOCK
 
     def test_unparseable_optimizer_output_mid_loop_skips_critic(self):
-        critic = ProviderConfig(
-            backend=Backend.MOCK,
-            model_name="unit-critic",
-            script=MockScript.of(),
-            embedding_overrides={
-                QA_PLAN_BLOCK: (2.0, 0.0),
-                "free prose rewrite": (0.0, 2.0),
-            },
+        critic = mock_config(
+            "unit-critic",
+            embedding_overrides={QA_PLAN_BLOCK: (2.0, 0.0), "free prose rewrite": (0.0, 2.0)},
         )
         config = engine_config(
             planner=(QA_PLAN_BLOCK,),
@@ -242,15 +237,7 @@ class TestArbitration:
         assert response.trials_executed == 1
 
     def test_non_actionable_verdict_b_executes_plan_b(self):
-        critic = ProviderConfig(
-            backend=Backend.MOCK,
-            model_name="unit-critic",
-            script=MockScript.of("VERDICT: B\nFEEDBACK:"),
-            embedding_overrides={
-                QA_PLAN_BLOCK: (2.0, 0.0),
-                ALT_QA_PLAN_BLOCK: (0.0, 2.0),
-            },
-        )
+        critic = fixtures._gate_critic("VERDICT: B\nFEEDBACK:", QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK)
         config = engine_config(
             planner=(QA_PLAN_BLOCK,),
             optimizer=optimizer_script([ALT_QA_PLAN_BLOCK]),
@@ -266,15 +253,7 @@ class TestArbitration:
         assert response.critiques[0].selected is PlanChoice.PLAN_B
 
     def test_non_actionable_verdict_a_executes_plan_a(self):
-        critic = ProviderConfig(
-            backend=Backend.MOCK,
-            model_name="unit-critic",
-            script=MockScript.of("VERDICT: A\nFEEDBACK:"),
-            embedding_overrides={
-                QA_PLAN_BLOCK: (2.0, 0.0),
-                ALT_QA_PLAN_BLOCK: (0.0, 2.0),
-            },
-        )
+        critic = fixtures._gate_critic("VERDICT: A\nFEEDBACK:", QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK)
         config = engine_config(
             planner=(QA_PLAN_BLOCK,),
             optimizer=optimizer_script([ALT_QA_PLAN_BLOCK]),
@@ -312,12 +291,7 @@ class TestActionLoop:
 
     def test_per_action_error_marks_partial_results(self):
         # second action's scripts run dry: partial results plus error marker
-        two_action_block = (
-            "plan\n```json\n"
-            '{"actions": [{"id": 1, "instructions": "first"}, '
-            '{"id": 1, "instructions": "second"}], "rationale": "r"}\n'
-            "```"
-        )
+        two_action_block = plan_block([(1, "first"), (1, "second")], "r", "plan")
         config = engine_config(
             planner=(two_action_block,),
             optimizer=("p", "e", "g", two_action_block, "p", "e", "g", "s"),
@@ -354,12 +328,7 @@ class TestActionLoop:
 
 
 class TestMultimodalActions:
-    VQA_BLOCK = (
-        "plan\n```json\n"
-        '{"actions": [{"id": 2, "instructions": "describe the picture"}],'
-        ' "rationale": "r"}\n'
-        "```"
-    )
+    VQA_BLOCK = plan_block([(2, "describe the picture")], "r", "plan")
 
     def vqa_task(self) -> Task:
         return Task(
@@ -438,15 +407,7 @@ class TestFailuresAndReport:
 
 class TestExecuteActionsDirectly:
     def test_two_action_plan_produces_two_blocks_in_order(self):
-        from socialagent.engine import RoleDescription
-        from socialagent.planner import parse_plan
-
-        block = (
-            "plan\n```json\n"
-            '{"actions": [{"id": 1, "instructions": "first"}, '
-            '{"id": 3, "instructions": "second"}], "rationale": "r"}\n'
-            "```"
-        )
+        block = plan_block([(1, "first"), (3, "second")], "r", "plan")
         config = engine_config(
             optimizer=("p", "e", "g", "s", "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: final one", "TITLE: t", "TITLE: final t"),
@@ -492,13 +453,7 @@ class TestRunTrialsDirectly:
 # A three-action plan (QA, flat categorization, title) under cot_and_reflection:
 # each action makes two reasoner calls, its actor calls and one optimizer
 # quartet.
-THREE_ACTION_BLOCK = (
-    "plan\n```json\n"
-    '{"actions": [{"id": 1, "instructions": "answer"}, '
-    '{"id": 4, "instructions": "classify"}, '
-    '{"id": 3, "instructions": "headline"}], "rationale": "r"}\n'
-    "```"
-)
+THREE_ACTION_BLOCK = plan_block([(1, "answer"), (4, "classify"), (3, "headline")], "r", "plan")
 FLAT_TAXONOMY = CategoryTaxonomy(level1=("news", "sport"))
 REASONER_REPLIES = ("trace 1", "reflection 1", "trace 2", "reflection 2", "trace 3", "reflection 3")
 ACTOR_REPLIES = (
@@ -733,7 +688,8 @@ def _eval_bundled(config, dataset, monkeypatch):
 )
 def test_no_request_carries_an_item_twice(monkeypatch, run, config, source):
     # every unit of every bundled run sends each content item at most once
-    # per request; the actor's reasoned prompt already holds the inputs
+    # per request, and every actor request states the action's instructions
+    # once: the reasoned prompt holds them and the actor adds no copy
     providers = run(config, source, monkeypatch)
     repeats = [
         f"{provider.config.model_name} request {i}"
@@ -741,5 +697,20 @@ def test_no_request_carries_an_item_twice(monkeypatch, run, config, source):
         for i, (request, _) in enumerate(provider.call_log)
         if len(set(request.messages)) != len(request.messages)
     ]
+    label = "Action instructions:\n"
+
+    def instruction_counts(request):
+        # one count per labelled segment: how often its instructions occur
+        texts = [m.text for m in request.messages if (m.text or "").startswith(label)]
+        return [request.flattened().count(text.removeprefix(label)) for text in texts]
+
+    restated = [
+        f"actor request {i}"
+        for provider in providers
+        if provider.config.model_name == "unit-actor"
+        for i, (request, _) in enumerate(provider.call_log)
+        if instruction_counts(request) != [1]
+    ]
     assert sum(len(provider.call_log) for provider in providers) > 0
     assert repeats == []
+    assert restated == []

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import socialagent
 from conftest import mock_provider
 from socialagent.core import (
     ActionName,
@@ -204,3 +207,13 @@ class TestReplanOperation:
             operation="replan",
         )
         assert transcript.signature() == (("planner", "replan"),)
+
+
+def test_planner_is_the_only_plan_block_writer():
+    """Every plan block the package writes comes from planner.plan_block."""
+    writers = {
+        module.name
+        for module in Path(socialagent.__file__).parent.glob("*.py")
+        if "```json" in module.read_text(encoding="utf-8")
+    }
+    assert writers == {"planner.py"}

@@ -7,7 +7,6 @@ benchmark's own copy of the model, `bench/protocol.py`, equal to it."""
 from __future__ import annotations
 
 import importlib
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from socialagent.core import (
     UnitRole,
 )
 from socialagent.engine import build_units, solve
+from socialagent.planner import plan_block
 from socialagent.protocol import ActionShape, Shape, TrialShape, budget, signature
 from socialagent.providers import Backend, MockScript, MockScriptEntry, ProviderConfig
 
@@ -86,8 +86,8 @@ def runs(draw) -> Run:
 
 
 def _plan(label: str, ids: tuple[int, ...]) -> str:
-    actions = [{"id": i, "instructions": f"{label}, step {n}"} for n, i in enumerate(ids, 1)]
-    return f"Plan {label}.\n```json\n{json.dumps({'actions': actions, 'rationale': label})}\n```"
+    actions = [(i, f"{label}, step {n}") for n, i in enumerate(ids, 1)]
+    return plan_block(actions, label, f"Plan {label}.")
 
 
 class _Scripts:

@@ -27,7 +27,6 @@ _STRATEGY_FLAGS = {
     "none": StrategyKind.NONE,
     "cot": StrategyKind.ZERO_SHOT_COT,
     "car": StrategyKind.COT_AND_REFLECTION,
-    "fewshot": StrategyKind.FEW_SHOT,
 }
 
 
@@ -53,8 +52,8 @@ def build_parser() -> _Parser:
         )
         sub.add_argument(
             "--strategy",
-            choices=sorted(_STRATEGY_FLAGS),
-            help="override the reasoning strategy",
+            choices=tuple(_STRATEGY_FLAGS),
+            help="override the reasoning strategy (few-shot comes from the config)",
         )
         sub.add_argument(
             "--seed", type=int, help="override the mock embedding seed (determinism)"
@@ -118,14 +117,7 @@ def _apply_overrides(setup: RunSetup, args: argparse.Namespace) -> RunSetup:
     if args.iterations is not None:
         changes["tgd_iterations"] = args.iterations
     if args.strategy is not None:
-        kind = _STRATEGY_FLAGS[args.strategy]
-        if kind is StrategyKind.FEW_SHOT:
-            if config.strategy.kind is not StrategyKind.FEW_SHOT:
-                raise ConfigError(
-                    "--strategy fewshot requires few-shot examples in the config file"
-                )
-        else:
-            changes["strategy"] = ReasoningStrategy(kind)
+        changes["strategy"] = ReasoningStrategy(_STRATEGY_FLAGS[args.strategy])
     if changes:
         try:
             config = replace(config, **changes)

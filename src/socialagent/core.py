@@ -232,21 +232,19 @@ class ReasoningStrategy:
 
 @dataclass(frozen=True)
 class PromptArtifact:
-    """A composite prompt: system role, ordered segments, and the reasoning
-    strategy that has been applied to it."""
+    """A composite prompt: system role and ordered segments."""
 
     system_role: str
     segments: tuple[ContentItem, ...]
-    strategy: ReasoningStrategy = field(default_factory=ReasoningStrategy.none)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise InvariantError("prompt must contain at least one segment")
 
-    def with_segments(self, *items: ContentItem, **changes) -> PromptArtifact:
+    def with_segments(self, *items: ContentItem) -> PromptArtifact:
         """Copy with extra segments appended (strategy material is additive)."""
-        return replace(self, segments=self.segments + tuple(items), **changes)
+        return replace(self, segments=self.segments + tuple(items))
 
     def text_segments(self) -> tuple[str, ...]:
         return tuple(s.text for s in self.segments if s.kind is ContentKind.TEXT)

@@ -208,7 +208,9 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
     records: list[EvalRecord] = []
     # record scripts and report order are keyed by id, so an id may not repeat
     first_lines: dict[str, int] = {}
-    for number, raw_line in enumerate(canonical.read_text(path).splitlines(), start=1):
+    # "\n" only: str.splitlines() also breaks on U+2028, U+2029 and U+0085,
+    # which JSON strings may hold raw
+    for number, raw_line in enumerate(canonical.read_text(path).split("\n"), start=1):
         if not raw_line.strip():
             continue
         try:

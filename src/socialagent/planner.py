@@ -79,9 +79,9 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
         actions.append(
             ActionSpec(action_id, ACTION_NAMES_BY_ID[action_id], instructions)
         )
-    rationale = payload.get("rationale", "")
+    rationale = payload.get("rationale")
     if not isinstance(rationale, str):
-        rationale = str(rationale)
+        rationale = "" if rationale is None else str(rationale)
     return Plan(actions=tuple(actions), rationale=rationale, raw=raw)
 
 

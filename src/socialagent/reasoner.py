@@ -23,42 +23,51 @@ REFLECTION_INSTRUCTION = "apply reflection to the following reasoning trace"
 LOCAL_KINDS = (StrategyKind.NONE, StrategyKind.FEW_SHOT, StrategyKind.ZERO_SHOT_COT)
 
 
-def _has_cot_suffix(prompt: PromptArtifact) -> bool:
-    texts = prompt.text_segments()
-    already_marked = prompt.strategy.kind in (
-        StrategyKind.ZERO_SHOT_COT,
-        StrategyKind.COT_AND_REFLECTION,
-    )
-    return already_marked or (bool(texts) and texts[-1] == COT_PHRASE)
-
-
 def apply_strategy(prompt: PromptArtifact, strategy: ReasoningStrategy) -> PromptArtifact:
-    """Decorate a prompt without any provider call. Reflection variants are
-    rejected here; they need reason()."""
+    """Decorate a prompt without any provider call. Chain-of-thought appends
+    COT_PHRASE unless it is already the last text segment. Reflection
+    variants are rejected here; they need reason()."""
     if strategy.kind is StrategyKind.NONE:
         return prompt
     if strategy.kind is StrategyKind.ZERO_SHOT_COT:
-        if _has_cot_suffix(prompt):
-            return replace(prompt, strategy=strategy)
-        return prompt.with_segments(ContentItem.from_text(COT_PHRASE), strategy=strategy)
+        texts = prompt.text_segments()
+        if texts and texts[-1] == COT_PHRASE:
+            return prompt
+        return prompt.with_segments(ContentItem.from_text(COT_PHRASE))
     if strategy.kind is StrategyKind.FEW_SHOT:
         demos = tuple(
             ContentItem.from_text(f"Example input:\n{src}\nExample output:\n{out}")
             for src, out in strategy.examples
         )
-        return replace(prompt, segments=demos + prompt.segments, strategy=strategy)
+        return replace(prompt, segments=demos + prompt.segments)
     raise StrategyRequiresProviderError(
         f"strategy {strategy.kind.value} requires a provider; use reason()"
     )
 
 
-def _reflect(
+def reason(
     prompt: PromptArtifact,
+    strategy: ReasoningStrategy,
     provider: Provider,
-    transcript: Transcript | None,
-) -> tuple[str, str]:
-    """Generate a reasoning trace from the CoT-decorated prompt, then ask
-    for a reflection on it. Exactly two provider calls."""
+    *,
+    transcript: Transcript | None = None,
+) -> PromptArtifact:
+    """Produce the reasoned prompt consumed by planner, actor, and
+    optimizer. Local strategies make zero provider calls. Reflection
+    variants make exactly two: a trace on the CoT-decorated prompt, then a
+    reflection on that trace; the result appends both to the original
+    prompt (self_reflection) or to the CoT-decorated one
+    (cot_and_reflection)."""
+    if strategy.kind in LOCAL_KINDS:
+        decorated = apply_strategy(prompt, strategy)
+        if transcript is not None:
+            transcript.record(
+                UnitRole.REASONER,
+                "reason",
+                "\n".join(prompt.text_segments()),
+                "\n".join(decorated.text_segments()),
+            )
+        return decorated
     traced = apply_strategy(prompt, ReasoningStrategy.zero_shot_cot())
     trace = invoke(
         provider,
@@ -76,37 +85,8 @@ def _reflect(
         (ContentItem.from_text(REFLECTION_INSTRUCTION), ContentItem.from_text(trace)),
         transcript=transcript,
     )
-    return trace, reflection
-
-
-def reason(
-    prompt: PromptArtifact,
-    strategy: ReasoningStrategy,
-    provider: Provider,
-    *,
-    transcript: Transcript | None = None,
-) -> PromptArtifact:
-    """Produce the reasoned prompt consumed by planner, actor, and
-    optimizer. Local strategies make zero provider calls; reflection
-    variants make exactly two (trace, then reflection)."""
-    if strategy.kind in LOCAL_KINDS:
-        decorated = apply_strategy(prompt, strategy)
-        if transcript is not None:
-            transcript.record(
-                UnitRole.REASONER,
-                "reason",
-                "\n".join(prompt.text_segments()),
-                "\n".join(decorated.text_segments()),
-            )
-        return decorated
-    if strategy.kind is StrategyKind.SELF_REFLECTION:
-        trace, reflection = _reflect(prompt, provider, transcript)
-        base = prompt
-    else:  # COT_AND_REFLECTION
-        trace, reflection = _reflect(prompt, provider, transcript)
-        base = apply_strategy(prompt, ReasoningStrategy.zero_shot_cot())
+    base = traced if strategy.kind is StrategyKind.COT_AND_REFLECTION else prompt
     return base.with_segments(
         ContentItem.from_text(f"Reasoning trace:\n{trace}"),
         ContentItem.from_text(f"Reflection on the trace:\n{reflection}"),
-        strategy=strategy,
     )

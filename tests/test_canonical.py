@@ -92,7 +92,6 @@ prompts = st.builds(
     PromptArtifact,
     text,
     st.lists(content_items, min_size=1, max_size=3).map(tuple),
-    strategies_,
 )
 
 provider_configs = st.builds(
@@ -112,7 +111,7 @@ provider_configs = st.builds(
 
 
 @settings(max_examples=60)
-@given(st.one_of(tasks, plans, prompts, provider_configs))
+@given(st.one_of(tasks, plans, prompts, strategies_, provider_configs))
 def test_round_trip_identity_over_generated_values(value):
     assert canonical.deserialize(canonical.serialize(value)) == value
 

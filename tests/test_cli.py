@@ -149,18 +149,11 @@ class TestSolve:
         assert "action 1" in payload["error"]
 
     def test_fewshot_flag_requires_examples_in_config(self, capsys):
-        code, _, stderr = run_cli(
-            capsys,
-            "solve",
-            "--config",
-            str(fixture_path("solve_config.json")),
-            "--task",
-            str(fixture_path("example_task.json")),
-            "--strategy",
-            "fewshot",
-        )
-        assert code == EXIT_CONFIG
-        assert "few-shot" in stderr
+        # few-shot needs the config's examples, so no flag selects it
+        with pytest.raises(SystemExit) as exited:
+            main(_solve_argv("--strategy", "fewshot"))
+        assert exited.value.code == EXIT_CONFIG
+        assert "invalid choice: 'fewshot'" in capsys.readouterr().err
 
 
 def _solve_argv(*extra: str, config=None, task=None) -> list[str]:

@@ -120,6 +120,28 @@ class TestLoadDataset:
         assert excinfo.value.line == 1
         assert "missing field (one of: answer, gold)" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"]
+    )
+    def test_unicode_line_breaks_stay_inside_their_record(self, tmp_path, separator):
+        # json.dumps(ensure_ascii=False) writes these raw inside a string
+        lines = [
+            json.dumps(
+                {"id": "a", "question": f"one{separator}two", "answer": "x"},
+                ensure_ascii=False,
+            ),
+            '{"id": "b", "question": "q", "answer": "y"}',
+        ]
+        path = tmp_path / "sep.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records = load_dataset(path, TaskKind.QA)
+        assert [r.id for r in records] == ["a", "b"]
+        assert any(f"one{separator}two" in (item.text or "") for item in records[0].inputs)
+        path.write_text("\n".join([*lines, "{broken"]) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(path, TaskKind.QA)
+        assert excinfo.value.line == 3
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ok.jsonl"
         path.write_text(

@@ -53,6 +53,11 @@ class TestParsePlan:
         ]
         assert parsed.rationale == "r"
 
+    @pytest.mark.parametrize("rationale", ["", ', "rationale": null'], ids=["missing", "null"])
+    def test_absent_rationale_reads_as_empty(self, rationale):
+        raw = block('{"actions": [{"id": 1, "instructions": "answer Q"}]%s}' % rationale)
+        assert parse_plan(raw, ALL_ACTIONS).rationale == ""
+
     def test_first_block_wins(self):
         raw = (
             block('{"actions": [{"id": 1, "instructions": "first"}]}')

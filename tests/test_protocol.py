@@ -7,6 +7,7 @@ benchmark's own copy of the model, `bench/protocol.py`, equal to it."""
 from __future__ import annotations
 
 import importlib
+import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -230,3 +231,26 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
 @pytest.mark.parametrize("name", sorted(fixtures.SCENARIO_SHAPES))
 def test_bench_model_agrees_on_the_scenarios(bench_protocol, name):
     assert_bench_model_agrees(bench_protocol, fixtures.SCENARIO_SHAPES[name])
+
+
+@pytest.mark.parametrize(
+    "golden, shape",
+    [
+        (
+            "golden_solve_report.json",
+            Shape(False, (TrialShape(k=1, gate=True),), (ActionShape(1, 1),)),
+        ),
+        (
+            "golden_multi_action_solve_report.json",
+            Shape(
+                True,
+                (TrialShape(k=1),),
+                (ActionShape(1, 1), ActionShape(1, 1), ActionShape(2, 1)),
+            ),
+        ),
+    ],
+)
+def test_bundled_solve_goldens_follow_the_protocol_model(golden, shape):
+    report = json.loads(fixtures.fixture_path(golden).read_text(encoding="utf-8"))
+    recorded = tuple((e["unit"], e["operation"]) for e in report["transcript"])
+    assert recorded == signature(shape)

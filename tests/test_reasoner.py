@@ -30,7 +30,6 @@ class TestApplyStrategy:
         prompt = make_prompt("goal")
         decorated = apply_strategy(prompt, ReasoningStrategy.zero_shot_cot())
         assert decorated.text_segments()[-1] == COT_PHRASE
-        assert decorated.strategy.kind is StrategyKind.ZERO_SHOT_COT
 
     def test_cot_applied_twice_appends_once(self):
         prompt = make_prompt("goal")
@@ -155,4 +154,36 @@ class TestReason:
         assert transcript.signature() == (
             ("reasoner", "reason"),
             ("reasoner", "reason"),
+        )
+
+    @pytest.mark.parametrize(
+        "strategy, cot",
+        [
+            (ReasoningStrategy.self_reflection(), ()),
+            (ReasoningStrategy.cot_and_reflection(), (ContentItem.from_text(COT_PHRASE),)),
+        ],
+        ids=["self_reflection", "cot_and_reflection"],
+    )
+    def test_reflection_result_segments_are_pinned(self, strategy, cot):
+        original = (
+            ContentItem.from_text("goal"),
+            ContentItem.from_image("a.png", "image/png"),
+            ContentItem.from_text("context"),
+        )
+        provider = mock_provider("trace T", "reflection R", supports_images=True)
+        result = reason(PromptArtifact("analyst", original), strategy, provider)
+        assert result == PromptArtifact(
+            "analyst",
+            original
+            + cot
+            + (
+                ContentItem.from_text("Reasoning trace:\ntrace T"),
+                ContentItem.from_text("Reflection on the trace:\nreflection R"),
+            ),
+        )
+        (trace_request, _), (reflection_request, _) = provider.call_log
+        assert trace_request.messages == original + (ContentItem.from_text(COT_PHRASE),)
+        assert reflection_request.messages == (
+            ContentItem.from_text(REFLECTION_INSTRUCTION),
+            ContentItem.from_text("trace T"),
         )

@@ -66,7 +66,9 @@ def build_parser() -> _Parser:
     evaluate = commands.add_parser("eval", help="evaluate a line-delimited dataset")
     common(evaluate)
     evaluate.add_argument("--dataset", required=True, help="records file (jsonl)")
-    evaluate.add_argument("--kind", required=True, help="task kind: qa|vqa|title|categorize")
+    evaluate.add_argument(
+        "--kind", required=True, choices=[k.value for k in TaskKind], help="task kind"
+    )
     evaluate.add_argument("--workers", type=int, default=4, help="worker pool size")
 
     plan = commands.add_parser("plan", help="run only the planning loop and show the gate")
@@ -231,13 +233,7 @@ def _print_table(report: evaluation.MetricReport) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        kind = TaskKind(args.kind)
-    except ValueError:
-        valid = ", ".join(k.value for k in TaskKind)
-        raise ConfigError(f"unknown task kind {args.kind!r}; valid kinds: {valid}")
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    kind = TaskKind(args.kind)
     setup, tools, taxonomy = _load_setup(args.config)
     setup = _apply_overrides(setup, args)
     records = _load("dataset", evaluation.load_dataset, args.dataset, kind)

@@ -28,6 +28,7 @@ from .errors import (
     AgentError,
     BindingCollisionError,
     ConfigError,
+    InvariantError,
     PlanParseError,
     TaskFailure,
 )
@@ -42,6 +43,10 @@ BOOTSTRAP_SYSTEM_ROLE = (
 @dataclass(frozen=True)
 class RoleDescription:
     text: str
+
+    def __post_init__(self) -> None:
+        if not self.text.strip():
+            raise InvariantError("role description must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -70,28 +75,35 @@ class UnitSet:
         return self.providers[role]
 
 
-def check_bindings(config: EngineConfig, units: UnitSet | None = None) -> None:
-    """Reject a config that leaves any unit role without a provider, and
-    caller-supplied units that lack one."""
-    missing = [role.value for role in UnitRole if role not in config.role_bindings]
+def check_config(
+    config: EngineConfig, inputs: Iterable[ContentItem] = (), units: UnitSet | None = None
+) -> None:
+    """Every rule about a run's bindings, checked before any provider call:
+    each unit role is bound (and has a provider in caller-supplied
+    ``units``), the role-writer shares no model with another unit, and
+    image inputs reach only bindings with image support. An action's inputs
+    go to the optimizer and the actor, and to the reasoner under a
+    reflection strategy; the planning units see images only as text
+    references."""
+    bindings = config.role_bindings
+    missing = [role.value for role in UnitRole if role not in bindings]
     if missing:
         raise ConfigError(f"missing role bindings: {', '.join(missing)}")
     missing = [role.value for role in UnitRole if units and role not in units.providers]
     if missing:
         raise ConfigError(f"units lack a provider for: {', '.join(missing)}")
-
-
-def check_image_support(config: EngineConfig, inputs: Iterable[ContentItem]) -> None:
-    """Reject, before any provider call, image inputs that would reach a
-    binding without image support. An action's inputs go to the optimizer
-    and the actor, and to the reasoner under a reflection strategy; the
-    planning units see images only as text references."""
+    writer = bindings[UnitRole.ROLE_WRITER].model_name
+    for role in UnitRole:
+        if role is not UnitRole.ROLE_WRITER and bindings[role].model_name == writer:
+            raise BindingCollisionError(
+                f"role-writer model {writer!r} is also bound to {role.value}"
+            )
     if all(item.image is None for item in inputs):
         return
     roles = (UnitRole.OPTIMIZER, UnitRole.ACTOR)
     if config.strategy.kind not in LOCAL_KINDS:
         roles = (UnitRole.REASONER, *roles)
-    lacking = [role.value for role in roles if not config.role_bindings[role].supports_images]
+    lacking = [role.value for role in roles if not bindings[role].supports_images]
     if lacking:
         raise ConfigError(
             f"image inputs need supports_images on these bindings: {', '.join(lacking)}"
@@ -99,17 +111,8 @@ def check_image_support(config: EngineConfig, inputs: Iterable[ContentItem]) -> 
 
 
 def build_units(config: EngineConfig) -> UnitSet:
-    check_bindings(config)
+    check_config(config)
     return UnitSet({role: build_provider(cfg) for role, cfg in config.role_bindings.items()})
-
-
-def _check_role_isolation(config: EngineConfig) -> None:
-    writer = config.role_bindings[UnitRole.ROLE_WRITER].model_name
-    for role in UnitRole:
-        if role is not UnitRole.ROLE_WRITER and config.role_bindings[role].model_name == writer:
-            raise BindingCollisionError(
-                f"role-writer model {writer!r} is also bound to {role.value}"
-            )
 
 
 def bootstrap_role(
@@ -120,9 +123,7 @@ def bootstrap_role(
     transcript: Transcript | None = None,
 ) -> RoleDescription:
     """One role-writer call generating the system role installed on every
-    subsequent prompt of this run. The role-writer must not share a model
-    with any other unit."""
-    _check_role_isolation(config)
+    subsequent prompt of this run."""
     text = invoke(
         units[UnitRole.ROLE_WRITER],
         UnitRole.ROLE_WRITER,
@@ -404,16 +405,13 @@ def solve(
     """Solve one task end to end, returning the accumulated action results
     and the full invocation transcript. Failures inside the planning loop
     abort with the partial transcript attached."""
-    check_bindings(config, units)
+    check_config(config, task.inputs, units)
     units = units or build_units(config)
-    check_image_support(config, task.inputs)
     if transcript is None:
         transcript = Transcript()
     try:
         role = bootstrap_role(task, config, units, transcript=transcript)
         outcome = run_trials(task, env, config, units, role, transcript=transcript)
-    except ConfigError:
-        raise
     except AgentError as exc:
         raise TaskFailure(str(exc), transcript=transcript) from exc
     executed = _bind_inputs(outcome.executed, task)

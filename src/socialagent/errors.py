@@ -32,8 +32,7 @@ class TransportError(ProviderError):
 
 
 class AuthenticationError(ProviderError):
-    """Missing or rejected credentials; raised before any network call
-    when the configured key environment variable is unset."""
+    """The backend rejected the credentials (a 401 or 403 reply)."""
 
 
 class ImageUnsupportedError(ProviderError):

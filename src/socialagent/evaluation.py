@@ -396,10 +396,9 @@ def run_eval(
     if not dataset:
         raise InvariantError("dataset must contain at least one record")
     if workers < 1:
-        raise InvariantError("workers must be >= 1")
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     # record scripts override bindings, so every role must be bound first
-    engine.check_bindings(config)
-    engine.check_image_support(config, (item for record in dataset for item in record.inputs))
+    engine.check_config(config, (item for record in dataset for item in record.inputs))
     if task_kind is TaskKind.CATEGORIZE:
         # every categorize gold is a level-1/level-2 pair, so a flat taxonomy fails every record
         if taxonomy is None or not taxonomy.is_hierarchical():

@@ -80,8 +80,7 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
             ActionSpec(action_id, ACTION_NAMES_BY_ID[action_id], instructions)
         )
     rationale = payload.get("rationale")
-    if not isinstance(rationale, str):
-        rationale = "" if rationale is None else str(rationale)
+    rationale = rationale if isinstance(rationale, str) else ""
     return Plan(actions=tuple(actions), rationale=rationale, raw=raw)
 
 

@@ -21,6 +21,7 @@ from .core import ContentItem, ContentKind, SamplingConfig, Transcript, UnitRole
 from .divergence import EmbeddingVector
 from .errors import (
     AuthenticationError,
+    ConfigError,
     EmptyTextError,
     ImageUnsupportedError,
     InvariantError,
@@ -296,17 +297,15 @@ def _post(url: str, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
 class HttpChatProvider(Provider):
     """Generic chat-completion client: one JSON POST per call, base64 image
     parts inlined at the wire boundary, bounded retries on transport errors,
-    429 and 5xx."""
+    429 and 5xx. The API key is read once, when the provider is built."""
 
     backend = Backend.HTTP_CHAT
 
-    def _api_key(self) -> str:
-        key = os.environ.get(self.config.api_key_env or "")
-        if not key:
-            raise AuthenticationError(
-                f"environment variable {self.config.api_key_env!r} is not set"
-            )
-        return key
+    def __init__(self, config: ProviderConfig) -> None:
+        super().__init__(config)
+        self._key = os.environ.get(config.api_key_env or "")
+        if not self._key:
+            raise ConfigError(f"environment variable {config.api_key_env!r} is not set")
 
     def _message_parts(self, request: ProviderRequest) -> list[dict]:
         parts: list[dict] = []
@@ -327,11 +326,11 @@ class HttpChatProvider(Provider):
             )
         return parts
 
-    def _post_with_retries(self, url: str, body: dict, key: str, attempt: Attempt) -> dict:
+    def _post_with_retries(self, url: str, body: dict, attempt: Attempt) -> dict:
         import http.client
 
         data = json.dumps(body).encode("utf-8")
-        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+        headers = {"Authorization": f"Bearer {self._key}", "Content-Type": "application/json"}
         for number in range(1, RETRY_ATTEMPTS + 1):
             try:
                 status, reply = _post(url, data, headers)
@@ -357,7 +356,6 @@ class HttpChatProvider(Provider):
         raise TransportError(failure, attempts=RETRY_ATTEMPTS)
 
     def _reply(self, request: ProviderRequest, flattened: str, attempt: Attempt) -> str:
-        key = self._api_key()
         body = {
             "model": self.config.model_name,
             "messages": [
@@ -367,7 +365,7 @@ class HttpChatProvider(Provider):
             "temperature": request.sampling.temperature,
             "top_p": request.sampling.top_p,
         }
-        payload = self._post_with_retries(self.config.endpoint, body, key, attempt)
+        payload = self._post_with_retries(self.config.endpoint, body, attempt)
         try:
             choice = payload["choices"][0]
             text = choice.get("message", {}).get("content", choice.get("text", ""))
@@ -378,10 +376,9 @@ class HttpChatProvider(Provider):
         return text
 
     def _vector(self, text: str, attempt: Attempt) -> EmbeddingVector:
-        key = self._api_key()
         url = self.config.embed_endpoint or self.config.endpoint
         body = {"model": self.config.embed_model or self.config.model_name, "input": text}
-        payload = self._post_with_retries(url, body, key, attempt)
+        payload = self._post_with_retries(url, body, attempt)
         try:
             components = payload["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:

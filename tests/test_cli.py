@@ -208,6 +208,19 @@ def _actor_unbound(bindings):
     del bindings[UnitRole.ACTOR]
 
 
+_UNSET_KEY = "SOCIALAGENT_TEST_UNSET_KEY"  # deleted from the environment by the test
+
+
+def _actor_key_unset(bindings):
+    bindings[UnitRole.ACTOR] = replace(
+        bindings[UnitRole.ACTOR],
+        backend=Backend.HTTP_CHAT,
+        endpoint="http://127.0.0.1:9/v1/chat",
+        api_key_env=_UNSET_KEY,
+        script=None,
+    )
+
+
 def _qa_config_file_with(tmp_path, edit):
     """The bundled QA eval config file with its JSON value edited by ``edit``."""
     data = json.loads(fixture_path("qa_eval_config.json").read_text(encoding="utf-8"))
@@ -303,6 +316,7 @@ _STORE_CASES = (
 _SHARED_MODEL = "role-writer model 'role-scribe' is also bound to actor"
 _UNBOUND_CRITIC = "missing role bindings: critic"
 _UNBOUND_ACTOR = "missing role bindings: actor"
+_ACTOR_KEY_UNSET = f"environment variable '{_UNSET_KEY}' is not set"
 
 
 @pytest.mark.parametrize(
@@ -400,6 +414,7 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
                 ("actor-shares-writer-model", _actor_shares_writer_model, _SHARED_MODEL),
                 ("critic-unbound", _critic_unbound, _UNBOUND_CRITIC),
                 ("actor-unbound", _actor_unbound, _UNBOUND_ACTOR),
+                ("actor-key-unset", _actor_key_unset, _ACTOR_KEY_UNSET),
             )
         ),
         *(
@@ -464,10 +479,12 @@ _UNBOUND_ACTOR = "missing role bindings: actor"
     ],
 )
 def test_configuration_errors_exit_1_with_a_message(
-    capsys, tmp_path, provider_calls, argv, mentions
+    capsys, monkeypatch, tmp_path, provider_calls, argv, mentions
 ):
-    code, _, stderr = run_cli(capsys, *argv(tmp_path))
+    monkeypatch.delenv(_UNSET_KEY, raising=False)
+    code, stdout, stderr = run_cli(capsys, *argv(tmp_path))
     assert code == EXIT_CONFIG
+    assert stdout == ""
     assert stderr.startswith("error: ")
     assert mentions.format(tmp=tmp_path) in stderr
     assert provider_calls == []
@@ -659,17 +676,10 @@ class TestEval:
         assert f"kind: {kind}" in stderr  # human table on stderr
 
     def test_unknown_kind_exits_1_and_lists_valid_kinds(self, capsys):
-        code, _, stderr = run_cli(
-            capsys,
-            "eval",
-            "--config",
-            str(fixture_path("qa_eval_config.json")),
-            "--dataset",
-            str(fixture_path("mini_qa.jsonl")),
-            "--kind",
-            "poetry",
-        )
-        assert code == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exited:
+            main(_eval_argv(kind="poetry"))
+        assert exited.value.code == EXIT_CONFIG
+        stderr = capsys.readouterr().err
         for valid in ("qa", "vqa", "title", "categorize"):
             assert valid in stderr
 

@@ -64,9 +64,8 @@ class TestBootstrapRole:
         from dataclasses import replace
 
         config = replace(config, role_bindings=bindings)
-        units = build_units(config)
         with pytest.raises(BindingCollisionError, match="actor"):
-            bootstrap_role(qa_task(), config, units)
+            build_units(config)
 
     def test_valid_config_generates_role_from_one_call(self):
         config = engine_config(role_writer=("You are a public-health content analyst.",))
@@ -84,6 +83,42 @@ class TestBootstrapRole:
 
         with pytest.raises(ConfigError, match="refiner"):
             build_units(replace(config, role_bindings=bindings))
+
+    def test_blank_role_fails_the_run_after_the_one_role_writer_call(self):
+        setup = fixtures.scenario_setup("scenario_a")
+        bindings = dict(setup.engine.role_bindings)
+        writer = bindings[UnitRole.ROLE_WRITER]
+        bindings[UnitRole.ROLE_WRITER] = replace(writer, script=MockScript.of("  \n "))
+        config = replace(setup.engine, role_bindings=bindings)
+        with pytest.raises(TaskFailure, match="role description must be non-empty") as excinfo:
+            solve(fixtures.scenario_task(), ENV, config)
+        assert excinfo.value.transcript.signature() == (("role_writer", "bootstrap_role"),)
+
+    def test_check_config_reports_its_rules_in_order(self):
+        """Missing bindings, then units lacking a provider, then the
+        role-writer collision, then image support: each fault shows only
+        once every earlier rule holds."""
+        config = engine_config()
+        bindings = dict(config.role_bindings)
+        writer = bindings[UnitRole.ROLE_WRITER].model_name
+        bindings[UnitRole.ACTOR] = replace(bindings[UnitRole.ACTOR], model_name=writer)
+        colliding = replace(config, role_bindings=bindings)
+        unbound = replace(
+            colliding, role_bindings={UnitRole.ROLE_WRITER: bindings[UnitRole.ROLE_WRITER]}
+        )
+        units = build_units(config)
+        del units.providers[UnitRole.CRITIC]
+        image = (ContentItem.from_image("photo.png", "image/png"),)
+        steps = [
+            (unbound, units, "missing role bindings: reasoner, planner, optimizer, critic, refiner, actor"),
+            (colliding, units, "units lack a provider for: critic"),
+            (colliding, None, "role-writer model 'role-scribe' is also bound to actor"),
+            (config, None, "image inputs need supports_images on these bindings: optimizer, actor"),
+        ]
+        for cfg, given, message in steps:
+            with pytest.raises(ConfigError, match=message):
+                engine_mod.check_config(cfg, image, given)
+        engine_mod.check_config(config)
 
     @pytest.mark.parametrize("lacking", ["config", "units"])
     def test_solve_with_units_rejects_an_unbound_role_before_any_call(self, lacking):

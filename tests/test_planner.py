@@ -53,7 +53,17 @@ class TestParsePlan:
         ]
         assert parsed.rationale == "r"
 
-    @pytest.mark.parametrize("rationale", ["", ', "rationale": null'], ids=["missing", "null"])
+    @pytest.mark.parametrize(
+        "rationale",
+        [
+            "",
+            ', "rationale": null',
+            ', "rationale": ["why", {"k": true}]',
+            ', "rationale": 7',
+            ', "rationale": 1e400',
+        ],
+        ids=["missing", "null", "list", "number", "overflowing-number"],
+    )
     def test_absent_rationale_reads_as_empty(self, rationale):
         raw = block('{"actions": [{"id": 1, "instructions": "answer Q"}]%s}' % rationale)
         assert parse_plan(raw, ALL_ACTIONS).rationale == ""

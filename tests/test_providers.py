@@ -30,6 +30,7 @@ from socialagent.core import (
 from socialagent.engine import RoleDescription, UnitSet, execute_actions
 from socialagent.errors import (
     AuthenticationError,
+    ConfigError,
     EmptyTextError,
     ImageUnsupportedError,
     InvariantError,
@@ -249,9 +250,8 @@ class TestHttpChat:
     def test_missing_api_key_fails_before_any_network_call(self, monkeypatch):
         monkeypatch.delenv("TEST_PROVIDER_KEY", raising=False)
         poster = fake_post(monkeypatch)
-        provider = HttpChatProvider(http_config())
-        with pytest.raises(AuthenticationError):
-            provider.complete(request("hello"))
+        with pytest.raises(ConfigError, match="'TEST_PROVIDER_KEY' is not set"):
+            HttpChatProvider(http_config())
         assert poster.calls == 0
 
     def test_completion_parsed_from_first_choice(self, monkeypatch):
@@ -687,6 +687,7 @@ def test_http_config_requires_endpoint_and_key_env():
         ProviderConfig(backend=Backend.HTTP_CHAT, model_name="m")
 
 
-def test_build_provider_dispatches_on_backend():
+def test_build_provider_dispatches_on_backend(monkeypatch):
+    monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
     assert isinstance(build_provider(mock_config("m")), MockProvider)
     assert isinstance(build_provider(http_config()), HttpChatProvider)

@@ -187,7 +187,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
     units = engine.build_units(setup.engine)
-    role = engine.bootstrap_role(task, setup.engine, units)
+    role = engine.bootstrap_role(task, units)
     outcome = engine.run_trials(task, env, setup.engine, units, role)
     lines = [f"task: {task.id}"]
     for view in outcome.trial_views:

@@ -116,11 +116,7 @@ def build_units(config: EngineConfig) -> UnitSet:
 
 
 def bootstrap_role(
-    task: Task,
-    config: EngineConfig,
-    units: UnitSet,
-    *,
-    transcript: Transcript | None = None,
+    task: Task, units: UnitSet, *, transcript: Transcript | None = None
 ) -> RoleDescription:
     """One role-writer call generating the system role installed on every
     subsequent prompt of this run."""
@@ -219,7 +215,6 @@ def run_trials(
     plan. The final trial always exits with the best available plan."""
     views: list[TrialView] = []
     prompt = create_task_prompt(task, env, role.text)
-    executed: Plan | None = None
 
     for trial in range(config.trials):
         reasoned = reason(
@@ -248,6 +243,7 @@ def run_trials(
         gate: GateDecision | None = None
         critique: Critique | None = None
         refined: RefinedInstructions | None = None
+        executed: Plan | None = None
         if trial < config.trials - 1:
             gate = should_criticize(
                 plan_a.raw,
@@ -287,12 +283,10 @@ def run_trials(
                 trial, plan_a.raw, optimized_text, gate=gate, critique=critique, refined=refined
             )
         )
-        if refined is None:
-            break
+        if executed is not None:
+            return TrialsOutcome(executed=executed, trial_views=tuple(views))
         prompt = create_task_prompt(task, env, role.text, refined=refined)
-
-    assert executed is not None
-    return TrialsOutcome(executed=executed, trial_views=tuple(views))
+    raise InvariantError(f"no plan to execute after {config.trials} trials")
 
 
 def _bind_inputs(plan: Plan, task: Task) -> Plan:
@@ -410,7 +404,7 @@ def solve(
     if transcript is None:
         transcript = Transcript()
     try:
-        role = bootstrap_role(task, config, units, transcript=transcript)
+        role = bootstrap_role(task, units, transcript=transcript)
         outcome = run_trials(task, env, config, units, role, transcript=transcript)
     except AgentError as exc:
         raise TaskFailure(str(exc), transcript=transcript) from exc

@@ -4,26 +4,21 @@ and the golden reports they must reproduce byte-for-byte."""
 
 from __future__ import annotations
 
+import io
 import json
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import redirect_stderr
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
-from . import canonical, engine, evaluation
+from . import canonical, cli
 from .actor import CategoryTaxonomy, ToolEntry, ToolStore
-from .core import (
-    ContentItem,
-    EngineConfig,
-    EnvironmentContext,
-    ReasoningStrategy,
-    Task,
-    UnitRole,
-)
-from .errors import MalformedInputError
-from .evaluation import RunSetup, TaskKind, load_dataset, run_eval
+from .core import ContentItem, EngineConfig, ReasoningStrategy, Task, UnitRole
+from .errors import InvariantError, MalformedInputError
+from .evaluation import RunSetup, TaskKind, load_dataset
 from .planner import plan_block
 from .protocol import ActionShape, Shape, TrialShape, signature
 from .providers import Backend, MockScript, MockScriptEntry, ProviderConfig
@@ -106,17 +101,13 @@ def _reasoner_script(sites: int) -> tuple[str, ...]:
     )
 
 
-def mock_config(model_name: str, *responses: str, **kwargs) -> ProviderConfig:
+def mock_config(model_name: str, *responses: str | MockScriptEntry, **kwargs) -> ProviderConfig:
+    """A mock binding serving ``responses`` in order; a plain string is an
+    entry without a matcher."""
+    entries = tuple(r if isinstance(r, MockScriptEntry) else MockScriptEntry(r) for r in responses)
     return ProviderConfig(
-        backend=Backend.MOCK,
-        model_name=model_name,
-        script=MockScript.of(*responses),
-        **kwargs,
+        backend=Backend.MOCK, model_name=model_name, script=MockScript(entries), **kwargs
     )
-
-
-def _entries(*responses: str) -> tuple[MockScriptEntry, ...]:
-    return tuple(MockScriptEntry(response=r) for r in responses)
 
 
 def _optimizer_script(trial_blocks: list[str], action_rounds: int) -> list[str]:
@@ -135,6 +126,25 @@ def _optimizer_script(trial_blocks: list[str], action_rounds: int) -> list[str]:
     return script
 
 
+def mock_bindings(
+    scripts: Mapping[UnitRole, Iterable[str | MockScriptEntry]],
+    *,
+    critic: Mapping[str, tuple[float, ...]] | None = None,
+) -> dict[UnitRole, ProviderConfig]:
+    """The seven mock bindings of a run: ``role-scribe`` for the role-writer
+    and ``unit-<role>`` for every other unit, each serving its replies in
+    ``scripts`` (none for a role left out); ``critic`` holds the critic's
+    embedding overrides."""
+    return {
+        role: mock_config(
+            "role-scribe" if role is UnitRole.ROLE_WRITER else f"unit-{role.value}",
+            *scripts.get(role, ()),
+            embedding_overrides=dict(critic or {}) if role is UnitRole.CRITIC else {},
+        )
+        for role in UnitRole
+    }
+
+
 def _bindings(
     writer: str,
     planner_responses: list[str],
@@ -142,7 +152,8 @@ def _bindings(
     action_rounds: int,
     *,
     actor: tuple[str, ...] = (),
-    critic: ProviderConfig | None = None,
+    critic: tuple[str, ...] = (),
+    critic_embeddings: Mapping[str, tuple[float, ...]] | None = None,
     refiner: tuple[str, ...] = (),
     reason_sites: int = 3,
 ) -> dict[UnitRole, ProviderConfig]:
@@ -151,25 +162,24 @@ def _bindings(
     replies, an optimizer script of one quartet per planning trial
     (``optimizer_blocks`` are its step outputs) plus ``action_rounds`` action
     quartets, and the replies of the remaining units (none by default)."""
-    return {
-        UnitRole.ROLE_WRITER: mock_config("role-scribe", writer),
-        UnitRole.REASONER: mock_config("unit-reasoner", *_reasoner_script(reason_sites)),
-        UnitRole.PLANNER: mock_config("unit-planner", *planner_responses),
-        UnitRole.OPTIMIZER: mock_config(
-            "unit-optimizer", *_optimizer_script(optimizer_blocks, action_rounds)
-        ),
-        UnitRole.CRITIC: critic or mock_config("unit-critic"),
-        UnitRole.REFINER: mock_config("unit-refiner", *refiner),
-        UnitRole.ACTOR: mock_config("unit-actor", *actor),
-    }
-
-
-def _gate_critic(verdict: str, plan_a: str, plan_b: str) -> ProviderConfig:
-    """A critic whose embeddings put the two plans far apart, so the gate
-    fires, and whose one reply is ``verdict``."""
-    return mock_config(
-        "unit-critic", verdict, embedding_overrides={plan_a: (2.0, 0.0), plan_b: (0.0, 2.0)}
+    return mock_bindings(
+        {
+            UnitRole.ROLE_WRITER: (writer,),
+            UnitRole.REASONER: _reasoner_script(reason_sites),
+            UnitRole.PLANNER: planner_responses,
+            UnitRole.OPTIMIZER: _optimizer_script(optimizer_blocks, action_rounds),
+            UnitRole.CRITIC: critic,
+            UnitRole.REFINER: refiner,
+            UnitRole.ACTOR: actor,
+        },
+        critic=critic_embeddings,
     )
+
+
+def _gate_embeddings(plan_a: str, plan_b: str) -> dict[str, tuple[float, ...]]:
+    """Critic embeddings that put the two plans far apart, so the gate
+    fires."""
+    return {plan_a: (2.0, 0.0), plan_b: (0.0, 2.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +323,7 @@ def _eval_setup(
         engine=EngineConfig(role_bindings=bindings, trials=1, strategy=ReasoningStrategy.none()),
         taxonomy_path=taxonomy_path,  # resolved against the config file's directory
         record_scripts={
-            record_id: {UnitRole.ACTOR: _entries(*script)}
+            record_id: {UnitRole.ACTOR: MockScript.of(*script).entries}
             for record_id, script in actor_scripts.items()
         },
     )
@@ -389,11 +399,8 @@ def plan_divergent_setup() -> RunSetup:
         [COMPOSITE_PLAN_BLOCK, COMPOSITE_PLAN_BLOCK],
         [ALT_COMPOSITE_PLAN_BLOCK, COMPOSITE_PLAN_BLOCK],
         0,
-        critic=_gate_critic(
-            "VERDICT: A\nFEEDBACK: Keep the headline first; classification should use it.",
-            COMPOSITE_PLAN_BLOCK,
-            ALT_COMPOSITE_PLAN_BLOCK,
-        ),
+        critic=("VERDICT: A\nFEEDBACK: Keep the headline first; classification should use it.",),
+        critic_embeddings=_gate_embeddings(COMPOSITE_PLAN_BLOCK, ALT_COMPOSITE_PLAN_BLOCK),
         refiner=("Keep the title action before categorization and reuse its output.",),
     )
     return RunSetup(
@@ -461,7 +468,7 @@ def scenario_setup(name: str) -> RunSetup:
     """Scenarios A and C plan once and differ only in the trial budget;
     scenario B's gate fires and its refiner feeds one replan."""
     if name not in SCENARIO_SEQUENCES:
-        raise ValueError(f"unknown scenario {name!r}")
+        raise InvariantError(f"unknown scenario {name!r}")
     writer = "You are a careful analyst."
     actor = ("ANSWER: the outer belt", "ANSWER: the outer asteroid belt")
     if name == "scenario_b":
@@ -471,11 +478,8 @@ def scenario_setup(name: str) -> RunSetup:
             [ALT_QA_PLAN_BLOCK, REPLAN_BLOCK],
             1,
             actor=actor,
-            critic=_gate_critic(
-                "VERDICT: A\nFEEDBACK: Tie the answer to the cited passage.",
-                QA_PLAN_BLOCK,
-                ALT_QA_PLAN_BLOCK,
-            ),
+            critic=("VERDICT: A\nFEEDBACK: Tie the answer to the cited passage.",),
+            critic_embeddings=_gate_embeddings(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
             refiner=("Plan a single QA action citing the passage.",),
         )
     else:
@@ -497,13 +501,6 @@ _DATASETS = {
     "mini_category.jsonl": (CATEGORY_DATASET, TaskKind.CATEGORIZE),
 }
 
-# The dataset and run configuration each eval golden is regenerated from.
-_EVAL_GOLDENS = {
-    "golden_qa_report.json": ("mini_qa.jsonl", "qa_eval_config.json"),
-    "golden_title_report.json": ("mini_title.jsonl", "title_eval_config.json"),
-    "golden_category_report.json": ("mini_category.jsonl", "category_eval_config.json"),
-}
-
 
 def _dataset_text(rows: list[dict]) -> str:
     return "\n".join(json.dumps(row, sort_keys=True, ensure_ascii=False) for row in rows) + "\n"
@@ -522,47 +519,44 @@ _SETUPS = {
 }
 
 
-def _eval_report_text(directory: Path, dataset_name: str, config_name: str) -> str:
-    """The eval report for fixture files in ``directory``, loaded as the CLI
-    loads them."""
-    kind = _DATASETS[dataset_name][1]
-    setup = evaluation.load_setup(directory / config_name)
-    records = load_dataset(directory / dataset_name, kind)
-    tools, taxonomy_obj = evaluation.load_stores(setup)
-    report = run_eval(
-        records,
-        kind,
-        setup.engine,
-        tools=tools,
-        taxonomy=taxonomy_obj,
-        record_scripts=setup.record_scripts,
-        workers=GOLDEN_WORKERS,
-    )
-    return canonical.serialize(report)
-
-
-# The run configuration and task each solve golden is regenerated from.
-_SOLVE_GOLDENS = {
-    "golden_solve_report.json": ("solve_config.json", "example_task.json"),
-    "golden_multi_action_solve_report.json": ("multi_action_config.json", "plan_task.json"),
+# The CLI command that writes each golden report; ``{dir}`` is the directory
+# the other fixture files were just written to.
+_GOLDENS = {
+    "golden_qa_report.json": "eval --config {dir}/qa_eval_config.json"
+    " --dataset {dir}/mini_qa.jsonl --kind qa --workers {workers}",
+    "golden_title_report.json": "eval --config {dir}/title_eval_config.json"
+    " --dataset {dir}/mini_title.jsonl --kind title --workers {workers}",
+    "golden_category_report.json": "eval --config {dir}/category_eval_config.json"
+    " --dataset {dir}/mini_category.jsonl --kind categorize --workers {workers}",
+    "golden_solve_report.json": "solve --config {dir}/solve_config.json"
+    " --task {dir}/example_task.json",
+    "golden_multi_action_solve_report.json": "solve --config {dir}/multi_action_config.json"
+    " --task {dir}/plan_task.json",
 }
 
 
-def _solve_report_text(directory: Path, config_name: str, task_name: str) -> str:
-    """The solve report for fixture files in ``directory``, run as the CLI's
-    solve command runs it."""
-    setup = evaluation.load_setup(directory / config_name)
-    task = canonical.load(directory / task_name)
-    tools, taxonomy_obj = evaluation.load_stores(setup)
-    response = engine.solve(
-        task, EnvironmentContext(), setup.engine, tools=tools, taxonomy=taxonomy_obj
-    )
-    return engine.run_report(task, response)
+def _write_golden(directory: Path, name: str) -> None:
+    """Run the CLI command of golden ``name`` on the fixture files in
+    ``directory``, writing its report there; a command that exits non-zero
+    raises ``InvariantError`` carrying the command's stderr."""
+    args = [arg.format(dir=directory, workers=GOLDEN_WORKERS) for arg in _GOLDENS[name].split()]
+    args += ["--out", str(directory / name)]
+    stderr = io.StringIO()
+    try:
+        with redirect_stderr(stderr):
+            status = cli.main(args)
+    except SystemExit as exc:  # argparse rejected the arguments
+        status = exc.code
+    if status:
+        raise InvariantError(
+            f"{name}: socialagent {' '.join(args)} exited {status}: {stderr.getvalue().strip()}"
+        )
 
 
 def regenerate(target: Path | None = None) -> list[str]:
     """Write every fixture file (datasets, stores, configs, reference
-    sequences) and regenerate the golden reports from the files written."""
+    sequences), then write each golden report by running the CLI's own
+    ``solve`` or ``eval`` on the files written."""
     target = target or fixture_dir()
     target.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -589,10 +583,9 @@ def regenerate(target: Path | None = None) -> list[str]:
             canonical.dumps({"sequence": [list(pair) for pair in sequence]}),
         )
 
-    for golden_name, (dataset_name, config_name) in _EVAL_GOLDENS.items():
-        write(golden_name, _eval_report_text(target, dataset_name, config_name))
-    for golden_name, (config_name, task_name) in _SOLVE_GOLDENS.items():
-        write(golden_name, _solve_report_text(target, config_name, task_name))
+    for name in _GOLDENS:
+        _write_golden(target, name)
+        written.append(name)
     return written
 
 

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from socialagent.core import EngineConfig, ReasoningStrategy, UnitRole
-from socialagent.fixtures import mock_config
-from socialagent.providers import MockProvider, ProviderConfig
+from socialagent.fixtures import mock_bindings, mock_config
+from socialagent.providers import MockProvider
 
 
 def mock_provider(*responses: str, model_name: str = "mock", **kwargs) -> MockProvider:
@@ -13,28 +13,17 @@ def mock_provider(*responses: str, model_name: str = "mock", **kwargs) -> MockPr
 
 def engine_config(
     *,
-    planner: tuple[str, ...] = (),
-    optimizer: tuple[str, ...] = (),
-    actor: tuple[str, ...] = (),
-    reasoner: tuple[str, ...] = (),
-    critic: tuple[str, ...] = (),
-    refiner: tuple[str, ...] = (),
-    role_writer: tuple[str, ...] = ("You are an analyst.",),
-    critic_config: ProviderConfig | None = None,
+    critic_embeddings: dict[str, tuple[float, ...]] | None = None,
     strategy: ReasoningStrategy | None = None,
     **kwargs,
 ) -> EngineConfig:
-    bindings = {
-        UnitRole.ROLE_WRITER: mock_config("role-scribe", *role_writer),
-        UnitRole.REASONER: mock_config("unit-reasoner", *reasoner),
-        UnitRole.PLANNER: mock_config("unit-planner", *planner),
-        UnitRole.OPTIMIZER: mock_config("unit-optimizer", *optimizer),
-        UnitRole.CRITIC: critic_config or mock_config("unit-critic", *critic),
-        UnitRole.REFINER: mock_config("unit-refiner", *refiner),
-        UnitRole.ACTOR: mock_config("unit-actor", *actor),
-    }
+    """A config of the seven mock bindings: a keyword named after a unit
+    role (``planner=``, ``role_writer=`` ...) gives that unit's replies,
+    any other keyword sets an ``EngineConfig`` field."""
+    kwargs.setdefault("role_writer", ("You are an analyst.",))
+    scripts = {role: kwargs.pop(role.value, ()) for role in UnitRole}
     return EngineConfig(
-        role_bindings=bindings,
+        role_bindings=mock_bindings(scripts, critic=critic_embeddings),
         strategy=strategy or ReasoningStrategy.zero_shot_cot(),
         **kwargs,
     )

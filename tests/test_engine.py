@@ -71,7 +71,7 @@ class TestBootstrapRole:
         config = engine_config(role_writer=("You are a public-health content analyst.",))
         units = build_units(config)
         transcript = Transcript()
-        role = bootstrap_role(qa_task(), config, units, transcript=transcript)
+        role = bootstrap_role(qa_task(), units, transcript=transcript)
         assert role.text == "You are a public-health content analyst."
         assert transcript.signature() == (("role_writer", "bootstrap_role"),)
 
@@ -253,15 +253,11 @@ class TestArbitration:
         assert response.plan_used.raw == QA_PLAN_BLOCK
 
     def test_unparseable_optimizer_output_mid_loop_skips_critic(self):
-        critic = mock_config(
-            "unit-critic",
-            embedding_overrides={QA_PLAN_BLOCK: (2.0, 0.0), "free prose rewrite": (0.0, 2.0)},
-        )
         config = engine_config(
             planner=(QA_PLAN_BLOCK,),
             optimizer=("p", "e", "g", "free prose rewrite", "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: two"),
-            critic_config=critic,
+            critic_embeddings=fixtures._gate_embeddings(QA_PLAN_BLOCK, "free prose rewrite"),
             trials=2,
             theta=0.05,
             strategy=ReasoningStrategy.none(),
@@ -272,12 +268,12 @@ class TestArbitration:
         assert response.trials_executed == 1
 
     def test_non_actionable_verdict_b_executes_plan_b(self):
-        critic = fixtures._gate_critic("VERDICT: B\nFEEDBACK:", QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK)
         config = engine_config(
             planner=(QA_PLAN_BLOCK,),
             optimizer=optimizer_script([ALT_QA_PLAN_BLOCK]),
             actor=("ANSWER: one", "ANSWER: two"),
-            critic_config=critic,
+            critic=("VERDICT: B\nFEEDBACK:",),
+            critic_embeddings=fixtures._gate_embeddings(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
             trials=2,
             theta=0.05,
             strategy=ReasoningStrategy.none(),
@@ -288,12 +284,12 @@ class TestArbitration:
         assert response.critiques[0].selected is PlanChoice.PLAN_B
 
     def test_non_actionable_verdict_a_executes_plan_a(self):
-        critic = fixtures._gate_critic("VERDICT: A\nFEEDBACK:", QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK)
         config = engine_config(
             planner=(QA_PLAN_BLOCK,),
             optimizer=optimizer_script([ALT_QA_PLAN_BLOCK]),
             actor=("ANSWER: one", "ANSWER: two"),
-            critic_config=critic,
+            critic=("VERDICT: A\nFEEDBACK:",),
+            critic_embeddings=fixtures._gate_embeddings(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
             trials=2,
             theta=0.05,
             strategy=ReasoningStrategy.none(),
@@ -470,7 +466,7 @@ class TestRunTrialsDirectly:
     def test_trial_views_capture_gate_and_critique(self):
         setup = fixtures.scenario_setup("scenario_b")
         units = build_units(setup.engine)
-        role = bootstrap_role(fixtures.scenario_task(), setup.engine, units)
+        role = bootstrap_role(fixtures.scenario_task(), units)
         outcome = run_trials(fixtures.scenario_task(), ENV, setup.engine, units, role)
         assert len(outcome.trial_views) == 2
         first = outcome.trial_views[0]
@@ -675,7 +671,7 @@ def _plan_bundled(config, task, monkeypatch):
     setup = load_setup(fixture_path(config))
     units = build_units(setup.engine)
     task = canonical.load(fixture_path(task))
-    role = bootstrap_role(task, setup.engine, units)
+    role = bootstrap_role(task, units)
     run_trials(task, ENV, setup.engine, units, role)
     return list(units.providers.values())
 

@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import shutil
+from dataclasses import replace
+
+import pytest
 
 from socialagent import canonical, fixtures
+from socialagent.core import UnitRole
+from socialagent.errors import InvariantError
 from socialagent.evaluation import TaskKind
 from socialagent.fixtures import fixture_dir, fixture_path, fixture_integrity_check
 
@@ -76,6 +81,33 @@ def test_regenerated_goldens_come_from_the_files_written(tmp_path, monkeypatch):
     golden = canonical.load(tmp_path / "golden_qa_report.json")
     assert golden.n == 4
     assert [record.id for record in golden.per_record] == ["qa-01", "qa-02", "qa-03", "qa-04"]
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [("config", "error: missing role bindings: actor"), ("arguments", "invalid choice: 'poetry'")],
+)
+def test_a_golden_whose_command_fails_names_the_golden_and_the_cli_error(
+    tmp_path, monkeypatch, fault, error
+):
+    if fault == "config":  # the library rejects it, and the CLI exits 1
+        setup = fixtures.qa_setup()
+        bindings = dict(setup.engine.role_bindings)
+        del bindings[UnitRole.ACTOR]
+        unbound = replace(setup, engine=replace(setup.engine, role_bindings=bindings))
+        monkeypatch.setitem(fixtures._SETUPS, "qa_eval_config.json", lambda: unbound)
+    else:  # argparse rejects it through SystemExit
+        args = fixtures._GOLDENS["golden_qa_report.json"].replace("--kind qa", "--kind poetry")
+        monkeypatch.setitem(fixtures._GOLDENS, "golden_qa_report.json", args)
+    with pytest.raises(InvariantError, match="golden_qa_report.json") as excinfo:
+        fixtures.regenerate(tmp_path)
+    assert error in str(excinfo.value)
+    assert not (tmp_path / "golden_qa_report.json").exists()
+
+
+def test_unknown_scenario_is_an_invariant_error():
+    with pytest.raises(InvariantError, match="unknown scenario 'scenario_z'"):
+        fixtures.scenario_setup("scenario_z")
 
 
 def test_hand_edited_config_named_in_report(tmp_path, monkeypatch):

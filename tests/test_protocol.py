@@ -27,7 +27,7 @@ from socialagent.core import (
 from socialagent.engine import build_units, solve
 from socialagent.planner import plan_block
 from socialagent.protocol import ActionShape, Shape, TrialShape, budget, signature
-from socialagent.providers import Backend, MockScript, MockScriptEntry, ProviderConfig
+from socialagent.providers import MockScriptEntry
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 STRATEGIES = ("none", "zero_shot_cot", "self_reflection", "cot_and_reflection")
@@ -123,17 +123,8 @@ class _Scripts:
         return self.run.tgd, value
 
     def config(self) -> EngineConfig:
-        bindings = {
-            role: ProviderConfig(
-                backend=Backend.MOCK,
-                model_name=f"unit-{role.value}",
-                script=MockScript(tuple(entries)),
-                embedding_overrides=self.overrides if role is UnitRole.CRITIC else {},
-            )
-            for role, entries in self.entries.items()
-        }
         return EngineConfig(
-            role_bindings=bindings,
+            role_bindings=fixtures.mock_bindings(self.entries, critic=self.overrides),
             trials=self.run.trials,
             tgd_iterations=self.run.tgd,
             strategy=getattr(ReasoningStrategy, self.run.strategy)(),

@@ -630,7 +630,7 @@ loaded()
 setup = load_setup(fixture_path("plan_divergent_config.json"))
 task = canonical.load(fixture_path("plan_task.json"))
 units = engine.build_units(setup.engine)
-role = engine.bootstrap_role(task, setup.engine, units)
+role = engine.bootstrap_role(task, units)
 outcome = engine.run_trials(task, EnvironmentContext(), setup.engine, units, role)
 assert outcome.trial_views[0].gate.activate
 loaded()

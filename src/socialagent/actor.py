@@ -23,8 +23,9 @@ ANSWER_PREFIX = "ANSWER:"
 TITLE_PREFIX = "TITLE:"
 CATEGORY_PREFIX = "CATEGORY:"
 
-# Instructions may request store facts with a line "KNOWLEDGE: <query>".
-_KNOWLEDGE_DIRECTIVE = re.compile(r"^KNOWLEDGE:\s*(.+)$", re.MULTILINE)
+# Instructions may request store facts with a line "KNOWLEDGE: <query>"; the
+# query is the rest of that line, and a blank one requests nothing.
+_KNOWLEDGE_DIRECTIVE = re.compile(r"^KNOWLEDGE:(.*)$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,8 @@ def _context_segments(
     """Store facts the instructions request, then any revision feedback."""
     extra: tuple[ContentItem, ...] = ()
     match = _KNOWLEDGE_DIRECTIVE.search(spec.instructions) if tools is not None else None
-    facts = lookup(tools, match.group(1).strip()) if match else []
+    query = match.group(1).strip() if match else ""
+    facts = lookup(tools, query) if query else []
     if facts:
         extra += (ContentItem.from_text("Relevant known facts:\n" + "\n".join(facts)),)
     if revision:

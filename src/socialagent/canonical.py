@@ -248,8 +248,8 @@ def read_text(path: str | Path) -> str:
 
 def load(path: str | Path, kind: type[_T] = object) -> _T:
     """Rebuild the domain value stored in a canonical text file, which must
-    be a ``kind``."""
+    be a ``kind``; the caller names the file in any error."""
     value = deserialize(read_text(path))
     if not isinstance(value, kind):
-        raise MalformedInputError(f"{path} does not contain a {kind.__name__}")
+        raise MalformedInputError(f"does not contain a {kind.__name__}")
     return value

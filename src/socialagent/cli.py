@@ -88,14 +88,11 @@ def _load_setup(path: str) -> tuple[RunSetup, ToolStore | None, CategoryTaxonomy
 
 def _load(what: str, load: Callable[..., _T], path: str, *args: object) -> _T:
     """``load(path, *args)`` for a task or dataset; a fault's message names
-    the file exactly once."""
+    the file once, as ``cannot load <what> <path>: …``."""
     try:
         return load(path, *args)
     except AgentError as exc:
-        text = str(exc)
-        raise MalformedInputError(
-            text if path in text else f"cannot load {what} {path}: {text}"
-        ) from exc
+        raise MalformedInputError(f"cannot load {what} {path}: {exc}") from exc
 
 
 def _check_out(out: str | None) -> None:

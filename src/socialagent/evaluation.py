@@ -3,10 +3,12 @@ metric reports in the 0-100 convention."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import TypeVar
 
 from . import canonical, engine, metrics
 from .actor import (
@@ -17,10 +19,18 @@ from .actor import (
     load_toolstore,
 )
 from .core import ContentItem, EngineConfig, EnvironmentContext, Task, UnitRole
-from .errors import ConfigError, DatasetFormatError, InvariantError, MalformedInputError
+from .errors import (
+    AgentError,
+    ConfigError,
+    DatasetFormatError,
+    InvariantError,
+    MalformedInputError,
+)
 from .providers import MockScript, MockScriptEntry
 
 REPORT_DECIMALS = 4
+
+_T = TypeVar("_T")
 
 
 class TaskKind(Enum):
@@ -119,10 +129,20 @@ def load_setup(path: str | Path) -> RunSetup:
 
 
 def load_stores(setup: RunSetup) -> tuple[ToolStore | None, CategoryTaxonomy | None]:
-    """The knowledge store and taxonomy a run configuration names, if any."""
-    tools = load_toolstore(setup.toolstore_path) if setup.toolstore_path else None
-    taxonomy = load_taxonomy(setup.taxonomy_path) if setup.taxonomy_path else None
-    return tools, taxonomy
+    """The knowledge store and taxonomy a run configuration names, if any; a
+    store that does not load is a ``ConfigError`` naming its file, as
+    ``toolstore <path>: …`` or ``taxonomy <path>: …``."""
+    return (
+        _load_store("toolstore", load_toolstore, setup.toolstore_path),
+        _load_store("taxonomy", load_taxonomy, setup.taxonomy_path),
+    )
+
+
+def _load_store(what: str, load: Callable[[str], _T], path: str | None) -> _T | None:
+    try:
+        return load(path) if path else None
+    except AgentError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
 def _require_str(payload: dict, line: int, *names: str) -> str:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
 import tempfile
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import redirect_stderr
@@ -519,8 +520,8 @@ _SETUPS = {
 }
 
 
-# The CLI command that writes each golden report; ``{dir}`` is the directory
-# the other fixture files were just written to.
+# The CLI command that writes each golden report, spelled only here;
+# ``{dir}`` is the directory holding the other fixture files.
 _GOLDENS = {
     "golden_qa_report.json": "eval --config {dir}/qa_eval_config.json"
     " --dataset {dir}/mini_qa.jsonl --kind qa --workers {workers}",
@@ -535,12 +536,18 @@ _GOLDENS = {
 }
 
 
+def golden_argv(name: str, directory: Path | None = None) -> list[str]:
+    """The CLI arguments of golden ``name``'s command, run on the fixture
+    files in ``directory`` (the bundle by default) and writing to stdout."""
+    directory = directory or fixture_dir()
+    return [arg.format(dir=directory, workers=GOLDEN_WORKERS) for arg in _GOLDENS[name].split()]
+
+
 def _write_golden(directory: Path, name: str) -> None:
     """Run the CLI command of golden ``name`` on the fixture files in
     ``directory``, writing its report there; a command that exits non-zero
     raises ``InvariantError`` carrying the command's stderr."""
-    args = [arg.format(dir=directory, workers=GOLDEN_WORKERS) for arg in _GOLDENS[name].split()]
-    args += ["--out", str(directory / name)]
+    args = [*golden_argv(name, directory), "--out", str(directory / name)]
     stderr = io.StringIO()
     try:
         with redirect_stderr(stderr):
@@ -553,11 +560,10 @@ def _write_golden(directory: Path, name: str) -> None:
         )
 
 
-def regenerate(target: Path | None = None) -> list[str]:
+def regenerate(target: Path) -> list[str]:
     """Write every fixture file (datasets, stores, configs, reference
-    sequences), then write each golden report by running the CLI's own
-    ``solve`` or ``eval`` on the files written."""
-    target = target or fixture_dir()
+    sequences) into ``target``, then write each golden report there by
+    running the CLI's own ``solve`` or ``eval`` on the files written."""
     target.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
 
@@ -587,6 +593,22 @@ def regenerate(target: Path | None = None) -> list[str]:
         _write_golden(target, name)
         written.append(name)
     return written
+
+
+def _load_failure(path: Path) -> str | None:
+    """Why the fixture file at ``path`` does not load: a dataset short of
+    its full record count, or a canonical kind that does not load; None if
+    it loads."""
+    try:
+        if path.name in _DATASETS:
+            rows, kind = _DATASETS[path.name]
+            if len(load_dataset(path, kind)) != len(rows):
+                return "record count mismatch"
+        elif "kind" in canonical.parse_text(path.read_bytes(), "fixture"):
+            canonical.load(path)
+    except Exception as exc:  # report-style: collect, never raise
+        return str(exc)
+    return None
 
 
 @dataclass(frozen=True)
@@ -630,39 +652,51 @@ def _where(committed: bytes, regenerated: bytes) -> str:
 def fixture_integrity_check() -> IntegrityReport:
     """Regenerate every fixture into a scratch directory and report each
     bundled file that differs from its regeneration byte for byte, with the
-    JSON paths that differ; a file that matches must also load (datasets
-    with their full record count)."""
+    JSON paths that differ, each one that matches but does not load, and
+    each one that no regeneration writes."""
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as scratch:
         names = regenerate(Path(scratch))
         for name in names:
             try:
                 committed = fixture_path(name).read_bytes()
-                regenerated = (Path(scratch) / name).read_bytes()
-                if committed != regenerated:
-                    failures.append(
-                        f"{name}: differs from its regeneration{_where(committed, regenerated)}"
-                    )
-                elif name in _DATASETS:
-                    rows, kind = _DATASETS[name]
-                    if len(load_dataset(fixture_path(name), kind)) != len(rows):
-                        failures.append(f"{name}: record count mismatch")
-                elif "kind" in canonical.parse_text(committed, "fixture"):
-                    canonical.load(fixture_path(name))
-            except Exception as exc:  # report-style: collect, never raise
+            except OSError as exc:
                 failures.append(f"{name}: {exc}")
+                continue
+            regenerated = (Path(scratch) / name).read_bytes()
+            if committed != regenerated:
+                failures.append(
+                    f"{name}: differs from its regeneration{_where(committed, regenerated)}"
+                )
+            elif why := _load_failure(fixture_path(name)):
+                failures.append(f"{name}: {why}")
+    bundled = {path.name for path in fixture_dir().iterdir() if path.is_file()}
+    failures += [f"{name}: written by no regeneration" for name in sorted(bundled - set(names))]
     return IntegrityReport(ok=not failures, checked=tuple(names), failures=tuple(failures))
 
 
 def main() -> int:
-    """Regenerate every fixture file, then check them; 1 if a check fails."""
-    names = regenerate()
+    """Regenerate every fixture file into a scratch directory and check
+    each one there; only if every check passes are they copied into the
+    bundle. 1, with the bundle untouched, if a golden's command fails or a
+    check fails."""
+    with tempfile.TemporaryDirectory() as scratch:
+        staged = Path(scratch)
+        try:
+            names = regenerate(staged)
+        except InvariantError as exc:  # a golden's command exited non-zero
+            print(f"regeneration failed: {exc}")
+            return 1
+        failures = [f"{name}: {why}" for name in names if (why := _load_failure(staged / name))]
+        print("integrity:", "FAILED" if failures else "ok")
+        for failure in failures:
+            print(" -", failure)
+        if failures:
+            return 1
+        for name in names:
+            shutil.copyfile(staged / name, fixture_path(name))
     print(f"wrote {len(names)} fixture files to {fixture_dir()}")
-    report = fixture_integrity_check()
-    print("integrity:", "ok" if report.ok else "FAILED")
-    for failure in report.failures:
-        print(" -", failure)
-    return 0 if report.ok else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -204,42 +204,12 @@ def test_criterion_5_two_level_categorization_safety():
 
 def test_criterion_6_end_to_end_golden_reports(tmp_path, capsys):
     with criterion(6, "end-to-end golden evaluation reports", 10.0):
-        jobs = [
-            ("qa", "mini_qa.jsonl", "qa_eval_config.json", "golden_qa_report.json"),
-            (
-                "title",
-                "mini_title.jsonl",
-                "title_eval_config.json",
-                "golden_title_report.json",
-            ),
-            (
-                "categorize",
-                "mini_category.jsonl",
-                "category_eval_config.json",
-                "golden_category_report.json",
-            ),
-        ]
-        for kind, dataset, config, golden in jobs:
-            out = tmp_path / f"{kind}.report"
-            code = main(
-                [
-                    "eval",
-                    "--config",
-                    str(fixture_path(config)),
-                    "--dataset",
-                    str(fixture_path(dataset)),
-                    "--kind",
-                    kind,
-                    "--workers",
-                    str(fixtures.GOLDEN_WORKERS),
-                    "--out",
-                    str(out),
-                ]
-            )
-            assert code == EXIT_OK
+        for kind in ("qa", "title", "category"):
+            golden = f"golden_{kind}_report.json"
+            out = tmp_path / golden
+            assert main([*fixtures.golden_argv(golden), "--out", str(out)]) == EXIT_OK
             fresh = out.read_bytes()
-            committed = fixture_path(golden).read_bytes()
-            assert fresh == committed, f"{kind} report is not byte-identical"
+            assert fresh == fixture_path(golden).read_bytes(), f"{kind} report differs"
         # aggregates follow the 0-100 single-attempt convention
         report = json.loads(fixture_path("golden_qa_report.json").read_text())
         assert report["value"]["aggregates"]["EM"] == 40.0

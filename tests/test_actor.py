@@ -174,6 +174,12 @@ class TestActTextActions:
         spec = ActionSpec.for_id(1, "answer the question\nKNOWLEDGE: solar")
         act(spec, reasoned(), store, provider)
         assert "Panels need light." in provider.call_log[0][0].flattened()
+        # a blank query, at the end of the text or before the next line,
+        # requests no facts rather than every entry in the store
+        for blank in ("answer the question\nKNOWLEDGE: \t ", "KNOWLEDGE:\nsolar question"):
+            provider = mock_provider("ANSWER: ok")
+            act(ActionSpec.for_id(1, blank), reasoned(), store, provider)
+            assert "Panels need light." not in provider.call_log[0][0].flattened(), blank
 
     def test_no_directive_no_store_consultation(self):
         store = ToolStore(

@@ -369,4 +369,4 @@ def test_load_checks_the_kind_of_the_stored_value(tmp_path):
     assert canonical.load(path) == canonical.load(path, Task) == task
     with pytest.raises(MalformedInputError) as excinfo:
         canonical.load(path, RunSetup)
-    assert str(excinfo.value) == f"{path} does not contain a RunSetup"
+    assert str(excinfo.value) == "does not contain a RunSetup"

@@ -10,7 +10,7 @@ from socialagent.actor import CategoryTaxonomy
 from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, main
 from socialagent.core import ContentItem, UnitRole
 from socialagent.evaluation import load_setup
-from socialagent.fixtures import fixture_path
+from socialagent.fixtures import fixture_path, golden_argv
 from socialagent.providers import Backend, MockProvider, MockScript
 
 
@@ -35,49 +35,8 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 
 
 class TestSolve:
-    def test_solve_writes_golden_report_and_exits_zero(self, tmp_path, capsys):
-        out = tmp_path / "run.report"
-        code, _, _ = run_cli(
-            capsys,
-            "solve",
-            "--config",
-            str(fixture_path("solve_config.json")),
-            "--task",
-            str(fixture_path("example_task.json")),
-            "--out",
-            str(out),
-        )
-        assert code == EXIT_OK
-        assert out.read_text(encoding="utf-8") == fixture_path(
-            "golden_solve_report.json"
-        ).read_text(encoding="utf-8")
-
-    def test_multi_action_solve_reproduces_its_golden(self, tmp_path, capsys):
-        out = tmp_path / "run.report"
-        code, _, stderr = run_cli(
-            capsys,
-            "solve",
-            "--config",
-            str(fixture_path("multi_action_config.json")),
-            "--task",
-            str(fixture_path("plan_task.json")),
-            "--out",
-            str(out),
-        )
-        assert code == EXIT_OK, stderr
-        assert out.read_text(encoding="utf-8") == fixture_path(
-            "golden_multi_action_solve_report.json"
-        ).read_text(encoding="utf-8")
-
     def test_solve_stdout_is_machine_parseable_without_out(self, capsys):
-        code, stdout, _ = run_cli(
-            capsys,
-            "solve",
-            "--config",
-            str(fixture_path("solve_config.json")),
-            "--task",
-            str(fixture_path("example_task.json")),
-        )
+        code, stdout, _ = run_cli(capsys, *golden_argv("golden_solve_report.json"))
         assert code == EXIT_OK
         payload = json.loads(stdout)
         assert payload["task_id"] == "example-001"
@@ -290,25 +249,25 @@ _STORE_CASES = (
         "toolstore-wrong-kind",
         "toolstore_path",
         lambda: _fixture_text("taxonomy.json"),
-        "{tmp}/store.json does not contain a ToolStore",
+        "toolstore {tmp}/store.json: does not contain a ToolStore",
     ),
     (
         "taxonomy-wrong-kind",
         "taxonomy_path",
         lambda: _fixture_text("toolstore.json"),
-        "{tmp}/store.json does not contain a CategoryTaxonomy",
+        "taxonomy {tmp}/store.json: does not contain a CategoryTaxonomy",
     ),
     (
         "taxonomy-invalid",
         "taxonomy_path",
         lambda: '{"kind": "CategoryTaxonomy", "value": {"level1": []}}',
-        "taxonomy requires at least one level-1 category",
+        "taxonomy {tmp}/store.json: taxonomy requires at least one level-1 category",
     ),
     (
         "toolstore-not-json",
         "toolstore_path",
         lambda: "not json",
-        "malformed canonical text at line 1 column 1",
+        "toolstore {tmp}/store.json: malformed canonical text at line 1 column 1",
     ),
 )
 
@@ -491,13 +450,37 @@ def test_configuration_errors_exit_1_with_a_message(
     assert not (tmp_path / "no").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (_solve_argv(task="a"), "task failed: cannot load task a: malformed canonical text"),
+        (_eval_argv(dataset="a"), "task failed: cannot load dataset a: line 1: malformed"),
+    ],
+    ids=["task", "dataset"],
+)
+def test_a_one_letter_input_path_is_named_once(capsys, monkeypatch, tmp_path, argv, prefix):
+    # "a" occurs in the loader's own message, which must not hide the path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").write_text("{\n", encoding="utf-8")
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == EXIT_TASK
+    assert stderr.startswith(prefix), stderr
+
+
 @pytest.mark.parametrize("argv", [_solve_argv, _plan_argv], ids=["solve", "plan"])
 def test_task_file_of_another_kind_is_a_malformed_task(capsys, argv):
     config = fixture_path("solve_config.json")
     code, _, stderr = run_cli(capsys, *argv(config=config)[:-2], "--task", str(config))
     assert code == EXIT_TASK
-    assert f"task failed: {config} does not contain a Task" in stderr
+    assert f"task failed: cannot load task {config}: does not contain a Task" in stderr
     assert stderr.count(str(config)) == 1
+
+
+def test_config_file_of_another_kind_is_named_once(capsys):
+    task = fixture_path("example_task.json")
+    code, _, stderr = run_cli(capsys, *_solve_argv(config=task))
+    assert code == EXIT_CONFIG
+    assert stderr == f"error: cannot load config {task}: does not contain a RunSetup\n"
 
 
 def _solve_config_binding(tmp_path, role, **change):
@@ -633,48 +616,6 @@ def test_untrusted_json_is_reported_not_raised(
 
 
 class TestEval:
-    @pytest.mark.parametrize(
-        "kind,dataset,config,golden",
-        [
-            ("qa", "mini_qa.jsonl", "qa_eval_config.json", "golden_qa_report.json"),
-            (
-                "title",
-                "mini_title.jsonl",
-                "title_eval_config.json",
-                "golden_title_report.json",
-            ),
-            (
-                "categorize",
-                "mini_category.jsonl",
-                "category_eval_config.json",
-                "golden_category_report.json",
-            ),
-        ],
-    )
-    def test_eval_reproduces_golden_reports(
-        self, capsys, tmp_path, kind, dataset, config, golden
-    ):
-        out = tmp_path / "report.json"
-        code, _, stderr = run_cli(
-            capsys,
-            "eval",
-            "--config",
-            str(fixture_path(config)),
-            "--dataset",
-            str(fixture_path(dataset)),
-            "--kind",
-            kind,
-            "--workers",
-            "2",
-            "--out",
-            str(out),
-        )
-        assert code == EXIT_OK
-        assert out.read_text(encoding="utf-8") == fixture_path(golden).read_text(
-            encoding="utf-8"
-        )
-        assert f"kind: {kind}" in stderr  # human table on stderr
-
     def test_unknown_kind_exits_1_and_lists_valid_kinds(self, capsys):
         with pytest.raises(SystemExit) as exited:
             main(_eval_argv(kind="poetry"))
@@ -684,22 +625,9 @@ class TestEval:
             assert valid in stderr
 
     def test_workers_1_serial_execution(self, capsys):
-        code, stdout, _ = run_cli(
-            capsys,
-            "eval",
-            "--config",
-            str(fixture_path("qa_eval_config.json")),
-            "--dataset",
-            str(fixture_path("mini_qa.jsonl")),
-            "--kind",
-            "qa",
-            "--workers",
-            "1",
-        )
+        code, stdout, _ = run_cli(capsys, *golden_argv("golden_qa_report.json"), "--workers", "1")
         assert code == EXIT_OK
-        assert stdout == fixture_path("golden_qa_report.json").read_text(
-            encoding="utf-8"
-        )
+        assert stdout == fixture_path("golden_qa_report.json").read_text(encoding="utf-8")
 
     def test_malformed_dataset_line_cited(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -831,32 +759,31 @@ def test_reflection_strategy_runs_on_bundled_task_configs(capsys, command, confi
 
 
 @pytest.mark.parametrize(
-    "kind,dataset,config,golden",
+    "golden,kind",
     [
-        ("qa", "mini_qa.jsonl", "qa_eval_config.json", "golden_qa_report.json"),
-        ("title", "mini_title.jsonl", "title_eval_config.json", "golden_title_report.json"),
-        (
-            "categorize",
-            "mini_category.jsonl",
-            "category_eval_config.json",
+        pytest.param(
+            "golden_qa_report.json",
+            "qa",
+            id="qa-mini_qa.jsonl-qa_eval_config.json-golden_qa_report.json",
+        ),
+        pytest.param(
+            "golden_title_report.json",
+            "title",
+            id="title-mini_title.jsonl-title_eval_config.json-golden_title_report.json",
+        ),
+        pytest.param(
             "golden_category_report.json",
+            "categorize",
+            id="categorize-mini_category.jsonl-category_eval_config.json"
+            "-golden_category_report.json",
         ),
     ],
 )
-def test_reflection_strategy_eval_reproduces_golden_reports(
-    capsys, kind, dataset, config, golden
-):
+def test_reflection_strategy_eval_reproduces_golden_reports(capsys, golden, kind):
+    # the golden's own --workers is overridden by the CLI's default count
     code, stdout, stderr = run_cli(
-        capsys,
-        "eval",
-        "--config",
-        str(fixture_path(config)),
-        "--dataset",
-        str(fixture_path(dataset)),
-        "--kind",
-        kind,
-        "--strategy",
-        "car",
+        capsys, *golden_argv(golden), "--strategy", "car", "--workers", "4"
     )
     assert code == EXIT_OK, stderr
     assert stdout == fixture_path(golden).read_text(encoding="utf-8")
+    assert stderr.startswith(f"kind: {kind}  n: ")  # human table on stderr

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import shutil
 from dataclasses import replace
 
@@ -17,6 +16,9 @@ def test_pristine_checkout_passes_integrity():
     report = fixture_integrity_check()
     assert report.ok, report.failures
     assert len(report.checked) >= 20
+    assert {"multi_action_config.json", "golden_multi_action_solve_report.json"} <= set(
+        report.checked
+    )
 
 
 def _stage_fixtures(tmp_path, monkeypatch):
@@ -26,6 +28,10 @@ def _stage_fixtures(tmp_path, monkeypatch):
     monkeypatch.setattr(fixtures, "fixture_dir", lambda: staged)
     monkeypatch.setattr(fixtures, "fixture_path", lambda name: staged / name)
     return staged
+
+
+def _snapshot(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 def test_corrupted_golden_named_in_report(tmp_path, monkeypatch):
@@ -39,8 +45,9 @@ def test_corrupted_golden_named_in_report(tmp_path, monkeypatch):
 
 
 def test_regenerating_exits_1_when_the_integrity_check_fails(tmp_path, monkeypatch, capsys):
-    _stage_fixtures(tmp_path, monkeypatch)
+    staged = _stage_fixtures(tmp_path, monkeypatch)
     assert fixtures.main() == 0
+    before = _snapshot(staged)
     # datasets written one record short: every golden still regenerates from
     # them, but the record-count check fails
     full_text = fixtures._dataset_text
@@ -49,16 +56,14 @@ def test_regenerating_exits_1_when_the_integrity_check_fails(tmp_path, monkeypat
     out = capsys.readouterr().out
     assert "integrity: FAILED" in out
     assert "mini_qa.jsonl: record count mismatch" in out
+    assert _snapshot(staged) == before
 
 
-def test_regenerated_fixtures_hash_identical(tmp_path):
-    names = fixtures.regenerate(tmp_path)
-    assert sorted(names) == sorted(p.name for p in fixture_dir().iterdir() if p.is_file())
-    assert {"multi_action_config.json", "golden_multi_action_solve_report.json"} <= set(names)
-    for name in names:
-        committed = hashlib.sha256(fixture_path(name).read_bytes()).hexdigest()
-        regenerated = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert committed == regenerated, name
+def test_a_stray_bundled_file_is_named(tmp_path, monkeypatch):
+    staged = _stage_fixtures(tmp_path, monkeypatch)
+    shutil.copyfile(staged / "qa_eval_config.json", staged / "old_config.json")
+    report = fixture_integrity_check()
+    assert report.failures == ("old_config.json: written by no regeneration",)
 
 
 def test_datasets_are_the_synthetic_builder_output():
@@ -88,8 +93,10 @@ def test_regenerated_goldens_come_from_the_files_written(tmp_path, monkeypatch):
     [("config", "error: missing role bindings: actor"), ("arguments", "invalid choice: 'poetry'")],
 )
 def test_a_golden_whose_command_fails_names_the_golden_and_the_cli_error(
-    tmp_path, monkeypatch, fault, error
+    tmp_path, monkeypatch, capsys, fault, error
 ):
+    staged = _stage_fixtures(tmp_path, monkeypatch)
+    before = _snapshot(staged)
     if fault == "config":  # the library rejects it, and the CLI exits 1
         setup = fixtures.qa_setup()
         bindings = dict(setup.engine.role_bindings)
@@ -99,10 +106,11 @@ def test_a_golden_whose_command_fails_names_the_golden_and_the_cli_error(
     else:  # argparse rejects it through SystemExit
         args = fixtures._GOLDENS["golden_qa_report.json"].replace("--kind qa", "--kind poetry")
         monkeypatch.setitem(fixtures._GOLDENS, "golden_qa_report.json", args)
-    with pytest.raises(InvariantError, match="golden_qa_report.json") as excinfo:
-        fixtures.regenerate(tmp_path)
-    assert error in str(excinfo.value)
-    assert not (tmp_path / "golden_qa_report.json").exists()
+    assert fixtures.main() == 1
+    out = capsys.readouterr().out
+    assert out.startswith("regeneration failed: golden_qa_report.json: socialagent eval ")
+    assert error in out
+    assert _snapshot(staged) == before
 
 
 def test_unknown_scenario_is_an_invariant_error():

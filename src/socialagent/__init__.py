@@ -87,7 +87,7 @@ from .providers import (
     ProviderResponse,
     build_provider,
 )
-from .reasoner import COT_PHRASE, REFLECTION_INSTRUCTION, apply_strategy, reason
+from .reasoner import COT_PHRASE, REFLECTION_INSTRUCTION, reason
 
 serialize = canonical.serialize
 deserialize = canonical.deserialize

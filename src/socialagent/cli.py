@@ -152,13 +152,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             task, env, setup.engine, tools=tools, taxonomy=taxonomy
         )
     except TaskFailure as exc:
-        events = exc.transcript.report() if exc.transcript else []
-        _emit(
-            canonical.dumps(
-                {"task_id": task.id, "error": str(exc), "transcript": events}
-            ),
-            args.out,
-        )
+        _emit(engine.run_report(task, exc), args.out)
         print(f"task failed: {exc}", file=sys.stderr)
         return EXIT_TASK
     _emit(engine.run_report(task, response), args.out)

@@ -35,8 +35,6 @@ def _sha256_constructor():
 
 sha256 = _sha256_constructor()
 
-VALID_ACTION_IDS = (1, 2, 3, 4)
-
 
 class ContentKind(Enum):
     TEXT = "text"
@@ -96,7 +94,6 @@ ACTION_NAMES_BY_ID: dict[int, ActionName] = {
     3: ActionName.TITLE_GENERATION,
     4: ActionName.CATEGORIZATION,
 }
-ACTION_IDS_BY_NAME: dict[ActionName, int] = {v: k for k, v in ACTION_NAMES_BY_ID.items()}
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ class Task:
         if not self.goal.strip():
             problems.append("empty goal")
         if self.allowed_actions is not None:
-            bad = sorted(self.allowed_actions - set(VALID_ACTION_IDS))
+            bad = sorted(self.allowed_actions - set(ACTION_NAMES_BY_ID))
             if bad:
                 problems.append(f"unknown action id(s): {bad}")
             if not self.allowed_actions:
@@ -127,7 +124,7 @@ class Task:
 
     def permitted_actions(self) -> frozenset[int]:
         if self.allowed_actions is None:
-            return frozenset(VALID_ACTION_IDS)
+            return frozenset(ACTION_NAMES_BY_ID)
         return self.allowed_actions
 
 
@@ -272,10 +269,6 @@ class SamplingConfig:
             raise InvariantError("temperature must be finite and >= 0")
         if not (0 < self.top_p <= 1):
             raise InvariantError("top_p must be in (0, 1]")
-
-    @classmethod
-    def deterministic(cls) -> SamplingConfig:
-        return cls(temperature=0.0, top_p=0.99)
 
     @classmethod
     def creative(cls) -> SamplingConfig:

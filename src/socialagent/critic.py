@@ -91,12 +91,13 @@ def criticize(
     plan_b: Plan,
     provider: Provider,
     *,
-    divergence: float | None = None,
+    divergence: float,
     system_role: str = "",
     transcript: Transcript | None = None,
 ) -> Critique:
-    """One provider call presenting both plans under a task-related decision
-    rubric; the critic may prefer either plan."""
+    """One provider call presenting both plans, and the ``divergence`` of
+    the gate that fired, under a task-related decision rubric; the critic
+    may prefer either plan."""
     segments = [
         ContentItem.from_text(
             "Two candidate plans were produced for the task below. Judge which "
@@ -107,14 +108,11 @@ def criticize(
     ]
     if env.description:
         segments.append(ContentItem.from_text(f"Environment:\n{env.description}"))
-    if divergence is not None:
-        segments.append(
-            ContentItem.from_text(
-                f"The plans diverge (Jensen-Shannon divergence {divergence:.4f})."
-            )
-        )
     segments.extend(
         [
+            ContentItem.from_text(
+                f"The plans diverge (Jensen-Shannon divergence {divergence:.4f})."
+            ),
             ContentItem.from_text(f"Plan A (planner):\n{plan_a.raw}"),
             ContentItem.from_text(f"Plan B (optimizer):\n{plan_b.raw}"),
             ContentItem.from_text(

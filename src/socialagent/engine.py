@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import canonical, planner as planner_mod
 from .actor import ActionResult, CategoryTaxonomy, ToolStore, act
@@ -65,14 +65,8 @@ class TaskResponse:
         object.__setattr__(self, "critiques", tuple(self.critiques))
 
 
-@dataclass
-class UnitSet:
-    """One provider instance per unit role, fresh for each run."""
-
-    providers: dict[UnitRole, Provider] = field(default_factory=dict)
-
-    def __getitem__(self, role: UnitRole) -> Provider:
-        return self.providers[role]
+# One provider instance per unit role, fresh for each run.
+UnitSet = dict[UnitRole, Provider]
 
 
 def check_config(
@@ -89,7 +83,7 @@ def check_config(
     missing = [role.value for role in UnitRole if role not in bindings]
     if missing:
         raise ConfigError(f"missing role bindings: {', '.join(missing)}")
-    missing = [role.value for role in UnitRole if units and role not in units.providers]
+    missing = [role.value for role in UnitRole if units is not None and role not in units]
     if missing:
         raise ConfigError(f"units lack a provider for: {', '.join(missing)}")
     writer = bindings[UnitRole.ROLE_WRITER].model_name
@@ -112,7 +106,7 @@ def check_config(
 
 def build_units(config: EngineConfig) -> UnitSet:
     check_config(config)
-    return UnitSet({role: build_provider(cfg) for role, cfg in config.role_bindings.items()})
+    return {role: build_provider(cfg) for role, cfg in config.role_bindings.items()}
 
 
 def bootstrap_role(
@@ -400,7 +394,8 @@ def solve(
     and the full invocation transcript. Failures inside the planning loop
     abort with the partial transcript attached."""
     check_config(config, task.inputs, units)
-    units = units or build_units(config)
+    if units is None:
+        units = build_units(config)
     if transcript is None:
         transcript = Transcript()
     try:
@@ -431,9 +426,13 @@ def solve(
     )
 
 
-def run_report(task: Task, response: TaskResponse) -> str:
+def run_report(task: Task, response: TaskResponse | TaskFailure) -> str:
     """Canonical, timestamp-free run report suitable for golden-file
-    comparison; timing is reported as logical event counts."""
+    comparison; timing is reported as logical event counts. A run that
+    ``solve`` aborted reports only its error and the partial transcript."""
+    if isinstance(response, TaskFailure):
+        events = response.transcript.report() if response.transcript else []
+        return canonical.dumps({"task_id": task.id, "error": str(response), "transcript": events})
     events = response.transcript.report()
     report = {
         "task_id": task.id,

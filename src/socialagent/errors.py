@@ -51,10 +51,6 @@ class MockScriptMismatchError(ProviderError):
     """A scripted response's matcher did not occur in the request."""
 
 
-class StrategyRequiresProviderError(AgentError):
-    """A reflection strategy was passed to the provider-free decorator."""
-
-
 class PlanParseError(AgentError):
     """Planner output lacked a usable plan block; carries the raw output."""
 

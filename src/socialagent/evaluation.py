@@ -40,18 +40,12 @@ class TaskKind(Enum):
     CATEGORIZE = "categorize"
 
 
-KIND_ACTION_IDS = {
-    TaskKind.QA: 1,
-    TaskKind.VQA: 2,
-    TaskKind.TITLE: 3,
-    TaskKind.CATEGORIZE: 4,
-}
-
-_KIND_GOALS = {
-    TaskKind.QA: "Answer the question using the provided content.",
-    TaskKind.VQA: "Answer the question using the provided multimodal content.",
-    TaskKind.TITLE: "Generate a concise title for the provided content.",
-    TaskKind.CATEGORIZE: "Classify the provided content into the predefined categories.",
+# The one action a task of each kind may run, and the goal it states.
+_KIND_TASKS = {
+    TaskKind.QA: (1, "Answer the question using the provided content."),
+    TaskKind.VQA: (2, "Answer the question using the provided multimodal content."),
+    TaskKind.TITLE: (3, "Generate a concise title for the provided content."),
+    TaskKind.CATEGORIZE: (4, "Classify the provided content into the predefined categories."),
 }
 
 
@@ -250,11 +244,9 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
 
 
 def build_task(record: EvalRecord, kind: TaskKind) -> Task:
+    action_id, goal = _KIND_TASKS[kind]
     return Task(
-        id=record.id,
-        goal=_KIND_GOALS[kind],
-        inputs=record.inputs,
-        allowed_actions=frozenset({KIND_ACTION_IDS[kind]}),
+        id=record.id, goal=goal, inputs=record.inputs, allowed_actions=frozenset({action_id})
     )
 
 
@@ -336,7 +328,6 @@ def evaluate_record(
     kind: TaskKind,
     config: EngineConfig,
     *,
-    env: EnvironmentContext | None = None,
     tools: ToolStore | None = None,
     taxonomy: CategoryTaxonomy | None = None,
     record_scripts: dict[str, dict[UnitRole, tuple[MockScriptEntry, ...]]] | None = None,
@@ -348,11 +339,7 @@ def evaluate_record(
     task = build_task(record, kind)
     try:
         response = engine.solve(
-            task,
-            env or EnvironmentContext(),
-            effective,
-            tools=tools,
-            taxonomy=taxonomy,
+            task, EnvironmentContext(), effective, tools=tools, taxonomy=taxonomy
         )
     except ConfigError:
         raise
@@ -405,7 +392,6 @@ def run_eval(
     task_kind: TaskKind,
     config: EngineConfig,
     *,
-    env: EnvironmentContext | None = None,
     tools: ToolStore | None = None,
     taxonomy: CategoryTaxonomy | None = None,
     record_scripts: dict[str, dict[UnitRole, tuple[MockScriptEntry, ...]]] | None = None,
@@ -437,7 +423,6 @@ def run_eval(
             record,
             task_kind,
             config,
-            env=env,
             tools=tools,
             taxonomy=taxonomy,
             record_scripts=record_scripts,

@@ -17,7 +17,6 @@ from .core import (
     Task,
     Transcript,
     UnitRole,
-    VALID_ACTION_IDS,
 )
 from .errors import InvariantError, MalformedInputError, PlanParseError
 from .providers import Provider, invoke
@@ -69,16 +68,14 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
         if not isinstance(entry, dict):
             raise PlanParseError(f"action {i} is not an object", raw=raw)
         action_id = entry.get("id")
-        if type(action_id) is not int or action_id not in VALID_ACTION_IDS:
+        if type(action_id) is not int or action_id not in ACTION_NAMES_BY_ID:
             raise PlanParseError(f"unknown action id {action_id!r}", raw=raw)
         if action_id not in allowed:
             raise PlanParseError(f"disallowed action {action_id}", raw=raw)
         instructions = entry.get("instructions")
         if not isinstance(instructions, str) or not instructions.strip():
             raise PlanParseError(f"action {i} lacks instructions", raw=raw)
-        actions.append(
-            ActionSpec(action_id, ACTION_NAMES_BY_ID[action_id], instructions)
-        )
+        actions.append(ActionSpec.for_id(action_id, instructions))
     rationale = payload.get("rationale")
     rationale = rationale if isinstance(rationale, str) else ""
     return Plan(actions=tuple(actions), rationale=rationale, raw=raw)

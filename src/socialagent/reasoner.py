@@ -13,7 +13,6 @@ from .core import (
     Transcript,
     UnitRole,
 )
-from .errors import StrategyRequiresProviderError
 from .providers import Provider, invoke
 
 COT_PHRASE = "let's think step by step"
@@ -23,12 +22,11 @@ REFLECTION_INSTRUCTION = "apply reflection to the following reasoning trace"
 LOCAL_KINDS = (StrategyKind.NONE, StrategyKind.FEW_SHOT, StrategyKind.ZERO_SHOT_COT)
 
 
-def apply_strategy(prompt: PromptArtifact, strategy: ReasoningStrategy) -> PromptArtifact:
-    """Decorate a prompt without any provider call. Chain-of-thought appends
-    COT_PHRASE unless it is already the last text segment. Reflection
-    variants are rejected here; they need reason()."""
-    if strategy.kind is StrategyKind.NONE:
-        return prompt
+def _decorate(prompt: PromptArtifact, strategy: ReasoningStrategy) -> PromptArtifact:
+    """A local strategy's prompt, made without any provider call.
+    Chain-of-thought appends COT_PHRASE unless it is already the last text
+    segment, few-shot prepends one demonstration per example, and none
+    returns ``prompt`` itself."""
     if strategy.kind is StrategyKind.ZERO_SHOT_COT:
         texts = prompt.text_segments()
         if texts and texts[-1] == COT_PHRASE:
@@ -40,9 +38,7 @@ def apply_strategy(prompt: PromptArtifact, strategy: ReasoningStrategy) -> Promp
             for src, out in strategy.examples
         )
         return replace(prompt, segments=demos + prompt.segments)
-    raise StrategyRequiresProviderError(
-        f"strategy {strategy.kind.value} requires a provider; use reason()"
-    )
+    return prompt
 
 
 def reason(
@@ -59,7 +55,7 @@ def reason(
     prompt (self_reflection) or to the CoT-decorated one
     (cot_and_reflection)."""
     if strategy.kind in LOCAL_KINDS:
-        decorated = apply_strategy(prompt, strategy)
+        decorated = _decorate(prompt, strategy)
         if transcript is not None:
             transcript.record(
                 UnitRole.REASONER,
@@ -68,7 +64,7 @@ def reason(
                 "\n".join(decorated.text_segments()),
             )
         return decorated
-    traced = apply_strategy(prompt, ReasoningStrategy.zero_shot_cot())
+    traced = _decorate(prompt, ReasoningStrategy.zero_shot_cot())
     trace = invoke(
         provider,
         UnitRole.REASONER,

@@ -247,7 +247,7 @@ def test_criterion_7_role_isolation():
         )
         role_text = "You are a careful analyst."
         checked = 0
-        for role, provider in units.providers.items():
+        for role, provider in units.items():
             if role is UnitRole.ROLE_WRITER:
                 continue
             for request, _ in provider.call_log:

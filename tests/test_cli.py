@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from socialagent import canonical, providers
+from socialagent import canonical, engine, providers
 from socialagent.actor import CategoryTaxonomy
 from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, main
-from socialagent.core import ContentItem, UnitRole
-from socialagent.evaluation import load_setup
+from socialagent.core import ContentItem, EnvironmentContext, Task, UnitRole
+from socialagent.errors import TaskFailure
+from socialagent.evaluation import MetricReport, load_setup
 from socialagent.fixtures import fixture_path, golden_argv
 from socialagent.providers import Backend, MockProvider, MockScript
 
@@ -82,6 +83,11 @@ class TestSolve:
             set(e) == {"seq", "unit", "operation", "request_digest", "response_digest"}
             for e in events
         )
+        # the report is the engine's own rendering of the failure
+        task = canonical.load(fixture_path("example_task.json"), Task)
+        with pytest.raises(TaskFailure) as failed:
+            engine.solve(task, EnvironmentContext(), load_setup(config_path).engine)
+        assert out.read_bytes() == engine.run_report(task, failed.value).encode("utf-8")
 
 
     def test_action_phase_failure_exits_2_with_report_written(self, tmp_path, capsys):
@@ -483,6 +489,10 @@ def test_config_file_of_another_kind_is_named_once(capsys):
     assert stderr == f"error: cannot load config {task}: does not contain a RunSetup\n"
 
 
+def _golden_aggregates(golden: str) -> dict[str, float]:
+    return canonical.load(fixture_path(golden), MetricReport).aggregates
+
+
 def _solve_config_binding(tmp_path, role, **change):
     """The bundled solve config with ``role``'s binding edited by ``change``."""
     setup = load_setup(fixture_path("solve_config.json"))
@@ -628,6 +638,32 @@ class TestEval:
         code, stdout, _ = run_cli(capsys, *golden_argv("golden_qa_report.json"), "--workers", "1")
         assert code == EXIT_OK
         assert stdout == fixture_path("golden_qa_report.json").read_text(encoding="utf-8")
+
+    def test_text_kind_table_is_one_row_of_the_golden_aggregates(self, capsys):
+        code, _, stderr = run_cli(capsys, *golden_argv("golden_qa_report.json"))
+        assert code == EXIT_OK
+        assert stderr == (
+            "kind: qa  n: 5\n"
+            "EM       F1       P        R      \n"
+            "40.00    69.33    73.33    70.00  \n"
+        )
+        aggregates = _golden_aggregates("golden_qa_report.json")
+        header, row = stderr.splitlines()[1:]
+        assert [float(v) for v in row.split()] == [round(aggregates[c], 2) for c in header.split()]
+
+    def test_categorize_table_has_a_row_per_level_of_the_golden_aggregates(self, capsys):
+        code, _, stderr = run_cli(capsys, *golden_argv("golden_category_report.json"))
+        assert code == EXIT_OK
+        assert stderr == (
+            "kind: categorize  n: 6\n"
+            "Level    Acc     F1      P       R\n"
+            "Level-1  83.33   82.22   88.89   83.33  \n"
+            "Level-2  50.00   36.11   30.56   50.00  \n"
+        )
+        aggregates = _golden_aggregates("golden_category_report.json")
+        for line, level in zip(stderr.splitlines()[2:], ("L1", "L2")):
+            expected = [round(aggregates[f"{level}_{m}"], 2) for m in ("Acc", "F1", "P", "R")]
+            assert [float(v) for v in line.split()[1:]] == expected
 
     def test_malformed_dataset_line_cited(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"

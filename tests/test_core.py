@@ -5,7 +5,6 @@ import hashlib
 import pytest
 
 from socialagent.core import (
-    ACTION_IDS_BY_NAME,
     ACTION_NAMES_BY_ID,
     ActionName,
     ActionSpec,
@@ -70,8 +69,8 @@ class TestContentItem:
 class TestActionSpec:
     def test_id_name_bijection_holds_for_all_four(self):
         assert sorted(ACTION_NAMES_BY_ID) == [1, 2, 3, 4]
+        assert set(ACTION_NAMES_BY_ID.values()) == set(ActionName)
         for action_id, name in ACTION_NAMES_BY_ID.items():
-            assert ACTION_IDS_BY_NAME[name] == action_id
             spec = ActionSpec.for_id(action_id, "do it")
             assert spec.name is name
 
@@ -102,7 +101,7 @@ class TestPlanAndPrompt:
 
 class TestSamplingConfig:
     def test_profiles(self):
-        assert SamplingConfig.deterministic().temperature == 0.0
+        assert SamplingConfig().temperature == 0.0
         assert SamplingConfig.creative().temperature == 0.7
         assert SamplingConfig().top_p == 0.99
 

@@ -69,7 +69,9 @@ class TestParseCritique:
 class TestCriticize:
     def test_scripted_verdict_parsed(self):
         provider = mock_provider("VERDICT: A\nFEEDBACK: tighten step 2")
-        critique = criticize(ENV, TASK, make_plan("plan a"), make_plan("plan b"), provider)
+        critique = criticize(
+            ENV, TASK, make_plan("plan a"), make_plan("plan b"), provider, divergence=0.2
+        )
         assert critique.selected is PlanChoice.PLAN_A
         assert critique.actionable
 
@@ -91,14 +93,20 @@ class TestCriticize:
         provider = mock_provider("VERDICT: A\nFEEDBACK: x")
         transcript = Transcript()
         criticize(
-            ENV, TASK, make_plan("a"), make_plan("b"), provider, transcript=transcript
+            ENV,
+            TASK,
+            make_plan("a"),
+            make_plan("b"),
+            provider,
+            divergence=0.2,
+            transcript=transcript,
         )
         assert transcript.signature() == (("critic", "criticize"),)
 
     def test_degenerate_output_raises(self):
         provider = mock_provider("no verdict")
         with pytest.raises(CritiqueParseError):
-            criticize(ENV, TASK, make_plan("a"), make_plan("b"), provider)
+            criticize(ENV, TASK, make_plan("a"), make_plan("b"), provider, divergence=0.2)
 
 
 class TestRefine:

@@ -52,10 +52,6 @@ def qa_task() -> Task:
     )
 
 
-def optimizer_script(trial_blocks, action_rounds=1):
-    return tuple(fixtures._optimizer_script(list(trial_blocks), action_rounds))
-
-
 class TestBootstrapRole:
     def test_role_writer_sharing_actor_model_rejected(self):
         config = engine_config(planner=(QA_PLAN_BLOCK,))
@@ -107,7 +103,7 @@ class TestBootstrapRole:
             colliding, role_bindings={UnitRole.ROLE_WRITER: bindings[UnitRole.ROLE_WRITER]}
         )
         units = build_units(config)
-        del units.providers[UnitRole.CRITIC]
+        del units[UnitRole.CRITIC]
         image = (ContentItem.from_image("photo.png", "image/png"),)
         steps = [
             (unbound, units, "missing role bindings: reasoner, planner, optimizer, critic, refiner, actor"),
@@ -129,10 +125,24 @@ class TestBootstrapRole:
             del bindings[UnitRole.ACTOR]
             config = replace(config, role_bindings=bindings)
         else:
-            del units.providers[UnitRole.ACTOR]
+            del units[UnitRole.ACTOR]
         with pytest.raises(ConfigError, match="actor"):
             solve(fixtures.scenario_task(), ENV, config, units=units)
-        assert all(not p.call_log and not p.embed_log for p in units.providers.values())
+        assert all(not p.call_log and not p.embed_log for p in units.values())
+
+    def test_solve_with_empty_units_names_every_role_before_any_call(self, monkeypatch):
+        def no_provider(binding):
+            raise AssertionError("empty units must not fall back to built providers")
+
+        monkeypatch.setattr(engine_mod, "build_provider", no_provider)
+        config = fixtures.scenario_setup("scenario_b").engine
+        message = (
+            "units lack a provider for: "
+            "role_writer, reasoner, planner, optimizer, critic, refiner, actor"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            solve(fixtures.scenario_task(), ENV, config, units={})
+        assert str(excinfo.value) == message
 
 
 class TestSolveScenarios:
@@ -178,11 +188,27 @@ class TestSolveScenarios:
         units = build_units(setup.engine)
         solve(fixtures.scenario_task(), ENV, setup.engine, units=units)
         role_text = "You are a careful analyst."
-        for role, provider in units.providers.items():
+        for role, provider in units.items():
             for request, _ in provider.call_log:
                 if role is UnitRole.ROLE_WRITER:
                     continue
                 assert request.system_role == role_text, role
+
+    def test_environment_reaches_each_planning_request_once(self):
+        env = EnvironmentContext("A closed forum of astronomy posts.")
+        setup = fixtures.scenario_setup("scenario_b")
+        units = build_units(setup.engine)
+        response = solve(fixtures.scenario_task(), env, setup.engine, units=units)
+        assert response.transcript.signature() == fixtures.SCENARIO_SEQUENCES["scenario_b"]
+        segment = ContentItem.from_text("Environment:\nA closed forum of astronomy posts.")
+        requests = [
+            request
+            for role in (UnitRole.PLANNER, UnitRole.CRITIC, UnitRole.REFINER)
+            for request, _ in units[role].call_log
+        ]
+        # plan, replan, criticize, refine
+        assert len(requests) == 4
+        assert [request.messages.count(segment) for request in requests] == [1] * 4
 
     def test_solve_records_into_the_callers_empty_transcript(self):
         setup = fixtures.scenario_setup("scenario_a")
@@ -270,7 +296,7 @@ class TestArbitration:
     def test_non_actionable_verdict_b_executes_plan_b(self):
         config = engine_config(
             planner=(QA_PLAN_BLOCK,),
-            optimizer=optimizer_script([ALT_QA_PLAN_BLOCK]),
+            optimizer=("p", "e", "g", ALT_QA_PLAN_BLOCK, "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: two"),
             critic=("VERDICT: B\nFEEDBACK:",),
             critic_embeddings=fixtures._gate_embeddings(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
@@ -286,7 +312,7 @@ class TestArbitration:
     def test_non_actionable_verdict_a_executes_plan_a(self):
         config = engine_config(
             planner=(QA_PLAN_BLOCK,),
-            optimizer=optimizer_script([ALT_QA_PLAN_BLOCK]),
+            optimizer=("p", "e", "g", ALT_QA_PLAN_BLOCK, "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: two"),
             critic=("VERDICT: A\nFEEDBACK:",),
             critic_embeddings=fixtures._gate_embeddings(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
@@ -404,7 +430,7 @@ class TestMultimodalActions:
         units = build_units(config)
         with pytest.raises(ConfigError, match="supports_images on these bindings: actor$"):
             solve(self.vqa_task(), ENV, config, units=units)
-        assert not any(p.call_log or p.embed_log for p in units.providers.values())
+        assert not any(p.call_log or p.embed_log for p in units.values())
 
 
 class TestFailuresAndReport:
@@ -498,22 +524,18 @@ ACTION_SIGNATURE = action_block(ActionShape(a=1, k=1), reflection=True)
 MEETING_TIMEOUT_S = 10.0
 
 
-def _optimizer_replies(action: int) -> tuple[str, ...]:
-    return tuple(fixtures._optimizer_script([], 3)[4 * action : 4 * action + 4])
+# one forward/loss/gradient/step quartet per action
+OPTIMIZER_REPLIES = tuple(
+    (f"forward {i}", f"evaluation {i}", f"feedback {i}", f"polish {i}") for i in (1, 2, 3)
+)
 
 
 def _three_action_units(
     reasoner: tuple[str, ...] = REASONER_REPLIES,
     actor: tuple[str, ...] = sum(ACTOR_REPLIES, ()),
 ) -> UnitSet:
-    return UnitSet(
-        {
-            UnitRole.REASONER: mock_provider(*reasoner, model_name="unit-reasoner"),
-            UnitRole.ACTOR: mock_provider(*actor, model_name="unit-actor"),
-            UnitRole.OPTIMIZER: mock_provider(
-                *fixtures._optimizer_script([], 3), model_name="unit-optimizer"
-            ),
-        }
+    return build_units(
+        engine_config(reasoner=reasoner, actor=actor, optimizer=sum(OPTIMIZER_REPLIES, ()))
     )
 
 
@@ -571,12 +593,10 @@ class TestReasonAhead:
         # at the same time gets both through without a timeout
         trace_started, act_started = threading.Event(), threading.Event()
         units = _three_action_units()
-        units.providers[UnitRole.REASONER] = _MeetingMock(
+        units[UnitRole.REASONER] = _MeetingMock(
             units[UnitRole.REASONER], 2, trace_started, act_started
         )
-        units.providers[UnitRole.ACTOR] = _MeetingMock(
-            units[UnitRole.ACTOR], 0, act_started, trace_started
-        )
+        units[UnitRole.ACTOR] = _MeetingMock(units[UnitRole.ACTOR], 0, act_started, trace_started)
         results, error, transcript = _run_three(units)
         assert units[UnitRole.ACTOR].met is True
         assert units[UnitRole.REASONER].met is True
@@ -590,7 +610,7 @@ class TestReasonAhead:
         script = ()
         for action, replies in enumerate(ACTOR_REPLIES):
             script += REASONER_REPLIES[2 * action : 2 * action + 2]
-            script += replies[:1] + _optimizer_replies(action) + replies[1:]
+            script += replies[:1] + OPTIMIZER_REPLIES[action] + replies[1:]
         shared = mock_provider(*script, model_name="shared")
         separate = _run_three(_three_action_units())
 
@@ -599,7 +619,7 @@ class TestReasonAhead:
 
         monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", no_thread)
         results, error, transcript = _run_three(
-            UnitSet({role: shared for role in (UnitRole.REASONER, UnitRole.ACTOR, UnitRole.OPTIMIZER)})
+            {role: shared for role in (UnitRole.REASONER, UnitRole.ACTOR, UnitRole.OPTIMIZER)}
         )
         assert error is None
         assert results == separate[0]
@@ -637,7 +657,7 @@ class TestReasonAhead:
 
     def test_first_action_is_reasoned_on_the_calling_thread(self):
         units = _three_action_units()
-        units.providers[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
+        units[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
         results, error, transcript = _run_three(units)
         assert error is None
         assert transcript.signature() == ACTION_SIGNATURE * 3
@@ -646,7 +666,7 @@ class TestReasonAhead:
 
     def test_reasoner_failure_at_the_first_action_spends_nothing_after_it(self):
         units = _three_action_units(reasoner=REASONER_REPLIES[:1])
-        units.providers[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
+        units[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
         results, error, transcript = _run_three(units)
         assert results == ()
         assert error.startswith("action 1 (qa):")
@@ -664,7 +684,7 @@ def _solve_bundled(config, task, monkeypatch):
     task = canonical.load(fixture_path(task))
     response = solve(task, ENV, setup.engine, units=units, tools=tools, taxonomy=taxonomy)
     assert response.error is None
-    return list(units.providers.values())
+    return list(units.values())
 
 
 def _plan_bundled(config, task, monkeypatch):
@@ -673,7 +693,7 @@ def _plan_bundled(config, task, monkeypatch):
     task = canonical.load(fixture_path(task))
     role = bootstrap_role(task, units)
     run_trials(task, ENV, setup.engine, units, role)
-    return list(units.providers.values())
+    return list(units.values())
 
 
 def _eval_bundled(config, dataset, monkeypatch):

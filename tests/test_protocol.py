@@ -210,7 +210,7 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
     response = solve(TASK, EnvironmentContext(), config, units=units, taxonomy=fixtures.taxonomy())
     assert response.error is None
     assert response.transcript.signature() == signature(shape)
-    providers = units.providers.values()
+    providers = units.values()
     assert sum(len(p.call_log) + len(p.embed_log) for p in providers) == budget(shape)
     assert [p.remaining for p in providers] == [0] * len(UnitRole)
     assert response.plan_used.raw == executed

@@ -27,7 +27,7 @@ from socialagent.core import (
     UnitRole,
     digest,
 )
-from socialagent.engine import RoleDescription, UnitSet, execute_actions
+from socialagent.engine import RoleDescription, execute_actions
 from socialagent.errors import (
     AuthenticationError,
     ConfigError,
@@ -40,7 +40,7 @@ from socialagent.errors import (
     TransportError,
 )
 from socialagent.evaluation import load_setup
-from socialagent.fixtures import fixture_path
+from socialagent.fixtures import fixture_path, golden_argv
 from socialagent.providers import (
     Backend,
     HttpChatProvider,
@@ -370,13 +370,11 @@ def test_http_actor_posts_each_image_input_once(monkeypatch, tmp_path):
     spec = ActionSpec.for_id(2, "Answer from the image.", inputs=inputs)
     reply = (200, {"choices": [{"message": {"content": "ANSWER: a red kite"}}]})
     poster = fake_post(monkeypatch, reply, reply)
-    units = UnitSet(
-        {
-            UnitRole.REASONER: mock_provider(),
-            UnitRole.ACTOR: HttpChatProvider(http_config(supports_images=True)),
-            UnitRole.OPTIMIZER: mock_provider("p", "e", "g", "s", supports_images=True),
-        }
-    )
+    units = {
+        UnitRole.REASONER: mock_provider(),
+        UnitRole.ACTOR: HttpChatProvider(http_config(supports_images=True)),
+        UnitRole.OPTIMIZER: mock_provider("p", "e", "g", "s", supports_images=True),
+    }
     results, error = execute_actions(
         Plan(actions=(spec,)),
         RoleDescription(text="role"),
@@ -556,19 +554,27 @@ def test_loopback_round_trip_retries_429_and_exhausts_5xx(monkeypatch, loopback)
 
 
 @pytest.mark.parametrize(
-    "config_name, task_name, golden",
+    "golden",
     [
-        ("solve_config.json", "example_task.json", "golden_solve_report.json"),
-        ("multi_action_config.json", "plan_task.json", "golden_multi_action_solve_report.json"),
+        pytest.param(
+            "golden_solve_report.json",
+            id="solve_config.json-example_task.json-golden_solve_report.json",
+        ),
+        pytest.param(
+            "golden_multi_action_solve_report.json",
+            id="multi_action_config.json-plan_task.json-golden_multi_action_solve_report.json",
+        ),
     ],
 )
 def test_bundled_solve_through_http_chat_reproduces_its_golden(
-    monkeypatch, mock_behind_http, tmp_path, config_name, task_name, golden
+    monkeypatch, mock_behind_http, tmp_path, golden
 ):
     # every role rebound to http_chat on a loopback server that serves the
     # role's own mock binding, so the run must be the mock run byte for byte
     monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-    setup = load_setup(fixture_path(config_name))
+    argv = golden_argv(golden)
+    at = argv.index("--config") + 1
+    setup = load_setup(argv[at])
     endpoint = f"http://127.0.0.1:{mock_behind_http.server_port}/v1/chat"
     bindings = {}
     for role, binding in setup.engine.role_bindings.items():
@@ -585,8 +591,8 @@ def test_bundled_solve_through_http_chat_reproduces_its_golden(
         canonical.serialize(replace(setup, engine=replace(setup.engine, role_bindings=bindings))),
         encoding="utf-8",
     )
+    argv[at] = str(config)
     out = tmp_path / "run.report"
-    argv = ["solve", "--config", str(config), "--task", str(fixture_path(task_name))]
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == fixture_path(golden).read_bytes()
 

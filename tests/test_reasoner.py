@@ -10,8 +10,7 @@ from socialagent.core import (
     StrategyKind,
     Transcript,
 )
-from socialagent.errors import StrategyRequiresProviderError
-from socialagent.reasoner import COT_PHRASE, REFLECTION_INSTRUCTION, apply_strategy, reason
+from socialagent.reasoner import COT_PHRASE, REFLECTION_INSTRUCTION, reason
 
 
 def make_prompt(*texts: str) -> PromptArtifact:
@@ -21,38 +20,40 @@ def make_prompt(*texts: str) -> PromptArtifact:
     )
 
 
+def decorate(prompt: PromptArtifact, strategy: ReasoningStrategy) -> PromptArtifact:
+    """``reason`` under a local strategy, with a provider that has no reply
+    to give: the decoration makes no call."""
+    provider = mock_provider()
+    result = reason(prompt, strategy, provider)
+    assert provider.call_log == []
+    return result
+
+
 class TestApplyStrategy:
+    """The local strategies' decoration, which ``reason`` applies."""
+
     def test_none_returns_input_unchanged(self):
         prompt = make_prompt("goal", "content")
-        assert apply_strategy(prompt, ReasoningStrategy.none()) is prompt
+        assert decorate(prompt, ReasoningStrategy.none()) is prompt
 
     def test_zero_shot_cot_appends_exact_phrase_last(self):
         prompt = make_prompt("goal")
-        decorated = apply_strategy(prompt, ReasoningStrategy.zero_shot_cot())
+        decorated = decorate(prompt, ReasoningStrategy.zero_shot_cot())
         assert decorated.text_segments()[-1] == COT_PHRASE
 
     def test_cot_applied_twice_appends_once(self):
         prompt = make_prompt("goal")
-        once = apply_strategy(prompt, ReasoningStrategy.zero_shot_cot())
-        twice = apply_strategy(once, ReasoningStrategy.zero_shot_cot())
+        once = decorate(prompt, ReasoningStrategy.zero_shot_cot())
+        twice = decorate(once, ReasoningStrategy.zero_shot_cot())
         assert twice.text_segments().count(COT_PHRASE) == 1
 
     def test_few_shot_prepends_demonstrations(self):
         prompt = make_prompt("goal")
         strategy = ReasoningStrategy.few_shot((("ex-in", "ex-out"),))
-        decorated = apply_strategy(prompt, strategy)
+        decorated = decorate(prompt, strategy)
         first = decorated.text_segments()[0]
         assert "ex-in" in first and "ex-out" in first
         assert decorated.text_segments()[-1] == "goal"
-
-    def test_reflection_variants_rejected(self):
-        prompt = make_prompt("goal")
-        for strategy in (
-            ReasoningStrategy.self_reflection(),
-            ReasoningStrategy.cot_and_reflection(),
-        ):
-            with pytest.raises(StrategyRequiresProviderError):
-                apply_strategy(prompt, strategy)
 
 
 class TestReason:

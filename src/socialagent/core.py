@@ -156,15 +156,10 @@ class ActionSpec:
             raise InvariantError("action instructions must be non-empty")
 
     @classmethod
-    def for_id(
-        cls,
-        action_id: int,
-        instructions: str,
-        inputs: tuple[ContentItem, ...] = (),
-    ) -> ActionSpec:
+    def for_id(cls, action_id: int, instructions: str) -> ActionSpec:
         if action_id not in ACTION_NAMES_BY_ID:
             raise InvariantError(f"unknown action id {action_id}")
-        return cls(action_id, ACTION_NAMES_BY_ID[action_id], instructions, inputs)
+        return cls(action_id, ACTION_NAMES_BY_ID[action_id], instructions)
 
 
 @dataclass(frozen=True)
@@ -207,20 +202,8 @@ class ReasoningStrategy:
             raise InvariantError(f"{self.kind.value} strategy carries no examples")
 
     @classmethod
-    def none(cls) -> ReasoningStrategy:
-        return cls(StrategyKind.NONE)
-
-    @classmethod
-    def few_shot(cls, examples: tuple[tuple[str, str], ...]) -> ReasoningStrategy:
-        return cls(StrategyKind.FEW_SHOT, tuple(examples))
-
-    @classmethod
     def zero_shot_cot(cls) -> ReasoningStrategy:
         return cls(StrategyKind.ZERO_SHOT_COT)
-
-    @classmethod
-    def self_reflection(cls) -> ReasoningStrategy:
-        return cls(StrategyKind.SELF_REFLECTION)
 
     @classmethod
     def cot_and_reflection(cls) -> ReasoningStrategy:
@@ -359,14 +342,6 @@ class Transcript:
     def signature(self) -> tuple[tuple[str, str], ...]:
         """(unit, operation) labels in invocation order, for conformance checks."""
         return tuple(e.label() for e in self.events)
-
-    def count(self, unit: UnitRole | None = None, operation: str | None = None) -> int:
-        return sum(
-            1
-            for e in self.events
-            if (unit is None or e.unit is unit)
-            and (operation is None or e.operation == operation)
-        )
 
     def __len__(self) -> int:
         return len(self.events)

@@ -26,10 +26,6 @@ class EmbeddingVector:
         if not all(math.isfinite(c) for c in self.components):
             raise InvariantError("embedding components must be finite")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
 
 @dataclass(frozen=True)
 class Distribution:

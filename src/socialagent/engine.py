@@ -388,7 +388,6 @@ def solve(
     units: UnitSet | None = None,
     tools: ToolStore | None = None,
     taxonomy: CategoryTaxonomy | None = None,
-    transcript: Transcript | None = None,
 ) -> TaskResponse:
     """Solve one task end to end, returning the accumulated action results
     and the full invocation transcript. Failures inside the planning loop
@@ -396,8 +395,7 @@ def solve(
     check_config(config, task.inputs, units)
     if units is None:
         units = build_units(config)
-    if transcript is None:
-        transcript = Transcript()
+    transcript = Transcript()
     try:
         role = bootstrap_role(task, units, transcript=transcript)
         outcome = run_trials(task, env, config, units, role, transcript=transcript)

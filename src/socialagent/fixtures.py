@@ -321,7 +321,7 @@ def _eval_setup(
     actor's replies come from the per-record overrides."""
     bindings = _bindings(_ANALYST, [plan_block], [plan_block], 1)
     return RunSetup(
-        engine=EngineConfig(role_bindings=bindings, trials=1, strategy=ReasoningStrategy.none()),
+        engine=EngineConfig(role_bindings=bindings, trials=1, strategy=ReasoningStrategy()),
         taxonomy_path=taxonomy_path,  # resolved against the config file's directory
         record_scripts={
             record_id: {UnitRole.ACTOR: MockScript.of(*script).entries}
@@ -388,7 +388,7 @@ def plan_identical_setup() -> RunSetup:
     """Optimizer echoes the planner's output: the gate sees divergence 0."""
     bindings = _bindings(_PLANNER_WRITER, [COMPOSITE_PLAN_BLOCK], [COMPOSITE_PLAN_BLOCK], 0)
     return RunSetup(
-        engine=EngineConfig(role_bindings=bindings, trials=2, strategy=ReasoningStrategy.none())
+        engine=EngineConfig(role_bindings=bindings, trials=2, strategy=ReasoningStrategy())
     )
 
 
@@ -406,7 +406,7 @@ def plan_divergent_setup() -> RunSetup:
     )
     return RunSetup(
         engine=EngineConfig(
-            role_bindings=bindings, theta=0.05, trials=2, strategy=ReasoningStrategy.none()
+            role_bindings=bindings, theta=0.05, trials=2, strategy=ReasoningStrategy()
         )
     )
 
@@ -442,7 +442,10 @@ def multi_action_setup() -> RunSetup:
 
 
 # ---------------------------------------------------------------------------
-# protocol scenarios; their committed sequences are the hand-derived oracle
+# protocol scenarios. `regenerate` writes each committed
+# `scenario_*_sequence.json` from `protocol.signature` of its shape; the
+# acceptance tests compare a live solve's transcript with it, and the bench
+# tests compare the bench shapes' signatures and call budgets with it.
 
 _QA = (ActionShape(a=1, k=1),)
 SCENARIO_SHAPES = {

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from socialagent.core import EngineConfig, ReasoningStrategy, UnitRole
+from socialagent.core import EngineConfig, ReasoningStrategy, Transcript, UnitRole
 from socialagent.fixtures import mock_bindings, mock_config
 from socialagent.providers import MockProvider
 
@@ -27,6 +27,11 @@ def engine_config(
         strategy=strategy or ReasoningStrategy.zero_shot_cot(),
         **kwargs,
     )
+
+
+def operations(transcript: Transcript) -> list[str]:
+    """The operation of each transcript event, in invocation order."""
+    return [operation for _, operation in transcript.signature()]
 
 
 @pytest.fixture

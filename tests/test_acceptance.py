@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import mock_provider
+from conftest import mock_provider, operations
 from reference_metrics import ref_bleu4, ref_jsd_base2, ref_rouge_l
 from socialagent import engine, fixtures, metrics
 from socialagent.cli import EXIT_OK, main
@@ -84,14 +84,14 @@ def test_criterion_2_algorithm_transcript_conformance():
             reference = tuple(tuple(pair) for pair in committed["sequence"])
             assert response.transcript.signature() == reference, name
             if name == "scenario_a":
-                assert response.transcript.count(operation="criticize") == 0
-                assert response.transcript.count(operation="refine") == 0
+                assert operations(response.transcript).count("criticize") == 0
+                assert operations(response.transcript).count("refine") == 0
             if name == "scenario_b":
-                assert response.transcript.count(operation="criticize") == 1
-                assert response.transcript.count(operation="refine") == 1
+                assert operations(response.transcript).count("criticize") == 1
+                assert operations(response.transcript).count("refine") == 1
                 assert response.trials_executed == 2
             if name == "scenario_c":
-                assert response.transcript.count(operation="embed") == 0
+                assert operations(response.transcript).count("embed") == 0
 
 
 def test_criterion_3_tgd_loop_contract():
@@ -269,11 +269,8 @@ def test_criterion_8_reasoner_strategy_contract():
             StrategyKind.COT_AND_REFLECTION: 2,
         }
         for kind, count in expected_calls.items():
-            strategy = (
-                ReasoningStrategy.few_shot((("q", "a"),))
-                if kind is StrategyKind.FEW_SHOT
-                else ReasoningStrategy(kind)
-            )
+            examples = (("q", "a"),) if kind is StrategyKind.FEW_SHOT else ()
+            strategy = ReasoningStrategy(kind, examples)
             provider = mock_provider("trace T", "reflection R")
             result = reason(prompt, strategy, provider)
             assert len(provider.call_log) == count, kind

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,9 +113,8 @@ class TestPromptBuilders:
         assert "TITLE:" in last
 
     def test_vqa_builder_preserves_images_in_order(self):
-        spec = ActionSpec.for_id(
-            2,
-            "describe",
+        spec = replace(
+            ActionSpec.for_id(2, "describe"),
             inputs=(
                 ContentItem.from_image("a.png", "image/png"),
                 ContentItem.from_text("middle"),
@@ -128,8 +128,9 @@ class TestPromptBuilders:
         assert images == ["a.png", "b.png"]
 
     def test_qa_with_image_input_is_allowed(self):
-        spec = ActionSpec.for_id(
-            1, "answer about the picture", inputs=(ContentItem.from_image("x.png", "image/png"),)
+        spec = replace(
+            ActionSpec.for_id(1, "answer about the picture"),
+            inputs=(ContentItem.from_image("x.png", "image/png"),),
         )
         provider = mock_provider("ANSWER: a", supports_images=True)
         act(spec, create_action_prompt(spec, "analyst"), None, provider)

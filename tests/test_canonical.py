@@ -50,9 +50,8 @@ content_items = st.one_of(
 )
 
 action_specs = st.builds(
-    ActionSpec.for_id,
-    st.sampled_from([1, 2, 3, 4]),
-    nonblank,
+    lambda spec, inputs: dataclasses.replace(spec, inputs=inputs),
+    st.builds(ActionSpec.for_id, st.sampled_from([1, 2, 3, 4]), nonblank),
     st.tuples(content_items),
 )
 
@@ -66,14 +65,14 @@ plans = st.builds(
 strategies_ = st.one_of(
     st.sampled_from(
         [
-            ReasoningStrategy.none(),
+            ReasoningStrategy(),
             ReasoningStrategy.zero_shot_cot(),
-            ReasoningStrategy.self_reflection(),
+            ReasoningStrategy(StrategyKind.SELF_REFLECTION),
             ReasoningStrategy.cot_and_reflection(),
         ]
     ),
     st.lists(st.tuples(text, text), min_size=1, max_size=2).map(
-        lambda pairs: ReasoningStrategy.few_shot(tuple(pairs))
+        lambda pairs: ReasoningStrategy(StrategyKind.FEW_SHOT, pairs)
     ),
 )
 
@@ -251,10 +250,10 @@ def test_transcript_round_trip_preserves_events():
 
 def test_strategy_kinds_round_trip():
     for strategy in (
-        ReasoningStrategy.none(),
-        ReasoningStrategy.few_shot((("q", "a"),)),
+        ReasoningStrategy(),
+        ReasoningStrategy(StrategyKind.FEW_SHOT, (("q", "a"),)),
         ReasoningStrategy.zero_shot_cot(),
-        ReasoningStrategy.self_reflection(),
+        ReasoningStrategy(StrategyKind.SELF_REFLECTION),
         ReasoningStrategy.cot_and_reflection(),
     ):
         back = canonical.deserialize(canonical.serialize(strategy))

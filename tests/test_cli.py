@@ -113,6 +113,38 @@ class TestSolve:
         assert payload["error"] is not None
         assert "action 1" in payload["error"]
 
+    def test_few_shot_config_runs_the_golden_solve(self, tmp_path, capsys, provider_calls):
+        # few-shot decorates the reasoned prompts locally: the golden run's
+        # calls and transcript shape, with reasoned prompts of its own
+        def run(argv):
+            provider_calls.clear()
+            code, stdout, _ = run_cli(capsys, *argv)
+            assert code == EXIT_OK
+            return len(provider_calls), json.loads(stdout)["transcript"]
+
+        def reasoned(events):
+            return {e["response_digest"] for e in events if e["unit"] == "reasoner"}
+
+        argv = golden_argv("golden_solve_report.json")
+        golden_calls, golden = run(argv)
+        assert golden == json.loads(_fixture_text("golden_solve_report.json"))["transcript"]
+        _, undecorated = run([*argv, "--strategy", "none"])
+        data = json.loads(_fixture_text("solve_config.json"))
+        data["value"]["engine"]["strategy"] = {
+            "kind": "few_shot",
+            "examples": [["Question: Which river flows through Paris?", "ANSWER: the Seine"]],
+        }
+        config = tmp_path / "few_shot_config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        argv[argv.index("--config") + 1] = str(config)
+        calls, report = run(argv)
+        assert calls == golden_calls
+        assert [(e["unit"], e["operation"]) for e in report] == [
+            (e["unit"], e["operation"]) for e in golden
+        ]
+        assert reasoned(golden)
+        assert reasoned(report).isdisjoint(reasoned(golden) | reasoned(undecorated))
+
     def test_fewshot_flag_requires_examples_in_config(self, capsys):
         # few-shot needs the config's examples, so no flag selects it
         with pytest.raises(SystemExit) as exited:

@@ -15,6 +15,7 @@ from socialagent.core import (
     PromptArtifact,
     ReasoningStrategy,
     SamplingConfig,
+    StrategyKind,
     Task,
     Transcript,
     UnitRole,
@@ -94,8 +95,8 @@ class TestPlanAndPrompt:
 
     def test_few_shot_requires_examples(self):
         with pytest.raises(InvariantError):
-            ReasoningStrategy.few_shot(())
-        strategy = ReasoningStrategy.few_shot((("in", "out"),))
+            ReasoningStrategy(StrategyKind.FEW_SHOT, ())
+        strategy = ReasoningStrategy(StrategyKind.FEW_SHOT, (("in", "out"),))
         assert strategy.examples == (("in", "out"),)
 
 
@@ -176,5 +177,6 @@ class TestTranscript:
         transcript = Transcript()
         transcript.record(UnitRole.OPTIMIZER, "forward", "a", "b")
         transcript.record(UnitRole.OPTIMIZER, "step", "a", "b")
-        assert transcript.count(unit=UnitRole.OPTIMIZER) == 2
-        assert transcript.count(operation="step") == 1
+        signature = transcript.signature()
+        assert [unit for unit, _ in signature].count("optimizer") == 2
+        assert [operation for _, operation in signature].count("step") == 1

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import engine_config, mock_config, mock_provider
+from conftest import engine_config, mock_config, mock_provider, operations
 from socialagent import canonical, engine as engine_mod, fixtures
 from socialagent.actor import CategoryTaxonomy
 from socialagent.core import (
@@ -34,7 +34,7 @@ from socialagent.errors import (
     InvariantError,
     TaskFailure,
 )
-from socialagent.evaluation import load_dataset, load_setup, load_stores, run_eval
+from socialagent.evaluation import TaskKind, load_dataset, load_setup, load_stores, run_eval
 from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
 from socialagent.planner import parse_plan, plan_block
 from socialagent.protocol import ActionShape, action_block
@@ -152,23 +152,23 @@ class TestSolveScenarios:
         assert response.transcript.signature() == fixtures.SCENARIO_SEQUENCES["scenario_a"]
         units_seen = {unit for unit, _ in response.transcript.signature()}
         assert "refiner" not in units_seen
-        assert response.transcript.count(operation="criticize") == 0
+        assert operations(response.transcript).count("criticize") == 0
         assert response.trials_executed == 1
 
     def test_gate_fire_runs_one_critic_refiner_replan_cycle(self):
         setup = fixtures.scenario_setup("scenario_b")
         response = solve(fixtures.scenario_task(), ENV, setup.engine)
         assert response.transcript.signature() == fixtures.SCENARIO_SEQUENCES["scenario_b"]
-        assert response.transcript.count(operation="criticize") == 1
-        assert response.transcript.count(operation="refine") == 1
-        assert response.transcript.count(operation="replan") == 1
+        assert operations(response.transcript).count("criticize") == 1
+        assert operations(response.transcript).count("refine") == 1
+        assert operations(response.transcript).count("replan") == 1
         assert response.trials_executed == 2
 
     def test_single_trial_never_evaluates_gate(self):
         setup = fixtures.scenario_setup("scenario_c")
         response = solve(fixtures.scenario_task(), ENV, setup.engine)
         assert response.transcript.signature() == fixtures.SCENARIO_SEQUENCES["scenario_c"]
-        assert response.transcript.count(operation="embed") == 0
+        assert operations(response.transcript).count("embed") == 0
         assert response.gate_decisions == ()
 
     def test_no_planner_events_after_gate_pass(self):
@@ -210,13 +210,6 @@ class TestSolveScenarios:
         assert len(requests) == 4
         assert [request.messages.count(segment) for request in requests] == [1] * 4
 
-    def test_solve_records_into_the_callers_empty_transcript(self):
-        setup = fixtures.scenario_setup("scenario_a")
-        transcript = Transcript()
-        response = solve(fixtures.scenario_task(), ENV, setup.engine, transcript=transcript)
-        assert response.transcript is transcript
-        assert transcript.signature() == fixtures.SCENARIO_SEQUENCES["scenario_a"]
-
     def test_every_unit_sends_its_bound_sampling(self):
         # reflection, critic and refiner all run: scenario B's gate fires
         setup = fixtures.scenario_setup("scenario_b")
@@ -244,8 +237,8 @@ class TestSolveScenarios:
         # trials=2: at most one critic+refiner pair even though gate fires
         setup = fixtures.scenario_setup("scenario_b")
         response = solve(fixtures.scenario_task(), ENV, setup.engine)
-        assert response.transcript.count(operation="criticize") <= setup.engine.trials - 1
-        assert response.transcript.count(operation="refine") <= setup.engine.trials - 1
+        assert operations(response.transcript).count("criticize") <= setup.engine.trials - 1
+        assert operations(response.transcript).count("refine") <= setup.engine.trials - 1
 
     def test_replan_request_carries_corrective_instructions_once(self):
         setup = fixtures.scenario_setup("scenario_b")
@@ -258,6 +251,11 @@ class TestSolveScenarios:
         assert marker not in plan_request
         assert replan_request.count(marker) == 1
         assert replan_request.count("Plan a single QA action citing the passage.") == 1
+
+
+def far_apart(plan_a: str, plan_b: str) -> dict[str, tuple[float, ...]]:
+    """Critic embeddings that put the two plans far apart, so the gate fires."""
+    return {plan_a: (2.0, 0.0), plan_b: (0.0, 2.0)}
 
 
 class TestArbitration:
@@ -273,7 +271,7 @@ class TestArbitration:
             optimizer=("p", "e", "g", "no plan block at all", "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: two"),
             trials=1,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         response = solve(qa_task(), ENV, config)
         assert response.plan_used.raw == QA_PLAN_BLOCK
@@ -283,13 +281,13 @@ class TestArbitration:
             planner=(QA_PLAN_BLOCK,),
             optimizer=("p", "e", "g", "free prose rewrite", "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: two"),
-            critic_embeddings=fixtures._gate_embeddings(QA_PLAN_BLOCK, "free prose rewrite"),
+            critic_embeddings=far_apart(QA_PLAN_BLOCK, "free prose rewrite"),
             trials=2,
             theta=0.05,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         response = solve(qa_task(), ENV, config)
-        assert response.transcript.count(operation="criticize") == 0
+        assert operations(response.transcript).count("criticize") == 0
         assert response.plan_used.raw == QA_PLAN_BLOCK
         assert response.trials_executed == 1
 
@@ -299,14 +297,14 @@ class TestArbitration:
             optimizer=("p", "e", "g", ALT_QA_PLAN_BLOCK, "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: two"),
             critic=("VERDICT: B\nFEEDBACK:",),
-            critic_embeddings=fixtures._gate_embeddings(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
+            critic_embeddings=far_apart(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
             trials=2,
             theta=0.05,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         response = solve(qa_task(), ENV, config)
         assert response.plan_used.raw == ALT_QA_PLAN_BLOCK
-        assert response.transcript.count(operation="refine") == 0
+        assert operations(response.transcript).count("refine") == 0
         assert response.critiques[0].selected is PlanChoice.PLAN_B
 
     def test_non_actionable_verdict_a_executes_plan_a(self):
@@ -315,10 +313,10 @@ class TestArbitration:
             optimizer=("p", "e", "g", ALT_QA_PLAN_BLOCK, "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: two"),
             critic=("VERDICT: A\nFEEDBACK:",),
-            critic_embeddings=fixtures._gate_embeddings(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
+            critic_embeddings=far_apart(QA_PLAN_BLOCK, ALT_QA_PLAN_BLOCK),
             trials=2,
             theta=0.05,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         response = solve(qa_task(), ENV, config)
         assert response.plan_used.raw == QA_PLAN_BLOCK
@@ -337,7 +335,7 @@ class TestActionLoop:
             optimizer=("p", "e", "g", QA_PLAN_BLOCK, "p2", "e2", "g2", "USE THE PASSAGE DATES"),
             actor=("ANSWER: one", "ANSWER: two"),
             trials=1,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         units = build_units(config)
         solve(qa_task(), ENV, config, units=units)
@@ -354,7 +352,7 @@ class TestActionLoop:
             optimizer=("p", "e", "g", two_action_block, "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: final one"),
             trials=1,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         response = solve(qa_task(), ENV, config)
         assert len(response.results) == 1
@@ -406,7 +404,7 @@ class TestMultimodalActions:
             optimizer=("p", "e", "g", self.VQA_BLOCK, "p", "e", "g", "s"),
             actor=("ANSWER: rainfall", "ANSWER: monthly rainfall"),
             trials=1,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         bindings = dict(config.role_bindings)
         bindings[UnitRole.ACTOR] = replace(
@@ -438,7 +436,7 @@ class TestFailuresAndReport:
         config = engine_config(
             planner=("no structure",),
             trials=1,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         with pytest.raises(TaskFailure) as excinfo:
             solve(qa_task(), ENV, config)
@@ -469,7 +467,7 @@ class TestExecuteActionsDirectly:
             optimizer=("p", "e", "g", "s", "p", "e", "g", "s"),
             actor=("ANSWER: one", "ANSWER: final one", "TITLE: t", "TITLE: final t"),
             trials=1,
-            strategy=ReasoningStrategy.none(),
+            strategy=ReasoningStrategy(),
         )
         units = build_units(config)
         plan = parse_plan(block, frozenset({1, 3}))
@@ -645,7 +643,7 @@ class TestReasonAhead:
         # return, but none of its events reached the transcript
         assert units[UnitRole.REASONER].remaining == 0
         assert transcript.signature() == ACTION_SIGNATURE + ACTION_SIGNATURE[:3]
-        assert transcript.count(unit=UnitRole.REASONER) == 4
+        assert [unit for unit, _ in transcript.signature()].count("reasoner") == 4
 
     def test_reasoner_failure_is_reported_at_its_own_action(self):
         units = _three_action_units(reasoner=REASONER_REPLIES[:4])
@@ -696,7 +694,8 @@ def _plan_bundled(config, task, monkeypatch):
     return list(units.values())
 
 
-def _eval_bundled(config, dataset, monkeypatch):
+def _eval_bundled(config, source, monkeypatch):
+    dataset, kind = source
     built, build = [], engine_mod.build_provider
 
     def recording(binding):
@@ -706,7 +705,6 @@ def _eval_bundled(config, dataset, monkeypatch):
     monkeypatch.setattr(engine_mod, "build_provider", recording)
     setup = load_setup(fixture_path(config))
     tools, taxonomy = load_stores(setup)
-    kind = fixtures._DATASETS[dataset][1]
     run_eval(
         load_dataset(fixture_path(dataset), kind),
         kind,
@@ -731,9 +729,13 @@ def _eval_bundled(config, dataset, monkeypatch):
             (_solve_bundled, "scenario_c_config.json", "scenario_task.json"),
             (_plan_bundled, "plan_identical_config.json", "plan_task.json"),
             (_plan_bundled, "plan_divergent_config.json", "plan_task.json"),
-            (_eval_bundled, "qa_eval_config.json", "mini_qa.jsonl"),
-            (_eval_bundled, "title_eval_config.json", "mini_title.jsonl"),
-            (_eval_bundled, "category_eval_config.json", "mini_category.jsonl"),
+            (_eval_bundled, "qa_eval_config.json", ("mini_qa.jsonl", TaskKind.QA)),
+            (_eval_bundled, "title_eval_config.json", ("mini_title.jsonl", TaskKind.TITLE)),
+            (
+                _eval_bundled,
+                "category_eval_config.json",
+                ("mini_category.jsonl", TaskKind.CATEGORIZE),
+            ),
         )
     ],
 )

@@ -21,6 +21,7 @@ from socialagent.core import (
     EngineConfig,
     EnvironmentContext,
     ReasoningStrategy,
+    StrategyKind,
     Task,
     UnitRole,
 )
@@ -30,7 +31,9 @@ from socialagent.protocol import ActionShape, Shape, TrialShape, budget, signatu
 from socialagent.providers import MockScriptEntry
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-STRATEGIES = ("none", "zero_shot_cot", "self_reflection", "cot_and_reflection")
+STRATEGIES = ("none", "few_shot", "zero_shot_cot", "self_reflection", "cot_and_reflection")
+# The demonstration pair a few-shot run prepends to every reasoned prompt.
+FEW_SHOT_EXAMPLES = (("Post: the bridge reopened.", "ANSWER: the bridge reopened"),)
 REFLECTION = ("self_reflection", "cot_and_reflection")
 # A non-final trial's gate passes, fires with the non-actionable verdict A
 # or B, or fires with actionable feedback that leads to a replan.
@@ -127,7 +130,10 @@ class _Scripts:
             role_bindings=fixtures.mock_bindings(self.entries, critic=self.overrides),
             trials=self.run.trials,
             tgd_iterations=self.run.tgd,
-            strategy=getattr(ReasoningStrategy, self.run.strategy)(),
+            strategy=ReasoningStrategy(
+                StrategyKind(self.run.strategy),
+                FEW_SHOT_EXAMPLES if self.run.strategy == "few_shot" else (),
+            ),
         )
 
 

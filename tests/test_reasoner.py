@@ -12,6 +12,8 @@ from socialagent.core import (
 )
 from socialagent.reasoner import COT_PHRASE, REFLECTION_INSTRUCTION, reason
 
+SELF_REFLECTION = ReasoningStrategy(StrategyKind.SELF_REFLECTION)
+
 
 def make_prompt(*texts: str) -> PromptArtifact:
     return PromptArtifact(
@@ -34,7 +36,7 @@ class TestApplyStrategy:
 
     def test_none_returns_input_unchanged(self):
         prompt = make_prompt("goal", "content")
-        assert decorate(prompt, ReasoningStrategy.none()) is prompt
+        assert decorate(prompt, ReasoningStrategy()) is prompt
 
     def test_zero_shot_cot_appends_exact_phrase_last(self):
         prompt = make_prompt("goal")
@@ -49,7 +51,7 @@ class TestApplyStrategy:
 
     def test_few_shot_prepends_demonstrations(self):
         prompt = make_prompt("goal")
-        strategy = ReasoningStrategy.few_shot((("ex-in", "ex-out"),))
+        strategy = ReasoningStrategy(StrategyKind.FEW_SHOT, (("ex-in", "ex-out"),))
         decorated = decorate(prompt, strategy)
         first = decorated.text_segments()[0]
         assert "ex-in" in first and "ex-out" in first
@@ -60,7 +62,7 @@ class TestReason:
     def test_none_identity_and_zero_calls(self):
         provider = mock_provider()
         prompt = make_prompt("goal")
-        result = reason(prompt, ReasoningStrategy.none(), provider)
+        result = reason(prompt, ReasoningStrategy(), provider)
         assert result is prompt
         assert provider.call_log == []
 
@@ -72,13 +74,13 @@ class TestReason:
 
     def test_few_shot_zero_calls(self):
         provider = mock_provider()
-        strategy = ReasoningStrategy.few_shot((("q", "a"),))
+        strategy = ReasoningStrategy(StrategyKind.FEW_SHOT, (("q", "a"),))
         reason(make_prompt("goal"), strategy, provider)
         assert provider.call_log == []
 
     def test_self_reflection_two_calls_with_trace_and_reflection(self):
         provider = mock_provider("trace T", "reflection R")
-        result = reason(make_prompt("goal"), ReasoningStrategy.self_reflection(), provider)
+        result = reason(make_prompt("goal"), SELF_REFLECTION, provider)
         joined = "\n".join(result.text_segments())
         assert "trace T" in joined and "reflection R" in joined
         assert len(provider.call_log) == 2
@@ -91,7 +93,7 @@ class TestReason:
 
     def test_self_reflection_output_keeps_original_without_cot_phrase(self):
         provider = mock_provider("trace", "reflection")
-        result = reason(make_prompt("goal"), ReasoningStrategy.self_reflection(), provider)
+        result = reason(make_prompt("goal"), SELF_REFLECTION, provider)
         assert result.text_segments()[0] == "goal"
         assert COT_PHRASE not in result.text_segments()
 
@@ -125,11 +127,8 @@ class TestReason:
             StrategyKind.COT_AND_REFLECTION: 2,
         }
         for kind, count in expected.items():
-            strategy = (
-                ReasoningStrategy.few_shot((("q", "a"),))
-                if kind is StrategyKind.FEW_SHOT
-                else ReasoningStrategy(kind)
-            )
+            examples = (("q", "a"),) if kind is StrategyKind.FEW_SHOT else ()
+            strategy = ReasoningStrategy(kind, examples)
             provider = mock_provider("one", "two")
             reason(make_prompt("goal"), strategy, provider)
             assert len(provider.call_log) == count, kind
@@ -148,7 +147,7 @@ class TestReason:
         transcript = Transcript()
         reason(
             make_prompt("goal"),
-            ReasoningStrategy.self_reflection(),
+            SELF_REFLECTION,
             mock_provider("t", "r"),
             transcript=transcript,
         )
@@ -160,7 +159,7 @@ class TestReason:
     @pytest.mark.parametrize(
         "strategy, cot",
         [
-            (ReasoningStrategy.self_reflection(), ()),
+            (SELF_REFLECTION, ()),
             (ReasoningStrategy.cot_and_reflection(), (ContentItem.from_text(COT_PHRASE),)),
         ],
         ids=["self_reflection", "cot_and_reflection"],

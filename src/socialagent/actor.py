@@ -169,7 +169,7 @@ def _ask(
     reasoned: PromptArtifact,
     provider: Provider,
     extra: tuple[ContentItem, ...],
-    transcript: Transcript | None,
+    transcript: Transcript,
     labels: tuple[str, ...] = (),
 ) -> tuple[str, str | None]:
     """One actor call; returns the response text and its answer line, if any.
@@ -189,7 +189,7 @@ def _classify(
     reasoned: PromptArtifact,
     provider: Provider,
     extra: tuple[ContentItem, ...],
-    transcript: Transcript | None,
+    transcript: Transcript,
     labels: tuple[str, ...],
 ) -> str:
     text, label = _ask(spec, reasoned, provider, extra, transcript, labels)
@@ -206,7 +206,7 @@ def act(
     *,
     taxonomy: CategoryTaxonomy | None = None,
     revision: str | None = None,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> ActionResult:
     """Execute one action on its reasoned prompt, which holds the action's
     instructions and inputs (``engine.create_action_prompt``): add any store

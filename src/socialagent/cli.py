@@ -12,7 +12,14 @@ from typing import TypeVar
 
 from . import canonical, engine, evaluation
 from .actor import CategoryTaxonomy, ToolStore
-from .core import EngineConfig, EnvironmentContext, ReasoningStrategy, StrategyKind, Task
+from .core import (
+    EngineConfig,
+    EnvironmentContext,
+    ReasoningStrategy,
+    StrategyKind,
+    Task,
+    Transcript,
+)
 from .errors import AgentError, ConfigError, InvariantError, MalformedInputError, TaskFailure
 from .evaluation import RunSetup, TaskKind
 from .providers import Backend
@@ -178,8 +185,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
     units = engine.build_units(setup.engine)
-    role = engine.bootstrap_role(task, units)
-    outcome = engine.run_trials(task, env, setup.engine, units, role)
+    transcript = Transcript()
+    role = engine.bootstrap_role(task, units, transcript=transcript)
+    outcome = engine.run_trials(task, env, setup.engine, units, role, transcript=transcript)
     lines = [f"task: {task.id}"]
     for view in outcome.trial_views:
         lines += [

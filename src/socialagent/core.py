@@ -4,6 +4,7 @@ and the per-run invocation transcript."""
 from __future__ import annotations
 
 import importlib
+import logging
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -14,6 +15,8 @@ from .errors import InvariantError
 
 if TYPE_CHECKING:
     from .providers import ProviderConfig
+
+log = logging.getLogger(__name__)
 
 
 def _sha256_constructor():
@@ -318,8 +321,16 @@ class Transcript:
     def record(
         self, unit: UnitRole, operation: str, request_text: str, response_text: str
     ) -> TranscriptEvent:
+        """Append one event and log it: its digests at INFO, the full
+        request and response bodies only at DEBUG."""
         event = TranscriptEvent(unit, operation, digest(request_text), digest(response_text))
         self.events += (event,)
+        log.info(
+            "%s request=%s response=%s", operation, event.request_digest, event.response_digest
+        )
+        log.debug(
+            "%s request body:\n%s\nresponse body:\n%s", operation, request_text, response_text
+        )
         return event
 
     def absorb(self, other: Transcript) -> None:

@@ -93,7 +93,7 @@ def criticize(
     *,
     divergence: float,
     system_role: str = "",
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> Critique:
     """One provider call presenting both plans, and the ``divergence`` of
     the gate that fired, under a task-related decision rubric; the critic
@@ -135,7 +135,7 @@ def refine(
     provider: Provider,
     *,
     system_role: str = "",
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> RefinedInstructions:
     """Translate actionable critique feedback into corrective instructions
     for the planner. Exactly one provider call; rejected without one when

@@ -88,7 +88,7 @@ def should_criticize(
     embedder: "Provider",
     theta: float,
     *,
-    transcript: "Transcript | None" = None,
+    transcript: "Transcript",
 ) -> GateDecision:
     """Embed both responses and activate the critic when their divergence
     reaches the threshold. Makes exactly two embed calls."""

@@ -109,9 +109,7 @@ def build_units(config: EngineConfig) -> UnitSet:
     return {role: build_provider(cfg) for role, cfg in config.role_bindings.items()}
 
 
-def bootstrap_role(
-    task: Task, units: UnitSet, *, transcript: Transcript | None = None
-) -> RoleDescription:
+def bootstrap_role(task: Task, units: UnitSet, *, transcript: Transcript) -> RoleDescription:
     """One role-writer call generating the system role installed on every
     subsequent prompt of this run."""
     text = invoke(
@@ -201,7 +199,7 @@ def run_trials(
     units: UnitSet,
     role: RoleDescription,
     *,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> TrialsOutcome:
     """The planning trials loop. Each trial reasons, plans, and optimizes;
     on non-final trials the divergence gate decides whether the critic and
@@ -300,7 +298,7 @@ def execute_actions(
     task: Task,
     tools: ToolStore | None = None,
     taxonomy: CategoryTaxonomy | None = None,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> tuple[tuple[ActionResult, ...], str | None]:
     """Run every plan action in order: reason, act, optimize the response,
     then act again with the optimizer's feedback as revision context. The
@@ -321,8 +319,6 @@ def execute_actions(
     provider call outlives this function. Any other plan runs inline."""
     actions = plan.actions
     reasoner = units[UnitRole.REASONER]
-    if transcript is None:
-        transcript = Transcript()
 
     def reasoning(spec: ActionSpec, into: Transcript) -> PromptArtifact:
         prompt = create_action_prompt(spec, role.text)
@@ -400,7 +396,7 @@ def solve(
         role = bootstrap_role(task, units, transcript=transcript)
         outcome = run_trials(task, env, config, units, role, transcript=transcript)
     except AgentError as exc:
-        raise TaskFailure(str(exc), transcript=transcript) from exc
+        raise TaskFailure(str(exc), transcript) from exc
     executed = _bind_inputs(outcome.executed, task)
     results, error = execute_actions(
         executed,
@@ -429,7 +425,7 @@ def run_report(task: Task, response: TaskResponse | TaskFailure) -> str:
     comparison; timing is reported as logical event counts. A run that
     ``solve`` aborted reports only its error and the partial transcript."""
     if isinstance(response, TaskFailure):
-        events = response.transcript.report() if response.transcript else []
+        events = response.transcript.report()
         return canonical.dumps({"task_id": task.id, "error": str(response), "transcript": events})
     events = response.transcript.report()
     report = {

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .core import Transcript
+
 
 class AgentError(Exception):
     """Base class for every error raised by this package."""
@@ -86,7 +91,7 @@ class BindingCollisionError(ConfigError):
 class TaskFailure(AgentError):
     """A task run aborted; carries the transcript recorded so far."""
 
-    def __init__(self, message: str, transcript=None) -> None:
+    def __init__(self, message: str, transcript: Transcript) -> None:
         super().__init__(message)
         self.transcript = transcript
 

@@ -26,7 +26,7 @@ from .errors import (
     InvariantError,
     MalformedInputError,
 )
-from .providers import MockScript, MockScriptEntry
+from .providers import Backend, MockScript, MockScriptEntry
 
 REPORT_DECIMALS = 4
 
@@ -192,7 +192,7 @@ def _image_items(payload: dict, line: int) -> tuple[ContentItem, ...]:
     return tuple(items)
 
 
-def _record_from_payload(payload: dict, kind: TaskKind, line: int) -> EvalRecord:
+def _parse_record(payload: dict, kind: TaskKind, line: int) -> EvalRecord:
     record_id = _require_str(payload, line, "id", "_id")
     if kind in (TaskKind.QA, TaskKind.VQA):
         question = _require_str(payload, line, "question")
@@ -233,7 +233,7 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
             raise DatasetFormatError(str(exc), line=number) from exc
         if not isinstance(payload, dict):
             raise DatasetFormatError("record must be an object", line=number)
-        record = _record_from_payload(payload, kind, number)
+        record = _parse_record(payload, kind, number)
         first = first_lines.setdefault(record.id, number)
         if first != number:
             raise DatasetFormatError(
@@ -405,6 +405,15 @@ def run_eval(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     # record scripts override bindings, so every role must be bound first
     engine.check_config(config, (item for record in dataset for item in record.inputs))
+    # a script replaces a mock's responses; a live backend would never read it
+    for record in dataset:
+        for role in (record_scripts or {}).get(record.id, {}):
+            backend = config.role_bindings[role].backend
+            if backend is not Backend.MOCK:
+                raise ConfigError(
+                    f"record {record.id!r}: its {role.value} script needs a mock binding, "
+                    f"not {backend.value}"
+                )
     if task_kind is TaskKind.CATEGORIZE:
         # every categorize gold is a level-1/level-2 pair, so a flat taxonomy fails every record
         if taxonomy is None or not taxonomy.is_hierarchical():

@@ -62,7 +62,7 @@ def forward(
     context: PromptArtifact,
     provider: Provider,
     *,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> str:
     """Forward pass: one provider call producing the prediction the current
     variable value yields for the task context."""
@@ -88,7 +88,7 @@ def compute_loss(
     provider: Provider,
     *,
     system_role: str = "",
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> str:
     """One provider call evaluating the prediction against the loss
     instruction and its context."""
@@ -117,7 +117,7 @@ def gradient(
     provider: Provider,
     *,
     system_role: str = "",
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> GradientNote:
     """One provider call turning (variable, prediction, evaluation) into
     concrete improvement feedback."""
@@ -147,7 +147,7 @@ def step(
     provider: Provider,
     *,
     system_role: str = "",
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> Variable:
     """One provider call rewriting the variable with the feedback applied;
     the previous value is pushed onto the history."""
@@ -175,7 +175,7 @@ def optimize(
     iterations: int,
     provider: Provider,
     *,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> Variable:
     """Run the full loop: iterations of forward, loss, gradient, step,
     stopping early when a step output carries the early-stop marker."""

@@ -101,7 +101,7 @@ def plan(
     reasoned: PromptArtifact,
     provider: Provider,
     *,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
     operation: str = "plan",
 ) -> Plan:
     """One provider call producing a validated Plan; the raw model output is

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import base64
 import json
-import logging
 import os
 import threading
 import time
@@ -17,6 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .canonical import parse_text
+# digest goes unused here, but bench/spans.py wraps providers.digest
 from .core import ContentItem, ContentKind, SamplingConfig, Transcript, UnitRole, digest, sha256
 from .divergence import EmbeddingVector
 from .errors import (
@@ -31,8 +31,6 @@ from .errors import (
     ProviderError,
     TransportError,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_EMBED_DIMENSION = 8
 RETRY_ATTEMPTS = 3
@@ -136,32 +134,6 @@ def _check_images(config: ProviderConfig, request: ProviderRequest) -> None:
 Attempt = Callable[[str], None]
 
 
-def _require_unit(transcript: Transcript | None, unit: UnitRole | None) -> None:
-    if transcript is not None and unit is None:
-        raise InvariantError("transcript recording requires a unit role")
-
-
-def _record(
-    transcript: Transcript | None,
-    unit: UnitRole | None,
-    operation: str,
-    request_text: str,
-    response_text: str,
-) -> None:
-    # digests at normal verbosity, each computed once (the transcript's, when
-    # there is one); full bodies only when debugging
-    if transcript is not None:
-        event = transcript.record(unit, operation, request_text, response_text)
-        log.info(
-            "%s request=%s response=%s", operation, event.request_digest, event.response_digest
-        )
-    elif log.isEnabledFor(logging.INFO):
-        log.info(
-            "%s request=%s response=%s", operation, digest(request_text), digest(response_text)
-        )
-    log.debug("%s request body:\n%s\nresponse body:\n%s", operation, request_text, response_text)
-
-
 def hash_embedding(text: str, dimension: int, seed: int) -> EmbeddingVector:
     """Deterministic pseudo-embedding: each component is derived from a
     seeded digest of the text, mapped into [-1, 1)."""
@@ -175,8 +147,8 @@ def hash_embedding(text: str, dimension: int, seed: int) -> EmbeddingVector:
 
 class Provider(ABC):
     """One unit call, the same for every backend. Before the backend is
-    asked, a call to be recorded needs its unit, a completion checks image
-    support and an embed rejects empty text. Each call records its event
+    asked, a completion checks image support and an embed rejects empty
+    text. Each call records its event in the run's transcript under its unit
     (and, through ``attempt``, each failed try's ``<operation>.attempt``
     event before it). A backend supplies only the reply and the vector."""
 
@@ -193,32 +165,30 @@ class Provider(ABC):
         self,
         request: ProviderRequest,
         *,
-        transcript: Transcript | None = None,
-        unit: UnitRole | None = None,
+        transcript: Transcript,
+        unit: UnitRole,
         operation: str = "complete",
     ) -> ProviderResponse:
-        _require_unit(transcript, unit)
         _check_images(self.config, request)
         flattened = request.flattened()
-        attempt = partial(_record, transcript, unit, f"{operation}.attempt", flattened)
+        attempt = partial(transcript.record, unit, f"{operation}.attempt", flattened)
         text = self._reply(request, flattened, attempt)
-        _record(transcript, unit, operation, flattened, text)
+        transcript.record(unit, operation, flattened, text)
         return ProviderResponse(text)
 
     def embed(
         self,
         text: str,
         *,
-        transcript: Transcript | None = None,
-        unit: UnitRole | None = None,
+        transcript: Transcript,
+        unit: UnitRole,
         operation: str = "embed",
     ) -> EmbeddingVector:
-        _require_unit(transcript, unit)
         if not text:
             raise EmptyTextError("cannot embed empty text")
-        attempt = partial(_record, transcript, unit, f"{operation}.attempt", text)
+        attempt = partial(transcript.record, unit, f"{operation}.attempt", text)
         vector = self._vector(text, attempt)
-        _record(transcript, unit, operation, text, repr(vector.components))
+        transcript.record(unit, operation, text, repr(vector.components))
         return vector
 
     @abstractmethod
@@ -398,7 +368,7 @@ def invoke(
     system_role: str,
     segments: tuple[ContentItem, ...],
     *,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> str:
     """The one completion path of every unit: a request under the bound
     provider's own sampling, recorded in the transcript as (unit, operation).

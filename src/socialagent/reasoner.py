@@ -46,7 +46,7 @@ def reason(
     strategy: ReasoningStrategy,
     provider: Provider,
     *,
-    transcript: Transcript | None = None,
+    transcript: Transcript,
 ) -> PromptArtifact:
     """Produce the reasoned prompt consumed by planner, actor, and
     optimizer. Local strategies make zero provider calls. Reflection
@@ -56,13 +56,12 @@ def reason(
     (cot_and_reflection)."""
     if strategy.kind in LOCAL_KINDS:
         decorated = _decorate(prompt, strategy)
-        if transcript is not None:
-            transcript.record(
-                UnitRole.REASONER,
-                "reason",
-                "\n".join(prompt.text_segments()),
-                "\n".join(decorated.text_segments()),
-            )
+        transcript.record(
+            UnitRole.REASONER,
+            "reason",
+            "\n".join(prompt.text_segments()),
+            "\n".join(decorated.text_segments()),
+        )
         return decorated
     traced = _decorate(prompt, ReasoningStrategy.zero_shot_cot())
     trace = invoke(

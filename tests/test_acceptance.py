@@ -24,6 +24,7 @@ from socialagent.core import (
     PromptArtifact,
     ReasoningStrategy,
     StrategyKind,
+    Transcript,
     UnitRole,
 )
 from socialagent.divergence import Distribution, jsd
@@ -121,7 +122,7 @@ def test_criterion_3_tgd_loop_contract():
         # early stop: second of three budgeted iterations emits the marker
         script = ["p0", "e0", "g0", "v1", "p1", "e1", "g1", "NO_FURTHER_IMPROVEMENT"]
         provider = mock_provider(*script)
-        result = optimize(Variable("v0"), context, TextLoss(), 3, provider)
+        result = optimize(Variable("v0"), context, TextLoss(), 3, provider, transcript=Transcript())
         assert len(provider.call_log) == 8
         assert result.history == ("v0", "v1")
 
@@ -185,7 +186,9 @@ def test_criterion_5_two_level_categorization_safety():
             parent = rng.choice(level1)
             child = rng.choice(list(taxonomy.children(parent)))
             provider = mock_provider(f"CATEGORY: {parent}", f"CATEGORY: {child}")
-            pair = act(spec, reasoned, None, provider, taxonomy=taxonomy).structured
+            pair = act(
+                spec, reasoned, None, provider, taxonomy=taxonomy, transcript=Transcript()
+            ).structured
             assert pair.level2 in taxonomy.children(pair.level1)
 
             # non-child outputs are rejected whenever another parent's child
@@ -199,7 +202,7 @@ def test_criterion_5_two_level_categorization_safety():
             bad = rng.choice(other_children)
             provider = mock_provider(f"CATEGORY: {parent}", f"CATEGORY: {bad}")
             with pytest.raises(ActionParseError):
-                act(spec, reasoned, None, provider, taxonomy=taxonomy)
+                act(spec, reasoned, None, provider, taxonomy=taxonomy, transcript=Transcript())
 
 
 def test_criterion_6_end_to_end_golden_reports(tmp_path, capsys):
@@ -272,7 +275,7 @@ def test_criterion_8_reasoner_strategy_contract():
             examples = (("q", "a"),) if kind is StrategyKind.FEW_SHOT else ()
             strategy = ReasoningStrategy(kind, examples)
             provider = mock_provider("trace T", "reflection R")
-            result = reason(prompt, strategy, provider)
+            result = reason(prompt, strategy, provider, transcript=Transcript())
             assert len(provider.call_log) == count, kind
             if count == 2:
                 # trace request carries the CoT phrase; the reflection request

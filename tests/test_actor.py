@@ -19,7 +19,7 @@ from socialagent.actor import (
     load_toolstore,
     lookup,
 )
-from socialagent.core import ActionSpec, ContentItem, PromptArtifact
+from socialagent.core import ActionSpec, ContentItem, PromptArtifact, Transcript
 from socialagent.engine import create_action_prompt
 from socialagent.errors import ActionParseError, InvariantError
 
@@ -107,7 +107,13 @@ class TestPromptBuilders:
 
     def test_title_builder_ends_with_title_directive(self):
         provider = mock_provider("TITLE: t")
-        act(ActionSpec.for_id(3, "make a headline"), reasoned(), None, provider)
+        act(
+            ActionSpec.for_id(3, "make a headline"),
+            reasoned(),
+            None,
+            provider,
+            transcript=Transcript(),
+        )
         last = provider.call_log[0][0].messages[-1].text
         assert last.startswith("Respond with a final line")
         assert "TITLE:" in last
@@ -122,7 +128,7 @@ class TestPromptBuilders:
             ),
         )
         provider = mock_provider("ANSWER: a", supports_images=True)
-        act(spec, create_action_prompt(spec, "analyst"), None, provider)
+        act(spec, create_action_prompt(spec, "analyst"), None, provider, transcript=Transcript())
         messages = provider.call_log[0][0].messages
         images = [s.image.location for s in messages if s.image is not None]
         assert images == ["a.png", "b.png"]
@@ -133,26 +139,32 @@ class TestPromptBuilders:
             inputs=(ContentItem.from_image("x.png", "image/png"),),
         )
         provider = mock_provider("ANSWER: a", supports_images=True)
-        act(spec, create_action_prompt(spec, "analyst"), None, provider)
+        act(spec, create_action_prompt(spec, "analyst"), None, provider, transcript=Transcript())
         assert any(s.image is not None for s in provider.call_log[0][0].messages)
 
 
 class TestActTextActions:
     def test_qa_answer_line_parsed(self):
         provider = mock_provider("reasoning...\nANSWER: 42")
-        result = act(ActionSpec.for_id(1, "answer"), reasoned(), None, provider)
+        result = act(
+            ActionSpec.for_id(1, "answer"), reasoned(), None, provider, transcript=Transcript()
+        )
         assert result.answer == "42"
         assert result.provider_calls == 1
         assert result.structured is None
 
     def test_missing_answer_line_falls_back_to_prose(self):
         provider = mock_provider("just some prose response")
-        result = act(ActionSpec.for_id(1, "answer"), reasoned(), None, provider)
+        result = act(
+            ActionSpec.for_id(1, "answer"), reasoned(), None, provider, transcript=Transcript()
+        )
         assert result.answer == "just some prose response"
 
     def test_title_parsed_and_structured(self):
         provider = mock_provider("TITLE: a fine headline")
-        result = act(ActionSpec.for_id(3, "headline"), reasoned(), None, provider)
+        result = act(
+            ActionSpec.for_id(3, "headline"), reasoned(), None, provider, transcript=Transcript()
+        )
         assert result.answer == "a fine headline"
         assert result.structured == "a fine headline"
 
@@ -164,6 +176,7 @@ class TestActTextActions:
             None,
             provider,
             revision="cite the source document",
+            transcript=Transcript(),
         )
         assert "cite the source document" in provider.call_log[0][0].flattened()
 
@@ -173,13 +186,13 @@ class TestActTextActions:
         )
         provider = mock_provider("ANSWER: ok")
         spec = ActionSpec.for_id(1, "answer the question\nKNOWLEDGE: solar")
-        act(spec, reasoned(), store, provider)
+        act(spec, reasoned(), store, provider, transcript=Transcript())
         assert "Panels need light." in provider.call_log[0][0].flattened()
         # a blank query, at the end of the text or before the next line,
         # requests no facts rather than every entry in the store
         for blank in ("answer the question\nKNOWLEDGE: \t ", "KNOWLEDGE:\nsolar question"):
             provider = mock_provider("ANSWER: ok")
-            act(ActionSpec.for_id(1, blank), reasoned(), store, provider)
+            act(ActionSpec.for_id(1, blank), reasoned(), store, provider, transcript=Transcript())
             assert "Panels need light." not in provider.call_log[0][0].flattened(), blank
 
     def test_no_directive_no_store_consultation(self):
@@ -187,7 +200,13 @@ class TestActTextActions:
             entries={"solar": ToolEntry(title="Solar", facts=("Panels need light.",))}
         )
         provider = mock_provider("ANSWER: ok")
-        act(ActionSpec.for_id(1, "answer plainly"), reasoned(), store, provider)
+        act(
+            ActionSpec.for_id(1, "answer plainly"),
+            reasoned(),
+            store,
+            provider,
+            transcript=Transcript(),
+        )
         assert "Panels need light." not in provider.call_log[0][0].flattened()
 
 
@@ -195,7 +214,12 @@ class TestActCategorization:
     def test_flat_taxonomy_single_call(self):
         provider = mock_provider("CATEGORY: politics")
         result = act(
-            ActionSpec.for_id(4, "classify"), reasoned(), None, provider, taxonomy=FLAT
+            ActionSpec.for_id(4, "classify"),
+            reasoned(),
+            None,
+            provider,
+            taxonomy=FLAT,
+            transcript=Transcript(),
         )
         assert result.structured == "politics"
         assert result.provider_calls == 1
@@ -203,16 +227,36 @@ class TestActCategorization:
     def test_unknown_category_fails_hard(self):
         provider = mock_provider("CATEGORY: astrology")
         with pytest.raises(ActionParseError, match="unknown category"):
-            act(ActionSpec.for_id(4, "classify"), reasoned(), None, provider, taxonomy=FLAT)
+            act(
+                ActionSpec.for_id(4, "classify"),
+                reasoned(),
+                None,
+                provider,
+                taxonomy=FLAT,
+                transcript=Transcript(),
+            )
 
     def test_missing_category_line_fails_hard(self):
         provider = mock_provider("politics, I think")
         with pytest.raises(ActionParseError):
-            act(ActionSpec.for_id(4, "classify"), reasoned(), None, provider, taxonomy=FLAT)
+            act(
+                ActionSpec.for_id(4, "classify"),
+                reasoned(),
+                None,
+                provider,
+                taxonomy=FLAT,
+                transcript=Transcript(),
+            )
 
     def test_taxonomy_required(self):
         with pytest.raises(InvariantError):
-            act(ActionSpec.for_id(4, "classify"), reasoned(), None, mock_provider("x"))
+            act(
+                ActionSpec.for_id(4, "classify"),
+                reasoned(),
+                None,
+                mock_provider("x"),
+                transcript=Transcript(),
+            )
 
     def test_hierarchical_taxonomy_uses_two_calls(self):
         provider = mock_provider("CATEGORY: sport", "CATEGORY: tennis")
@@ -222,6 +266,7 @@ class TestActCategorization:
             None,
             provider,
             taxonomy=taxonomy(),
+            transcript=Transcript(),
         )
         assert result.structured == CategoryPair("sport", "tennis")
         assert result.provider_calls == 2
@@ -240,6 +285,7 @@ class TestActCategorization:
             provider,
             taxonomy=taxonomy(),
             revision="weigh the equipment",
+            transcript=Transcript(),
         )
         assert len(provider.call_log) == 2
         for sent, _ in provider.call_log:
@@ -251,7 +297,7 @@ class TestActCategorization:
 def categorize(tax: CategoryTaxonomy, provider) -> CategoryPair:
     """Two-level categorization through ``act``; its structured pair."""
     spec = ActionSpec.for_id(4, "Classify the content.")
-    result = act(spec, reasoned(), None, provider, taxonomy=tax)
+    result = act(spec, reasoned(), None, provider, taxonomy=tax, transcript=Transcript())
     assert result.provider_calls == 2
     return result.structured
 

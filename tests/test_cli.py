@@ -182,12 +182,21 @@ def _latin1_task(tmp_path):
 
 
 def _qa_config_with(tmp_path, change):
-    """The bundled QA eval config with its role bindings edited by ``change``."""
+    """The bundled QA eval config with its role bindings edited by ``change``,
+    and without the record scripts of any roles ``change`` returns."""
     setup = load_setup(fixture_path("qa_eval_config.json"))
     bindings = dict(setup.engine.role_bindings)
-    change(bindings)
+    unscripted = change(bindings) or ()
+    scripts = {
+        record: {role: entries for role, entries in roles.items() if role not in unscripted}
+        for record, roles in setup.record_scripts.items()
+    }
     path = tmp_path / "edited_config.json"
-    edited = replace(setup, engine=replace(setup.engine, role_bindings=bindings))
+    edited = replace(
+        setup,
+        engine=replace(setup.engine, role_bindings=bindings),
+        record_scripts=scripts,
+    )
     path.write_text(canonical.serialize(edited), encoding="utf-8")
     return path
 
@@ -208,7 +217,7 @@ def _actor_unbound(bindings):
 _UNSET_KEY = "SOCIALAGENT_TEST_UNSET_KEY"  # deleted from the environment by the test
 
 
-def _actor_key_unset(bindings):
+def _actor_live(bindings):
     bindings[UnitRole.ACTOR] = replace(
         bindings[UnitRole.ACTOR],
         backend=Backend.HTTP_CHAT,
@@ -216,6 +225,12 @@ def _actor_key_unset(bindings):
         api_key_env=_UNSET_KEY,
         script=None,
     )
+
+
+def _actor_key_unset(bindings):
+    _actor_live(bindings)
+    # the actor's record scripts go too: on a live binding they fail first
+    return (UnitRole.ACTOR,)
 
 
 def _qa_config_file_with(tmp_path, edit):
@@ -390,6 +405,11 @@ _ACTOR_KEY_UNSET = f"environment variable '{_UNSET_KEY}' is not set"
                 id=f"categorize-eval-gold-{level}-outside-taxonomy",
             )
             for level, old, new in (("level1", "sport", "sprot"), ("level2", "tennis", "space"))
+        ),
+        pytest.param(
+            lambda tmp: _eval_argv(config=_qa_config_with(tmp, _actor_live)),
+            "record 'qa-01': its actor script needs a mock binding, not http_chat",
+            id="eval-record-script-on-live-binding",
         ),
         pytest.param(lambda tmp: _solve_argv("--theta", "2"), "", id="theta-2"),
         pytest.param(lambda tmp: _solve_argv("--trials", "0"), "", id="trials-0"),

@@ -70,7 +70,13 @@ class TestCriticize:
     def test_scripted_verdict_parsed(self):
         provider = mock_provider("VERDICT: A\nFEEDBACK: tighten step 2")
         critique = criticize(
-            ENV, TASK, make_plan("plan a"), make_plan("plan b"), provider, divergence=0.2
+            ENV,
+            TASK,
+            make_plan("plan a"),
+            make_plan("plan b"),
+            provider,
+            divergence=0.2,
+            transcript=Transcript(),
         )
         assert critique.selected is PlanChoice.PLAN_A
         assert critique.actionable
@@ -84,6 +90,7 @@ class TestCriticize:
             make_plan("PLAN-B-TEXT"),
             provider,
             divergence=0.42,
+            transcript=Transcript(),
         )
         flattened = provider.call_log[0][0].flattened()
         assert "PLAN-A-TEXT" in flattened and "PLAN-B-TEXT" in flattened
@@ -106,7 +113,15 @@ class TestCriticize:
     def test_degenerate_output_raises(self):
         provider = mock_provider("no verdict")
         with pytest.raises(CritiqueParseError):
-            criticize(ENV, TASK, make_plan("a"), make_plan("b"), provider, divergence=0.2)
+            criticize(
+                ENV,
+                TASK,
+                make_plan("a"),
+                make_plan("b"),
+                provider,
+                divergence=0.2,
+                transcript=Transcript(),
+            )
 
 
 class TestRefine:
@@ -115,19 +130,19 @@ class TestRefine:
 
     def test_scripted_instructions_pass_through(self):
         provider = mock_provider("Revise plan: merge actions 1 and 2")
-        refined = refine(ENV, TASK, self.actionable_critique(), provider)
+        refined = refine(ENV, TASK, self.actionable_critique(), provider, transcript=Transcript())
         assert refined.instructions == "Revise plan: merge actions 1 and 2"
 
     def test_not_actionable_rejected_with_zero_calls(self):
         provider = mock_provider("never used")
         critique = parse_critique("VERDICT: B\nFEEDBACK:")
         with pytest.raises(NotActionableError):
-            refine(ENV, TASK, critique, provider)
+            refine(ENV, TASK, critique, provider, transcript=Transcript())
         assert provider.call_log == []
 
     def test_instructions_reference_their_critique_digest(self):
         critique = self.actionable_critique()
-        refined = refine(ENV, TASK, critique, mock_provider("do better"))
+        refined = refine(ENV, TASK, critique, mock_provider("do better"), transcript=Transcript())
         assert refined.derived_from == critique.digest()
 
     def test_exactly_one_provider_call(self):
@@ -138,7 +153,7 @@ class TestRefine:
 
     def test_feedback_forwarded_to_provider(self):
         provider = mock_provider("fix")
-        refine(ENV, TASK, self.actionable_critique(), provider)
+        refine(ENV, TASK, self.actionable_critique(), provider, transcript=Transcript())
         assert "merge actions 1 and 2" in provider.call_log[0][0].flattened()
 
 

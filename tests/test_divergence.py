@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mock_provider
 from reference_metrics import ref_jsd_base2
+from socialagent.core import Transcript
 from socialagent.divergence import (
     Distribution,
     EmbeddingVector,
@@ -110,7 +111,9 @@ class TestJsd:
 class TestGate:
     def test_identical_texts_never_activate_for_positive_theta(self):
         provider = mock_provider()
-        decision = should_criticize("same text", "same text", provider, theta=0.01)
+        decision = should_criticize(
+            "same text", "same text", provider, theta=0.01, transcript=Transcript()
+        )
         assert decision.divergence == 0.0
         assert decision.activate is False
 
@@ -121,19 +124,23 @@ class TestGate:
                 "optimized text": (0.0, 0.0),
             }
         )
-        decision = should_criticize("plan text", "optimized text", provider, theta=0.05)
+        decision = should_criticize(
+            "plan text", "optimized text", provider, theta=0.05, transcript=Transcript()
+        )
         expected = ref_jsd_base2([0.75, 0.25], [0.5, 0.5])
         assert decision.divergence == pytest.approx(expected, abs=1e-12)
         assert decision.activate == (decision.divergence >= 0.05)
 
     def test_theta_zero_activates_whenever_texts_are_embedded(self):
         provider = mock_provider()
-        decision = should_criticize("text one", "text two", provider, theta=0.0)
+        decision = should_criticize(
+            "text one", "text two", provider, theta=0.0, transcript=Transcript()
+        )
         assert decision.activate is True  # JSD >= 0 always
 
     def test_exactly_two_embed_calls(self):
         provider = mock_provider()
-        should_criticize("a", "b", provider, theta=0.5)
+        should_criticize("a", "b", provider, theta=0.5, transcript=Transcript())
         assert provider.embed_log == ["a", "b"]
 
     def test_monotone_in_theta(self):
@@ -141,20 +148,20 @@ class TestGate:
             embedding_overrides={"a": (1.0, 0.0), "b": (0.0, 1.0)}
         )
         divergence = should_criticize(
-            "a", "b", mock_provider(**provider_config), theta=0.0
+            "a", "b", mock_provider(**provider_config), theta=0.0, transcript=Transcript()
         ).divergence
         previous = True
         for theta in [0.0, divergence / 2, divergence, min(1.0, divergence + 0.1), 1.0]:
             decision = should_criticize(
-                "a", "b", mock_provider(**provider_config), theta=theta
+                "a", "b", mock_provider(**provider_config), theta=theta, transcript=Transcript()
             )
             assert previous or not decision.activate  # non-increasing
             previous = decision.activate
 
     def test_empty_text_rejected(self):
         with pytest.raises(InvariantError):
-            should_criticize("", "b", mock_provider(), theta=0.1)
+            should_criticize("", "b", mock_provider(), theta=0.1, transcript=Transcript())
 
     def test_theta_out_of_range_rejected(self):
         with pytest.raises(InvariantError):
-            should_criticize("a", "b", mock_provider(), theta=1.5)
+            should_criticize("a", "b", mock_provider(), theta=1.5, transcript=Transcript())

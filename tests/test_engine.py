@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import replace
 
@@ -39,6 +40,7 @@ from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK,
 from socialagent.planner import parse_plan, plan_block
 from socialagent.protocol import ActionShape, action_block
 from socialagent.providers import MockProvider, MockScript
+from socialagent.reasoner import LOCAL_KINDS
 
 ENV = EnvironmentContext()
 
@@ -459,6 +461,26 @@ class TestFailuresAndReport:
         assert reports[0] == reports[1]
         assert "timestamp" not in reports[0]
 
+    def test_every_event_is_logged_once_with_its_digests(self, caplog):
+        # the golden solve reasons with a local strategy, so its reasoner
+        # events make no provider call and are logged all the same
+        setup = load_setup(fixture_path("solve_config.json"))
+        assert setup.engine.strategy.kind in LOCAL_KINDS
+        task = canonical.load(fixture_path("example_task.json"))
+        with caplog.at_level(logging.DEBUG, logger="socialagent"):
+            events = solve(task, ENV, setup.engine).transcript.events
+        assert ("reasoner", "reason") in {e.label() for e in events}
+        assert {r.name for r in caplog.records} == {"socialagent.core"}
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert info == [
+            f"{e.operation} request={e.request_digest} response={e.response_digest}"
+            for e in events
+        ]
+        bodies = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(bodies) == len(events)
+        for body, event in zip(bodies, events):
+            assert body.startswith(f"{event.operation} request body:\n")
+
 
 class TestExecuteActionsDirectly:
     def test_two_action_plan_produces_two_blocks_in_order(self):
@@ -490,8 +512,11 @@ class TestRunTrialsDirectly:
     def test_trial_views_capture_gate_and_critique(self):
         setup = fixtures.scenario_setup("scenario_b")
         units = build_units(setup.engine)
-        role = bootstrap_role(fixtures.scenario_task(), units)
-        outcome = run_trials(fixtures.scenario_task(), ENV, setup.engine, units, role)
+        transcript = Transcript()
+        role = bootstrap_role(fixtures.scenario_task(), units, transcript=transcript)
+        outcome = run_trials(
+            fixtures.scenario_task(), ENV, setup.engine, units, role, transcript=transcript
+        )
         assert len(outcome.trial_views) == 2
         first = outcome.trial_views[0]
         assert first.gate is not None and first.gate.activate
@@ -689,8 +714,9 @@ def _plan_bundled(config, task, monkeypatch):
     setup = load_setup(fixture_path(config))
     units = build_units(setup.engine)
     task = canonical.load(fixture_path(task))
-    role = bootstrap_role(task, units)
-    run_trials(task, ENV, setup.engine, units, role)
+    transcript = Transcript()
+    role = bootstrap_role(task, units, transcript=transcript)
+    run_trials(task, ENV, setup.engine, units, role, transcript=transcript)
     return list(units.values())
 
 

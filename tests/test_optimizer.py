@@ -35,7 +35,9 @@ class TestVariableAndConfig:
     def test_iterations_zero_rejected(self):
         provider = mock_provider()
         with pytest.raises(InvariantError):
-            optimize(Variable("v"), context_prompt(), TextLoss(), 0, provider)
+            optimize(
+                Variable("v"), context_prompt(), TextLoss(), 0, provider, transcript=Transcript()
+            )
         assert provider.call_log == []
 
     def test_empty_gradient_rejected(self):
@@ -46,7 +48,8 @@ class TestVariableAndConfig:
 class TestSingleOperations:
     def test_forward_passes_through_script(self):
         provider = mock_provider("answer A")
-        assert forward(Variable("v"), context_prompt(), provider) == "answer A"
+        prediction = forward(Variable("v"), context_prompt(), provider, transcript=Transcript())
+        assert prediction == "answer A"
         assert len(provider.call_log) == 1
 
     def test_forward_transcript_count(self):
@@ -56,17 +59,23 @@ class TestSingleOperations:
 
     def test_compute_loss_contains_default_instruction_verbatim(self):
         provider = mock_provider("evaluation: missing evidence")
-        result = compute_loss("some prediction", TextLoss(), provider)
+        result = compute_loss("some prediction", TextLoss(), provider, transcript=Transcript())
         assert result == "evaluation: missing evidence"
         assert DEFAULT_TEXT_LOSS in provider.call_log[0][0].flattened()
 
     def test_compute_loss_empty_prediction_rejected(self):
         with pytest.raises(InvariantError):
-            compute_loss("  ", TextLoss(), mock_provider("x"))
+            compute_loss("  ", TextLoss(), mock_provider("x"), transcript=Transcript())
 
     def test_gradient_prompt_contains_all_three_inputs_verbatim(self):
         provider = mock_provider("add citation to claim 2")
-        note = gradient(Variable("the variable text"), "the prediction", "the evaluation", provider)
+        note = gradient(
+            Variable("the variable text"),
+            "the prediction",
+            "the evaluation",
+            provider,
+            transcript=Transcript(),
+        )
         assert note.feedback == "add citation to claim 2"
         flattened = provider.call_log[0][0].flattened()
         for needle in ("the variable text", "the prediction", "the evaluation"):
@@ -74,11 +83,13 @@ class TestSingleOperations:
 
     def test_gradient_empty_evaluation_rejected(self):
         with pytest.raises(InvariantError):
-            gradient(Variable("v"), "pred", "", mock_provider("x"))
+            gradient(Variable("v"), "pred", "", mock_provider("x"), transcript=Transcript())
 
     def test_step_pushes_history_and_applies_feedback(self):
         provider = mock_provider("improved text")
-        updated = step(Variable("old text"), GradientNote("fix it"), provider)
+        updated = step(
+            Variable("old text"), GradientNote("fix it"), provider, transcript=Transcript()
+        )
         assert updated.value == "improved text"
         assert updated.history == ("old text",)
         assert "fix it" in provider.call_log[0][0].flattened()
@@ -87,7 +98,7 @@ class TestSingleOperations:
         variable = Variable("v0")
         for index in range(3):
             variable = step(
-                variable, GradientNote("g"), mock_provider(f"v{index + 1}")
+                variable, GradientNote("g"), mock_provider(f"v{index + 1}"), transcript=Transcript()
             )
             assert len(variable.history) == index + 1
         assert variable.history == ("v0", "v1", "v2")
@@ -128,6 +139,7 @@ class TestOptimizeLoop:
             TextLoss(),
             3,
             provider,
+            transcript=Transcript(),
         )
         assert len(provider.call_log) == 8
         assert len(result.history) == 2
@@ -141,6 +153,7 @@ class TestOptimizeLoop:
             TextLoss(),
             5,
             mock_provider(*script),
+            transcript=Transcript(),
         )
         assert len(result.history) == 1
 
@@ -152,6 +165,7 @@ class TestOptimizeLoop:
             TextLoss(),
             3,
             provider,
+            transcript=Transcript(),
         )
         assert result.history == ("start", "value1", "value2")
         assert result.history[0] == "start"
@@ -167,6 +181,7 @@ class TestOptimizeLoop:
                 TextLoss(),
                 2,
                 provider,
+                transcript=Transcript(),
             )
 
 

@@ -132,7 +132,7 @@ class TestPlanOperation:
             ' {"id": 4, "instructions": "classify"}]}'
         )
         provider = mock_provider(raw)
-        parsed = plan(task, reasoned_prompt(task), provider)
+        parsed = plan(task, reasoned_prompt(task), provider, transcript=Transcript())
         assert [a.name for a in parsed.actions] == [
             ActionName.TITLE_GENERATION,
             ActionName.CATEGORIZATION,
@@ -144,14 +144,14 @@ class TestPlanOperation:
         task = Task(id="t", goal="do something")
         provider = mock_provider("no structure here")
         with pytest.raises(PlanParseError) as excinfo:
-            plan(task, reasoned_prompt(task), provider)
+            plan(task, reasoned_prompt(task), provider, transcript=Transcript())
         assert excinfo.value.raw == "no structure here"
 
     def test_disallowed_action_enforced_from_task(self):
         task = Task(id="t", goal="answer", allowed_actions=frozenset({1}))
         provider = mock_provider(block('{"actions": [{"id": 2, "instructions": "x"}]}'))
         with pytest.raises(PlanParseError, match="disallowed action"):
-            plan(task, reasoned_prompt(task), provider)
+            plan(task, reasoned_prompt(task), provider, transcript=Transcript())
 
     def test_reasoned_prompt_must_carry_goal(self):
         task = Task(id="t", goal="the goal text")
@@ -159,7 +159,7 @@ class TestPlanOperation:
             system_role="analyst", segments=(ContentItem.from_text("unrelated"),)
         )
         with pytest.raises(InvariantError, match="goal"):
-            plan(task, other, mock_provider("x"))
+            plan(task, other, mock_provider("x"), transcript=Transcript())
 
     def test_one_provider_call_and_transcript_event(self):
         task = Task(id="t", goal="answer")
@@ -171,7 +171,7 @@ class TestPlanOperation:
     def test_allowed_ids_listed_in_request(self):
         task = Task(id="t", goal="answer", allowed_actions=frozenset({1, 3}))
         provider = mock_provider(block('{"actions": [{"id": 1, "instructions": "a"}]}'))
-        plan(task, reasoned_prompt(task), provider)
+        plan(task, reasoned_prompt(task), provider, transcript=Transcript())
         assert "Allowed action ids: 1, 3" in provider.call_log[0][0].flattened()
 
 
@@ -190,7 +190,7 @@ class TestReplanOperation:
         raw = block('{"actions": [{"id": 1, "instructions": "only QA"}]}')
         provider = mock_provider(raw)
         refined = RefinedInstructions(instructions="drop action 2", derived_from="d")
-        parsed = plan(task, replan_prompt(task, refined), provider)
+        parsed = plan(task, replan_prompt(task, refined), provider, transcript=Transcript())
         assert [a.action_id for a in parsed.actions] == [1]
         assert (
             "Corrective instructions from plan review:\ndrop action 2"
@@ -204,9 +204,11 @@ class TestReplanOperation:
     def test_same_script_gives_same_plan_as_plan(self):
         task = Task(id="t", goal="answer")
         raw = block('{"actions": [{"id": 1, "instructions": "answer"}]}')
-        direct = plan(task, reasoned_prompt(task), mock_provider(raw))
+        direct = plan(task, reasoned_prompt(task), mock_provider(raw), transcript=Transcript())
         refined = RefinedInstructions(instructions="be brief", derived_from="d")
-        redone = plan(task, replan_prompt(task, refined), mock_provider(raw))
+        redone = plan(
+            task, replan_prompt(task, refined), mock_provider(raw), transcript=Transcript()
+        )
         assert direct.actions == redone.actions
 
     def test_replan_records_replan_operation(self):

@@ -27,6 +27,7 @@ from socialagent.core import (
     UnitRole,
     digest,
 )
+from socialagent.divergence import EmbeddingVector
 from socialagent.engine import RoleDescription, execute_actions
 from socialagent.errors import (
     AuthenticationError,
@@ -47,6 +48,7 @@ from socialagent.providers import (
     MockScript,
     MockScriptEntry,
     MockProvider,
+    Provider,
     ProviderConfig,
     ProviderRequest,
     build_provider,
@@ -61,21 +63,31 @@ def request(*texts: str, system_role: str = "sys") -> ProviderRequest:
     )
 
 
+def complete(provider: Provider, req: ProviderRequest) -> str:
+    """One actor completion, recorded into a transcript of its own."""
+    return provider.complete(req, transcript=Transcript(), unit=UnitRole.ACTOR).text
+
+
+def embed(provider: Provider, text: str) -> EmbeddingVector:
+    """One critic embed, recorded into a transcript of its own."""
+    return provider.embed(text, transcript=Transcript(), unit=UnitRole.CRITIC)
+
+
 class TestMockCompletions:
     def test_scripted_response_returned_verbatim(self):
         provider = mock_provider("PLAN: 1")
-        assert provider.complete(request("anything")).text == "PLAN: 1"
+        assert complete(provider, request("anything")) == "PLAN: 1"
 
     def test_consumed_strictly_in_order(self):
         provider = mock_provider("first", "second")
-        assert provider.complete(request("a")).text == "first"
-        assert provider.complete(request("b")).text == "second"
+        assert complete(provider, request("a")) == "first"
+        assert complete(provider, request("b")) == "second"
 
     def test_exhaustion_is_an_error(self):
         provider = mock_provider("only one")
-        provider.complete(request("a"))
+        complete(provider, request("a"))
         with pytest.raises(MockScriptExhaustedError):
-            provider.complete(request("b"))
+            complete(provider, request("b"))
 
     def test_matcher_asserts_request_content(self):
         script = MockScript((MockScriptEntry(response="ok", matcher="needle"),))
@@ -83,14 +95,14 @@ class TestMockCompletions:
             ProviderConfig(backend=Backend.MOCK, model_name="m", script=script)
         )
         with pytest.raises(MockScriptMismatchError):
-            provider.complete(request("hay only"))
+            complete(provider, request("hay only"))
 
     def test_matcher_passes_when_substring_present(self):
         script = MockScript((MockScriptEntry(response="ok", matcher="needle"),))
         provider = MockProvider(
             ProviderConfig(backend=Backend.MOCK, model_name="m", script=script)
         )
-        assert provider.complete(request("hay with needle inside")).text == "ok"
+        assert complete(provider, request("hay with needle inside")) == "ok"
 
     def test_deterministic_across_instances(self):
         config = mock_config("m", "r1", "r2")
@@ -111,11 +123,11 @@ class TestMockCompletions:
 class TestMockEmbeddings:
     def test_same_text_same_vector(self):
         provider = mock_provider()
-        assert provider.embed("abc") == provider.embed("abc")
+        assert embed(provider, "abc") == embed(provider, "abc")
 
     def test_empty_text_rejected(self):
         with pytest.raises(EmptyTextError):
-            mock_provider().embed("")
+            embed(mock_provider(), "")
 
     @settings(max_examples=100)
     @given(
@@ -124,12 +136,12 @@ class TestMockEmbeddings:
     )
     def test_dimension_matches_configuration(self, text, dimension):
         provider = mock_provider(embed_dimension=dimension)
-        assert len(provider.embed(text).components) == dimension
+        assert len(embed(provider, text).components) == dimension
 
     def test_override_table_wins(self):
         provider = mock_provider(embedding_overrides={"abc": (1.0, 2.0)})
-        assert provider.embed("abc").components == (1.0, 2.0)
-        assert len(provider.embed("other").components) == provider.config.embed_dimension
+        assert embed(provider, "abc").components == (1.0, 2.0)
+        assert len(embed(provider, "other").components) == provider.config.embed_dimension
 
     def test_seed_changes_vectors(self):
         a = hash_embedding("abc", 8, seed=0)
@@ -214,7 +226,7 @@ class TestUnitCallContract:
             messages=(ContentItem.from_image("x.png", "image/png"),),
         )
         with pytest.raises(ImageUnsupportedError):
-            provider.complete(image_request)
+            complete(provider, image_request)
         assert served() == 0  # raised before consuming the script or posting
 
     def test_each_event_digests_each_text_once(self, scripted, monkeypatch):
@@ -236,15 +248,6 @@ class TestUnitCallContract:
         assert len(transcript) == 2
         assert len(digested) == 4
 
-    def test_recording_requires_unit(self, scripted):
-        provider, served = scripted("x")
-        unitless = "transcript recording requires a unit role"
-        with pytest.raises(InvariantError, match=unitless):
-            provider.complete(request("a"), transcript=Transcript())
-        with pytest.raises(InvariantError, match=unitless):
-            provider.embed("a", transcript=Transcript())
-        assert served() == 0  # raised before consuming the script or posting
-
 
 class TestHttpChat:
     def test_missing_api_key_fails_before_any_network_call(self, monkeypatch):
@@ -258,7 +261,7 @@ class TestHttpChat:
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         fake_post(monkeypatch, (200, {"choices": [{"message": {"content": "hi"}}]}))
         provider = HttpChatProvider(http_config())
-        assert provider.complete(request("hello")).text == "hi"
+        assert complete(provider, request("hello")) == "hi"
 
     def test_retries_on_transport_error_then_succeeds(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
@@ -284,7 +287,7 @@ class TestHttpChat:
         poster = fake_post(monkeypatch, (400, {"error": "bad"}))
         provider = HttpChatProvider(http_config())
         with pytest.raises(ProviderError):
-            provider.complete(request("hello"))
+            complete(provider, request("hello"))
         assert poster.calls == 1
 
     def test_auth_status_maps_to_auth_error(self, monkeypatch):
@@ -292,7 +295,7 @@ class TestHttpChat:
         fake_post(monkeypatch, (401, {}))
         provider = HttpChatProvider(http_config())
         with pytest.raises(AuthenticationError):
-            provider.complete(request("hello"))
+            complete(provider, request("hello"))
 
     def test_transport_exhaustion_surfaces_attempt_count(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
@@ -300,14 +303,14 @@ class TestHttpChat:
         fake_post(monkeypatch, *[URLError("down")] * 3)
         provider = HttpChatProvider(http_config())
         with pytest.raises(TransportError) as excinfo:
-            provider.complete(request("hello"))
+            complete(provider, request("hello"))
         assert excinfo.value.attempts == 3
 
     def test_wire_body_carries_model_messages_and_sampling(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         poster = fake_post(monkeypatch, (200, {"choices": [{"message": {"content": "hi"}}]}))
         provider = HttpChatProvider(http_config())
-        provider.complete(request("hello there", system_role="be brief"))
+        complete(provider, request("hello there", system_role="be brief"))
         url, body = poster.posted[0]
         assert url == "https://example.invalid/v1/chat"
         assert body["model"] == "live-model"
@@ -332,7 +335,7 @@ class TestHttpChat:
                 ContentItem.from_image(str(image_file), "image/png"),
             ),
         )
-        provider.complete(mixed)
+        complete(provider, mixed)
         parts = poster.posted[0][1]["messages"][1]["content"]
         assert parts[0] == {"type": "text", "text": "caption this"}
         assert parts[1]["type"] == "image"
@@ -345,7 +348,7 @@ class TestHttpChat:
         provider = HttpChatProvider(
             http_config(embed_endpoint="https://example.invalid/v1/embed")
         )
-        vector = provider.embed("hello")
+        vector = embed(provider, "hello")
         assert vector.components == (0.1, 0.2, 0.3)
 
     def test_embed_empty_text_rejected_before_network(self, monkeypatch):
@@ -353,7 +356,7 @@ class TestHttpChat:
         poster = fake_post(monkeypatch)
         provider = HttpChatProvider(http_config())
         with pytest.raises(EmptyTextError):
-            provider.embed("")
+            embed(provider, "")
         assert poster.calls == 0
 
 
@@ -381,6 +384,7 @@ def test_http_actor_posts_each_image_input_once(monkeypatch, tmp_path):
         engine_config(strategy=ReasoningStrategy()),
         units,
         task=Task(id="t-vqa", goal="Describe the image.", inputs=inputs),
+        transcript=Transcript(),
     )
     assert error is None and results[0].answer == "a red kite"
     assert len(poster.posted) == 2
@@ -402,7 +406,7 @@ class TestHttpChatFaults:
             messages=(ContentItem.from_image(str(tmp_path / "gone.png"), "image/png"),),
         )
         with pytest.raises(ProviderError, match="gone.png"):
-            provider.complete(missing)
+            complete(provider, missing)
         assert poster.calls == 0
 
     def test_non_json_success_body_is_a_provider_error(self, monkeypatch):
@@ -411,7 +415,7 @@ class TestHttpChatFaults:
         with pytest.raises(
             ProviderError, match="^malformed reply body at line 1 column 1: Expecting value$"
         ):
-            HttpChatProvider(http_config()).complete(request("hello"))
+            complete(HttpChatProvider(http_config()), request("hello"))
         assert poster.calls == 1
 
     def test_rate_limit_is_retried(self, monkeypatch):
@@ -434,7 +438,7 @@ class TestHttpChatFaults:
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         fake_post(monkeypatch, (200, {"choices": ["x"]}))
         with pytest.raises(ProviderError):
-            HttpChatProvider(http_config()).complete(request("hello"))
+            complete(HttpChatProvider(http_config()), request("hello"))
 
     @pytest.mark.parametrize(
         ("components", "message"),
@@ -450,13 +454,13 @@ class TestHttpChatFaults:
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         fake_post(monkeypatch, (200, {"data": [{"embedding": components}]}))
         with pytest.raises(ProviderError, match=message):
-            HttpChatProvider(http_config()).embed("hello")
+            embed(HttpChatProvider(http_config()), "hello")
 
     def test_malformed_endpoint_is_a_provider_error(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         provider = HttpChatProvider(http_config(endpoint="example.invalid/v1/chat"))
         with pytest.raises(ProviderError, match="cannot send"):
-            provider.complete(request("hello"))
+            complete(provider, request("hello"))
 
 
 class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
@@ -489,7 +493,7 @@ class _MockBehindHttp(_LoopbackHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         mock = self.server.mocks[body["model"]]
         if "input" in body:
-            vector = mock.embed(body["input"])
+            vector = embed(mock, body["input"])
             self.send_json(200, {"data": [{"embedding": list(vector.components)}]})
             return
         system, user = body["messages"]
@@ -497,7 +501,7 @@ class _MockBehindHttp(_LoopbackHandler):
             system_role=system["content"],
             messages=tuple(ContentItem.from_text(part["text"]) for part in user["content"]),
         )
-        self.send_json(200, {"choices": [{"message": {"content": mock.complete(request).text}}]})
+        self.send_json(200, {"choices": [{"message": {"content": complete(mock, request)}}]})
 
 
 def _running(monkeypatch, server):
@@ -532,7 +536,7 @@ def test_loopback_round_trip_retries_429_and_exhausts_5xx(monkeypatch, loopback)
         http_config(endpoint=f"http://127.0.0.1:{loopback.server_port}/v1/chat")
     )
     loopback.replies += [(429, {}), (200, {"choices": [{"message": {"content": "hi"}}]})]
-    assert provider.complete(request("hello", system_role="be brief")).text == "hi"
+    assert complete(provider, request("hello", system_role="be brief")) == "hi"
     assert len(loopback.seen) == 2
     authorization, body = loopback.seen[1]
     assert authorization == "Bearer secret"
@@ -548,7 +552,7 @@ def test_loopback_round_trip_retries_429_and_exhausts_5xx(monkeypatch, loopback)
 
     loopback.replies += [(503, {"error": "down"})] * 3
     with pytest.raises(TransportError) as excinfo:
-        provider.complete(request("again"))
+        complete(provider, request("again"))
     assert excinfo.value.attempts == 3
     assert len(loopback.seen) == 5
 
@@ -625,7 +629,7 @@ def loaded():
 import socialagent.cli
 loaded()
 from socialagent import canonical, engine
-from socialagent.core import EnvironmentContext
+from socialagent.core import EnvironmentContext, Transcript
 from socialagent.evaluation import load_setup
 from socialagent.fixtures import fixture_integrity_check, fixture_path
 
@@ -636,8 +640,11 @@ loaded()
 setup = load_setup(fixture_path("plan_divergent_config.json"))
 task = canonical.load(fixture_path("plan_task.json"))
 units = engine.build_units(setup.engine)
-role = engine.bootstrap_role(task, units)
-outcome = engine.run_trials(task, EnvironmentContext(), setup.engine, units, role)
+transcript = Transcript()
+role = engine.bootstrap_role(task, units, transcript=transcript)
+outcome = engine.run_trials(
+    task, EnvironmentContext(), setup.engine, units, role, transcript=transcript
+)
 assert outcome.trial_views[0].gate.activate
 loaded()
 assert fixture_integrity_check().ok

@@ -26,7 +26,7 @@ def decorate(prompt: PromptArtifact, strategy: ReasoningStrategy) -> PromptArtif
     """``reason`` under a local strategy, with a provider that has no reply
     to give: the decoration makes no call."""
     provider = mock_provider()
-    result = reason(prompt, strategy, provider)
+    result = reason(prompt, strategy, provider, transcript=Transcript())
     assert provider.call_log == []
     return result
 
@@ -62,25 +62,30 @@ class TestReason:
     def test_none_identity_and_zero_calls(self):
         provider = mock_provider()
         prompt = make_prompt("goal")
-        result = reason(prompt, ReasoningStrategy(), provider)
+        result = reason(prompt, ReasoningStrategy(), provider, transcript=Transcript())
         assert result is prompt
         assert provider.call_log == []
 
     def test_cot_zero_calls_with_phrase(self):
         provider = mock_provider()
-        result = reason(make_prompt("goal"), ReasoningStrategy.zero_shot_cot(), provider)
+        result = reason(
+            make_prompt("goal"),
+            ReasoningStrategy.zero_shot_cot(),
+            provider,
+            transcript=Transcript(),
+        )
         assert provider.call_log == []
         assert result.text_segments()[-1] == COT_PHRASE
 
     def test_few_shot_zero_calls(self):
         provider = mock_provider()
         strategy = ReasoningStrategy(StrategyKind.FEW_SHOT, (("q", "a"),))
-        reason(make_prompt("goal"), strategy, provider)
+        reason(make_prompt("goal"), strategy, provider, transcript=Transcript())
         assert provider.call_log == []
 
     def test_self_reflection_two_calls_with_trace_and_reflection(self):
         provider = mock_provider("trace T", "reflection R")
-        result = reason(make_prompt("goal"), SELF_REFLECTION, provider)
+        result = reason(make_prompt("goal"), SELF_REFLECTION, provider, transcript=Transcript())
         joined = "\n".join(result.text_segments())
         assert "trace T" in joined and "reflection R" in joined
         assert len(provider.call_log) == 2
@@ -93,14 +98,17 @@ class TestReason:
 
     def test_self_reflection_output_keeps_original_without_cot_phrase(self):
         provider = mock_provider("trace", "reflection")
-        result = reason(make_prompt("goal"), SELF_REFLECTION, provider)
+        result = reason(make_prompt("goal"), SELF_REFLECTION, provider, transcript=Transcript())
         assert result.text_segments()[0] == "goal"
         assert COT_PHRASE not in result.text_segments()
 
     def test_cot_and_reflection_two_calls_and_phrase_retained(self):
         provider = mock_provider("trace T", "reflection R")
         result = reason(
-            make_prompt("goal"), ReasoningStrategy.cot_and_reflection(), provider
+            make_prompt("goal"),
+            ReasoningStrategy.cot_and_reflection(),
+            provider,
+            transcript=Transcript(),
         )
         assert len(provider.call_log) == 2
         assert COT_PHRASE in result.text_segments()
@@ -114,7 +122,7 @@ class TestReason:
             (ReasoningStrategy.zero_shot_cot(), provider),
             (ReasoningStrategy.cot_and_reflection(), mock_provider("t", "r")),
         ):
-            result = reason(original, strategy, fresh)
+            result = reason(original, strategy, fresh, transcript=Transcript())
             texts = result.text_segments()
             assert "first segment" in texts and "second segment" in texts
 
@@ -130,7 +138,7 @@ class TestReason:
             examples = (("q", "a"),) if kind is StrategyKind.FEW_SHOT else ()
             strategy = ReasoningStrategy(kind, examples)
             provider = mock_provider("one", "two")
-            reason(make_prompt("goal"), strategy, provider)
+            reason(make_prompt("goal"), strategy, provider, transcript=Transcript())
             assert len(provider.call_log) == count, kind
 
     def test_transcript_records_local_strategies_once(self):
@@ -171,7 +179,9 @@ class TestReason:
             ContentItem.from_text("context"),
         )
         provider = mock_provider("trace T", "reflection R", supports_images=True)
-        result = reason(PromptArtifact("analyst", original), strategy, provider)
+        result = reason(
+            PromptArtifact("analyst", original), strategy, provider, transcript=Transcript()
+        )
         assert result == PromptArtifact(
             "analyst",
             original

@@ -13,7 +13,6 @@ from typing import TypeVar
 from . import canonical, engine, evaluation
 from .actor import CategoryTaxonomy, ToolStore
 from .core import (
-    EngineConfig,
     EnvironmentContext,
     ReasoningStrategy,
     StrategyKind,
@@ -22,7 +21,6 @@ from .core import (
 )
 from .errors import AgentError, ConfigError, InvariantError, MalformedInputError, TaskFailure
 from .evaluation import RunSetup, TaskKind
-from .providers import Backend
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -61,9 +59,6 @@ def build_parser() -> _Parser:
             "--strategy",
             choices=tuple(_STRATEGY_FLAGS),
             help="override the reasoning strategy (few-shot comes from the config)",
-        )
-        sub.add_argument(
-            "--seed", type=int, help="override the mock embedding seed (determinism)"
         )
 
     solve = commands.add_parser("solve", help="run one task end to end")
@@ -114,7 +109,6 @@ def _check_out(out: str | None) -> None:
 
 
 def _apply_overrides(setup: RunSetup, args: argparse.Namespace) -> RunSetup:
-    config: EngineConfig = setup.engine
     changes = {}
     if args.theta is not None:
         changes["theta"] = args.theta
@@ -124,22 +118,10 @@ def _apply_overrides(setup: RunSetup, args: argparse.Namespace) -> RunSetup:
         changes["tgd_iterations"] = args.iterations
     if args.strategy is not None:
         changes["strategy"] = ReasoningStrategy(_STRATEGY_FLAGS[args.strategy])
-    if changes:
-        try:
-            config = replace(config, **changes)
-        except InvariantError as exc:
-            raise ConfigError(f"invalid override: {exc}") from exc
-    if args.seed is not None:
-        bindings = {
-            role: (
-                replace(binding, embed_seed=args.seed)
-                if binding.backend is Backend.MOCK
-                else binding
-            )
-            for role, binding in config.role_bindings.items()
-        }
-        config = replace(config, role_bindings=bindings)
-    return replace(setup, engine=config)
+    try:
+        return replace(setup, engine=replace(setup.engine, **changes))
+    except InvariantError as exc:
+        raise ConfigError(f"invalid override: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -29,11 +29,7 @@ class ProviderError(AgentError):
 
 
 class TransportError(ProviderError):
-    """Network-level failure, surfaced with the number of attempts made."""
-
-    def __init__(self, message: str, attempts: int = 1) -> None:
-        super().__init__(f"{message} (after {attempts} attempt(s))")
-        self.attempts = attempts
+    """Network-level failure; the message names the number of attempts made."""
 
 
 class AuthenticationError(ProviderError):
@@ -94,6 +90,10 @@ class TaskFailure(AgentError):
     def __init__(self, message: str, transcript: Transcript) -> None:
         super().__init__(message)
         self.transcript = transcript
+
+    def __reduce__(self) -> tuple:
+        # the default rebuilds from the message alone, without the transcript
+        return type(self), (self.args[0], self.transcript)
 
 
 class DatasetFormatError(AgentError):

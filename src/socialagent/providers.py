@@ -32,7 +32,7 @@ from .errors import (
     TransportError,
 )
 
-DEFAULT_EMBED_DIMENSION = 8
+EMBED_DIMENSION = 8
 RETRY_ATTEMPTS = 3
 RETRY_BASE_DELAY = 0.5
 TIMEOUT_S = 60
@@ -78,8 +78,6 @@ class ProviderConfig:
     embed_endpoint: str | None = None
     embed_model: str | None = None
     script: MockScript | None = None
-    embed_dimension: int = DEFAULT_EMBED_DIMENSION
-    embed_seed: int = 0
     embedding_overrides: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -88,8 +86,8 @@ class ProviderConfig:
         if self.backend is Backend.HTTP_CHAT:
             if not self.endpoint or not self.api_key_env:
                 raise InvariantError("http backend requires endpoint and api_key_env")
-        if self.embed_dimension < 2:
-            raise InvariantError("embed_dimension must be >= 2")
+            if self.script is not None or self.embedding_overrides:
+                raise InvariantError("http backend takes no script or embedding_overrides")
 
 
 @dataclass(frozen=True)
@@ -134,12 +132,13 @@ def _check_images(config: ProviderConfig, request: ProviderRequest) -> None:
 Attempt = Callable[[str], None]
 
 
-def hash_embedding(text: str, dimension: int, seed: int) -> EmbeddingVector:
+def hash_embedding(text: str) -> EmbeddingVector:
     """Deterministic pseudo-embedding: each component is derived from a
-    seeded digest of the text, mapped into [-1, 1)."""
+    digest of the text, mapped into [-1, 1)."""
     components = []
-    for i in range(dimension):
-        raw = sha256(f"{seed}:{i}:{text}".encode("utf-8")).digest()
+    for i in range(EMBED_DIMENSION):
+        # the leading 0 keeps every vector, and so each embed digest in the goldens, unchanged
+        raw = sha256(f"0:{i}:{text}".encode("utf-8")).digest()
         value = int.from_bytes(raw[:8], "big") / 2**64
         components.append(value * 2.0 - 1.0)
     return EmbeddingVector(tuple(components))
@@ -202,7 +201,7 @@ class Provider(ABC):
 
 class MockProvider(Provider):
     """Fully deterministic backend: completions come from an ordered script,
-    embeddings from a seeded hash plus an override table."""
+    embeddings from a fixed hash plus an override table."""
 
     backend = Backend.MOCK
 
@@ -236,7 +235,7 @@ class MockProvider(Provider):
         if override is not None:
             vector = EmbeddingVector(tuple(override))
         else:
-            vector = hash_embedding(text, self.config.embed_dimension, self.config.embed_seed)
+            vector = hash_embedding(text)
         with self._lock:
             self.embed_log.append(text)
         return vector
@@ -323,7 +322,7 @@ class HttpChatProvider(Provider):
             attempt(failure)
             if number < RETRY_ATTEMPTS:
                 time.sleep(RETRY_BASE_DELAY * 2 ** (number - 1))
-        raise TransportError(failure, attempts=RETRY_ATTEMPTS)
+        raise TransportError(f"{failure} (after {RETRY_ATTEMPTS} attempt(s))")
 
     def _reply(self, request: ProviderRequest, flattened: str, attempt: Attempt) -> str:
         body = {

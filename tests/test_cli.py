@@ -330,6 +330,13 @@ _UNBOUND_CRITIC = "missing role bindings: critic"
 _UNBOUND_ACTOR = "missing role bindings: actor"
 _ACTOR_KEY_UNSET = f"environment variable '{_UNSET_KEY}' is not set"
 
+# a live binding's fields, written over a bundled mock binding as plain data
+_HTTP_CHAT = {
+    "backend": "http_chat",
+    "endpoint": "http://127.0.0.1:9/v1/chat",
+    "api_key_env": _UNSET_KEY,
+}
+
 
 @pytest.mark.parametrize(
     "argv,mentions",
@@ -479,6 +486,26 @@ _ACTOR_KEY_UNSET = f"environment variable '{_UNSET_KEY}' is not set"
                     "float-overflowing-theta",
                     lambda v: v["engine"].update(theta=10**400),
                     "engine.theta: integer 401 digits long is beyond the float range",
+                ),
+                (
+                    "http-binding-with-script",
+                    lambda v: v["engine"]["role_bindings"]["actor"].update(_HTTP_CHAT),
+                    "http backend takes no script or embedding_overrides",
+                ),
+                (
+                    "http-binding-with-embedding-overrides",
+                    lambda v: v["engine"]["role_bindings"]["critic"].update(
+                        _HTTP_CHAT, script=None, embedding_overrides={"plan": [1.0, 0.0]}
+                    ),
+                    "http backend takes no script or embedding_overrides",
+                ),
+                (
+                    "removed-embed-seed-and-dimension",
+                    lambda v: [
+                        binding.update(embed_dimension=8, embed_seed=0)
+                        for binding in v["engine"]["role_bindings"].values()
+                    ],
+                    "unknown fields ['embed_dimension', 'embed_seed'] for ProviderConfig",
                 ),
             )
         ),
@@ -803,21 +830,6 @@ class TestConfigRoundTrip:
             assert code == EXIT_OK
             outputs.append(out.read_text(encoding="utf-8"))
         assert outputs[0] == outputs[1]
-
-    def test_seed_override_accepted(self, capsys):
-        code, stdout, _ = run_cli(
-            capsys,
-            "plan",
-            "--config",
-            str(fixture_path("plan_identical_config.json")),
-            "--task",
-            str(fixture_path("plan_task.json")),
-            "--seed",
-            "7",
-        )
-        assert code == EXIT_OK
-        # identical texts embed identically for any seed
-        assert "gate: pass (JSD 0.0000 < θ)" in stdout
 
 
 @pytest.mark.parametrize(

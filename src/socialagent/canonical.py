@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import MalformedInputError
+from .errors import InvariantError, MalformedInputError
 
 _T = typing.TypeVar("_T")
 _SCALARS = {int: "integer", bool: "boolean", str: "string"}
@@ -93,6 +93,8 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
             try:
                 return from_jsonable(data, arm, path)
             except (MalformedInputError, ValueError, TypeError) as exc:
+                if isinstance(exc.__cause__, InvariantError):
+                    raise  # the arm's shape matched: its own check is the fault
                 last_error = exc
         raise MalformedInputError(f"{path}: no union arm matched ({last_error})")
     if origin is tuple:
@@ -143,7 +145,10 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
                 kwargs[name] = from_jsonable(data[name], hints[name], f"{path}.{name}")
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise MalformedInputError(f"{path}: missing field {name!r} for {tp.__name__}")
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except InvariantError as exc:
+            raise MalformedInputError(f"{path}: {exc}") from exc
     if tp is float:
         if isinstance(data, bool) or not isinstance(data, (int, float)):
             raise MalformedInputError(f"{path}: expected number")

@@ -19,7 +19,7 @@ from .core import (
     Task,
     Transcript,
 )
-from .errors import AgentError, ConfigError, InvariantError, MalformedInputError, TaskFailure
+from .errors import AgentError, ConfigError, InvariantError, MalformedInputError
 from .evaluation import RunSetup, TaskKind
 
 EXIT_OK = 0
@@ -136,14 +136,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     setup = _apply_overrides(setup, args)
     task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
-    try:
-        response = engine.solve(
-            task, env, setup.engine, tools=tools, taxonomy=taxonomy
-        )
-    except TaskFailure as exc:
-        _emit(engine.run_report(task, exc), args.out)
-        print(f"task failed: {exc}", file=sys.stderr)
-        return EXIT_TASK
+    response = engine.solve(task, env, setup.engine, tools=tools, taxonomy=taxonomy)
     _emit(engine.run_report(task, response), args.out)
     if response.error is not None:
         print(f"task failed: {response.error}", file=sys.stderr)

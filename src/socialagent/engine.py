@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     InvariantError,
     PlanParseError,
-    TaskFailure,
 )
 from .optimizer import TextLoss, Variable, optimize, resolved_value
 from .providers import Provider, build_provider, invoke
@@ -52,7 +51,7 @@ class RoleDescription:
 @dataclass(frozen=True)
 class TaskResponse:
     results: tuple[ActionResult, ...]
-    plan_used: Plan
+    plan_used: Plan | None
     trials_executed: int
     transcript: Transcript
     gate_decisions: tuple[GateDecision, ...] = ()
@@ -386,8 +385,9 @@ def solve(
     taxonomy: CategoryTaxonomy | None = None,
 ) -> TaskResponse:
     """Solve one task end to end, returning the accumulated action results
-    and the full invocation transcript. Failures inside the planning loop
-    abort with the partial transcript attached."""
+    and the full invocation transcript. Every fault of the run itself comes
+    back in ``error``: one before any plan runs leaves ``plan_used`` None,
+    no results and the partial transcript."""
     check_config(config, task.inputs, units)
     if units is None:
         units = build_units(config)
@@ -396,7 +396,9 @@ def solve(
         role = bootstrap_role(task, units, transcript=transcript)
         outcome = run_trials(task, env, config, units, role, transcript=transcript)
     except AgentError as exc:
-        raise TaskFailure(str(exc), transcript) from exc
+        return TaskResponse(
+            results=(), plan_used=None, trials_executed=0, transcript=transcript, error=str(exc)
+        )
     executed = _bind_inputs(outcome.executed, task)
     results, error = execute_actions(
         executed,
@@ -420,14 +422,14 @@ def solve(
     )
 
 
-def run_report(task: Task, response: TaskResponse | TaskFailure) -> str:
+def run_report(task: Task, response: TaskResponse) -> str:
     """Canonical, timestamp-free run report suitable for golden-file
     comparison; timing is reported as logical event counts. A run that
-    ``solve`` aborted reports only its error and the partial transcript."""
-    if isinstance(response, TaskFailure):
-        events = response.transcript.report()
-        return canonical.dumps({"task_id": task.id, "error": str(response), "transcript": events})
+    failed before any plan ran reports only its error and the partial
+    transcript."""
     events = response.transcript.report()
+    if response.plan_used is None:
+        return canonical.dumps({"task_id": task.id, "error": response.error, "transcript": events})
     report = {
         "task_id": task.id,
         "plan": canonical.to_jsonable(response.plan_used),

@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .core import Transcript
-
 
 class AgentError(Exception):
     """Base class for every error raised by this package."""
@@ -85,15 +80,9 @@ class BindingCollisionError(ConfigError):
 
 
 class TaskFailure(AgentError):
-    """A task run aborted; carries the transcript recorded so far."""
-
-    def __init__(self, message: str, transcript: Transcript) -> None:
-        super().__init__(message)
-        self.transcript = transcript
-
-    def __reduce__(self) -> tuple:
-        # the default rebuilds from the message alone, without the transcript
-        return type(self), (self.args[0], self.transcript)
+    """Nothing raises this: ``engine.solve`` returns every run fault in its
+    ``TaskResponse``. It stays only because the benchmark harness in
+    ``bench/`` still imports and catches it."""
 
 
 class DatasetFormatError(AgentError):

@@ -14,6 +14,7 @@ from socialagent.core import (
     ActionSpec,
     ContentItem,
     EngineConfig,
+    ImageRef,
     EnvironmentContext,
     Plan,
     PromptArtifact,
@@ -343,6 +344,19 @@ def _decode(data, tp):
             id="no-union-arm",
         ),
         pytest.param(_decode([1], tuple[int, int]), "$: expected 2 items", id="tuple-count"),
+        pytest.param(
+            _decode({"location": "", "media_type": "image/png"}, ImageRef),
+            "$: ImageRef.location must be non-empty",
+            id="invariant",
+        ),
+        pytest.param(
+            _decode(
+                {"kind": "image_ref", "image": {"location": "", "media_type": "image/png"}},
+                ContentItem,
+            ),
+            "$.image: ImageRef.location must be non-empty",
+            id="invariant-in-union-arm",
+        ),
         pytest.param(
             lambda: canonical.deserialize("[]"),
             "expected an object with 'kind' and 'value'",

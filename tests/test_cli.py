@@ -9,7 +9,6 @@ from socialagent import canonical, engine, providers
 from socialagent.actor import CategoryTaxonomy
 from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, main
 from socialagent.core import ContentItem, EnvironmentContext, Task, UnitRole
-from socialagent.errors import TaskFailure
 from socialagent.evaluation import MetricReport, load_setup
 from socialagent.fixtures import fixture_path, golden_argv
 from socialagent.providers import Backend, MockProvider, MockScript
@@ -74,7 +73,8 @@ class TestSolve:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["error"]
         events = payload["transcript"]
-        assert [(e["seq"], e["unit"], e["operation"]) for e in events] == [
+        seen = [(e["seq"], e["unit"], e["operation"]) for e in events]
+        assert seen == [
             (0, "role_writer", "bootstrap_role"),
             (1, "reasoner", "reason"),
             (2, "planner", "plan"),
@@ -83,11 +83,14 @@ class TestSolve:
             set(e) == {"seq", "unit", "operation", "request_digest", "response_digest"}
             for e in events
         )
-        # the report is the engine's own rendering of the failure
+        # the report is the engine's own rendering of the failed response
         task = canonical.load(fixture_path("example_task.json"), Task)
-        with pytest.raises(TaskFailure) as failed:
-            engine.solve(task, EnvironmentContext(), load_setup(config_path).engine)
-        assert out.read_bytes() == engine.run_report(task, failed.value).encode("utf-8")
+        response = engine.solve(task, EnvironmentContext(), load_setup(config_path).engine)
+        assert response.error == payload["error"] == "no plan block found in planner output"
+        assert response.plan_used is None and response.results == ()
+        assert response.transcript.signature() == tuple((u, o) for _, u, o in seen)
+        assert stderr == f"task failed: {response.error}\n"
+        assert out.read_bytes() == engine.run_report(task, response).encode("utf-8")
 
 
     def test_action_phase_failure_exits_2_with_report_written(self, tmp_path, capsys):
@@ -314,7 +317,7 @@ _STORE_CASES = (
         "taxonomy-invalid",
         "taxonomy_path",
         lambda: '{"kind": "CategoryTaxonomy", "value": {"level1": []}}',
-        "taxonomy {tmp}/store.json: taxonomy requires at least one level-1 category",
+        "taxonomy {tmp}/store.json: CategoryTaxonomy: taxonomy requires at least one level-1 category",
     ),
     (
         "toolstore-not-json",
@@ -490,6 +493,7 @@ _HTTP_CHAT = {
                 (
                     "http-binding-with-script",
                     lambda v: v["engine"]["role_bindings"]["actor"].update(_HTTP_CHAT),
+                    "edited_config.json: RunSetup.engine.role_bindings.actor: "
                     "http backend takes no script or embedding_overrides",
                 ),
                 (
@@ -497,6 +501,7 @@ _HTTP_CHAT = {
                     lambda v: v["engine"]["role_bindings"]["critic"].update(
                         _HTTP_CHAT, script=None, embedding_overrides={"plan": [1.0, 0.0]}
                     ),
+                    "edited_config.json: RunSetup.engine.role_bindings.critic: "
                     "http backend takes no script or embedding_overrides",
                 ),
                 (

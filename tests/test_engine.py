@@ -33,7 +33,6 @@ from socialagent.errors import (
     BindingCollisionError,
     ConfigError,
     InvariantError,
-    TaskFailure,
 )
 from socialagent.evaluation import TaskKind, load_dataset, load_setup, load_stores, run_eval
 from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
@@ -88,9 +87,10 @@ class TestBootstrapRole:
         writer = bindings[UnitRole.ROLE_WRITER]
         bindings[UnitRole.ROLE_WRITER] = replace(writer, script=MockScript.of("  \n "))
         config = replace(setup.engine, role_bindings=bindings)
-        with pytest.raises(TaskFailure, match="role description must be non-empty") as excinfo:
-            solve(fixtures.scenario_task(), ENV, config)
-        assert excinfo.value.transcript.signature() == (("role_writer", "bootstrap_role"),)
+        response = solve(fixtures.scenario_task(), ENV, config)
+        assert response.error == "role description must be non-empty"
+        assert response.plan_used is None and response.results == ()
+        assert response.transcript.signature() == (("role_writer", "bootstrap_role"),)
 
     def test_check_config_reports_its_rules_in_order(self):
         """Missing bindings, then units lacking a provider, then the
@@ -440,11 +440,11 @@ class TestFailuresAndReport:
             trials=1,
             strategy=ReasoningStrategy(),
         )
-        with pytest.raises(TaskFailure) as excinfo:
-            solve(qa_task(), ENV, config)
-        transcript = excinfo.value.transcript
-        assert transcript is not None
-        assert ("planner", "plan") in transcript.signature()
+        response = solve(qa_task(), ENV, config)
+        assert response.error == "no plan block found in planner output"
+        assert response.plan_used is None and response.results == ()
+        assert response.trials_executed == 0
+        assert ("planner", "plan") in response.transcript.signature()
 
     def test_invalid_task_rejected_before_any_call(self):
         # a Task checks itself on every construction, replace() included,

@@ -20,7 +20,7 @@ from socialagent.evaluation import (
     run_eval,
 )
 from socialagent.fixtures import fixture_path
-from socialagent.providers import Backend, ProviderConfig
+from socialagent.providers import Backend, MockScript, ProviderConfig
 
 
 class TestLoadDataset:
@@ -289,20 +289,36 @@ class TestRunEval:
         assert sorted(calls) == sorted(r.id for r in records)
         assert len(calls) == len(records)
 
-    def test_record_failure_scored_zero_and_flagged(self):
+    @pytest.mark.parametrize(
+        "qa_03_scripts",
+        [
+            # no per-record actor override: the shared actor script is
+            # empty, so the run fails in its first action
+            pytest.param(lambda scripts: {}, id="actor-fault"),
+            # a planner reply with no plan block: the run fails before any
+            # plan runs
+            pytest.param(
+                lambda scripts: {**scripts, UnitRole.PLANNER: MockScript.of("no plan").entries},
+                id="planner-fault",
+            ),
+        ],
+    )
+    def test_record_failure_scored_zero_and_flagged(self, qa_03_scripts):
         setup = fixtures.qa_setup()
-        # drop the per-record actor override for qa-03: its shared actor
-        # script is empty, so the engine run fails for that record only
-        scripts = {k: v for k, v in setup.record_scripts.items() if k != "qa-03"}
+        scripts = dict(setup.record_scripts)
+        scripts["qa-03"] = qa_03_scripts(scripts["qa-03"])
         records = load_dataset(fixture_path("mini_qa.jsonl"), TaskKind.QA)
         report = run_eval(
             records, TaskKind.QA, setup.engine, record_scripts=scripts, workers=1
         )
-        failed = {r.id: r for r in report.per_record}["qa-03"]
+        scored = {r.id: r for r in report.per_record}
+        failed = scored.pop("qa-03")
         assert failed.failed is True
         assert all(v == 0.0 for v in failed.scores.values())
-        passed = {r.id: r for r in report.per_record}["qa-01"]
-        assert passed.failed is False
+        golden = canonical.deserialize(
+            fixture_path("golden_qa_report.json").read_text(encoding="utf-8")
+        )
+        assert scored == {r.id: r for r in golden.per_record if r.id != "qa-03"}
 
     def test_one_malformed_live_reply_fails_only_its_record(self, monkeypatch):
         # the actor is bound to the HTTP backend; the substituted transport

@@ -90,7 +90,6 @@ class ActionResult:
     action_id: int
     answer: str
     structured: CategoryPair | str | None = None
-    provider_calls: int = 0
 
     def __post_init__(self) -> None:
         if not self.answer.strip():
@@ -173,8 +172,9 @@ def _ask(
     labels: tuple[str, ...] = (),
 ) -> tuple[str, str | None]:
     """One actor call; returns the response text and its answer line, if any.
-    The reasoned prompt already holds the action's instructions and inputs,
-    so the request adds only ``extra`` and the closing directive."""
+    The reasoned prompt already holds the action's instructions and the
+    task's inputs, so the request adds only ``extra`` and the closing
+    directive."""
     prefix, directive = _ACTIONS[spec.name]
     closing = ContentItem.from_text(directive.format(labels=", ".join(labels)))
     segments = reasoned.segments + extra + (closing,)
@@ -209,33 +209,26 @@ def act(
     transcript: Transcript,
 ) -> ActionResult:
     """Execute one action on its reasoned prompt, which holds the action's
-    instructions and inputs (``engine.create_action_prompt``): add any store
-    facts, revision feedback and the answer directive, call the provider,
-    parse the action-specific answer. Categorization classifies into a level-1
-    category and, against a hierarchical taxonomy, then into one of that
-    category's children, so it makes two calls; every other action makes
-    exactly one."""
+    instructions and the task's inputs (``engine.create_action_prompt``): add
+    any store facts, revision feedback and the answer directive, call the
+    provider, parse the action-specific answer. Categorization classifies
+    into a level-1 category and, against a hierarchical taxonomy, then into
+    one of that category's children, so it makes two calls; every other
+    action makes exactly one."""
     extra = _context_segments(spec, tools, revision)
     if spec.name is not ActionName.CATEGORIZATION:
         text, answer = _ask(spec, reasoned, provider, extra, transcript)
         if answer is None:
             answer = text.strip()  # prose fallback; QA-style metrics tolerate it
         structured = answer if spec.name is ActionName.TITLE_GENERATION else None
-        return ActionResult(
-            action_id=spec.action_id,
-            answer=answer,
-            structured=structured,
-            provider_calls=1,
-        )
+        return ActionResult(action_id=spec.action_id, answer=answer, structured=structured)
     if taxonomy is None:
         raise InvariantError("categorization requires a taxonomy")
     level1 = _classify(spec, reasoned, provider, extra, transcript, taxonomy.level1)
     if level1 not in taxonomy.level1:
         raise ActionParseError(f"unknown category {level1!r}")
     if not taxonomy.is_hierarchical():
-        return ActionResult(
-            action_id=spec.action_id, answer=level1, structured=level1, provider_calls=1
-        )
+        return ActionResult(action_id=spec.action_id, answer=level1, structured=level1)
     children = taxonomy.children(level1)
     if not children:
         raise ActionParseError(f"category {level1!r} has no second-level children")
@@ -246,5 +239,4 @@ def act(
         action_id=spec.action_id,
         answer=f"{level1} / {level2}",
         structured=CategoryPair(level1=level1, level2=level2),
-        provider_calls=2,
     )

@@ -140,15 +140,14 @@ class EnvironmentContext:
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """One executable action: its id/name pair, instructions, and inputs."""
+    """One executable action: its id/name pair and instructions. It acts on
+    its task's inputs, which it does not copy."""
 
     action_id: int
     name: ActionName
     instructions: str
-    inputs: tuple[ContentItem, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.action_id not in ACTION_NAMES_BY_ID:
             raise InvariantError(f"unknown action id {self.action_id}")
         if ACTION_NAMES_BY_ID[self.action_id] is not self.name:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import canonical, planner as planner_mod
 from .actor import ActionResult, CategoryTaxonomy, ToolStore, act
@@ -74,10 +74,10 @@ def check_config(
     """Every rule about a run's bindings, checked before any provider call:
     each unit role is bound (and has a provider in caller-supplied
     ``units``), the role-writer shares no model with another unit, and
-    image inputs reach only bindings with image support. An action's inputs
-    go to the optimizer and the actor, and to the reasoner under a
-    reflection strategy; the planning units see images only as text
-    references."""
+    image inputs reach only bindings with image support. Every action of a
+    run acts on the task's inputs, which go to the optimizer and the actor,
+    and to the reasoner under a reflection strategy; the planning units see
+    images only as text references."""
     bindings = config.role_bindings
     missing = [role.value for role in UnitRole if role not in bindings]
     if missing:
@@ -161,12 +161,15 @@ def create_task_prompt(
     return PromptArtifact(system_role=role_text, segments=tuple(segments))
 
 
-def create_action_prompt(spec: ActionSpec, role_text: str) -> PromptArtifact:
+def create_action_prompt(
+    spec: ActionSpec, inputs: tuple[ContentItem, ...], role_text: str
+) -> PromptArtifact:
     """Deterministic prompt templating from one plan action: its
-    instructions under ``Action instructions:``, then its inputs. Reasoned,
-    this is the whole of the action the actor and the optimizer see."""
+    instructions under ``Action instructions:``, then the task's ``inputs``.
+    Reasoned, this is the whole of the action the actor and the optimizer
+    see."""
     instructions = ContentItem.from_text(f"Action instructions:\n{spec.instructions}")
-    return PromptArtifact(system_role=role_text, segments=(instructions, *spec.inputs))
+    return PromptArtifact(system_role=role_text, segments=(instructions, *inputs))
 
 
 @dataclass(frozen=True)
@@ -280,14 +283,6 @@ def run_trials(
     raise InvariantError(f"no plan to execute after {config.trials} trials")
 
 
-def _bind_inputs(plan: Plan, task: Task) -> Plan:
-    actions = tuple(
-        action if action.inputs else replace(action, inputs=task.inputs)
-        for action in plan.actions
-    )
-    return Plan(actions=actions, rationale=plan.rationale, raw=plan.raw)
-
-
 def execute_actions(
     plan: Plan,
     role: RoleDescription,
@@ -299,28 +294,29 @@ def execute_actions(
     taxonomy: CategoryTaxonomy | None = None,
     transcript: Transcript,
 ) -> tuple[tuple[ActionResult, ...], str | None]:
-    """Run every plan action in order: reason, act, optimize the response,
-    then act again with the optimizer's feedback as revision context. The
-    first action to fail, in plan order, aborts the rest; the results before
-    it are returned with its error marker.
+    """Run every plan action in order on ``task``'s inputs: reason, act,
+    optimize the response, then act again with the optimizer's feedback as
+    revision context. The first action to fail, in plan order, aborts the
+    rest; the results before it are returned with its error marker.
 
     Every action's reasoning records into a transcript of its own, absorbed
     into ``transcript`` just before the action acts, so the transcript is in
     plan order (see ``Transcript``). An action's reasoning needs only the
-    action and the role, so with two or more actions and a reasoner provider
-    that is neither the actor's nor the optimizer's, one worker thread
-    reasons one action ahead: the first action is reasoned on the calling
-    thread, and action i+1's reasoning runs while action i acts, optimizes
-    and acts again. Each provider still sees its requests in plan order; the
-    reasoner's provider must accept one call running at the same time as an
-    actor or optimizer call. When action i fails, the events of action i+1's
-    reasoning are dropped, and the worker is joined before returning, so no
-    provider call outlives this function. Any other plan runs inline."""
+    action, the task's inputs and the role, so with two or more actions and
+    a reasoner provider that is neither the actor's nor the optimizer's, one
+    worker thread reasons one action ahead: the first action is reasoned on
+    the calling thread, and action i+1's reasoning runs while action i acts,
+    optimizes and acts again. Each provider still sees its requests in plan
+    order; the reasoner's provider must accept one call running at the same
+    time as an actor or optimizer call. When action i fails, the events of
+    action i+1's reasoning are dropped, and the worker is joined before
+    returning, so no provider call outlives this function. Any other plan
+    runs inline."""
     actions = plan.actions
     reasoner = units[UnitRole.REASONER]
 
     def reasoning(spec: ActionSpec, into: Transcript) -> PromptArtifact:
-        prompt = create_action_prompt(spec, role.text)
+        prompt = create_action_prompt(spec, task.inputs, role.text)
         return reason(prompt, config.strategy, reasoner, transcript=into)
 
     ahead = (
@@ -399,9 +395,8 @@ def solve(
         return TaskResponse(
             results=(), plan_used=None, trials_executed=0, transcript=transcript, error=str(exc)
         )
-    executed = _bind_inputs(outcome.executed, task)
     results, error = execute_actions(
-        executed,
+        outcome.executed,
         role,
         config,
         units,
@@ -413,7 +408,7 @@ def solve(
     views = outcome.trial_views
     return TaskResponse(
         results=results,
-        plan_used=executed,
+        plan_used=outcome.executed,
         trials_executed=outcome.trials_executed,
         transcript=transcript,
         gate_decisions=tuple(v.gate for v in views if v.gate is not None),

@@ -378,10 +378,54 @@ class TestActionLoop:
         # only the title action carries a KNOWLEDGE: line, on both of its calls
         assert [reply.split(":")[0] for reply in with_facts] == ["TITLE", "TITLE"]
 
-    def test_action_inputs_rebound_from_task(self):
-        setup = fixtures.scenario_setup("scenario_a")
-        response = solve(fixtures.scenario_task(), ENV, setup.engine)
-        assert response.plan_used.actions[0].inputs == fixtures.scenario_task().inputs
+    def test_every_action_sends_the_task_inputs_once_in_task_order(self):
+        # a plan action holds no inputs: the engine gives each action the
+        # task's, and each action's reasoner trace, actor and optimizer
+        # forward requests carry them once, in task order
+        task = Task(
+            id="t-vqa",
+            goal="Answer the question about the picture.",
+            inputs=(
+                ContentItem.from_text("Question: what flies over the field?"),
+                ContentItem.from_image("kite.png", "image/png"),
+            ),
+            allowed_actions=frozenset({1, 2}),
+        )
+        config = engine_config(
+            reasoner=("trace 1", "reflection 1", "trace 2", "reflection 2"),
+            actor=("ANSWER: draft 1", "ANSWER: final 1", "ANSWER: draft 2", "ANSWER: final 2"),
+            optimizer=("f1", "e1", "g1", "polish 1", "f2", "e2", "g2", "polish 2"),
+            strategy=ReasoningStrategy.cot_and_reflection(),
+        )
+        bindings = {
+            role: replace(binding, supports_images=True)
+            for role, binding in config.role_bindings.items()
+        }
+        units = build_units(replace(config, role_bindings=bindings))
+        transcript = Transcript()
+        results, error = execute_actions(
+            parse_plan(plan_block([(1, "answer"), (2, "describe")], "r", "p"), frozenset({1, 2})),
+            RoleDescription(text="role"),
+            config,
+            units,
+            task=task,
+            transcript=transcript,
+        )
+        assert error is None and [r.answer for r in results] == ["final 1", "final 2"]
+
+        def requests(role: UnitRole, operation: str) -> list:
+            ops = [op for unit, op in transcript.signature() if unit == role.value]
+            calls = zip(units[role].call_log, ops, strict=True)
+            return [request for (request, _), op in calls if op == operation]
+
+        # the trace of each trace/reflection pair, both acts of each action,
+        # and each action's one forward pass
+        traces = requests(UnitRole.REASONER, "reason")[::2]
+        acts = requests(UnitRole.ACTOR, "act")
+        forwards = requests(UnitRole.OPTIMIZER, "forward")
+        assert (len(traces), len(acts), len(forwards)) == (2, 4, 2)
+        for request in traces + acts + forwards:
+            assert [m for m in request.messages if m in task.inputs] == list(task.inputs)
 
 
 class TestMultimodalActions:

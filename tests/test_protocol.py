@@ -1,7 +1,8 @@
 """`socialagent.protocol` is the one model of the solving protocol's call
 sequence. The property test draws paths through the protocol, scripts every
 unit's replies for the path in call order, runs `engine.solve`, and holds
-the transcript and the calls made to the model. The guard keeps the
+the transcript and the calls made to the model; a drawn action fault holds
+the run to the action-fault rule instead. The guard keeps the
 benchmark's own copy of the model, `bench/protocol.py`, equal to it."""
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ from socialagent.core import (
 )
 from socialagent.engine import build_units, solve
 from socialagent.planner import plan_block
-from socialagent.protocol import ActionShape, Shape, TrialShape, budget, signature
+from socialagent.protocol import (
+    ActionShape,
+    Shape,
+    TrialShape,
+    budget,
+    reason_block,
+    signature,
+)
 from socialagent.providers import MockScriptEntry
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -46,6 +54,8 @@ REPLIES = {
     4: (("CATEGORY: sport", "CATEGORY: tennis"), ("CATEGORY: science", "CATEGORY: space")),
 }
 ANSWERS = {1: ("draft", "final"), 3: ("draft", "final"), 4: ("sport / tennis", "science / space")}
+# The matcher of a faulted action's first actor entry: no request carries it.
+NO_REQUEST_CARRIES = "a segment that no request carries"
 TASK = Task(
     id="protocol-run",
     goal="Answer the post's question, title it and classify it.",
@@ -59,7 +69,8 @@ class Run:
     """One path through the protocol: the reasoning strategy, the optimizer's
     iteration budget, the trial budget, the gate outcome of every non-final
     trial that ran, the early-stop iteration of each optimizer loop (trials,
-    then actions; None runs the whole budget) and the plan's action ids."""
+    then actions; None runs the whole budget), the plan's action ids and the
+    index of the action whose first actor call faults (None when none does)."""
 
     strategy: str
     tgd: int
@@ -67,6 +78,7 @@ class Run:
     gates: tuple[str, ...]
     stops: tuple[int | None, ...]
     actions: tuple[int, ...]
+    fault: int | None = None
 
     @property
     def trials_run(self) -> int:
@@ -86,7 +98,8 @@ def runs(draw) -> Run:
     fires = [gate != "pass" for gate in gates]
     fires += [False] * (run.trials_run - len(gates) + len(actions))
     stops = tuple(draw(st.sampled_from((None, *range(1 + fire, tgd + 1)))) for fire in fires)
-    return replace(run, stops=stops)
+    fault = draw(st.one_of(st.none(), st.integers(0, len(actions) - 1)))
+    return replace(run, stops=stops, fault=fault)
 
 
 def _plan(label: str, ids: tuple[int, ...]) -> str:
@@ -170,8 +183,9 @@ def build(run: Run) -> tuple[EngineConfig, Shape, str, list[tuple[int, str]]]:
         scripts.reason()
         first, final = REPLIES[action_id]
         draft, answer = ANSWERS[action_id]
-        for reply in first:
-            scripts.add(UnitRole.ACTOR, reply)
+        for i, reply in enumerate(first):
+            faulted = i == 0 and run.fault == n - 1
+            scripts.add(UnitRole.ACTOR, reply, NO_REQUEST_CARRIES if faulted else None)
         k, revision = scripts.optimize(draft, lambda i: f"revision {i} of action {n}")
         revised = f"Revision feedback from a prior attempt:\n{revision}"
         for reply in final:
@@ -210,19 +224,31 @@ def assert_bench_model_agrees(bench, shape: Shape) -> None:
     Run("cot_and_reflection", 2, 3, ("replan",) * 2, (2, None, 1, None, 2, 1, None), (1, 4, 3, 4))
 )
 @example(Run("zero_shot_cot", 1, 1, (), (None, 1), (1,)))
+# the middle action faults while the last one reasons ahead
+@example(Run("cot_and_reflection", 1, 1, (), (None,) * 4, (1, 4, 3), fault=1))
 def test_solve_follows_the_protocol_model(bench_protocol, run):
     config, shape, executed, results = build(run)
     units = build_units(config)
     response = solve(TASK, EnvironmentContext(), config, units=units, taxonomy=fixtures.taxonomy())
+    assert response.plan_used.raw == executed
+    assert response.trials_executed == len(shape.trials)
+    assert_bench_model_agrees(bench_protocol, shape)
+    recorded = [(r.action_id, r.answer) for r in response.results]
+    j = run.fault
+    if j is not None:
+        # action j's fault keeps the results before it and its own reasoning
+        # events; no event after the fault, ahead reasoning included, is kept
+        assert response.error.startswith(f"action {j + 1} (")
+        assert recorded == results[:j]
+        head = replace(shape, actions=shape.actions[:j])
+        assert response.transcript.signature() == signature(head) + reason_block(shape.reflection)
+        return
     assert response.error is None
     assert response.transcript.signature() == signature(shape)
     providers = units.values()
     assert sum(len(p.call_log) + len(p.embed_log) for p in providers) == budget(shape)
     assert [p.remaining for p in providers] == [0] * len(UnitRole)
-    assert response.plan_used.raw == executed
-    assert [(r.action_id, r.answer) for r in response.results] == results
-    assert response.trials_executed == len(shape.trials)
-    assert_bench_model_agrees(bench_protocol, shape)
+    assert recorded == results
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.SCENARIO_SHAPES))

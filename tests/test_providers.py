@@ -354,7 +354,7 @@ class TestHttpChat:
 
 
 def test_http_actor_posts_each_image_input_once(monkeypatch, tmp_path):
-    # the reasoned prompt already holds the action's inputs, so the actor's
+    # the reasoned prompt already holds the task's inputs, so the actor's
     # request must not append them again
     monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
     image_file = tmp_path / "kite.png"
@@ -363,7 +363,7 @@ def test_http_actor_posts_each_image_input_once(monkeypatch, tmp_path):
         ContentItem.from_text("Question: what flies over the field?"),
         ContentItem.from_image(str(image_file), "image/png"),
     )
-    spec = replace(ActionSpec.for_id(2, "Answer from the image."), inputs=inputs)
+    spec = ActionSpec.for_id(2, "Answer from the image.")
     reply = (200, {"choices": [{"message": {"content": "ANSWER: a red kite"}}]})
     poster = fake_post(monkeypatch, reply, reply)
     units = {

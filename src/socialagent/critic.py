@@ -63,7 +63,7 @@ def parse_critique(raw: str) -> Critique:
             elif value == "B":
                 verdict = PlanChoice.PLAN_B
             else:
-                raise CritiqueParseError(f"verdict must be A or B, got {value!r}", raw=raw)
+                raise CritiqueParseError(f"verdict must be A or B, got {value!r}")
             continue
         if stripped.upper().startswith(FEEDBACK_PREFIX):
             collecting = True
@@ -74,7 +74,7 @@ def parse_critique(raw: str) -> Critique:
         if collecting:
             feedback_lines.append(line)
     if verdict is None:
-        raise CritiqueParseError("critic output lacks a verdict line", raw=raw)
+        raise CritiqueParseError("critic output lacks a verdict line")
     feedback = "\n".join(feedback_lines).strip()
     return Critique(
         selected=verdict,

@@ -48,19 +48,11 @@ class MockScriptMismatchError(ProviderError):
 
 
 class PlanParseError(AgentError):
-    """Planner output lacked a usable plan block; carries the raw output."""
-
-    def __init__(self, message: str, raw: str = "") -> None:
-        super().__init__(message)
-        self.raw = raw
+    """Planner output lacked a usable plan block."""
 
 
 class CritiqueParseError(AgentError):
     """Critic output lacked the mandatory verdict line."""
-
-    def __init__(self, message: str, raw: str = "") -> None:
-        super().__init__(message)
-        self.raw = raw
 
 
 class NotActionableError(AgentError):

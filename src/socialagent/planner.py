@@ -23,13 +23,13 @@ from .providers import Provider, invoke
 
 _FENCED_BLOCK = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
 
-_ACTION_MENU = (
-    "Available actions:\n"
-    "  1 question answering: answers natural-language questions about the content\n"
-    "  2 visual question answering: answers questions about text-rich visual content\n"
-    "  3 title generation: creates a short headline from the input\n"
-    "  4 categorization: assigns the content to predefined categories"
-)
+# one menu line per action id, beside core.ACTION_NAMES_BY_ID
+_ACTION_LINES = {
+    1: "  1 question answering: answers natural-language questions about the content",
+    2: "  2 visual question answering: answers questions about text-rich visual content",
+    3: "  3 title generation: creates a short headline from the input",
+    4: "  4 categorization: assigns the content to predefined categories",
+}
 
 _BLOCK_DIRECTIVE = (
     "After deliberating, emit exactly one fenced block of the form:\n"
@@ -53,28 +53,28 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
     its action ids. Pure: same raw + allowed always gives the same result."""
     match = _FENCED_BLOCK.search(raw)
     if match is None:
-        raise PlanParseError("no plan block found in planner output", raw=raw)
+        raise PlanParseError("no plan block found in planner output")
     try:
         payload = parse_text(match.group(1), "plan block")
     except MalformedInputError as exc:
-        raise PlanParseError(str(exc), raw=raw) from exc
+        raise PlanParseError(str(exc)) from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("actions"), list):
-        raise PlanParseError("plan block must carry an 'actions' array", raw=raw)
+        raise PlanParseError("plan block must carry an 'actions' array")
     entries = payload["actions"]
     if not entries:
-        raise PlanParseError("plan block contains an empty actions array", raw=raw)
+        raise PlanParseError("plan block contains an empty actions array")
     actions = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise PlanParseError(f"action {i} is not an object", raw=raw)
+            raise PlanParseError(f"action {i} is not an object")
         action_id = entry.get("id")
         if type(action_id) is not int or action_id not in ACTION_NAMES_BY_ID:
-            raise PlanParseError(f"unknown action id {action_id!r}", raw=raw)
+            raise PlanParseError(f"unknown action id {action_id!r}")
         if action_id not in allowed:
-            raise PlanParseError(f"disallowed action {action_id}", raw=raw)
+            raise PlanParseError(f"disallowed action {action_id}")
         instructions = entry.get("instructions")
         if not isinstance(instructions, str) or not instructions.strip():
-            raise PlanParseError(f"action {i} lacks instructions", raw=raw)
+            raise PlanParseError(f"action {i} lacks instructions")
         actions.append(ActionSpec.for_id(action_id, instructions))
     rationale = payload.get("rationale")
     rationale = rationale if isinstance(rationale, str) else ""
@@ -82,15 +82,16 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
 
 
 def _planning_segments(task: Task, reasoned: PromptArtifact) -> tuple[ContentItem, ...]:
+    """The menu describes only the actions the task permits."""
+    permitted = sorted(task.permitted_actions())
     return (
         ContentItem.from_text(
             "Plan how to complete the task below as an ordered sequence of actions."
         ),
-        ContentItem.from_text(_ACTION_MENU),
         ContentItem.from_text(
-            "Allowed action ids: "
-            + ", ".join(str(i) for i in sorted(task.permitted_actions()))
+            "\n".join(["Available actions:", *(_ACTION_LINES[i] for i in permitted)])
         ),
+        ContentItem.from_text("Allowed action ids: " + ", ".join(map(str, permitted))),
         *reasoned.segments,
         ContentItem.from_text(_BLOCK_DIRECTIVE),
     )

@@ -13,8 +13,6 @@ from socialagent import errors
 # the arguments past the message that each error's constructor takes
 _EXTRA = {
     errors.MalformedInputError: {"position": 3},
-    errors.PlanParseError: {"raw": "no plan block"},
-    errors.CritiqueParseError: {"raw": "no verdict"},
     errors.DatasetFormatError: {"line": 2},
 }
 

@@ -22,6 +22,35 @@ from socialagent.planner import parse_plan, plan
 ALL_ACTIONS = frozenset({1, 2, 3, 4})
 
 
+# an unrestricted task's menu, byte for byte: the digests of its planning
+# requests (solve-actions, golden transcripts) depend on this exact text
+FULL_MENU = (
+    "Available actions:\n"
+    "  1 question answering: answers natural-language questions about the content\n"
+    "  2 visual question answering: answers questions about text-rich visual content\n"
+    "  3 title generation: creates a short headline from the input\n"
+    "  4 categorization: assigns the content to predefined categories"
+)
+MENU_HEADER, *_lines = FULL_MENU.split("\n")
+MENU_LINES = dict(enumerate(_lines, start=1))
+
+
+def planning_texts(provider) -> list[str]:
+    """The text segments of the provider's only planning request."""
+    [(request, _)] = provider.call_log
+    return [item.text for item in request.messages]
+
+
+def menu_and_ids(allowed: frozenset[int] | None) -> list[str]:
+    """The menu and allowed-ids segments of a planning request for a task
+    permitting ``allowed``."""
+    task = Task(id="t", goal="answer", allowed_actions=allowed)
+    first = min(task.permitted_actions())
+    provider = mock_provider(block('{"actions": [{"id": %d, "instructions": "a"}]}' % first))
+    plan(task, reasoned_prompt(task), provider, transcript=Transcript())
+    return planning_texts(provider)[1:3]
+
+
 def block(payload: str) -> str:
     return f"some deliberation first\n```json\n{payload}\n```\ntrailing prose"
 
@@ -85,10 +114,9 @@ class TestParsePlan:
         parsed = parse_plan(raw, ALL_ACTIONS)
         assert [a.action_id for a in parsed.actions] == [1, 1]
 
-    def test_no_block_is_a_parse_error_with_raw(self):
-        with pytest.raises(PlanParseError) as excinfo:
+    def test_no_block_is_a_parse_error(self):
+        with pytest.raises(PlanParseError, match="no plan block found"):
             parse_plan("no structure here", ALL_ACTIONS)
-        assert excinfo.value.raw == "no structure here"
 
     def test_malformed_json_rejected(self):
         with pytest.raises(PlanParseError, match="malformed"):
@@ -140,12 +168,11 @@ class TestPlanOperation:
         assert parsed.raw == raw
         assert len(provider.call_log) == 1
 
-    def test_unstructured_output_raises_with_raw_attached(self):
+    def test_unstructured_output_is_a_parse_error(self):
         task = Task(id="t", goal="do something")
         provider = mock_provider("no structure here")
-        with pytest.raises(PlanParseError) as excinfo:
+        with pytest.raises(PlanParseError, match="no plan block found"):
             plan(task, reasoned_prompt(task), provider, transcript=Transcript())
-        assert excinfo.value.raw == "no structure here"
 
     def test_disallowed_action_enforced_from_task(self):
         task = Task(id="t", goal="answer", allowed_actions=frozenset({1}))
@@ -169,10 +196,19 @@ class TestPlanOperation:
         assert transcript.signature() == (("planner", "plan"),)
 
     def test_allowed_ids_listed_in_request(self):
-        task = Task(id="t", goal="answer", allowed_actions=frozenset({1, 3}))
-        provider = mock_provider(block('{"actions": [{"id": 1, "instructions": "a"}]}'))
-        plan(task, reasoned_prompt(task), provider, transcript=Transcript())
-        assert "Allowed action ids: 1, 3" in provider.call_log[0][0].flattened()
+        assert menu_and_ids(frozenset({1, 3})) == [
+            "\n".join([MENU_HEADER, MENU_LINES[1], MENU_LINES[3]]),
+            "Allowed action ids: 1, 3",
+        ]
+
+    def test_one_permitted_action_gets_a_one_line_menu(self):
+        assert menu_and_ids(frozenset({4})) == [
+            "\n".join([MENU_HEADER, MENU_LINES[4]]),
+            "Allowed action ids: 4",
+        ]
+
+    def test_unrestricted_menu_is_the_full_four_line_text(self):
+        assert menu_and_ids(None) == [FULL_MENU, "Allowed action ids: 1, 2, 3, 4"]
 
 
 def replan_prompt(task: Task, refined: RefinedInstructions) -> PromptArtifact:
@@ -196,6 +232,20 @@ class TestReplanOperation:
             "Corrective instructions from plan review:\ndrop action 2"
             in provider.call_log[0][0].flattened()
         )
+
+    def test_replan_carries_the_same_trimmed_menu(self):
+        allowed = frozenset({1, 3})
+        task = Task(id="t", goal="answer", allowed_actions=allowed)
+        provider = mock_provider(block('{"actions": [{"id": 3, "instructions": "title"}]}'))
+        refined = RefinedInstructions(instructions="title only", derived_from="d")
+        plan(
+            task,
+            replan_prompt(task, refined),
+            provider,
+            transcript=Transcript(),
+            operation="replan",
+        )
+        assert planning_texts(provider)[1:3] == menu_and_ids(allowed)
 
     def test_empty_refined_instructions_rejected(self):
         with pytest.raises(InvariantError):

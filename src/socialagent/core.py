@@ -305,11 +305,11 @@ class Transcript:
     """Append-only record of unit invocations for one task run.
 
     An event's position is plan order: the order in which a sequential run
-    would make the calls. The engine records every plan action's reasoning
-    into a transcript of its own, reasoned on the calling thread or one
-    action ahead on a worker, and ``absorb``s it just before that action
-    acts, so the merged events, and every report built from them, are the
-    same as a sequential run's.
+    would make the calls. The engine records all of a plan action's events
+    into a transcript of its own, its reasoning done on the calling thread
+    or one action ahead on a worker, and ``absorb``s it when the action
+    ends or fails, so the merged events, and every report built from them,
+    are the same as a sequential run's.
     """
 
     events: tuple[TranscriptEvent, ...] = ()

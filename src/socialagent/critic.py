@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+# digest goes unused here, but bench/spans.py wraps critic.digest
 from .core import (
     ContentItem,
     EnvironmentContext,
@@ -34,14 +35,10 @@ class Critique:
     actionable: bool
     raw: str
 
-    def digest(self) -> str:
-        return digest(self.raw)
-
 
 @dataclass(frozen=True)
 class RefinedInstructions:
     instructions: str
-    derived_from: str
 
     def __post_init__(self) -> None:
         if not self.instructions.strip():
@@ -155,4 +152,4 @@ def refine(
     text = invoke(
         provider, UnitRole.REFINER, "refine", system_role, tuple(segments), transcript=transcript
     )
-    return RefinedInstructions(instructions=text, derived_from=critique.digest())
+    return RefinedInstructions(instructions=text)

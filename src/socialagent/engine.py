@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import canonical, planner as planner_mod
@@ -57,11 +56,6 @@ class TaskResponse:
     gate_decisions: tuple[GateDecision, ...] = ()
     critiques: tuple[Critique, ...] = ()
     error: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "results", tuple(self.results))
-        object.__setattr__(self, "gate_decisions", tuple(self.gate_decisions))
-        object.__setattr__(self, "critiques", tuple(self.critiques))
 
 
 # One provider instance per unit role, fresh for each run.
@@ -299,50 +293,45 @@ def execute_actions(
     revision context. The first action to fail, in plan order, aborts the
     rest; the results before it are returned with its error marker.
 
-    Every action's reasoning records into a transcript of its own, absorbed
-    into ``transcript`` just before the action acts, so the transcript is in
-    plan order (see ``Transcript``). An action's reasoning needs only the
-    action, the task's inputs and the role, so with two or more actions and
-    a reasoner provider that is neither the actor's nor the optimizer's, one
+    Every action records all of its events into a transcript of its own,
+    absorbed into ``transcript`` when the action ends or fails, so the
+    transcript is in plan order (see ``Transcript``). An action's reasoning
+    needs only the action, the task's inputs and the role, so with a
+    reasoner provider that is neither the actor's nor the optimizer's, one
     worker thread reasons one action ahead: the first action is reasoned on
     the calling thread, and action i+1's reasoning runs while action i acts,
     optimizes and acts again. Each provider still sees its requests in plan
     order; the reasoner's provider must accept one call running at the same
     time as an actor or optimizer call. When action i fails, the events of
     action i+1's reasoning are dropped, and the worker is joined before
-    returning, so no provider call outlives this function. Any other plan
-    runs inline."""
+    returning, so no provider call outlives this function. A one-action
+    plan, or a shared reasoner provider, submits nothing and starts no
+    thread."""
     actions = plan.actions
     reasoner = units[UnitRole.REASONER]
+    records = tuple(Transcript() for _ in actions)
 
-    def reasoning(spec: ActionSpec, into: Transcript) -> PromptArtifact:
-        prompt = create_action_prompt(spec, task.inputs, role.text)
-        return reason(prompt, config.strategy, reasoner, transcript=into)
+    def reasoning(index: int) -> PromptArtifact:
+        prompt = create_action_prompt(actions[index], task.inputs, role.text)
+        return reason(prompt, config.strategy, reasoner, transcript=records[index])
 
-    ahead = (
-        len(actions) > 1
-        and reasoner is not units[UnitRole.ACTOR]
-        and reasoner is not units[UnitRole.OPTIMIZER]
-    )
+    ahead = reasoner is not units[UnitRole.ACTOR] and reasoner is not units[UnitRole.OPTIMIZER]
     results: list[ActionResult] = []
-    into, pending = Transcript(), None
-    with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as pool:
+    pending = None
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for index, spec in enumerate(actions):
+            into = records[index]
             try:
-                try:
-                    reasoned = pending.result() if pending else reasoning(spec, into)
-                finally:  # a failed reasoning keeps the events it recorded
-                    transcript.absorb(into)
-                into, pending = Transcript(), None
+                reasoned = pending.result() if pending else reasoning(index)
                 if ahead and index + 1 < len(actions):
-                    pending = pool.submit(reasoning, actions[index + 1], into)
+                    pending = pool.submit(reasoning, index + 1)
                 first = act(
                     spec,
                     reasoned,
                     tools,
                     units[UnitRole.ACTOR],
                     taxonomy=taxonomy,
-                    transcript=transcript,
+                    transcript=into,
                 )
                 variable = Variable(
                     value=first.answer, role_note=f"response for action {spec.action_id}"
@@ -353,7 +342,7 @@ def execute_actions(
                     TextLoss(context=(task.goal, spec.instructions)),
                     config.tgd_iterations,
                     units[UnitRole.OPTIMIZER],
-                    transcript=transcript,
+                    transcript=into,
                 )
                 revision = resolved_value(optimized)
                 final = act(
@@ -363,11 +352,13 @@ def execute_actions(
                     units[UnitRole.ACTOR],
                     taxonomy=taxonomy,
                     revision=revision,
-                    transcript=transcript,
+                    transcript=into,
                 )
                 results.append(final)
             except AgentError as exc:
                 return tuple(results), f"action {index + 1} ({spec.name.value}): {exc}"
+            finally:  # a failed action keeps the events it recorded
+                transcript.absorb(into)
     return tuple(results), None
 
 

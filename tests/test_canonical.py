@@ -218,7 +218,7 @@ def test_serialize_rejects_an_unexported_dataclass():
             optimized_text="plan b",
             gate=GateDecision(divergence=0.5, theta=0.25, activate=True),
             critique=Critique(PlanChoice.PLAN_B, "tighten step 2", True, "VERDICT: B"),
-            refined=RefinedInstructions("tighten step 2", derived_from="abc"),
+            refined=RefinedInstructions("tighten step 2"),
         ),
         RecordScore(id="r1", scores={"em": 100.0, "f1": 50.0}, failed=True),
         DisagreementEntry(gold="news", predicted="sports", count=2),

@@ -59,11 +59,9 @@ class TestParseCritique:
         raw = "VERDICT: B\nFEEDBACK: merge actions"
         assert parse_critique(raw) == parse_critique(raw)
 
-    def test_raw_preserved_and_digested(self):
+    def test_raw_preserved(self):
         raw = "VERDICT: A\nFEEDBACK: x"
-        critique = parse_critique(raw)
-        assert critique.raw == raw
-        assert critique.digest() == digest(raw)
+        assert parse_critique(raw).raw == raw
 
 
 class TestCriticize:
@@ -140,10 +138,12 @@ class TestRefine:
             refine(ENV, TASK, critique, provider, transcript=Transcript())
         assert provider.call_log == []
 
-    def test_instructions_reference_their_critique_digest(self):
-        critique = self.actionable_critique()
-        refined = refine(ENV, TASK, critique, mock_provider("do better"), transcript=Transcript())
-        assert refined.derived_from == critique.digest()
+    def test_transcript_digests_the_instructions(self):
+        transcript = Transcript()
+        refined = refine(
+            ENV, TASK, self.actionable_critique(), mock_provider("do better"), transcript=transcript
+        )
+        assert transcript.events[0].response_digest == digest(refined.instructions)
 
     def test_exactly_one_provider_call(self):
         provider = mock_provider("fix")
@@ -159,4 +159,4 @@ class TestRefine:
 
 def test_refined_instructions_require_content():
     with pytest.raises(Exception):
-        RefinedInstructions(instructions="", derived_from="d")
+        RefinedInstructions(instructions="")

@@ -684,7 +684,7 @@ class TestReasonAhead:
         def no_thread(*args, **kwargs):
             raise AssertionError("a shared provider must not be reasoned ahead")
 
-        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(engine_mod.ThreadPoolExecutor, "submit", no_thread)
         results, error, transcript = _run_three(
             {role: shared for role in (UnitRole.REASONER, UnitRole.ACTOR, UnitRole.OPTIMIZER)}
         )
@@ -697,7 +697,7 @@ class TestReasonAhead:
         def no_thread(*args, **kwargs):
             raise AssertionError("a one-action plan must not start a thread")
 
-        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(engine_mod.ThreadPoolExecutor, "submit", no_thread)
         setup = fixtures.scenario_setup("scenario_a")
         response = solve(fixtures.scenario_task(), ENV, setup.engine)
         assert response.error is None

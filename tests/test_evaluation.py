@@ -90,16 +90,17 @@ class TestLoadDataset:
 
     def test_malformed_line_cites_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"id": "a", "question": "q", "answer": "x"}\n'
-            '{"id": "b", "question": "q", "answer": "y"}\n'
-            "{broken\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(DatasetFormatError) as excinfo:
-            load_dataset(path, TaskKind.QA)
-        assert excinfo.value.line == 3
-        assert "line 3" in str(excinfo.value)
+        for line, message in (("{broken", "malformed"), ("[1]", "must be an object")):
+            path.write_text(
+                '{"id": "a", "question": "q", "answer": "x"}\n'
+                '{"id": "b", "question": "q", "answer": "y"}\n'
+                f"{line}\n",
+                encoding="utf-8",
+            )
+            with pytest.raises(DatasetFormatError, match=message) as excinfo:
+                load_dataset(path, TaskKind.QA)
+            assert excinfo.value.line == 3
+            assert "line 3" in str(excinfo.value)
 
     def test_integer_too_long_to_read_cites_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -139,6 +139,18 @@ class TestParsePlan:
                 block('{"actions": [{"id": 2, "instructions": "x"}]}'), frozenset({1})
             )
 
+    @pytest.mark.parametrize(
+        ("payload", "message"),
+        [
+            ("[]", "must carry an 'actions' array"),
+            ('{"actions": [1]}', "action 0 is not an object"),
+        ],
+        ids=["list-block", "non-object-action"],
+    )
+    def test_block_of_the_wrong_shape_rejected(self, payload, message):
+        with pytest.raises(PlanParseError, match=message):
+            parse_plan(block(payload), ALL_ACTIONS)
+
     def test_empty_actions_rejected(self):
         with pytest.raises(PlanParseError, match="empty"):
             parse_plan(block('{"actions": []}'), ALL_ACTIONS)
@@ -225,7 +237,7 @@ class TestReplanOperation:
         task = Task(id="t", goal="answer", allowed_actions=frozenset({1}))
         raw = block('{"actions": [{"id": 1, "instructions": "only QA"}]}')
         provider = mock_provider(raw)
-        refined = RefinedInstructions(instructions="drop action 2", derived_from="d")
+        refined = RefinedInstructions(instructions="drop action 2")
         parsed = plan(task, replan_prompt(task, refined), provider, transcript=Transcript())
         assert [a.action_id for a in parsed.actions] == [1]
         assert (
@@ -237,7 +249,7 @@ class TestReplanOperation:
         allowed = frozenset({1, 3})
         task = Task(id="t", goal="answer", allowed_actions=allowed)
         provider = mock_provider(block('{"actions": [{"id": 3, "instructions": "title"}]}'))
-        refined = RefinedInstructions(instructions="title only", derived_from="d")
+        refined = RefinedInstructions(instructions="title only")
         plan(
             task,
             replan_prompt(task, refined),
@@ -249,13 +261,13 @@ class TestReplanOperation:
 
     def test_empty_refined_instructions_rejected(self):
         with pytest.raises(InvariantError):
-            RefinedInstructions(instructions="   ", derived_from="d")
+            RefinedInstructions(instructions="   ")
 
     def test_same_script_gives_same_plan_as_plan(self):
         task = Task(id="t", goal="answer")
         raw = block('{"actions": [{"id": 1, "instructions": "answer"}]}')
         direct = plan(task, reasoned_prompt(task), mock_provider(raw), transcript=Transcript())
-        refined = RefinedInstructions(instructions="be brief", derived_from="d")
+        refined = RefinedInstructions(instructions="be brief")
         redone = plan(
             task, replan_prompt(task, refined), mock_provider(raw), transcript=Transcript()
         )
@@ -265,7 +277,7 @@ class TestReplanOperation:
         task = Task(id="t", goal="answer")
         raw = block('{"actions": [{"id": 1, "instructions": "answer"}]}')
         transcript = Transcript()
-        refined = RefinedInstructions(instructions="tighten", derived_from="d")
+        refined = RefinedInstructions(instructions="tighten")
         plan(
             task,
             replan_prompt(task, refined),

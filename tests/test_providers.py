@@ -429,9 +429,13 @@ class TestHttpChatFaults:
 
     def test_non_object_choice_is_a_provider_error(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        fake_post(monkeypatch, (200, {"choices": ["x"]}))
-        with pytest.raises(ProviderError):
-            complete(HttpChatProvider(http_config()), request("hello"))
+        for choice, message in (
+            ("x", "unrecognized completion payload"),
+            ({"message": {"content": None}}, "completion content is not text"),
+        ):
+            fake_post(monkeypatch, (200, {"choices": [choice]}))
+            with pytest.raises(ProviderError, match=message):
+                complete(HttpChatProvider(http_config()), request("hello"))
 
     @pytest.mark.parametrize(
         ("components", "message"),
@@ -447,6 +451,12 @@ class TestHttpChatFaults:
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
         fake_post(monkeypatch, (200, {"data": [{"embedding": components}]}))
         with pytest.raises(ProviderError, match=message):
+            embed(HttpChatProvider(http_config()), "hello")
+
+    def test_embedding_payload_without_data_is_a_provider_error(self, monkeypatch):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        fake_post(monkeypatch, (200, {"data": []}))
+        with pytest.raises(ProviderError, match="unrecognized embedding payload"):
             embed(HttpChatProvider(http_config()), "hello")
 
     def test_malformed_endpoint_is_a_provider_error(self, monkeypatch):

@@ -67,7 +67,6 @@ from .evaluation import (
 )
 from .optimizer import (
     GradientNote,
-    TextLoss,
     Variable,
     compute_loss,
     forward,

@@ -222,6 +222,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     _emit(canonical.serialize(report), args.out)
     _print_table(report)
+    if all(record.failed for record in report.per_record):
+        print(f"task failed: all {report.n} records failed", file=sys.stderr)
+        return EXIT_TASK
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from .errors import (
     InvariantError,
     PlanParseError,
 )
-from .optimizer import TextLoss, Variable, optimize, resolved_value
+from .optimizer import Variable, optimize, resolved_value
 from .providers import Provider, build_provider, invoke
 from .reasoner import LOCAL_KINDS, reason
 
@@ -217,7 +217,7 @@ def run_trials(
         optimized = optimize(
             variable,
             reasoned,
-            TextLoss(context=(task.goal,)),
+            (task.goal,),
             config.tgd_iterations,
             units[UnitRole.OPTIMIZER],
             transcript=transcript,
@@ -339,7 +339,7 @@ def execute_actions(
                 optimized = optimize(
                     variable,
                     reasoned,
-                    TextLoss(context=(task.goal, spec.instructions)),
+                    (task.goal, spec.instructions),
                     config.tgd_iterations,
                     units[UnitRole.OPTIMIZER],
                     transcript=into,

@@ -81,8 +81,6 @@ def bleu4(pred: str, gold: str) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
     previous = [0] * (len(b) + 1)
     for token in a:
         current = [0]

@@ -36,17 +36,6 @@ class Variable:
 
 
 @dataclass(frozen=True)
-class TextLoss:
-    """Natural-language objective: the initial questions/task context that
-    ``DEFAULT_TEXT_LOSS`` judges a prediction against."""
-
-    context: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "context", tuple(self.context))
-
-
-@dataclass(frozen=True)
 class GradientNote:
     """Feedback on improving the variable; the textual gradient."""
 
@@ -84,20 +73,20 @@ def forward(
 
 def compute_loss(
     prediction: str,
-    loss: TextLoss,
+    questions: tuple[str, ...],
     provider: Provider,
     *,
     system_role: str = "",
     transcript: Transcript,
 ) -> str:
-    """One provider call evaluating the prediction against the loss
-    instruction and its context."""
+    """One provider call judging the prediction by ``DEFAULT_TEXT_LOSS``
+    against the task's initial questions (no segment when there are none)."""
     if not prediction.strip():
         raise InvariantError("prediction must be non-empty")
     segments = [ContentItem.from_text(DEFAULT_TEXT_LOSS)]
-    if loss.context:
+    if questions:
         segments.append(
-            ContentItem.from_text("Initial questions:\n" + "\n".join(loss.context))
+            ContentItem.from_text("Initial questions:\n" + "\n".join(questions))
         )
     segments.append(ContentItem.from_text(f"Prediction:\n{prediction}"))
     return invoke(
@@ -171,7 +160,7 @@ def step(
 def optimize(
     initial: Variable,
     context: PromptArtifact,
-    loss: TextLoss,
+    questions: tuple[str, ...],
     iterations: int,
     provider: Provider,
     *,
@@ -186,7 +175,7 @@ def optimize(
     for _ in range(iterations):
         prediction = forward(variable, context, provider, transcript=transcript)
         evaluation = compute_loss(
-            prediction, loss, provider, system_role=system_role, transcript=transcript
+            prediction, questions, provider, system_role=system_role, transcript=transcript
         )
         grad = gradient(
             variable,

@@ -30,7 +30,7 @@ from socialagent.core import (
 from socialagent.divergence import Distribution, jsd
 from socialagent.errors import ActionParseError, BindingCollisionError
 from socialagent.fixtures import fixture_path
-from socialagent.optimizer import TextLoss, Variable, optimize
+from socialagent.optimizer import Variable, optimize
 from socialagent.protocol import optimizer_block
 from socialagent.reasoner import COT_PHRASE, REFLECTION_INSTRUCTION, reason
 
@@ -111,7 +111,7 @@ def test_criterion_3_tgd_loop_contract():
             result = optimize(
                 Variable("v0"),
                 context,
-                TextLoss(),
+                (),
                 k,
                 provider,
                 transcript=transcript,
@@ -122,7 +122,7 @@ def test_criterion_3_tgd_loop_contract():
         # early stop: second of three budgeted iterations emits the marker
         script = ["p0", "e0", "g0", "v1", "p1", "e1", "g1", "NO_FURTHER_IMPROVEMENT"]
         provider = mock_provider(*script)
-        result = optimize(Variable("v0"), context, TextLoss(), 3, provider, transcript=Transcript())
+        result = optimize(Variable("v0"), context, (), 3, provider, transcript=Transcript())
         assert len(provider.call_log) == 8
         assert result.history == ("v0", "v1")
 

@@ -210,6 +210,25 @@ def test_serialize_rejects_an_unexported_dataclass():
 
 
 @pytest.mark.parametrize(
+    "value, message",
+    [
+        ({1: "x"}, "^unsupported dict key type int$"),
+        (object(), "^cannot serialize value of type object$"),
+    ],
+    ids=["int-key", "object"],
+)
+def test_to_jsonable_rejects_values_without_a_json_form(value, message):
+    with pytest.raises(MalformedInputError, match=message):
+        canonical.to_jsonable(value)
+
+
+def test_from_jsonable_rejects_an_undeclarable_type():
+    message = r"^\$: unsupported declared type <class 'complex'>$"
+    with pytest.raises(MalformedInputError, match=message):
+        canonical.from_jsonable(1, complex)
+
+
+@pytest.mark.parametrize(
     "value",
     [
         TrialView(

@@ -765,6 +765,15 @@ class TestEval:
         assert code == EXIT_TASK
         assert "line 1" in stderr
 
+    def test_eval_that_scores_no_record_exits_2_after_its_report(self, capsys):
+        # three optimizer iterations run every record's script out
+        code, stdout, stderr = run_cli(capsys, *_eval_argv("--iterations", "3"))
+        assert code == EXIT_TASK
+        per_record = json.loads(stdout)["value"]["per_record"]
+        assert len(per_record) == 5
+        assert all(record["failed"] for record in per_record)
+        assert stderr.splitlines()[-1] == "task failed: all 5 records failed"
+
 
 class TestPlan:
     def test_divergent_plans_show_critic_activated(self, capsys):
@@ -794,9 +803,8 @@ class TestPlan:
         assert code == EXIT_OK
         assert "gate: pass (JSD 0.0000 < θ)" in stdout
 
-    def test_theta_zero_always_activates_on_differing_plans(self, capsys, tmp_path):
+    def test_theta_zero_always_activates_on_differing_plans(self, capsys):
         # same scripts as the identical fixture, but a rewritten plan B and θ=0
-        setup = load_setup(fixture_path("plan_divergent_config.json"))
         code, stdout, _ = run_cli(
             capsys,
             "plan",
@@ -809,7 +817,6 @@ class TestPlan:
         )
         assert code == EXIT_OK
         assert "critic activated" in stdout
-        del setup
 
 
 class TestConfigRoundTrip:

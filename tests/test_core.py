@@ -66,6 +66,10 @@ class TestContentItem:
         with pytest.raises(InvariantError):
             ContentItem(kind=ContentKind.IMAGE_REF, text="x", image=None)
 
+    def test_image_without_media_type_rejected(self):
+        with pytest.raises(InvariantError, match="^ImageRef.media_type must be non-empty$"):
+            ContentItem.from_image("post.png", "")
+
 
 class TestActionSpec:
     def test_id_name_bijection_holds_for_all_four(self):
@@ -78,6 +82,10 @@ class TestActionSpec:
     def test_mismatched_pair_rejected(self):
         with pytest.raises(InvariantError):
             ActionSpec(action_id=1, name=ActionName.VQA, instructions="x")
+        with pytest.raises(InvariantError, match="^unknown action id 9$"):
+            ActionSpec(action_id=9, name=ActionName.VQA, instructions="x")
+        with pytest.raises(InvariantError, match="^unknown action id 9$"):
+            ActionSpec.for_id(9, "x")
 
     def test_empty_instructions_rejected(self):
         with pytest.raises(InvariantError):
@@ -98,6 +106,8 @@ class TestPlanAndPrompt:
             ReasoningStrategy(StrategyKind.FEW_SHOT, ())
         strategy = ReasoningStrategy(StrategyKind.FEW_SHOT, (("in", "out"),))
         assert strategy.examples == (("in", "out"),)
+        with pytest.raises(InvariantError, match="^zero_shot_cot strategy carries no examples$"):
+            ReasoningStrategy(StrategyKind.ZERO_SHOT_COT, (("in", "out"),))
 
 
 class TestSamplingConfig:

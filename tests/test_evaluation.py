@@ -212,6 +212,8 @@ class TestRecordAndTask:
             EvalRecord(id="r", inputs=(), gold="x", gold_category=CategoryPair("a", "b"))
         with pytest.raises(InvariantError):
             EvalRecord(id="r", inputs=())
+        with pytest.raises(InvariantError, match="^record id must be non-empty$"):
+            EvalRecord(id="", inputs=(), gold="x")
 
     def test_build_task_restricts_actions_to_kind(self):
         record = EvalRecord(id="r", inputs=(), gold="x")

@@ -208,6 +208,9 @@ class TestHierarchicalScores:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvariantError):
             hierarchical_scores([("a", "x")], [])
+        # equal lengths, but no record to score
+        with pytest.raises(InvariantError, match="requires at least one record$"):
+            hierarchical_scores([], [])
 
     def test_cross_checked_against_sklearn(self):
         golds = ["a", "a", "b", "b", "c", "c", "a", "b"]

@@ -8,7 +8,6 @@ from socialagent.errors import InvariantError, MockScriptExhaustedError
 from socialagent.optimizer import (
     DEFAULT_TEXT_LOSS,
     GradientNote,
-    TextLoss,
     Variable,
     compute_loss,
     forward,
@@ -35,9 +34,7 @@ class TestVariableAndConfig:
     def test_iterations_zero_rejected(self):
         provider = mock_provider()
         with pytest.raises(InvariantError):
-            optimize(
-                Variable("v"), context_prompt(), TextLoss(), 0, provider, transcript=Transcript()
-            )
+            optimize(Variable("v"), context_prompt(), (), 0, provider, transcript=Transcript())
         assert provider.call_log == []
 
     def test_empty_gradient_rejected(self):
@@ -59,13 +56,22 @@ class TestSingleOperations:
 
     def test_compute_loss_contains_default_instruction_verbatim(self):
         provider = mock_provider("evaluation: missing evidence")
-        result = compute_loss("some prediction", TextLoss(), provider, transcript=Transcript())
+        result = compute_loss("some prediction", (), provider, transcript=Transcript())
         assert result == "evaluation: missing evidence"
-        assert DEFAULT_TEXT_LOSS in provider.call_log[0][0].flattened()
+        # no questions, no "Initial questions:" segment
+        texts = tuple(item.text for item in provider.call_log[0][0].messages)
+        assert texts == (DEFAULT_TEXT_LOSS, "Prediction:\nsome prediction")
+
+    def test_compute_loss_lists_the_initial_questions(self):
+        provider = mock_provider("evaluation")
+        compute_loss("p", ("the goal", "the steps"), provider, transcript=Transcript())
+        texts = tuple(item.text for item in provider.call_log[0][0].messages)
+        questions = "Initial questions:\nthe goal\nthe steps"
+        assert texts == (DEFAULT_TEXT_LOSS, questions, "Prediction:\np")
 
     def test_compute_loss_empty_prediction_rejected(self):
         with pytest.raises(InvariantError):
-            compute_loss("  ", TextLoss(), mock_provider("x"), transcript=Transcript())
+            compute_loss("  ", (), mock_provider("x"), transcript=Transcript())
 
     def test_gradient_prompt_contains_all_three_inputs_verbatim(self):
         provider = mock_provider("add citation to claim 2")
@@ -119,7 +125,7 @@ class TestOptimizeLoop:
         result = optimize(
             Variable("v0"),
             context_prompt(),
-            TextLoss(),
+            (),
             iterations,
             provider,
             transcript=transcript,
@@ -136,7 +142,7 @@ class TestOptimizeLoop:
         result = optimize(
             Variable("v0"),
             context_prompt(),
-            TextLoss(),
+            (),
             3,
             provider,
             transcript=Transcript(),
@@ -150,7 +156,7 @@ class TestOptimizeLoop:
         result = optimize(
             Variable("v0"),
             context_prompt(),
-            TextLoss(),
+            (),
             5,
             mock_provider(*script),
             transcript=Transcript(),
@@ -162,7 +168,7 @@ class TestOptimizeLoop:
         result = optimize(
             Variable("start"),
             context_prompt(),
-            TextLoss(),
+            (),
             3,
             provider,
             transcript=Transcript(),
@@ -178,7 +184,7 @@ class TestOptimizeLoop:
             optimize(
                 Variable("v0"),
                 context_prompt(),
-                TextLoss(),
+                (),
                 2,
                 provider,
                 transcript=Transcript(),

@@ -703,6 +703,21 @@ def test_http_config_requires_endpoint_and_key_env():
         ProviderConfig(backend=Backend.HTTP_CHAT, model_name="m")
 
 
+def test_config_requires_a_model_name():
+    with pytest.raises(InvariantError, match="^model_name must be non-empty$"):
+        ProviderConfig(backend=Backend.MOCK, model_name="")
+
+
+def test_request_requires_a_message():
+    with pytest.raises(InvariantError, match="^request must contain at least one message$"):
+        ProviderRequest(system_role="sys", messages=())
+
+
+def test_provider_rejects_a_config_of_another_backend():
+    with pytest.raises(InvariantError, match="^MockProvider requires a mock backend config$"):
+        MockProvider(http_config())
+
+
 def test_build_provider_dispatches_on_backend(monkeypatch):
     monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
     assert isinstance(build_provider(mock_config("m")), MockProvider)

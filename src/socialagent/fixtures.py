@@ -536,6 +536,10 @@ _GOLDENS = {
     " --task {dir}/example_task.json",
     "golden_multi_action_solve_report.json": "solve --config {dir}/multi_action_config.json"
     " --task {dir}/plan_task.json",
+    "golden_plan_divergent.txt": "plan --config {dir}/plan_divergent_config.json"
+    " --task {dir}/plan_task.json",
+    "golden_plan_identical.txt": "plan --config {dir}/plan_identical_config.json"
+    " --task {dir}/plan_task.json",
 }
 
 
@@ -566,7 +570,8 @@ def _write_golden(directory: Path, name: str) -> None:
 def regenerate(target: Path) -> list[str]:
     """Write every fixture file (datasets, stores, configs, reference
     sequences) into ``target``, then write each golden report there by
-    running the CLI's own ``solve`` or ``eval`` on the files written."""
+    running the CLI's own ``solve``, ``eval`` or ``plan`` on the files
+    written."""
     target.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
 
@@ -600,14 +605,16 @@ def regenerate(target: Path) -> list[str]:
 
 def _load_failure(path: Path) -> str | None:
     """Why the fixture file at ``path`` does not load: a dataset short of
-    its full record count, or a canonical kind that does not load; None if
-    it loads."""
+    its full record count, or a ``.json`` file holding a canonical kind
+    that does not load; None if it loads. Text goldens are only compared."""
     try:
         if path.name in _DATASETS:
             rows, kind = _DATASETS[path.name]
             if len(load_dataset(path, kind)) != len(rows):
                 return "record count mismatch"
-        elif "kind" in canonical.parse_text(path.read_bytes(), "fixture"):
+        elif path.suffix == ".json" and "kind" in canonical.parse_text(
+            path.read_bytes(), "fixture"
+        ):
             canonical.load(path)
     except Exception as exc:  # report-style: collect, never raise
         return str(exc)

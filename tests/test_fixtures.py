@@ -119,8 +119,8 @@ def test_unknown_scenario_is_an_invariant_error():
 
 
 def test_hand_edited_config_named_in_report(tmp_path, monkeypatch):
-    # no golden is regenerated from this config, so only a comparison with the
-    # builders' output can see the edit
+    # the goldens are regenerated from the builders' configs, not the bundled
+    # ones, so only a comparison with the builders' output can see the edit
     staged = _stage_fixtures(tmp_path, monkeypatch)
     config = staged / "plan_identical_config.json"
     text = config.read_text(encoding="utf-8")

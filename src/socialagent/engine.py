@@ -181,7 +181,7 @@ class TrialView:
 @dataclass(frozen=True)
 class TrialsOutcome:
     executed: Plan
-    trial_views: tuple[TrialView, ...] = ()
+    trial_views: tuple[TrialView, ...]
 
     @property
     def trials_executed(self) -> int:
@@ -197,25 +197,23 @@ def run_trials(
     *,
     transcript: Transcript,
 ) -> TrialsOutcome:
-    """The planning trials loop. Each trial reasons, plans, and optimizes;
-    on non-final trials the divergence gate decides whether the critic and
-    refiner run (feeding a replan) or the loop breaks with the optimized
-    plan. The final trial always exits with the best available plan."""
+    """The planning trials loop. Each trial reasons, plans (from the previous
+    trial's corrective instructions, if any) and optimizes. On non-final
+    trials the divergence gate decides whether the critic and refiner run,
+    feeding the next trial, or the trial returns its plan; the final trial
+    always returns the best available plan."""
     views: list[TrialView] = []
-    prompt = create_task_prompt(task, env, role.text)
-
+    refined: RefinedInstructions | None = None
     for trial in range(config.trials):
-        reasoned = reason(
-            prompt, config.strategy, units[UnitRole.REASONER], transcript=transcript
-        )
+        prompt = create_task_prompt(task, env, role.text, refined)
+        reasoned = reason(prompt, config.strategy, units[UnitRole.REASONER], transcript=transcript)
         # every trial after the first follows a refinement
         operation = "replan" if trial else "plan"
         plan_a = planner_mod.plan(
             task, reasoned, units[UnitRole.PLANNER], transcript=transcript, operation=operation
         )
-        variable = Variable(value=plan_a.raw, role_note="plan under optimization")
         optimized = optimize(
-            variable,
+            Variable(value=plan_a.raw, role_note="plan under optimization"),
             reasoned,
             (task.goal,),
             config.tgd_iterations,
@@ -228,52 +226,42 @@ def run_trials(
         except PlanParseError:
             plan_b = None
 
-        gate: GateDecision | None = None
-        critique: Critique | None = None
-        refined: RefinedInstructions | None = None
-        executed: Plan | None = None
-        if trial < config.trials - 1:
-            gate = should_criticize(
-                plan_a.raw,
-                optimized_text,
-                units[UnitRole.CRITIC],
-                config.theta,
-                transcript=transcript,
-            )
-        if gate is None or not gate.activate or plan_b is None:
-            # The final trial, a gate pass, or an optimizer output that is no
-            # plan: run the best available plan without a critique.
-            executed = plan_b if plan_b is not None else plan_a
-        else:
-            critique = criticize(
-                env,
-                task,
-                plan_a,
-                plan_b,
-                units[UnitRole.CRITIC],
-                divergence=gate.divergence,
-                system_role=role.text,
-                transcript=transcript,
-            )
-            if critique.actionable:
-                refined = refine(
-                    env,
-                    task,
-                    critique,
-                    units[UnitRole.REFINER],
-                    system_role=role.text,
-                    transcript=transcript,
-                )
-            else:
-                executed = plan_a if critique.selected is PlanChoice.PLAN_A else plan_b
-        views.append(
-            TrialView(
-                trial, plan_a.raw, optimized_text, gate=gate, critique=critique, refined=refined
-            )
+        best = plan_a if plan_b is None else plan_b
+        if trial == config.trials - 1:
+            views.append(TrialView(trial, plan_a.raw, optimized_text))
+            return TrialsOutcome(best, tuple(views))
+        gate = should_criticize(
+            plan_a.raw, optimized_text, units[UnitRole.CRITIC], config.theta, transcript=transcript
         )
-        if executed is not None:
-            return TrialsOutcome(executed=executed, trial_views=tuple(views))
-        prompt = create_task_prompt(task, env, role.text, refined=refined)
+        if not gate.activate or plan_b is None:
+            # A gate pass, or an optimizer output that is no plan: run the
+            # best available plan without a critique.
+            views.append(TrialView(trial, plan_a.raw, optimized_text, gate))
+            return TrialsOutcome(best, tuple(views))
+        critique = criticize(
+            env,
+            task,
+            plan_a,
+            plan_b,
+            units[UnitRole.CRITIC],
+            divergence=gate.divergence,
+            system_role=role.text,
+            transcript=transcript,
+        )
+        if not critique.actionable:
+            views.append(TrialView(trial, plan_a.raw, optimized_text, gate, critique))
+            picked = plan_a if critique.selected is PlanChoice.PLAN_A else plan_b
+            return TrialsOutcome(picked, tuple(views))
+        refined = refine(
+            env,
+            task,
+            critique,
+            units[UnitRole.REFINER],
+            system_role=role.text,
+            transcript=transcript,
+        )
+        views.append(TrialView(trial, plan_a.raw, optimized_text, gate, critique, refined))
+    # not reached: the final trial has no gate, so it returns above
     raise InvariantError(f"no plan to execute after {config.trials} trials")
 
 

@@ -1,8 +1,8 @@
 """`socialagent.protocol` is the one model of the solving protocol's call
 sequence. The property test draws paths through the protocol, scripts every
 unit's replies for the path in call order, runs `engine.solve`, and holds
-the transcript and the calls made to the model; a drawn action fault holds
-the run to the action-fault rule instead. The guard keeps the
+the transcript and the calls made to the model; a drawn action or trial
+fault holds the run to that fault's rule instead. The guard keeps the
 benchmark's own copy of the model, `bench/protocol.py`, equal to it."""
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ REPLIES = {
     4: (("CATEGORY: sport", "CATEGORY: tennis"), ("CATEGORY: science", "CATEGORY: space")),
 }
 ANSWERS = {1: ("draft", "final"), 3: ("draft", "final"), 4: ("sport / tennis", "science / space")}
-# The matcher of a faulted action's first actor entry: no request carries it.
+# The matcher of a faulted action's first actor entry or a faulted trial's
+# planner entry: no request carries it.
 NO_REQUEST_CARRIES = "a segment that no request carries"
 TASK = Task(
     id="protocol-run",
@@ -69,8 +70,10 @@ class Run:
     """One path through the protocol: the reasoning strategy, the optimizer's
     iteration budget, the trial budget, the gate outcome of every non-final
     trial that ran, the early-stop iteration of each optimizer loop (trials,
-    then actions; None runs the whole budget), the plan's action ids and the
-    index of the action whose first actor call faults (None when none does)."""
+    then actions; None runs the whole budget), the plan's action ids, the
+    index of the action whose first actor call faults and the index of the
+    trial whose planner call faults (each None when none does; a run draws
+    at most one of them)."""
 
     strategy: str
     tgd: int
@@ -79,6 +82,7 @@ class Run:
     stops: tuple[int | None, ...]
     actions: tuple[int, ...]
     fault: int | None = None
+    trial_fault: int | None = None
 
     @property
     def trials_run(self) -> int:
@@ -98,8 +102,14 @@ def runs(draw) -> Run:
     fires = [gate != "pass" for gate in gates]
     fires += [False] * (run.trials_run - len(gates) + len(actions))
     stops = tuple(draw(st.sampled_from((None, *range(1 + fire, tgd + 1)))) for fire in fires)
-    fault = draw(st.one_of(st.none(), st.integers(0, len(actions) - 1)))
-    return replace(run, stops=stops, fault=fault)
+    fault, trial_fault = draw(
+        st.one_of(
+            st.tuples(st.none(), st.none()),
+            st.tuples(st.integers(0, len(actions) - 1), st.none()),
+            st.tuples(st.none(), st.integers(0, run.trials_run - 1)),
+        )
+    )
+    return replace(run, stops=stops, fault=fault, trial_fault=trial_fault)
 
 
 def _plan(label: str, ids: tuple[int, ...]) -> str:
@@ -160,6 +170,8 @@ def build(run: Run) -> tuple[EngineConfig, Shape, str, list[tuple[int, str]]]:
         scripts.reason()
         plan_a = _plan(f"trial {index}", run.actions)
         matcher = corrective and f"Corrective instructions from plan review:\n{corrective}"
+        if index == run.trial_fault:
+            matcher = NO_REQUEST_CARRIES
         scripts.add(UnitRole.PLANNER, plan_a, matcher)
         k, plan_b = scripts.optimize(
             plan_a, lambda n: _plan(f"trial {index} rewrite {n}", run.actions)
@@ -226,13 +238,30 @@ def assert_bench_model_agrees(bench, shape: Shape) -> None:
 @example(Run("zero_shot_cot", 1, 1, (), (None, 1), (1,)))
 # the middle action faults while the last one reasons ahead
 @example(Run("cot_and_reflection", 1, 1, (), (None,) * 4, (1, 4, 3), fault=1))
+# the first replan's planner call faults after a refined first trial
+@example(Run("self_reflection", 1, 3, ("replan", "B"), (None,) * 4, (1, 3), trial_fault=1))
 def test_solve_follows_the_protocol_model(bench_protocol, run):
     config, shape, executed, results = build(run)
     units = build_units(config)
     response = solve(TASK, EnvironmentContext(), config, units=units, taxonomy=fixtures.taxonomy())
+    assert_bench_model_agrees(bench_protocol, shape)
+    providers = units.values()
+    served = sum(len(p.call_log) + len(p.embed_log) for p in providers)
+    t = run.trial_fault
+    if t is not None:
+        # trial t's fault keeps the trials before it and its own reasoning
+        # events, and returns no plan, no results and no trial count
+        assert response.error.startswith("scripted response ")
+        assert NO_REQUEST_CARRIES in response.error
+        assert response.plan_used is None
+        assert response.results == ()
+        assert response.trials_executed == 0
+        head = replace(shape, trials=shape.trials[:t], actions=())
+        assert response.transcript.signature() == signature(head) + reason_block(shape.reflection)
+        assert served == budget(head) + 2 * shape.reflection
+        return
     assert response.plan_used.raw == executed
     assert response.trials_executed == len(shape.trials)
-    assert_bench_model_agrees(bench_protocol, shape)
     recorded = [(r.action_id, r.answer) for r in response.results]
     j = run.fault
     if j is not None:
@@ -245,8 +274,7 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
         return
     assert response.error is None
     assert response.transcript.signature() == signature(shape)
-    providers = units.values()
-    assert sum(len(p.call_log) + len(p.embed_log) for p in providers) == budget(shape)
+    assert served == budget(shape)
     assert [p.remaining for p in providers] == [0] * len(UnitRole)
     assert recorded == results
 

@@ -79,13 +79,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_setup(path: str) -> tuple[RunSetup, ToolStore | None, CategoryTaxonomy | None]:
-    """A config and the stores it names; a fault in any is a config error."""
+def _load_setup(
+    args: argparse.Namespace,
+) -> tuple[RunSetup, ToolStore | None, CategoryTaxonomy | None]:
+    """The ``--config`` file, with the command line's overrides applied, and
+    the stores it names; a fault in any is a config error."""
     try:
-        setup = evaluation.load_setup(path)
-        return (setup, *evaluation.load_stores(setup))
+        setup = evaluation.load_setup(args.config)
+        tools, taxonomy = evaluation.load_stores(setup)
     except AgentError as exc:
-        raise ConfigError(f"cannot load config {path}: {exc}") from exc
+        raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
+    return _apply_overrides(setup, args), tools, taxonomy
 
 
 def _load(what: str, load: Callable[..., _T], path: str, *args: object) -> _T:
@@ -132,8 +136,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    setup, tools, taxonomy = _load_setup(args.config)
-    setup = _apply_overrides(setup, args)
+    setup, tools, taxonomy = _load_setup(args)
     task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
     response = engine.solve(task, env, setup.engine, tools=tools, taxonomy=taxonomy)
@@ -156,7 +159,7 @@ def _gate_line(view: engine.TrialView) -> str:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    setup = _apply_overrides(_load_setup(args.config)[0], args)
+    setup = _load_setup(args)[0]
     task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
     units = engine.build_units(setup.engine)
@@ -164,9 +167,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     role = engine.bootstrap_role(task, units, transcript=transcript)
     outcome = engine.run_trials(task, env, setup.engine, units, role, transcript=transcript)
     lines = [f"task: {task.id}"]
-    for view in outcome.trial_views:
+    for trial, view in enumerate(outcome.trial_views):
         lines += [
-            f"--- trial {view.trial} ---",
+            f"--- trial {trial} ---",
             "plan A (planner):",
             view.plan_a_raw,
             "",
@@ -208,8 +211,7 @@ def _print_table(report: evaluation.MetricReport) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     kind = TaskKind(args.kind)
-    setup, tools, taxonomy = _load_setup(args.config)
-    setup = _apply_overrides(setup, args)
+    setup, tools, taxonomy = _load_setup(args)
     records = _load("dataset", evaluation.load_dataset, args.dataset, kind)
     report = evaluation.run_eval(
         records,

@@ -140,28 +140,21 @@ class EnvironmentContext:
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """One executable action: its id/name pair and instructions. It acts on
-    its task's inputs, which it does not copy."""
+    """One executable action: its id and instructions. It acts on its task's
+    inputs, which it does not copy."""
 
     action_id: int
-    name: ActionName
     instructions: str
 
     def __post_init__(self) -> None:
         if self.action_id not in ACTION_NAMES_BY_ID:
             raise InvariantError(f"unknown action id {self.action_id}")
-        if ACTION_NAMES_BY_ID[self.action_id] is not self.name:
-            raise InvariantError(
-                f"action id {self.action_id} does not match name {self.name.value}"
-            )
         if not self.instructions.strip():
             raise InvariantError("action instructions must be non-empty")
 
-    @classmethod
-    def for_id(cls, action_id: int, instructions: str) -> ActionSpec:
-        if action_id not in ACTION_NAMES_BY_ID:
-            raise InvariantError(f"unknown action id {action_id}")
-        return cls(action_id, ACTION_NAMES_BY_ID[action_id], instructions)
+    @property
+    def name(self) -> ActionName:
+        return ACTION_NAMES_BY_ID[self.action_id]
 
 
 @dataclass(frozen=True)

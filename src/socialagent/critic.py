@@ -32,8 +32,11 @@ class PlanChoice(Enum):
 class Critique:
     selected: PlanChoice
     feedback: str
-    actionable: bool
     raw: str
+
+    @property
+    def actionable(self) -> bool:
+        return bool(self.feedback)
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,7 @@ def parse_critique(raw: str) -> Critique:
     if verdict is None:
         raise CritiqueParseError("critic output lacks a verdict line")
     feedback = "\n".join(feedback_lines).strip()
-    return Critique(
-        selected=verdict,
-        feedback=feedback,
-        actionable=bool(feedback),
-        raw=raw,
-    )
+    return Critique(selected=verdict, feedback=feedback, raw=raw)
 
 
 def criticize(

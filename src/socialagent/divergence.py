@@ -79,7 +79,11 @@ def jsd(p: Distribution, q: Distribution) -> float:
 class GateDecision:
     divergence: float
     theta: float
-    activate: bool
+
+    @property
+    def activate(self) -> bool:
+        """The critic runs when the divergence reaches the threshold."""
+        return self.divergence >= self.theta
 
 
 def should_criticize(
@@ -102,5 +106,4 @@ def should_criticize(
     q = to_distribution(
         embedder.embed(optimized_text, transcript=transcript, unit=UnitRole.CRITIC)
     )
-    divergence = jsd(p, q)
-    return GateDecision(divergence=divergence, theta=theta, activate=divergence >= theta)
+    return GateDecision(divergence=jsd(p, q), theta=theta)

@@ -168,9 +168,9 @@ def create_action_prompt(
 
 @dataclass(frozen=True)
 class TrialView:
-    """What one planning trial produced, for inspection and reporting."""
+    """What one planning trial produced, for inspection and reporting; its
+    position in ``TrialsOutcome.trial_views`` is its trial number."""
 
-    trial: int
     plan_a_raw: str
     optimized_text: str
     gate: GateDecision | None = None
@@ -228,7 +228,7 @@ def run_trials(
 
         best = plan_a if plan_b is None else plan_b
         if trial == config.trials - 1:
-            views.append(TrialView(trial, plan_a.raw, optimized_text))
+            views.append(TrialView(plan_a.raw, optimized_text))
             return TrialsOutcome(best, tuple(views))
         gate = should_criticize(
             plan_a.raw, optimized_text, units[UnitRole.CRITIC], config.theta, transcript=transcript
@@ -236,7 +236,7 @@ def run_trials(
         if not gate.activate or plan_b is None:
             # A gate pass, or an optimizer output that is no plan: run the
             # best available plan without a critique.
-            views.append(TrialView(trial, plan_a.raw, optimized_text, gate))
+            views.append(TrialView(plan_a.raw, optimized_text, gate))
             return TrialsOutcome(best, tuple(views))
         critique = criticize(
             env,
@@ -249,7 +249,7 @@ def run_trials(
             transcript=transcript,
         )
         if not critique.actionable:
-            views.append(TrialView(trial, plan_a.raw, optimized_text, gate, critique))
+            views.append(TrialView(plan_a.raw, optimized_text, gate, critique))
             picked = plan_a if critique.selected is PlanChoice.PLAN_A else plan_b
             return TrialsOutcome(picked, tuple(views))
         refined = refine(
@@ -260,7 +260,7 @@ def run_trials(
             system_role=role.text,
             transcript=transcript,
         )
-        views.append(TrialView(trial, plan_a.raw, optimized_text, gate, critique, refined))
+        views.append(TrialView(plan_a.raw, optimized_text, gate, critique, refined))
     # not reached: the final trial has no gate, so it returns above
     raise InvariantError(f"no plan to execute after {config.trials} trials")
 

@@ -81,13 +81,16 @@ class DisagreementEntry:
 @dataclass(frozen=True)
 class MetricReport:
     kind: str
-    n: int
     per_record: tuple[RecordScore, ...]
     aggregates: dict[str, float]
     disagreements: dict[str, tuple[DisagreementEntry, ...]] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_record", tuple(self.per_record))
+
+    @property
+    def n(self) -> int:
+        return len(self.per_record)
 
 
 @dataclass(frozen=True)
@@ -261,18 +264,6 @@ def _with_record_scripts(
     return replace(config, role_bindings=bindings)
 
 
-def extract_prediction(
-    response: engine.TaskResponse, kind: TaskKind
-) -> str | CategoryPair | None:
-    """The prediction to score: the last result of a run without error. A
-    task from build_task allows only the kind's action, so every result is
-    that action's."""
-    chosen = response.results[-1]
-    if kind is TaskKind.CATEGORIZE:
-        return chosen.structured if isinstance(chosen.structured, CategoryPair) else None
-    return chosen.answer
-
-
 # The per-record score keys of each kind, in report order; a text kind's
 # aggregate of a key is labelled ``key.upper()``.
 _SCORE_KEYS = {
@@ -281,10 +272,6 @@ _SCORE_KEYS = {
     TaskKind.TITLE: ("em", "b4", "rl_f1", "rl_p", "rl_r"),
     TaskKind.CATEGORIZE: ("l1_correct", "l2_correct"),
 }
-
-
-def _zero_scores(kind: TaskKind) -> dict[str, float]:
-    return dict.fromkeys(_SCORE_KEYS[kind], 0.0)
 
 
 def _labels(pair: object) -> tuple[str, str]:
@@ -320,7 +307,10 @@ class RecordOutcome:
     record: EvalRecord
     prediction: str | CategoryPair | None
     scores: dict[str, float]
-    failed: bool
+
+    @property
+    def failed(self) -> bool:
+        return self.prediction is None
 
 
 def evaluate_record(
@@ -334,7 +324,10 @@ def evaluate_record(
 ) -> RecordOutcome:
     """One engine run for one record (single attempt, fresh providers);
     any failure scores zero and is flagged rather than raised, except
-    configuration errors, which no record can survive."""
+    configuration errors, which no record can survive. The prediction is
+    the last result of a run without error: a task from build_task allows
+    only the kind's action, so every result is that action's. A categorize
+    result without a category pair fails its record."""
     effective = _with_record_scripts(config, (record_scripts or {}).get(record.id, {}))
     task = build_task(record, kind)
     try:
@@ -344,11 +337,17 @@ def evaluate_record(
     except ConfigError:
         raise
     except Exception:  # any other error fails only its record, not the whole eval
-        return RecordOutcome(record, None, _zero_scores(kind), True)
-    prediction = None if response.error else extract_prediction(response, kind)
+        response = None
+    prediction = None
+    if response is not None and not response.error:
+        last = response.results[-1]
+        if kind is not TaskKind.CATEGORIZE:
+            prediction = last.answer
+        elif isinstance(last.structured, CategoryPair):
+            prediction = last.structured
     if prediction is None:
-        return RecordOutcome(record, None, _zero_scores(kind), True)
-    return RecordOutcome(record, prediction, _score(kind, prediction, record), False)
+        return RecordOutcome(record, None, dict.fromkeys(_SCORE_KEYS[kind], 0.0))
+    return RecordOutcome(record, prediction, _score(kind, prediction, record))
 
 
 def _round(value: float) -> float:
@@ -463,7 +462,6 @@ def run_eval(
         }
     return MetricReport(
         kind=task_kind.value,
-        n=len(outcomes),
         per_record=per_record,
         aggregates=aggregates,
         disagreements=disagreements,

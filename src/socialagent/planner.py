@@ -75,7 +75,7 @@ def parse_plan(raw: str, allowed: frozenset[int]) -> Plan:
         instructions = entry.get("instructions")
         if not isinstance(instructions, str) or not instructions.strip():
             raise PlanParseError(f"action {i} lacks instructions")
-        actions.append(ActionSpec.for_id(action_id, instructions))
+        actions.append(ActionSpec(action_id, instructions))
     rationale = payload.get("rationale")
     rationale = rationale if isinstance(rationale, str) else ""
     return Plan(actions=tuple(actions), rationale=rationale, raw=raw)

@@ -170,7 +170,7 @@ def test_criterion_5_two_level_categorization_safety():
         reasoned = PromptArtifact(
             system_role="s", segments=(ContentItem.from_text("content"),)
         )
-        spec = ActionSpec.for_id(4, "Classify the content.")
+        spec = ActionSpec(4, "Classify the content.")
         rng = random.Random(0xCA7)
         alphabet = "abcdefghijklmnop"
         for _ in range(100):

@@ -107,7 +107,7 @@ class TestPromptBuilders:
     def test_title_builder_ends_with_title_directive(self):
         provider = mock_provider("TITLE: t")
         act(
-            ActionSpec.for_id(3, "make a headline"),
+            ActionSpec(3, "make a headline"),
             reasoned(),
             None,
             provider,
@@ -118,7 +118,7 @@ class TestPromptBuilders:
         assert "TITLE:" in last
 
     def test_vqa_builder_preserves_images_in_order(self):
-        spec = ActionSpec.for_id(2, "describe")
+        spec = ActionSpec(2, "describe")
         inputs = (
             ContentItem.from_image("a.png", "image/png"),
             ContentItem.from_text("middle"),
@@ -132,7 +132,7 @@ class TestPromptBuilders:
         assert images == ["a.png", "b.png"]
 
     def test_qa_with_image_input_is_allowed(self):
-        spec = ActionSpec.for_id(1, "answer about the picture")
+        spec = ActionSpec(1, "answer about the picture")
         inputs = (ContentItem.from_image("x.png", "image/png"),)
         provider = mock_provider("ANSWER: a", supports_images=True)
         prompt = create_action_prompt(spec, inputs, "analyst")
@@ -144,7 +144,7 @@ class TestActTextActions:
     def test_qa_answer_line_parsed(self):
         provider = mock_provider("reasoning...\nANSWER: 42")
         result = act(
-            ActionSpec.for_id(1, "answer"), reasoned(), None, provider, transcript=Transcript()
+            ActionSpec(1, "answer"), reasoned(), None, provider, transcript=Transcript()
         )
         assert result.answer == "42"
         assert len(provider.call_log) == 1
@@ -153,14 +153,14 @@ class TestActTextActions:
     def test_missing_answer_line_falls_back_to_prose(self):
         provider = mock_provider("just some prose response")
         result = act(
-            ActionSpec.for_id(1, "answer"), reasoned(), None, provider, transcript=Transcript()
+            ActionSpec(1, "answer"), reasoned(), None, provider, transcript=Transcript()
         )
         assert result.answer == "just some prose response"
 
     def test_title_parsed_and_structured(self):
         provider = mock_provider("TITLE: a fine headline")
         result = act(
-            ActionSpec.for_id(3, "headline"), reasoned(), None, provider, transcript=Transcript()
+            ActionSpec(3, "headline"), reasoned(), None, provider, transcript=Transcript()
         )
         assert result.answer == "a fine headline"
         assert result.structured == "a fine headline"
@@ -168,7 +168,7 @@ class TestActTextActions:
     def test_revision_context_included_verbatim(self):
         provider = mock_provider("ANSWER: better")
         act(
-            ActionSpec.for_id(1, "answer"),
+            ActionSpec(1, "answer"),
             reasoned(),
             None,
             provider,
@@ -182,14 +182,14 @@ class TestActTextActions:
             entries={"solar": ToolEntry(title="Solar", facts=("Panels need light.",))}
         )
         provider = mock_provider("ANSWER: ok")
-        spec = ActionSpec.for_id(1, "answer the question\nKNOWLEDGE: solar")
+        spec = ActionSpec(1, "answer the question\nKNOWLEDGE: solar")
         act(spec, reasoned(), store, provider, transcript=Transcript())
         assert "Panels need light." in provider.call_log[0][0].flattened()
         # a blank query, at the end of the text or before the next line,
         # requests no facts rather than every entry in the store
         for blank in ("answer the question\nKNOWLEDGE: \t ", "KNOWLEDGE:\nsolar question"):
             provider = mock_provider("ANSWER: ok")
-            act(ActionSpec.for_id(1, blank), reasoned(), store, provider, transcript=Transcript())
+            act(ActionSpec(1, blank), reasoned(), store, provider, transcript=Transcript())
             assert "Panels need light." not in provider.call_log[0][0].flattened(), blank
 
     def test_no_directive_no_store_consultation(self):
@@ -198,7 +198,7 @@ class TestActTextActions:
         )
         provider = mock_provider("ANSWER: ok")
         act(
-            ActionSpec.for_id(1, "answer plainly"),
+            ActionSpec(1, "answer plainly"),
             reasoned(),
             store,
             provider,
@@ -211,7 +211,7 @@ class TestActCategorization:
     def test_flat_taxonomy_single_call(self):
         provider = mock_provider("CATEGORY: politics")
         result = act(
-            ActionSpec.for_id(4, "classify"),
+            ActionSpec(4, "classify"),
             reasoned(),
             None,
             provider,
@@ -225,7 +225,7 @@ class TestActCategorization:
         provider = mock_provider("CATEGORY: astrology")
         with pytest.raises(ActionParseError, match="unknown category"):
             act(
-                ActionSpec.for_id(4, "classify"),
+                ActionSpec(4, "classify"),
                 reasoned(),
                 None,
                 provider,
@@ -237,7 +237,7 @@ class TestActCategorization:
         provider = mock_provider("politics, I think")
         with pytest.raises(ActionParseError):
             act(
-                ActionSpec.for_id(4, "classify"),
+                ActionSpec(4, "classify"),
                 reasoned(),
                 None,
                 provider,
@@ -248,7 +248,7 @@ class TestActCategorization:
     def test_taxonomy_required(self):
         with pytest.raises(InvariantError):
             act(
-                ActionSpec.for_id(4, "classify"),
+                ActionSpec(4, "classify"),
                 reasoned(),
                 None,
                 mock_provider("x"),
@@ -258,7 +258,7 @@ class TestActCategorization:
     def test_hierarchical_taxonomy_uses_two_calls(self):
         provider = mock_provider("CATEGORY: sport", "CATEGORY: tennis")
         result = act(
-            ActionSpec.for_id(4, "classify"),
+            ActionSpec(4, "classify"),
             reasoned(),
             None,
             provider,
@@ -276,7 +276,7 @@ class TestActCategorization:
         )
         provider = mock_provider("CATEGORY: sport", "CATEGORY: tennis")
         act(
-            ActionSpec.for_id(4, "classify\nKNOWLEDGE: sport"),
+            ActionSpec(4, "classify\nKNOWLEDGE: sport"),
             reasoned(),
             store,
             provider,
@@ -293,7 +293,7 @@ class TestActCategorization:
 
 def categorize(tax: CategoryTaxonomy, provider) -> CategoryPair:
     """Two-level categorization through ``act``; its structured pair."""
-    spec = ActionSpec.for_id(4, "Classify the content.")
+    spec = ActionSpec(4, "Classify the content.")
     result = act(spec, reasoned(), None, provider, taxonomy=tax, transcript=Transcript())
     assert len(provider.call_log) == 2
     return result.structured

@@ -50,7 +50,7 @@ content_items = st.one_of(
     st.builds(ContentItem.from_image, identifier, st.just("image/png")),
 )
 
-action_specs = st.builds(ActionSpec.for_id, st.sampled_from([1, 2, 3, 4]), nonblank)
+action_specs = st.builds(ActionSpec, st.sampled_from([1, 2, 3, 4]), nonblank)
 
 plans = st.builds(
     Plan,
@@ -121,8 +121,8 @@ def test_canonical_form_is_deterministic(value):
 def test_round_trip_two_action_plan():
     plan = Plan(
         actions=(
-            ActionSpec.for_id(3, "write a headline"),
-            ActionSpec.for_id(4, "classify it"),
+            ActionSpec(3, "write a headline"),
+            ActionSpec(4, "classify it"),
         ),
         rationale="summary then category",
         raw="model output",
@@ -202,9 +202,7 @@ def test_deserialize_rejects_exports_that_are_not_kinds(name):
 
 
 def test_serialize_rejects_an_unexported_dataclass():
-    outcome = RecordOutcome(
-        EvalRecord("r", (ContentItem.from_text("t"),), gold="g"), "g", {}, False
-    )
+    outcome = RecordOutcome(EvalRecord("r", (ContentItem.from_text("t"),), gold="g"), "g", {})
     with pytest.raises(MalformedInputError, match="RecordOutcome"):
         canonical.serialize(outcome)
 
@@ -232,11 +230,10 @@ def test_from_jsonable_rejects_an_undeclarable_type():
     "value",
     [
         TrialView(
-            trial=1,
             plan_a_raw="plan a",
             optimized_text="plan b",
-            gate=GateDecision(divergence=0.5, theta=0.25, activate=True),
-            critique=Critique(PlanChoice.PLAN_B, "tighten step 2", True, "VERDICT: B"),
+            gate=GateDecision(divergence=0.5, theta=0.25),
+            critique=Critique(PlanChoice.PLAN_B, "tighten step 2", "VERDICT: B"),
             refined=RefinedInstructions("tighten step 2"),
         ),
         RecordScore(id="r1", scores={"em": 100.0, "f1": 50.0}, failed=True),

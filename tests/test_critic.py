@@ -23,7 +23,7 @@ from socialagent.errors import CritiqueParseError, NotActionableError
 
 
 def make_plan(raw: str) -> Plan:
-    return Plan(actions=(ActionSpec.for_id(1, "answer"),), raw=raw)
+    return Plan(actions=(ActionSpec(1, "answer"),), raw=raw)
 
 
 TASK = Task(id="t", goal="answer the question")

@@ -363,7 +363,7 @@ def test_http_actor_posts_each_image_input_once(monkeypatch, tmp_path):
         ContentItem.from_text("Question: what flies over the field?"),
         ContentItem.from_image(str(image_file), "image/png"),
     )
-    spec = ActionSpec.for_id(2, "Answer from the image.")
+    spec = ActionSpec(2, "Answer from the image.")
     reply = (200, {"choices": [{"message": {"content": "ANSWER: a red kite"}}]})
     poster = fake_post(monkeypatch, reply, reply)
     units = {

@@ -623,9 +623,12 @@ def _load_failure(path: Path) -> str | None:
 
 @dataclass(frozen=True)
 class IntegrityReport:
-    ok: bool
     checked: tuple[str, ...]
     failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def _differing_paths(committed: object, regenerated: object, path: str = "") -> Iterator[str]:
@@ -682,7 +685,7 @@ def fixture_integrity_check() -> IntegrityReport:
                 failures.append(f"{name}: {why}")
     bundled = {path.name for path in fixture_dir().iterdir() if path.is_file()}
     failures += [f"{name}: written by no regeneration" for name in sorted(bundled - set(names))]
-    return IntegrityReport(ok=not failures, checked=tuple(names), failures=tuple(failures))
+    return IntegrityReport(checked=tuple(names), failures=tuple(failures))
 
 
 def main() -> int:

@@ -29,9 +29,14 @@ def exact_match(pred: str, gold: str) -> int:
 
 @dataclass(frozen=True)
 class OverlapScores:
-    f1: float
     precision: float
     recall: float
+
+    @property
+    def f1(self) -> float:
+        """The harmonic mean of precision and recall; zero when both are."""
+        total = self.precision + self.recall
+        return 2 * self.precision * self.recall / total if total else 0.0
 
 
 def token_f1(pred: str, gold: str) -> OverlapScores:
@@ -40,17 +45,12 @@ def token_f1(pred: str, gold: str) -> OverlapScores:
     pred_tokens = normalize_answer(pred).split()
     gold_tokens = normalize_answer(gold).split()
     if not pred_tokens and not gold_tokens:
-        return OverlapScores(1.0, 1.0, 1.0)
+        return OverlapScores(1.0, 1.0)
     if not pred_tokens or not gold_tokens:
-        return OverlapScores(0.0, 0.0, 0.0)
+        return OverlapScores(0.0, 0.0)
     common = Counter(pred_tokens) & Counter(gold_tokens)
     overlap = sum(common.values())
-    if overlap == 0:
-        return OverlapScores(0.0, 0.0, 0.0)
-    precision = overlap / len(pred_tokens)
-    recall = overlap / len(gold_tokens)
-    f1 = 2 * precision * recall / (precision + recall)
-    return OverlapScores(f1, precision, recall)
+    return OverlapScores(overlap / len(pred_tokens), overlap / len(gold_tokens))
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -99,14 +99,9 @@ def rouge_l(pred: str, gold: str) -> OverlapScores:
     pred_tokens = normalize_answer(pred).split()
     gold_tokens = normalize_answer(gold).split()
     if not pred_tokens or not gold_tokens:
-        return OverlapScores(0.0, 0.0, 0.0)
+        return OverlapScores(0.0, 0.0)
     lcs = _lcs_length(pred_tokens, gold_tokens)
-    if lcs == 0:
-        return OverlapScores(0.0, 0.0, 0.0)
-    precision = lcs / len(pred_tokens)
-    recall = lcs / len(gold_tokens)
-    f1 = 2 * precision * recall / (precision + recall)
-    return OverlapScores(f1, precision, recall)
+    return OverlapScores(lcs / len(pred_tokens), lcs / len(gold_tokens))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from socialagent.errors import MalformedInputError
 from socialagent.evaluation import (
     DisagreementEntry,
     EvalRecord,
+    MetricReport,
     RecordOutcome,
     RecordScore,
     RunSetup,
@@ -250,6 +251,21 @@ def test_deserialize_rejects_unknown_fields():
     tampered = text_form.replace('"description"', '"descriptionx"')
     with pytest.raises(MalformedInputError, match="unknown fields"):
         canonical.deserialize(tampered)
+    # each key below is a property of its kind, computed from the other
+    # fields, so a file that stores it is rejected rather than read
+    derived = [
+        (ActionSpec(1, "answer"), "name", "qa"),
+        (GateDecision(divergence=0.9, theta=0.1), "activate", False),
+        (Critique(PlanChoice.PLAN_A, "", "VERDICT: A"), "actionable", True),
+        (TrialView("plan a", "plan b"), "trial", 0),
+        (MetricReport("qa", (RecordScore("r1", {"em": 0.0}),), {"EM": 0.0}), "n", 1),
+    ]
+    for value, key, stored in derived:
+        data = canonical.parse_text(canonical.serialize(value), "canonical text")
+        data["value"][key] = stored
+        kind = type(value).__name__
+        with pytest.raises(MalformedInputError, match=rf"^{kind}: unknown fields \['{key}'\] "):
+            canonical.deserialize(canonical.dumps(data))
 
 
 def test_transcript_round_trip_preserves_events():

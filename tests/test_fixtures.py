@@ -143,3 +143,58 @@ def test_edited_golden_value_named_by_its_json_path(tmp_path, monkeypatch):
         "golden_solve_report.json: differs from its regeneration at transcript[3].seq",
     )
 
+
+
+def _edit_json(path, edit):
+    data = canonical.parse_text(path.read_bytes(), "fixture")
+    edit(data)
+    path.write_text(canonical.dumps(data), encoding="utf-8")
+
+
+def test_a_key_on_one_side_only_is_named(tmp_path, monkeypatch):
+    # a golden that carries a key the solve report does not write
+    staged = _stage_fixtures(tmp_path, monkeypatch)
+    _edit_json(
+        staged / "golden_solve_report.json",
+        lambda report: report["gate_decisions"][0].update(activate=False),
+    )
+    assert fixture_integrity_check().failures == (
+        "golden_solve_report.json: differs from its regeneration at gate_decisions[0].activate",
+    )
+
+
+def test_lists_of_different_lengths_are_named_from_the_shorter_ones_end(tmp_path, monkeypatch):
+    staged = _stage_fixtures(tmp_path, monkeypatch)
+    _edit_json(staged / "golden_solve_report.json", lambda report: report["transcript"].pop())
+    assert fixture_integrity_check().failures == (
+        "golden_solve_report.json: differs from its regeneration at transcript[15:]",
+    )
+
+
+def test_a_missing_bundled_file_is_named_with_its_read_error(tmp_path, monkeypatch):
+    staged = _stage_fixtures(tmp_path, monkeypatch)
+    (staged / "taxonomy.json").unlink()
+    assert fixture_integrity_check().failures == (
+        f"taxonomy.json: [Errno 2] No such file or directory: '{staged / 'taxonomy.json'}'",
+    )
+
+
+def test_a_file_that_matches_its_regeneration_but_does_not_load_is_named(tmp_path, monkeypatch):
+    # read as the wrong kind, the QA dataset still regenerates byte for byte
+    # (its golden's command names its own kind), but it no longer loads
+    _stage_fixtures(tmp_path, monkeypatch)
+    monkeypatch.setitem(
+        fixtures._DATASETS, "mini_qa.jsonl", (fixtures.QA_DATASET, TaskKind.TITLE)
+    )
+    assert fixture_integrity_check().failures == (
+        "mini_qa.jsonl: line 1: missing field (one of: text, section_text)",
+    )
+
+
+def test_a_canonical_file_that_does_not_load_gives_the_loaders_message(tmp_path):
+    path = tmp_path / "gate.json"
+    value = {"activate": False, "divergence": 0.0, "theta": 0.1}
+    path.write_text(canonical.dumps({"kind": "GateDecision", "value": value}), encoding="utf-8")
+    assert (
+        fixtures._load_failure(path) == "GateDecision: unknown fields ['activate'] for GateDecision"
+    )

@@ -44,7 +44,6 @@ from .divergence import (
 from .engine import (
     RoleDescription,
     TaskResponse,
-    TrialsOutcome,
     TrialView,
     UnitSet,
     bootstrap_role,

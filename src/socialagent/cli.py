@@ -165,9 +165,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     units = engine.build_units(setup.engine)
     transcript = Transcript()
     role = engine.bootstrap_role(task, units, transcript=transcript)
-    outcome = engine.run_trials(task, env, setup.engine, units, role, transcript=transcript)
+    planned = engine.run_trials(task, env, setup.engine, units, role, transcript=transcript)
     lines = [f"task: {task.id}"]
-    for trial, view in enumerate(outcome.trial_views):
+    for trial, view in enumerate(planned.trial_views):
         lines += [
             f"--- trial {trial} ---",
             "plan A (planner):",
@@ -185,8 +185,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 lines.append(f"critique feedback: {view.critique.feedback}")
         if view.refined is not None:
             lines.append(f"refined instructions: {view.refined.instructions}")
-    lines.append(f"trials executed: {outcome.trials_executed}")
-    lines.append(f"executed plan actions: {[a.action_id for a in outcome.executed.actions]}")
+    lines.append(f"trials executed: {planned.trials_executed}")
+    lines.append(f"executed plan actions: {[a.action_id for a in planned.plan_used.actions]}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

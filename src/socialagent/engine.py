@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import canonical, planner as planner_mod
 from .actor import ActionResult, CategoryTaxonomy, ToolStore, act
@@ -48,14 +48,39 @@ class RoleDescription:
 
 
 @dataclass(frozen=True)
+class TrialView:
+    """What one planning trial produced, for inspection and reporting; its
+    position in ``TaskResponse.trial_views`` is its trial number."""
+
+    plan_a_raw: str
+    optimized_text: str
+    gate: GateDecision | None = None
+    critique: Critique | None = None
+    refined: RefinedInstructions | None = None
+
+
+@dataclass(frozen=True)
 class TaskResponse:
-    results: tuple[ActionResult, ...]
-    plan_used: Plan | None
-    trials_executed: int
+    """One run's result: ``run_trials`` returns the plan it chose and its
+    trial views, and ``solve`` adds the action results and any error."""
+
     transcript: Transcript
-    gate_decisions: tuple[GateDecision, ...] = ()
-    critiques: tuple[Critique, ...] = ()
+    plan_used: Plan | None = None
+    trial_views: tuple[TrialView, ...] = ()
+    results: tuple[ActionResult, ...] = ()
     error: str | None = None
+
+    @property
+    def trials_executed(self) -> int:
+        return len(self.trial_views)
+
+    @property
+    def gate_decisions(self) -> tuple[GateDecision, ...]:
+        return tuple(v.gate for v in self.trial_views if v.gate is not None)
+
+    @property
+    def critiques(self) -> tuple[Critique, ...]:
+        return tuple(v.critique for v in self.trial_views if v.critique is not None)
 
 
 # One provider instance per unit role, fresh for each run.
@@ -166,28 +191,6 @@ def create_action_prompt(
     return PromptArtifact(system_role=role_text, segments=(instructions, *inputs))
 
 
-@dataclass(frozen=True)
-class TrialView:
-    """What one planning trial produced, for inspection and reporting; its
-    position in ``TrialsOutcome.trial_views`` is its trial number."""
-
-    plan_a_raw: str
-    optimized_text: str
-    gate: GateDecision | None = None
-    critique: Critique | None = None
-    refined: RefinedInstructions | None = None
-
-
-@dataclass(frozen=True)
-class TrialsOutcome:
-    executed: Plan
-    trial_views: tuple[TrialView, ...]
-
-    @property
-    def trials_executed(self) -> int:
-        return len(self.trial_views)
-
-
 def run_trials(
     task: Task,
     env: EnvironmentContext,
@@ -196,12 +199,12 @@ def run_trials(
     role: RoleDescription,
     *,
     transcript: Transcript,
-) -> TrialsOutcome:
+) -> TaskResponse:
     """The planning trials loop. Each trial reasons, plans (from the previous
     trial's corrective instructions, if any) and optimizes. On non-final
     trials the divergence gate decides whether the critic and refiner run,
     feeding the next trial, or the trial returns its plan; the final trial
-    always returns the best available plan."""
+    always returns the best available plan, with the trial views."""
     views: list[TrialView] = []
     refined: RefinedInstructions | None = None
     for trial in range(config.trials):
@@ -229,7 +232,7 @@ def run_trials(
         best = plan_a if plan_b is None else plan_b
         if trial == config.trials - 1:
             views.append(TrialView(plan_a.raw, optimized_text))
-            return TrialsOutcome(best, tuple(views))
+            return TaskResponse(transcript, best, tuple(views))
         gate = should_criticize(
             plan_a.raw, optimized_text, units[UnitRole.CRITIC], config.theta, transcript=transcript
         )
@@ -237,7 +240,7 @@ def run_trials(
             # A gate pass, or an optimizer output that is no plan: run the
             # best available plan without a critique.
             views.append(TrialView(plan_a.raw, optimized_text, gate))
-            return TrialsOutcome(best, tuple(views))
+            return TaskResponse(transcript, best, tuple(views))
         critique = criticize(
             env,
             task,
@@ -251,7 +254,7 @@ def run_trials(
         if not critique.actionable:
             views.append(TrialView(plan_a.raw, optimized_text, gate, critique))
             picked = plan_a if critique.selected is PlanChoice.PLAN_A else plan_b
-            return TrialsOutcome(picked, tuple(views))
+            return TaskResponse(transcript, picked, tuple(views))
         refined = refine(
             env,
             task,
@@ -362,20 +365,18 @@ def solve(
     """Solve one task end to end, returning the accumulated action results
     and the full invocation transcript. Every fault of the run itself comes
     back in ``error``: one before any plan runs leaves ``plan_used`` None,
-    no results and the partial transcript."""
+    no trial views, no results and the partial transcript."""
     check_config(config, task.inputs, units)
     if units is None:
         units = build_units(config)
     transcript = Transcript()
     try:
         role = bootstrap_role(task, units, transcript=transcript)
-        outcome = run_trials(task, env, config, units, role, transcript=transcript)
+        planned = run_trials(task, env, config, units, role, transcript=transcript)
     except AgentError as exc:
-        return TaskResponse(
-            results=(), plan_used=None, trials_executed=0, transcript=transcript, error=str(exc)
-        )
+        return TaskResponse(transcript, error=str(exc))
     results, error = execute_actions(
-        outcome.executed,
+        planned.plan_used,
         role,
         config,
         units,
@@ -384,16 +385,7 @@ def solve(
         taxonomy=taxonomy,
         transcript=transcript,
     )
-    views = outcome.trial_views
-    return TaskResponse(
-        results=results,
-        plan_used=outcome.executed,
-        trials_executed=outcome.trials_executed,
-        transcript=transcript,
-        gate_decisions=tuple(v.gate for v in views if v.gate is not None),
-        critiques=tuple(v.critique for v in views if v.critique is not None),
-        error=error,
-    )
+    return replace(planned, results=results, error=error)
 
 
 def run_report(task: Task, response: TaskResponse) -> str:

@@ -127,8 +127,8 @@ def load_setup(path: str | Path) -> RunSetup:
 
 def load_stores(setup: RunSetup) -> tuple[ToolStore | None, CategoryTaxonomy | None]:
     """The knowledge store and taxonomy a run configuration names, if any; a
-    store that does not load is a ``ConfigError`` naming its file, as
-    ``toolstore <path>: …`` or ``taxonomy <path>: …``."""
+    store that cannot be read or does not load is a ``ConfigError`` naming
+    its file once, as ``toolstore <path>: …`` or ``taxonomy <path>: …``."""
     return (
         _load_store("toolstore", load_toolstore, setup.toolstore_path),
         _load_store("taxonomy", load_taxonomy, setup.taxonomy_path),
@@ -139,7 +139,12 @@ def _load_store(what: str, load: Callable[[str], _T], path: str | None) -> _T | 
     try:
         return load(path) if path else None
     except AgentError as exc:
-        raise ConfigError(f"{what} {path}: {exc}") from exc
+        reason = str(exc)
+    except OSError as exc:  # its text, like a decode error's, names the file again
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text (byte {exc.start})"
+    raise ConfigError(f"{what} {path}: {reason}")
 
 
 def _require_str(payload: dict, line: int, *names: str) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -571,6 +572,73 @@ def test_config_file_of_another_kind_is_named_once(capsys):
     code, _, stderr = run_cli(capsys, *_solve_argv(config=task))
     assert code == EXIT_CONFIG
     assert stderr == f"error: cannot load config {task}: does not contain a RunSetup\n"
+
+
+def _categorize_argv(config):
+    dataset = fixture_path("mini_category.jsonl")
+    return _eval_argv(config=config, dataset=dataset, kind="categorize")
+
+
+# each bundled config that names a store -> the argv of every subcommand that
+# loads it, and the stores it names
+_STORE_CONFIGS = {
+    "multi_action_config.json": (
+        {"solve": _solve_argv, "plan": _plan_argv},
+        ("toolstore", "taxonomy"),
+    ),
+    "category_eval_config.json": ({"eval": _categorize_argv}, ("taxonomy",)),
+}
+
+# a store file's fault -> how it is made in the store's place, and its reason
+_UNREADABLE_STORES = {
+    "missing": (lambda path: None, "No such file or directory"),
+    "directory": (lambda path: path.mkdir(), "Is a directory"),
+    "non-utf8": (
+        lambda path: path.write_bytes("café".encode("latin-1")),
+        "not UTF-8 text (byte 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_UNREADABLE_STORES))
+@pytest.mark.parametrize(
+    "config, command, store",
+    [
+        (config, command, store)
+        for config, (argvs, stores) in _STORE_CONFIGS.items()
+        for command in argvs
+        for store in stores
+    ],
+)
+def test_a_store_that_cannot_be_read_is_the_configs_fault(
+    capsys, tmp_path, provider_calls, config, command, store, fault
+):
+    # the config and both stores are copied, then one store is broken
+    for name in (config, "toolstore.json", "taxonomy.json"):
+        shutil.copy(fixture_path(name), tmp_path)
+    path = tmp_path.resolve() / f"{store}.json"
+    path.unlink()
+    make, reason = _UNREADABLE_STORES[fault]
+    make(path)
+    argvs = _STORE_CONFIGS[config][0]
+    code, stdout, stderr = run_cli(capsys, *argvs[command](config=tmp_path / config))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: cannot load config {tmp_path / config}: {store} {path}: {reason}\n"
+    assert provider_calls == []
+
+
+def test_exit_codes_are_0_1_and_2(capsys, tmp_path):
+    # README's codes as literals: a success, a config fault (from the library
+    # and from the argument parser) and a task fault
+    assert run_cli(capsys, *golden_argv("golden_solve_report.json"))[0] == 0
+    assert run_cli(capsys, *_solve_argv("--trials", "0"))[0] == 1
+    with pytest.raises(SystemExit) as exited:
+        main(_eval_argv(kind="poetry"))
+    assert exited.value.code == 1
+    unplannable = MockScript.of("no structure here")
+    config = _solve_config_binding(tmp_path, UnitRole.PLANNER, script=unplannable)
+    assert run_cli(capsys, *_solve_argv(config=config))[0] == 2
 
 
 def _golden_aggregates(golden: str) -> dict[str, float]:

@@ -558,14 +558,17 @@ class TestRunTrialsDirectly:
         units = build_units(setup.engine)
         transcript = Transcript()
         role = bootstrap_role(fixtures.scenario_task(), units, transcript=transcript)
-        outcome = run_trials(
+        planned = run_trials(
             fixtures.scenario_task(), ENV, setup.engine, units, role, transcript=transcript
         )
-        assert len(outcome.trial_views) == 2
-        first = outcome.trial_views[0]
+        assert len(planned.trial_views) == 2
+        first = planned.trial_views[0]
         assert first.gate is not None and first.gate.activate
         assert first.critique is not None and first.refined is not None
-        assert outcome.trial_views[1].gate is None
+        assert planned.trial_views[1].gate is None
+        # the response solve completes: a plan and its trials, no results yet
+        assert planned.transcript is transcript and planned.plan_used is not None
+        assert planned.results == () and planned.error is None
 
     def test_execute_actions_empty_plan_unconstructible(self):
         from socialagent.core import Plan

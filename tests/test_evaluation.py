@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from socialagent import canonical, engine, fixtures, providers
-from socialagent.actor import CategoryPair
+from socialagent.actor import CategoryPair, CategoryTaxonomy
 from socialagent.core import ContentItem, ContentKind, UnitRole
 from socialagent.errors import ConfigError, DatasetFormatError, InvariantError
 from socialagent.evaluation import (
@@ -436,3 +436,30 @@ class TestEvaluateRecord:
         assert outcome.prediction == "Paris"
         assert outcome.failed is False
         assert outcome.scores["em"] == 1.0
+
+    def test_categorize_run_without_a_category_pair_fails_its_record(self, monkeypatch):
+        # a one-level taxonomy makes the run succeed with a bare level-1
+        # label, which is no CategoryPair, so the record fails and scores zero
+        setup = fixtures.category_setup()
+        record = load_dataset(fixture_path("mini_category.jsonl"), TaskKind.CATEGORIZE)[2]
+        actor = MockScript.of("CATEGORY: politics", "CATEGORY: politics").entries
+        scripts = {record.id: {UnitRole.ACTOR: actor}}
+        solved, responses = engine.solve, []
+
+        def solve(*args, **kwargs):
+            responses.append(solved(*args, **kwargs))
+            return responses[-1]
+
+        monkeypatch.setattr(engine, "solve", solve)
+        outcome = evaluate_record(
+            record,
+            TaskKind.CATEGORIZE,
+            setup.engine,
+            taxonomy=CategoryTaxonomy(level1=("politics", "sport")),
+            record_scripts=scripts,
+        )
+        [response] = responses
+        assert response.error is None
+        assert response.results[-1].structured == "politics"
+        assert outcome.failed
+        assert outcome.scores == {"l1_correct": 0.0, "l2_correct": 0.0}

@@ -250,11 +250,12 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
     t = run.trial_fault
     if t is not None:
         # trial t's fault keeps the trials before it and its own reasoning
-        # events, and returns no plan, no results and no trial count
+        # events, and returns no plan, no results and no trial views
         assert response.error.startswith("scripted response ")
         assert NO_REQUEST_CARRIES in response.error
         assert response.plan_used is None
         assert response.results == ()
+        assert response.trial_views == ()
         assert response.trials_executed == 0
         head = replace(shape, trials=shape.trials[:t], actions=())
         assert response.transcript.signature() == signature(head) + reason_block(shape.reflection)
@@ -262,6 +263,12 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
         return
     assert response.plan_used.raw == executed
     assert response.trials_executed == len(shape.trials)
+    # one view per drawn trial, holding exactly the steps its shape ran
+    views = response.trial_views
+    steps = [(v.gate is not None, v.critique is not None, v.refined is not None) for v in views]
+    assert steps == [(trial.gate, trial.critic, trial.refiner) for trial in shape.trials]
+    assert response.gate_decisions == tuple(v.gate for v in views if v.gate is not None)
+    assert response.critiques == tuple(v.critique for v in views if v.critique is not None)
     recorded = [(r.action_id, r.answer) for r in response.results]
     j = run.fault
     if j is not None:

@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import InvariantError, MalformedInputError
+from .errors import ConfigError, InvariantError, MalformedInputError
 
 _T = typing.TypeVar("_T")
 _SCALARS = {int: "integer", bool: "boolean", str: "string"}
@@ -243,12 +243,14 @@ def deserialize(text: str) -> object:
 
 
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file; a decode error names the file."""
+    """Read a UTF-8 input file. One that cannot be read is a ConfigError
+    giving only the cause; the caller names the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(exc.strerror) from exc
     except UnicodeDecodeError as exc:
-        exc.reason = f"{exc.reason} in file {path}"
-        raise
+        raise ConfigError(f"not UTF-8 text (byte {exc.start})") from exc
 
 
 def load(path: str | Path, kind: type[_T] = object) -> _T:

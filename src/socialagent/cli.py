@@ -94,11 +94,13 @@ def _load_setup(
 
 def _load(what: str, load: Callable[..., _T], path: str, *args: object) -> _T:
     """``load(path, *args)`` for a task or dataset; a fault's message names
-    the file once, as ``cannot load <what> <path>: …``."""
+    the file once, as ``cannot load <what> <path>: …``. A file that cannot
+    be read stays a config error; any other fault is malformed input."""
     try:
         return load(path, *args)
     except AgentError as exc:
-        raise MalformedInputError(f"cannot load {what} {path}: {exc}") from exc
+        error = ConfigError if isinstance(exc, ConfigError) else MalformedInputError
+        raise error(f"cannot load {what} {path}: {exc}") from exc
 
 
 def _check_out(out: str | None) -> None:
@@ -236,9 +238,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out(args.out)
         return handlers[args.command](args)
-    # every provider-side OSError is a ProviderError, so an OSError here is a
-    # file the operator named: a config, task, dataset, store or --out path
-    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+    # input files are read by canonical.read_text, which raises ConfigError,
+    # and every provider-side OSError is a ProviderError, so an OSError here
+    # comes from the --out path
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AgentError as exc:

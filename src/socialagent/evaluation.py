@@ -139,12 +139,7 @@ def _load_store(what: str, load: Callable[[str], _T], path: str | None) -> _T | 
     try:
         return load(path) if path else None
     except AgentError as exc:
-        reason = str(exc)
-    except OSError as exc:  # its text, like a decode error's, names the file again
-        reason = exc.strerror
-    except UnicodeDecodeError as exc:
-        reason = f"not UTF-8 text (byte {exc.start})"
-    raise ConfigError(f"{what} {path}: {reason}")
+        raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
 def _require_str(payload: dict, line: int, *names: str) -> str:

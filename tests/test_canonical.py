@@ -29,7 +29,7 @@ from socialagent.actor import CategoryPair
 from socialagent.critic import Critique, PlanChoice, RefinedInstructions
 from socialagent.divergence import GateDecision
 from socialagent.engine import TrialView
-from socialagent.errors import MalformedInputError
+from socialagent.errors import ConfigError, MalformedInputError
 from socialagent.evaluation import (
     DisagreementEntry,
     EvalRecord,
@@ -411,3 +411,24 @@ def test_load_checks_the_kind_of_the_stored_value(tmp_path):
     with pytest.raises(MalformedInputError) as excinfo:
         canonical.load(path, RunSetup)
     assert str(excinfo.value) == "does not contain a RunSetup"
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        pytest.param(lambda path: None, "No such file or directory", id="missing"),
+        pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+        pytest.param(
+            lambda path: path.write_bytes("café".encode("latin-1")),
+            "not UTF-8 text (byte 3)",
+            id="non-utf8",
+        ),
+    ],
+)
+def test_read_text_reports_an_unreadable_file_as_a_bare_config_error(tmp_path, make, reason):
+    # the caller names the file, so the message is the cause alone
+    path = tmp_path / "input.json"
+    make(path)
+    with pytest.raises(ConfigError) as excinfo:
+        canonical.read_text(path)
+    assert str(excinfo.value) == reason

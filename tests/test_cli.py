@@ -52,7 +52,9 @@ class TestSolve:
             str(fixture_path("example_task.json")),
         )
         assert code == EXIT_CONFIG
-        assert "/nonexistent/missing.cfg" in stderr
+        assert stderr == (
+            "error: cannot load config /nonexistent/missing.cfg: No such file or directory\n"
+        )
 
     def test_plan_parse_failure_exits_2_with_partial_transcript(self, tmp_path, capsys):
         config_path = _solve_config_binding(
@@ -163,26 +165,14 @@ def _solve_argv(*extra: str, config=None, task=None) -> list[str]:
     return ["solve", "--config", str(config), "--task", str(task), *extra]
 
 
-def _plan_argv(*extra: str, config=None) -> list[str]:
-    return ["plan", *_solve_argv(*extra, config=config)[1:]]
+def _plan_argv(*extra: str, config=None, task=None) -> list[str]:
+    return ["plan", *_solve_argv(*extra, config=config, task=task)[1:]]
 
 
 def _eval_argv(*extra: str, config=None, dataset=None, kind="qa") -> list[str]:
     config = config or fixture_path("qa_eval_config.json")
     dataset = dataset or fixture_path("mini_qa.jsonl")
     return ["eval", "--config", str(config), "--dataset", str(dataset), "--kind", kind, *extra]
-
-
-def _latin1_dataset(tmp_path):
-    path = tmp_path / "latin1.jsonl"
-    path.write_bytes('{"id": "q", "question": "café?", "answer": "x"}\n'.encode("latin-1"))
-    return path
-
-
-def _latin1_task(tmp_path):
-    path = tmp_path / "latin1_task.json"
-    path.write_bytes('{"kind": "Task", "value": {"goal": "café?"}}\n'.encode("latin-1"))
-    return path
 
 
 def _qa_config_with(tmp_path, change):
@@ -345,18 +335,6 @@ _HTTP_CHAT = {
 @pytest.mark.parametrize(
     "argv,mentions",
     [
-        pytest.param(lambda tmp: _solve_argv(config=tmp), "", id="config-is-a-directory"),
-        pytest.param(lambda tmp: _solve_argv(task=tmp), "", id="task-is-a-directory"),
-        pytest.param(
-            lambda tmp: _eval_argv(dataset=_latin1_dataset(tmp)),
-            "{tmp}/latin1.jsonl",
-            id="non-utf8-dataset",
-        ),
-        pytest.param(
-            lambda tmp: _solve_argv(task=_latin1_task(tmp)),
-            "{tmp}/latin1_task.json",
-            id="non-utf8-task",
-        ),
         pytest.param(
             lambda tmp: _solve_argv("--out", str(tmp / "no" / "r.json")),
             "--out {tmp}/no/r.json: {tmp}/no is not a directory",
@@ -376,6 +354,12 @@ _HTTP_CHAT = {
             lambda tmp: _solve_argv("--out", str(tmp)),
             "--out {tmp} is a directory",
             id="out-is-a-directory",
+        ),
+        pytest.param(
+            # Path.is_dir() raises on a name past the file system's limit
+            lambda tmp: _solve_argv("--out", str(tmp / ("a" * 300))),
+            "File name too long",
+            id="out-name-too-long",
         ),
         pytest.param(
             lambda tmp: _solve_argv(task=_image_task(tmp)),
@@ -589,7 +573,7 @@ _STORE_CONFIGS = {
     "category_eval_config.json": ({"eval": _categorize_argv}, ("taxonomy",)),
 }
 
-# a store file's fault -> how it is made in the store's place, and its reason
+# an unreadable file's fault -> how it is made in the file's place, and its reason
 _UNREADABLE_STORES = {
     "missing": (lambda path: None, "No such file or directory"),
     "directory": (lambda path: path.mkdir(), "Is a directory"),
@@ -625,6 +609,32 @@ def test_a_store_that_cannot_be_read_is_the_configs_fault(
     assert code == 1
     assert stdout == ""
     assert stderr == f"error: cannot load config {tmp_path / config}: {store} {path}: {reason}\n"
+    assert provider_calls == []
+
+
+# each input file a command reads -> what the message calls it, and the
+# command's argv with ``path`` in that file's place
+_INPUT_FILES = {
+    "solve-config": ("config", lambda path: _solve_argv(config=path)),
+    "solve-task": ("task", lambda path: _solve_argv(task=path)),
+    "plan-task": ("task", lambda path: _plan_argv(task=path)),
+    "eval-dataset": ("dataset", lambda path: _eval_argv(dataset=path)),
+}
+
+
+@pytest.mark.parametrize("fault", list(_UNREADABLE_STORES))
+@pytest.mark.parametrize("case", list(_INPUT_FILES))
+def test_an_input_file_that_cannot_be_read_is_a_config_error(
+    capsys, tmp_path, provider_calls, case, fault
+):
+    what, argv = _INPUT_FILES[case]
+    path = tmp_path / "input"
+    make, reason = _UNREADABLE_STORES[fault]
+    make(path)
+    code, stdout, stderr = run_cli(capsys, *argv(path))
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert stderr == f"error: cannot load {what} {path}: {reason}\n"
     assert provider_calls == []
 
 

@@ -65,6 +65,9 @@ class TestContentItem:
             ContentItem(kind=ContentKind.TEXT, text=None)
         with pytest.raises(InvariantError):
             ContentItem(kind=ContentKind.IMAGE_REF, text="x", image=None)
+        image = ContentItem.from_image("post.png", "image/png").image
+        with pytest.raises(InvariantError, match="^image item must carry an image and no text$"):
+            ContentItem(kind=ContentKind.IMAGE_REF, text="x", image=image)
 
     def test_image_without_media_type_rejected(self):
         with pytest.raises(InvariantError, match="^ImageRef.media_type must be non-empty$"):
@@ -117,6 +120,9 @@ class TestSamplingConfig:
             SamplingConfig(temperature=-1)
         with pytest.raises(InvariantError):
             SamplingConfig(top_p=0.0)
+        assert SamplingConfig(top_p=1.0).top_p == 1.0
+        with pytest.raises(InvariantError, match=r"^top_p must be in \(0, 1\]$"):
+            SamplingConfig(top_p=1.5)
         for temperature in (float("nan"), float("inf")):
             with pytest.raises(InvariantError):
                 SamplingConfig(temperature=temperature)

@@ -55,6 +55,18 @@ class TestParseCritique:
         critique = parse_critique("VERDICT: A\nFEEDBACK: first line\nsecond line")
         assert critique.feedback == "first line\nsecond line"
 
+    def test_first_verdict_line_wins_and_prose_before_feedback_is_dropped(self):
+        critique = parse_critique(
+            "Thinking it over.\nVERDICT: B\nVERDICT: A\nFEEDBACK: tighten step 2"
+        )
+        assert critique.selected is PlanChoice.PLAN_B
+        assert critique.feedback == "tighten step 2"
+
+    def test_lines_before_the_feedback_marker_are_not_feedback(self):
+        critique = parse_critique("VERDICT: A\nprose\nFEEDBACK:")
+        assert critique.feedback == ""
+        assert critique.actionable is False
+
     def test_parse_is_deterministic(self):
         raw = "VERDICT: B\nFEEDBACK: merge actions"
         assert parse_critique(raw) == parse_critique(raw)

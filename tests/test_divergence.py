@@ -12,6 +12,7 @@ from socialagent.core import Transcript
 from socialagent.divergence import (
     Distribution,
     EmbeddingVector,
+    GateDecision,
     jsd,
     should_criticize,
     to_distribution,
@@ -137,6 +138,15 @@ class TestGate:
             "text one", "text two", provider, theta=0.0, transcript=Transcript()
         )
         assert decision.activate is True  # JSD >= 0 always
+
+    def test_theta_zero_activates_on_identical_texts(self):
+        # the critic runs when JSD >= θ, so a divergence of 0 reaches θ = 0
+        assert GateDecision(divergence=0.0, theta=0.0).activate is True
+        decision = should_criticize(
+            "same text", "same text", mock_provider(), theta=0.0, transcript=Transcript()
+        )
+        assert decision.divergence == 0.0
+        assert decision.activate is True
 
     def test_exactly_two_embed_calls(self):
         provider = mock_provider()

@@ -283,21 +283,47 @@ class TestHttpChat:
             complete(provider, request("hello"))
         assert poster.calls == 1
 
-    def test_auth_status_maps_to_auth_error(self, monkeypatch):
+    def test_redirect_is_a_backend_error_without_retry(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        fake_post(monkeypatch, (401, {}))
+        poster = fake_post(monkeypatch, (302, b"moved"))
+        with pytest.raises(ProviderError, match="^backend error 302: moved$") as excinfo:
+            complete(HttpChatProvider(http_config()), request("hello"))
+        assert type(excinfo.value) is ProviderError
+        assert poster.calls == 1
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_auth_status_maps_to_auth_error(self, monkeypatch, status):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        poster = fake_post(monkeypatch, (status, {}))
         provider = HttpChatProvider(http_config())
-        with pytest.raises(AuthenticationError):
+        rejected = rf"^backend rejected credentials \({status}\)$"
+        with pytest.raises(AuthenticationError, match=rejected):
             complete(provider, request("hello"))
+        assert poster.calls == 1
+
+    @pytest.mark.parametrize("status", [500, 503])
+    def test_server_error_is_retried(self, monkeypatch, status):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        monkeypatch.setattr("socialagent.providers.time.sleep", lambda _: None)
+        poster = fake_post(
+            monkeypatch,
+            (status, {"error": "busy"}),
+            (200, {"choices": [{"message": {"content": "ok"}}]}),
+        )
+        assert complete(HttpChatProvider(http_config()), request("hello")) == "ok"
+        assert poster.calls == 2
 
     def test_transport_exhaustion_surfaces_attempt_count(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
-        monkeypatch.setattr("socialagent.providers.time.sleep", lambda _: None)
+        slept: list[float] = []
+        monkeypatch.setattr("socialagent.providers.time.sleep", slept.append)
         fake_post(monkeypatch, *[URLError("down")] * 3)
         provider = HttpChatProvider(http_config())
         with pytest.raises(TransportError) as excinfo:
             complete(provider, request("hello"))
         assert str(excinfo.value) == "transport error: <urlopen error down> (after 3 attempt(s))"
+        # a back-off doubling from RETRY_BASE_DELAY between attempts, none after the last
+        assert slept == [0.5, 1.0]
 
     def test_wire_body_carries_model_messages_and_sampling(self, monkeypatch):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
@@ -698,9 +724,14 @@ print("_hashlib" in sys.modules)
     ]
 
 
-def test_http_config_requires_endpoint_and_key_env():
-    with pytest.raises(InvariantError):
-        ProviderConfig(backend=Backend.HTTP_CHAT, model_name="m")
+@pytest.mark.parametrize(
+    "given",
+    [{}, {"endpoint": "https://example.invalid/v1/chat"}, {"api_key_env": "KEY"}],
+    ids=["neither", "endpoint-only", "key-env-only"],
+)
+def test_http_config_requires_endpoint_and_key_env(given):
+    with pytest.raises(InvariantError, match="^http backend requires endpoint and api_key_env$"):
+        ProviderConfig(backend=Backend.HTTP_CHAT, model_name="m", **given)
 
 
 def test_config_requires_a_model_name():
@@ -711,6 +742,14 @@ def test_config_requires_a_model_name():
 def test_request_requires_a_message():
     with pytest.raises(InvariantError, match="^request must contain at least one message$"):
         ProviderRequest(system_role="sys", messages=())
+
+
+def test_flattened_request_renders_an_image_as_its_placeholder():
+    images = ProviderRequest(
+        system_role="sys",
+        messages=(ContentItem.from_text("look"), ContentItem.from_image("chart.png", "image/png")),
+    )
+    assert images.flattened() == "sys\nlook\n[image:chart.png]"
 
 
 def test_provider_rejects_a_config_of_another_backend():

@@ -119,6 +119,31 @@ class TestSolve:
         assert payload["error"] is not None
         assert "action 1" in payload["error"]
 
+    def test_an_action_fault_names_its_action_in_the_report_and_on_stderr(
+        self, tmp_path, capsys
+    ):
+        # two optimizer iterations run the optimizer's script dry in action 2
+        out = tmp_path / "run.report"
+        argv = _solve_argv(
+            "--iterations",
+            "2",
+            "--out",
+            str(out),
+            config=fixture_path("multi_action_config.json"),
+            task=fixture_path("plan_task.json"),
+        )
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == EXIT_TASK
+        assert stdout == ""
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert len(payload["results"]) == 1
+        failure = (
+            "action 2 (title_generation): "
+            "mock script for 'unit-optimizer' exhausted after 16 response(s)"
+        )
+        assert payload["error"] == failure
+        assert stderr == f"task failed: {failure}\n"
+
     def test_few_shot_config_runs_the_golden_solve(self, tmp_path, capsys, provider_calls):
         # few-shot decorates the reasoned prompts locally: the golden run's
         # calls and transcript shape, with reasoned prompts of its own

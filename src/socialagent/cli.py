@@ -108,10 +108,13 @@ def _check_out(out: str | None) -> None:
     if not out:
         return
     target = Path(out)
-    if target.is_dir():
-        raise ConfigError(f"--out {out} is a directory")
-    if not target.parent.is_dir():
-        raise ConfigError(f"--out {out}: {target.parent} is not a directory")
+    try:
+        if target.is_dir():
+            raise ConfigError(f"--out {out} is a directory")
+        if not target.parent.is_dir():
+            raise ConfigError(f"--out {out}: {target.parent} is not a directory")
+    except OSError as exc:  # a name past the file system's limit
+        raise ConfigError(f"--out {out}: {exc.strerror}") from exc
 
 
 def _apply_overrides(setup: RunSetup, args: argparse.Namespace) -> RunSetup:
@@ -144,7 +147,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     response = engine.solve(task, env, setup.engine, tools=tools, taxonomy=taxonomy)
     _emit(engine.run_report(task, response), args.out)
     if response.error is not None:
-        print(f"task failed: {response.error}", file=sys.stderr)
+        print(f"task failed: {response.failure}", file=sys.stderr)
         return EXIT_TASK
     return EXIT_OK
 
@@ -238,9 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out(args.out)
         return handlers[args.command](args)
-    # input files are read by canonical.read_text, which raises ConfigError,
-    # and every provider-side OSError is a ProviderError, so an OSError here
-    # comes from the --out path
+    # only _emit's write raises a bare OSError: reads, _check_out and providers wrap theirs
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

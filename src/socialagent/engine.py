@@ -62,13 +62,27 @@ class TrialView:
 @dataclass(frozen=True)
 class TaskResponse:
     """One run's result: ``run_trials`` returns the plan it chose and its
-    trial views, and ``solve`` adds the action results and any error."""
+    trial views; ``solve`` adds the action results and any ``AgentError`` the
+    run raised. An action's fault keeps ``plan_used`` and the results before
+    it, so ``plan_used.actions[len(results)]`` is the action that failed."""
 
     transcript: Transcript
     plan_used: Plan | None = None
     trial_views: tuple[TrialView, ...] = ()
     results: tuple[ActionResult, ...] = ()
-    error: str | None = None
+    error: AgentError | None = None
+
+    @property
+    def failure(self) -> str | None:
+        """The one wording of ``error``: its message, or its class name if
+        that is empty, after ``action <n> (<name>): `` if an action raised it."""
+        if self.error is None:
+            return None
+        message = str(self.error) or type(self.error).__name__
+        if self.plan_used is None:
+            return message
+        n = len(self.results)
+        return f"action {n + 1} ({self.plan_used.actions[n].name.value}): {message}"
 
     @property
     def trials_executed(self) -> int:
@@ -278,11 +292,11 @@ def execute_actions(
     tools: ToolStore | None = None,
     taxonomy: CategoryTaxonomy | None = None,
     transcript: Transcript,
-) -> tuple[tuple[ActionResult, ...], str | None]:
+) -> tuple[tuple[ActionResult, ...], AgentError | None]:
     """Run every plan action in order on ``task``'s inputs: reason, act,
     optimize the response, then act again with the optimizer's feedback as
     revision context. The first action to fail, in plan order, aborts the
-    rest; the results before it are returned with its error marker.
+    rest; the results before it are returned with its ``AgentError``.
 
     Every action records all of its events into a transcript of its own,
     absorbed into ``transcript`` when the action ends or fails, so the
@@ -347,7 +361,7 @@ def execute_actions(
                 )
                 results.append(final)
             except AgentError as exc:
-                return tuple(results), f"action {index + 1} ({spec.name.value}): {exc}"
+                return tuple(results), exc
             finally:  # a failed action keeps the events it recorded
                 transcript.absorb(into)
     return tuple(results), None
@@ -362,10 +376,8 @@ def solve(
     tools: ToolStore | None = None,
     taxonomy: CategoryTaxonomy | None = None,
 ) -> TaskResponse:
-    """Solve one task end to end, returning the accumulated action results
-    and the full invocation transcript. Every fault of the run itself comes
-    back in ``error``: one before any plan runs leaves ``plan_used`` None,
-    no trial views, no results and the partial transcript."""
+    """Solve one task end to end. Every fault of the run itself comes back in
+    ``error``; one before any plan runs leaves no plan, views or results."""
     check_config(config, task.inputs, units)
     if units is None:
         units = build_units(config)
@@ -374,7 +386,7 @@ def solve(
         role = bootstrap_role(task, units, transcript=transcript)
         planned = run_trials(task, env, config, units, role, transcript=transcript)
     except AgentError as exc:
-        return TaskResponse(transcript, error=str(exc))
+        return TaskResponse(transcript, error=exc)
     results, error = execute_actions(
         planned.plan_used,
         role,
@@ -394,17 +406,14 @@ def run_report(task: Task, response: TaskResponse) -> str:
     failed before any plan ran reports only its error and the partial
     transcript."""
     events = response.transcript.report()
-    if response.plan_used is None:
-        return canonical.dumps({"task_id": task.id, "error": response.error, "transcript": events})
-    report = {
-        "task_id": task.id,
-        "plan": canonical.to_jsonable(response.plan_used),
-        "results": [canonical.to_jsonable(r) for r in response.results],
-        "gate_decisions": [canonical.to_jsonable(g) for g in response.gate_decisions],
-        "critiques": [canonical.to_jsonable(c) for c in response.critiques],
-        "trials_executed": response.trials_executed,
-        "error": response.error,
-        "timing": {"transcript_events": len(events)},
-        "transcript": events,
-    }
+    report = {"task_id": task.id, "error": response.failure, "transcript": events}
+    if response.plan_used is not None:
+        report |= {
+            "plan": canonical.to_jsonable(response.plan_used),
+            "results": [canonical.to_jsonable(r) for r in response.results],
+            "gate_decisions": [canonical.to_jsonable(g) for g in response.gate_decisions],
+            "critiques": [canonical.to_jsonable(c) for c in response.critiques],
+            "trials_executed": response.trials_executed,
+            "timing": {"transcript_events": len(events)},
+        }
     return canonical.dumps(report)

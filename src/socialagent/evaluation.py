@@ -325,9 +325,9 @@ def evaluate_record(
     """One engine run for one record (single attempt, fresh providers);
     any failure scores zero and is flagged rather than raised, except
     configuration errors, which no record can survive. The prediction is
-    the last result of a run without error: a task from build_task allows
-    only the kind's action, so every result is that action's. A categorize
-    result without a category pair fails its record."""
+    the last result of a run whose ``error`` is None: a task from build_task
+    allows only the kind's action, so every result is that action's. A
+    categorize result without a category pair fails its record."""
     effective = _with_record_scripts(config, (record_scripts or {}).get(record.id, {}))
     task = build_task(record, kind)
     try:
@@ -339,7 +339,7 @@ def evaluate_record(
     except Exception:  # any other error fails only its record, not the whole eval
         response = None
     prediction = None
-    if response is not None and not response.error:
+    if response is not None and response.error is None:
         last = response.results[-1]
         if kind is not TaskKind.CATEGORIZE:
             prediction = last.answer

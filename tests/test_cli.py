@@ -10,6 +10,7 @@ from socialagent import canonical, engine, providers
 from socialagent.actor import CategoryTaxonomy
 from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, main
 from socialagent.core import ContentItem, EnvironmentContext, Task, UnitRole
+from socialagent.errors import PlanParseError, ProviderError
 from socialagent.evaluation import MetricReport, load_setup
 from socialagent.fixtures import fixture_path, golden_argv
 from socialagent.providers import Backend, MockProvider, MockScript
@@ -33,6 +34,21 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _WordlessWriterMock(MockProvider):
+    """A mock whose role-writer calls raise a ``ProviderError`` with no message."""
+
+    def _reply(self, request, flattened, attempt):
+        if request.system_role == engine.BOOTSTRAP_SYSTEM_ROLE:
+            raise ProviderError()
+        return super()._reply(request, flattened, attempt)
+
+
+@pytest.fixture
+def wordless_writer(monkeypatch):
+    """Every mock binding the CLI builds is a ``_WordlessWriterMock``."""
+    monkeypatch.setattr(providers, "MockProvider", _WordlessWriterMock)
 
 
 class TestSolve:
@@ -89,10 +105,11 @@ class TestSolve:
         # the report is the engine's own rendering of the failed response
         task = canonical.load(fixture_path("example_task.json"), Task)
         response = engine.solve(task, EnvironmentContext(), load_setup(config_path).engine)
-        assert response.error == payload["error"] == "no plan block found in planner output"
+        assert isinstance(response.error, PlanParseError)
+        assert response.failure == payload["error"] == "no plan block found in planner output"
         assert response.plan_used is None and response.results == ()
         assert response.transcript.signature() == tuple((u, o) for _, u, o in seen)
-        assert stderr == f"task failed: {response.error}\n"
+        assert stderr == f"task failed: {response.failure}\n"
         assert out.read_bytes() == engine.run_report(task, response).encode("utf-8")
 
 
@@ -114,10 +131,11 @@ class TestSolve:
             str(out),
         )
         assert code == EXIT_TASK
-        assert "task failed" in stderr
         payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["error"] is not None
-        assert "action 1" in payload["error"]
+        assert payload["results"] == []
+        failure = "action 1 (qa): mock script for 'unit-actor' exhausted after 1 response(s)"
+        assert payload["error"] == failure
+        assert stderr == f"task failed: {failure}\n"
 
     def test_an_action_fault_names_its_action_in_the_report_and_on_stderr(
         self, tmp_path, capsys
@@ -143,6 +161,16 @@ class TestSolve:
         )
         assert payload["error"] == failure
         assert stderr == f"task failed: {failure}\n"
+
+    def test_a_fault_without_a_message_is_named_by_its_class(
+        self, tmp_path, capsys, wordless_writer
+    ):
+        out = tmp_path / "run.report"
+        code, stdout, stderr = run_cli(capsys, *_solve_argv("--out", str(out)))
+        assert code == EXIT_TASK
+        assert stdout == ""
+        assert stderr == "task failed: ProviderError\n"
+        assert json.loads(out.read_text(encoding="utf-8"))["error"] == "ProviderError"
 
     def test_few_shot_config_runs_the_golden_solve(self, tmp_path, capsys, provider_calls):
         # few-shot decorates the reasoned prompts locally: the golden run's
@@ -383,7 +411,7 @@ _HTTP_CHAT = {
         pytest.param(
             # Path.is_dir() raises on a name past the file system's limit
             lambda tmp: _solve_argv("--out", str(tmp / ("a" * 300))),
-            "File name too long",
+            "--out {tmp}/" + "a" * 300 + ": File name too long",
             id="out-name-too-long",
         ),
         pytest.param(
@@ -875,6 +903,18 @@ class TestEval:
         per_record = json.loads(stdout)["value"]["per_record"]
         assert len(per_record) == 5
         assert all(record["failed"] for record in per_record)
+        assert stderr.splitlines()[-1] == "task failed: all 5 records failed"
+
+    def test_records_whose_faults_have_no_message_fail(self, capsys, wordless_writer):
+        # a fault is the error itself, not its text: an empty message still
+        # fails the record, rather than reading as a run without results
+        code, stdout, stderr = run_cli(capsys, *_eval_argv())
+        assert code == EXIT_TASK
+        per_record = json.loads(stdout)["value"]["per_record"]
+        assert len(per_record) == 5
+        assert all(record["failed"] for record in per_record)
+        assert all(set(record["scores"].values()) == {0.0} for record in per_record)
+        assert "Traceback" not in stderr
         assert stderr.splitlines()[-1] == "task failed: all 5 records failed"
 
 

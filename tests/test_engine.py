@@ -21,6 +21,7 @@ from socialagent.core import (
 from socialagent.critic import PlanChoice
 from socialagent.engine import (
     RoleDescription,
+    TaskResponse,
     UnitSet,
     bootstrap_role,
     build_units,
@@ -30,9 +31,12 @@ from socialagent.engine import (
     solve,
 )
 from socialagent.errors import (
+    ActionParseError,
     BindingCollisionError,
     ConfigError,
     InvariantError,
+    MockScriptExhaustedError,
+    PlanParseError,
 )
 from socialagent.evaluation import TaskKind, load_dataset, load_setup, load_stores, run_eval
 from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
@@ -88,7 +92,8 @@ class TestBootstrapRole:
         bindings[UnitRole.ROLE_WRITER] = replace(writer, script=MockScript.of("  \n "))
         config = replace(setup.engine, role_bindings=bindings)
         response = solve(fixtures.scenario_task(), ENV, config)
-        assert response.error == "role description must be non-empty"
+        assert isinstance(response.error, InvariantError)
+        assert response.failure == "role description must be non-empty"
         assert response.plan_used is None and response.results == ()
         assert response.transcript.signature() == (("role_writer", "bootstrap_role"),)
 
@@ -347,7 +352,7 @@ class TestActionLoop:
         assert "USE THE PASSAGE DATES" not in actor_requests[0][0].flattened()
 
     def test_per_action_error_marks_partial_results(self):
-        # second action's scripts run dry: partial results plus error marker
+        # second action's scripts run dry: partial results plus the error
         two_action_block = plan_block([(1, "first"), (1, "second")], "r", "plan")
         config = engine_config(
             planner=(two_action_block,),
@@ -358,8 +363,10 @@ class TestActionLoop:
         )
         response = solve(qa_task(), ENV, config)
         assert len(response.results) == 1
-        assert response.error is not None
-        assert "action 2" in response.error
+        assert isinstance(response.error, MockScriptExhaustedError)
+        assert response.failure == (
+            "action 2 (qa): mock script for 'unit-actor' exhausted after 2 response(s)"
+        )
 
     def test_multi_action_fixture_reaches_the_knowledge_store(self):
         setup = load_setup(fixture_path("multi_action_config.json"))
@@ -485,7 +492,8 @@ class TestFailuresAndReport:
             strategy=ReasoningStrategy(),
         )
         response = solve(qa_task(), ENV, config)
-        assert response.error == "no plan block found in planner output"
+        assert isinstance(response.error, PlanParseError)
+        assert response.failure == "no plan block found in planner output"
         assert response.plan_used is None and response.results == ()
         assert response.trials_executed == 0
         assert ("planner", "plan") in response.transcript.signature()
@@ -609,10 +617,12 @@ def _three_action_units(
     )
 
 
-def _run_three(units: UnitSet, block: str = THREE_ACTION_BLOCK):
+def _run_three(units: UnitSet, block: str = THREE_ACTION_BLOCK) -> TaskResponse:
+    """``execute_actions`` on ``block``, as the response ``solve`` builds of it."""
+    plan = parse_plan(block, frozenset({1, 3, 4}))
     transcript = Transcript()
     results, error = execute_actions(
-        parse_plan(block, frozenset({1, 3, 4})),
+        plan,
         RoleDescription(text="role"),
         engine_config(strategy=ReasoningStrategy.cot_and_reflection()),
         units,
@@ -620,7 +630,7 @@ def _run_three(units: UnitSet, block: str = THREE_ACTION_BLOCK):
         taxonomy=FLAT_TAXONOMY,
         transcript=transcript,
     )
-    return results, error, transcript
+    return TaskResponse(transcript, plan, results=results, error=error)
 
 
 class _MeetingMock(MockProvider):
@@ -656,6 +666,37 @@ class _ThreadRecordingMock(MockProvider):
         return super().complete(request, **kwargs)
 
 
+def _assert_shared_reasoner_runs_inline(monkeypatch, sharing: tuple[UnitRole, ...]):
+    """Three actions whose reasoner shares one provider with the ``sharing``
+    roles run inline, with the results and transcript of separate
+    providers. The shared script is in sequential order, so any overlap
+    would hand a reply to the wrong unit."""
+    shared_roles = (UnitRole.REASONER, *sharing)
+    calls = []  # (role, replies) in the order an inline run calls them
+    for action, replies in enumerate(ACTOR_REPLIES):
+        calls += [
+            (UnitRole.REASONER, REASONER_REPLIES[2 * action : 2 * action + 2]),
+            (UnitRole.ACTOR, replies[:1]),
+            (UnitRole.OPTIMIZER, OPTIMIZER_REPLIES[action]),
+            (UnitRole.ACTOR, replies[1:]),
+        ]
+    script = sum((replies for role, replies in calls if role in shared_roles), ())
+    shared = mock_provider(*script, model_name="shared")
+    separate = _run_three(_three_action_units())
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a shared provider must not be reasoned ahead")
+
+    monkeypatch.setattr(engine_mod.ThreadPoolExecutor, "submit", no_thread)
+    units = _three_action_units()
+    units.update(dict.fromkeys(shared_roles, shared))
+    response = _run_three(units)
+    assert response.error is None
+    assert response.results == separate.results
+    assert response.transcript.report() == separate.transcript.report()
+    assert shared.remaining == 0
+
+
 class TestReasonAhead:
     def test_next_action_reasons_while_the_current_one_acts(self):
         # action 2's trace call (the reasoner's third) and action 1's first
@@ -667,34 +708,19 @@ class TestReasonAhead:
             units[UnitRole.REASONER], 2, trace_started, act_started
         )
         units[UnitRole.ACTOR] = _MeetingMock(units[UnitRole.ACTOR], 0, act_started, trace_started)
-        results, error, transcript = _run_three(units)
+        response = _run_three(units)
         assert units[UnitRole.ACTOR].met is True
         assert units[UnitRole.REASONER].met is True
-        assert error is None
-        assert [r.answer for r in results] == ["final 1", "news", "final 3"]
-        assert transcript.signature() == ACTION_SIGNATURE * 3
+        assert response.error is None
+        assert [r.answer for r in response.results] == ["final 1", "news", "final 3"]
+        assert response.transcript.signature() == ACTION_SIGNATURE * 3
 
     def test_one_provider_for_reasoner_actor_and_optimizer_runs_inline(self, monkeypatch):
-        # the shared provider's script is in sequential order, so any overlap
-        # would hand a reply to the wrong unit
-        script = ()
-        for action, replies in enumerate(ACTOR_REPLIES):
-            script += REASONER_REPLIES[2 * action : 2 * action + 2]
-            script += replies[:1] + OPTIMIZER_REPLIES[action] + replies[1:]
-        shared = mock_provider(*script, model_name="shared")
-        separate = _run_three(_three_action_units())
+        _assert_shared_reasoner_runs_inline(monkeypatch, (UnitRole.ACTOR, UnitRole.OPTIMIZER))
 
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a shared provider must not be reasoned ahead")
-
-        monkeypatch.setattr(engine_mod.ThreadPoolExecutor, "submit", no_thread)
-        results, error, transcript = _run_three(
-            {role: shared for role in (UnitRole.REASONER, UnitRole.ACTOR, UnitRole.OPTIMIZER)}
-        )
-        assert error is None
-        assert results == separate[0]
-        assert transcript.report() == separate[2].report()
-        assert shared.remaining == 0
+    @pytest.mark.parametrize("role", [UnitRole.ACTOR, UnitRole.OPTIMIZER], ids=lambda r: r.value)
+    def test_a_reasoner_shared_with_one_unit_runs_inline(self, monkeypatch, role):
+        _assert_shared_reasoner_runs_inline(monkeypatch, (role,))
 
     def test_single_action_plan_runs_inline(self, monkeypatch):
         def no_thread(*args, **kwargs):
@@ -708,41 +734,50 @@ class TestReasonAhead:
     def test_failed_action_drops_the_prefetched_reasoning(self):
         actor = ACTOR_REPLIES[0] + ("no label here",)
         units = _three_action_units(actor=actor)
-        results, error, transcript = _run_three(units)
-        assert [r.action_id for r in results] == [1]
-        assert error.startswith("action 2 (categorization):")
+        response = _run_three(units)
+        assert [r.action_id for r in response.results] == [1]
+        assert isinstance(response.error, ActionParseError)
+        assert response.failure == (
+            "action 2 (categorization): no CATEGORY: line in output: 'no label here'"
+        )
         # action 3 was reasoned ahead and its calls were spent before the
         # return, but none of its events reached the transcript
         assert units[UnitRole.REASONER].remaining == 0
-        assert transcript.signature() == ACTION_SIGNATURE + ACTION_SIGNATURE[:3]
-        assert [unit for unit, _ in transcript.signature()].count("reasoner") == 4
+        signature = response.transcript.signature()
+        assert signature == ACTION_SIGNATURE + ACTION_SIGNATURE[:3]
+        assert [unit for unit, _ in signature].count("reasoner") == 4
 
     def test_reasoner_failure_is_reported_at_its_own_action(self):
         units = _three_action_units(reasoner=REASONER_REPLIES[:4])
-        results, error, transcript = _run_three(units)
-        assert [r.action_id for r in results] == [1, 4]
-        assert error.startswith("action 3 (title_generation):")
-        assert "exhausted" in error
-        assert transcript.signature() == ACTION_SIGNATURE * 2
+        response = _run_three(units)
+        assert [r.action_id for r in response.results] == [1, 4]
+        assert isinstance(response.error, MockScriptExhaustedError)
+        assert response.failure == (
+            "action 3 (title_generation): "
+            "mock script for 'unit-reasoner' exhausted after 4 response(s)"
+        )
+        assert response.transcript.signature() == ACTION_SIGNATURE * 2
 
     def test_first_action_is_reasoned_on_the_calling_thread(self):
         units = _three_action_units()
         units[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
-        results, error, transcript = _run_three(units)
-        assert error is None
-        assert transcript.signature() == ACTION_SIGNATURE * 3
+        response = _run_three(units)
+        assert response.error is None
+        assert response.transcript.signature() == ACTION_SIGNATURE * 3
         # action 1's trace and reflection calls
         assert units[UnitRole.REASONER].threads[:2] == [threading.current_thread()] * 2
 
     def test_reasoner_failure_at_the_first_action_spends_nothing_after_it(self):
         units = _three_action_units(reasoner=REASONER_REPLIES[:1])
         units[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
-        results, error, transcript = _run_three(units)
-        assert results == ()
-        assert error.startswith("action 1 (qa):")
-        assert "exhausted" in error
+        response = _run_three(units)
+        assert response.results == ()
+        assert isinstance(response.error, MockScriptExhaustedError)
+        assert response.failure == (
+            "action 1 (qa): mock script for 'unit-reasoner' exhausted after 1 response(s)"
+        )
         # the trace call is kept; the reflection call ran out of script
-        assert transcript.signature() == (("reasoner", "reason"),)
+        assert response.transcript.signature() == (("reasoner", "reason"),)
         assert len(units[UnitRole.REASONER].threads) == 2
         assert units[UnitRole.ACTOR].remaining == len(sum(ACTOR_REPLIES, ()))
 

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from socialagent import fixtures
 from socialagent.core import (
+    ACTION_NAMES_BY_ID,
     DEFAULT_EARLY_STOP_MARKER,
     ContentItem,
     EngineConfig,
@@ -27,6 +28,7 @@ from socialagent.core import (
     UnitRole,
 )
 from socialagent.engine import build_units, solve
+from socialagent.errors import MockScriptMismatchError
 from socialagent.planner import plan_block
 from socialagent.protocol import (
     ActionShape,
@@ -247,12 +249,18 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
     assert_bench_model_agrees(bench_protocol, shape)
     providers = units.values()
     served = sum(len(p.call_log) + len(p.embed_log) for p in providers)
+
+    def mismatch(role):
+        # the faulted call is the one after the last that role's provider served
+        n = len(units[role].call_log) + 1
+        return f"scripted response {n} expected request to contain {NO_REQUEST_CARRIES!r}"
+
     t = run.trial_fault
     if t is not None:
         # trial t's fault keeps the trials before it and its own reasoning
         # events, and returns no plan, no results and no trial views
-        assert response.error.startswith("scripted response ")
-        assert NO_REQUEST_CARRIES in response.error
+        assert isinstance(response.error, MockScriptMismatchError)
+        assert response.failure == mismatch(UnitRole.PLANNER)
         assert response.plan_used is None
         assert response.results == ()
         assert response.trial_views == ()
@@ -274,7 +282,9 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
     if j is not None:
         # action j's fault keeps the results before it and its own reasoning
         # events; no event after the fault, ahead reasoning included, is kept
-        assert response.error.startswith(f"action {j + 1} (")
+        assert isinstance(response.error, MockScriptMismatchError)
+        name = ACTION_NAMES_BY_ID[run.actions[j]].value
+        assert response.failure == f"action {j + 1} ({name}): {mismatch(UnitRole.ACTOR)}"
         assert recorded == results[:j]
         head = replace(shape, actions=shape.actions[:j])
         assert response.transcript.signature() == signature(head) + reason_block(shape.reflection)

@@ -77,10 +77,6 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
         if resolved is None:
             raise MalformedInputError(f"{path}: unresolved type reference {tp!r}")
         tp = resolved
-    if tp is type(None):
-        if data is not None:
-            raise MalformedInputError(f"{path}: expected null")
-        return None
     origin = typing.get_origin(tp)
     if origin is typing.Union or origin is types.UnionType:
         args = typing.get_args(tp)

@@ -8,7 +8,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
-from typing import TypeVar
+from typing import NoReturn, TypeVar
 
 from . import canonical, engine, evaluation
 from .actor import CategoryTaxonomy, ToolStore
@@ -19,7 +19,7 @@ from .core import (
     Task,
     Transcript,
 )
-from .errors import AgentError, ConfigError, InvariantError, MalformedInputError
+from .errors import AgentError, ConfigError, InvariantError, MalformedInputError, TaskFailure
 from .evaluation import RunSetup, TaskKind
 
 EXIT_OK = 0
@@ -36,11 +36,11 @@ _STRATEGY_FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors are configuration errors (exit 1, message on stderr)."""
+    """Argument errors raise ``ConfigError``, which ``main`` reports as a
+    configuration fault."""
 
-    def error(self, message: str) -> None:  # noqa: A003
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+    def error(self, message: str) -> NoReturn:  # noqa: A003
+        raise ConfigError(message)
 
 
 def build_parser() -> _Parser:
@@ -140,16 +140,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> None:
     setup, tools, taxonomy = _load_setup(args)
     task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
     response = engine.solve(task, env, setup.engine, tools=tools, taxonomy=taxonomy)
     _emit(engine.run_report(task, response), args.out)
     if response.error is not None:
-        print(f"task failed: {response.failure}", file=sys.stderr)
-        return EXIT_TASK
-    return EXIT_OK
+        raise TaskFailure(response.failure) from response.error
 
 
 def _gate_line(view: engine.TrialView) -> str:
@@ -163,7 +161,7 @@ def _gate_line(view: engine.TrialView) -> str:
     return f"gate: pass (JSD {view.gate.divergence:.4f} < θ)"
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
+def cmd_plan(args: argparse.Namespace) -> None:
     setup = _load_setup(args)[0]
     task = _load("task", canonical.load, args.task, Task)
     env = EnvironmentContext()
@@ -193,7 +191,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     lines.append(f"trials executed: {planned.trials_executed}")
     lines.append(f"executed plan actions: {[a.action_id for a in planned.plan_used.actions]}")
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
 
 
 def _print_table(report: evaluation.MetricReport) -> None:
@@ -214,7 +211,7 @@ def _print_table(report: evaluation.MetricReport) -> None:
     print("  ".join(f"{agg[c]:<7.2f}" for c in columns), file=sys.stderr)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     kind = TaskKind(args.kind)
     setup, tools, taxonomy = _load_setup(args)
     records = _load("dataset", evaluation.load_dataset, args.dataset, kind)
@@ -230,17 +227,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _emit(canonical.serialize(report), args.out)
     _print_table(report)
     if all(record.failed for record in report.per_record):
-        print(f"task failed: all {report.n} records failed", file=sys.stderr)
-        return EXIT_TASK
-    return EXIT_OK
+        raise TaskFailure(f"all {report.n} records failed")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the only place a fault is printed and its exit code
+    picked: 1 for a configuration fault, 2 for a task fault."""
     handlers = {"solve": cmd_solve, "eval": cmd_eval, "plan": cmd_plan}
     try:
+        args = build_parser().parse_args(argv)
         _check_out(args.out)
-        return handlers[args.command](args)
+        handlers[args.command](args)
     # only _emit's write raises a bare OSError: reads, _check_out and providers wrap theirs
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -248,6 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except AgentError as exc:
         print(f"task failed: {exc}", file=sys.stderr)
         return EXIT_TASK
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -74,15 +74,14 @@ class TaskResponse:
 
     @property
     def failure(self) -> str | None:
-        """The one wording of ``error``: its message, or its class name if
-        that is empty, after ``action <n> (<name>): `` if an action raised it."""
+        """The one wording of ``error``: ``str(error)``, after
+        ``action <n> (<name>): `` if an action raised it."""
         if self.error is None:
             return None
-        message = str(self.error) or type(self.error).__name__
         if self.plan_used is None:
-            return message
+            return str(self.error)
         n = len(self.results)
-        return f"action {n + 1} ({self.plan_used.actions[n].name.value}): {message}"
+        return f"action {n + 1} ({self.plan_used.actions[n].name.value}): {self.error}"
 
     @property
     def trials_executed(self) -> int:

@@ -6,6 +6,10 @@ from __future__ import annotations
 class AgentError(Exception):
     """Base class for every error raised by this package."""
 
+    def __str__(self) -> str:
+        """The message, or the class name if the message is empty."""
+        return super().__str__() or type(self).__name__
+
 
 class InvariantError(AgentError):
     """A domain value violates one of its declared invariants."""
@@ -72,9 +76,9 @@ class BindingCollisionError(ConfigError):
 
 
 class TaskFailure(AgentError):
-    """Nothing raises this: ``engine.solve`` returns every run fault in its
-    ``TaskResponse``. It stays only because the benchmark harness in
-    ``bench/`` still imports and catches it."""
+    """The CLI's task fault: ``solve`` raises it for a failed run, ``eval``
+    for one that scores no record. ``engine.solve`` never raises it: it
+    returns every run fault in its ``TaskResponse``."""
 
 
 class DatasetFormatError(AgentError):

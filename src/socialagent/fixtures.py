@@ -556,11 +556,8 @@ def _write_golden(directory: Path, name: str) -> None:
     raises ``InvariantError`` carrying the command's stderr."""
     args = [*golden_argv(name, directory), "--out", str(directory / name)]
     stderr = io.StringIO()
-    try:
-        with redirect_stderr(stderr):
-            status = cli.main(args)
-    except SystemExit as exc:  # argparse rejected the arguments
-        status = exc.code
+    with redirect_stderr(stderr):
+        status = cli.main(args)
     if status:
         raise InvariantError(
             f"{name}: socialagent {' '.join(args)} exited {status}: {stderr.getvalue().strip()}"

@@ -73,7 +73,7 @@ class TestSolve:
         )
 
     def test_plan_parse_failure_exits_2_with_partial_transcript(self, tmp_path, capsys):
-        config_path = _solve_config_binding(
+        config_path = _config_binding(
             tmp_path, UnitRole.PLANNER, script=MockScript.of("no structure here")
         )
         out = tmp_path / "run.report"
@@ -116,7 +116,7 @@ class TestSolve:
     def test_action_phase_failure_exits_2_with_report_written(self, tmp_path, capsys):
         # actor script runs dry after the first call: planning succeeds, the
         # action loop fails, partial results land in the report
-        config_path = _solve_config_binding(
+        config_path = _config_binding(
             tmp_path, UnitRole.ACTOR, script=MockScript.of("ANSWER: only one")
         )
         out = tmp_path / "run.report"
@@ -206,10 +206,10 @@ class TestSolve:
 
     def test_fewshot_flag_requires_examples_in_config(self, capsys):
         # few-shot needs the config's examples, so no flag selects it
-        with pytest.raises(SystemExit) as exited:
-            main(_solve_argv("--strategy", "fewshot"))
-        assert exited.value.code == EXIT_CONFIG
-        assert "invalid choice: 'fewshot'" in capsys.readouterr().err
+        code, stdout, stderr = run_cli(capsys, *_solve_argv("--strategy", "fewshot"))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert "invalid choice: 'fewshot'" in stderr
 
 
 def _solve_argv(*extra: str, config=None, task=None) -> list[str]:
@@ -696,21 +696,44 @@ def test_exit_codes_are_0_1_and_2(capsys, tmp_path):
     # and from the argument parser) and a task fault
     assert run_cli(capsys, *golden_argv("golden_solve_report.json"))[0] == 0
     assert run_cli(capsys, *_solve_argv("--trials", "0"))[0] == 1
-    with pytest.raises(SystemExit) as exited:
-        main(_eval_argv(kind="poetry"))
-    assert exited.value.code == 1
+    assert run_cli(capsys, *_eval_argv(kind="poetry"))[0] == 1
     unplannable = MockScript.of("no structure here")
-    config = _solve_config_binding(tmp_path, UnitRole.PLANNER, script=unplannable)
+    config = _config_binding(tmp_path, UnitRole.PLANNER, script=unplannable)
     assert run_cli(capsys, *_solve_argv(config=config))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("solve", "--config"),
+        ("eval", "--config"),
+        ("plan", "--config"),
+        ("solve", "--task"),
+        ("plan", "--task"),
+        ("eval", "--dataset"),
+        ("eval", "--kind"),
+        (None, "command"),
+    ],
+)
+def test_a_missing_required_argument_exits_1_and_is_named(capsys, command, missing):
+    argv = {"solve": _solve_argv, "eval": _eval_argv, "plan": _plan_argv, None: list}[command]()
+    if command:
+        at = argv.index(missing)
+        del argv[at : at + 2]  # the flag and its value
+    assert run_cli(capsys, *argv) == (
+        EXIT_CONFIG,
+        "",
+        f"error: the following arguments are required: {missing}\n",
+    )
 
 
 def _golden_aggregates(golden: str) -> dict[str, float]:
     return canonical.load(fixture_path(golden), MetricReport).aggregates
 
 
-def _solve_config_binding(tmp_path, role, **change):
-    """The bundled solve config with ``role``'s binding edited by ``change``."""
-    setup = load_setup(fixture_path("solve_config.json"))
+def _config_binding(tmp_path, role, config="solve_config.json", **change):
+    """The bundled ``config`` with ``role``'s binding edited by ``change``."""
+    setup = load_setup(fixture_path(config))
     bindings = dict(setup.engine.role_bindings)
     bindings[role] = replace(bindings[role], **change)
     path = tmp_path / "edited_config.json"
@@ -748,7 +771,7 @@ def _written(path, text):
 
 
 def _config_doc(tmp):
-    return _solve_config_binding(tmp, UnitRole.ACTOR, model_name="@hazard@").read_text("utf-8")
+    return _config_binding(tmp, UnitRole.ACTOR, model_name="@hazard@").read_text("utf-8")
 
 
 def _task_doc(tmp):
@@ -766,14 +789,14 @@ def _dataset_doc(tmp):
 
 def _plan_block_argv(tmp, text, _):
     script = MockScript.of(f"```json\n{text}```")
-    return _solve_argv(config=_solve_config_binding(tmp, UnitRole.PLANNER, script=script))
+    return _solve_argv(config=_config_binding(tmp, UnitRole.PLANNER, script=script))
 
 
 def _http_reply_argv(tmp, text, monkeypatch):
     """A solve whose actor is an http_chat backend answering every post with ``text``."""
     monkeypatch.setenv("HAZARD_REPLY_KEY", "k")
     monkeypatch.setattr(providers, "_post", lambda *_: (200, text.encode()))
-    config = _solve_config_binding(
+    config = _config_binding(
         tmp,
         UnitRole.ACTOR,
         backend=Backend.HTTP_CHAT,
@@ -842,10 +865,10 @@ def test_untrusted_json_is_reported_not_raised(
 
 class TestEval:
     def test_unknown_kind_exits_1_and_lists_valid_kinds(self, capsys):
-        with pytest.raises(SystemExit) as exited:
-            main(_eval_argv(kind="poetry"))
-        assert exited.value.code == EXIT_CONFIG
-        stderr = capsys.readouterr().err
+        code, stdout, stderr = run_cli(capsys, *_eval_argv(kind="poetry"))
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert stderr.startswith("error: argument --kind: invalid choice: 'poetry'")
         for valid in ("qa", "vqa", "title", "categorize"):
             assert valid in stderr
 
@@ -941,6 +964,23 @@ class TestPlan:
         )
         assert code == EXIT_OK
         assert "critic activated" in stdout
+
+    def test_a_verdict_without_feedback_prints_no_feedback_line(self, capsys, tmp_path):
+        config = _config_binding(
+            tmp_path,
+            UnitRole.CRITIC,
+            config="plan_divergent_config.json",
+            script=MockScript.of("VERDICT: B\nFEEDBACK:"),
+        )
+        argv = _plan_argv(config=config, task=fixture_path("plan_task.json"))
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert "critique verdict: B\n" in stdout
+        assert "critique feedback:" not in stdout
+
+    def test_a_fault_without_a_message_is_named_by_its_class(self, capsys, wordless_writer):
+        argv = golden_argv("golden_plan_divergent.txt")
+        assert run_cli(capsys, *argv) == (EXIT_TASK, "", "task failed: ProviderError\n")
 
 
 class TestConfigRoundTrip:

@@ -103,7 +103,7 @@ def test_a_golden_whose_command_fails_names_the_golden_and_the_cli_error(
         del bindings[UnitRole.ACTOR]
         unbound = replace(setup, engine=replace(setup.engine, role_bindings=bindings))
         monkeypatch.setitem(fixtures._SETUPS, "qa_eval_config.json", lambda: unbound)
-    else:  # argparse rejects it through SystemExit
+    else:  # argparse rejects it, and the CLI exits 1 too
         args = fixtures._GOLDENS["golden_qa_report.json"].replace("--kind qa", "--kind poetry")
         monkeypatch.setitem(fixtures._GOLDENS, "golden_qa_report.json", args)
     assert fixtures.main() == 1

@@ -299,11 +299,10 @@ class Transcript:
 
     An event's position is plan order: the order in which a sequential run
     would make the calls. The engine records all of a plan action's events
-    into a transcript of its own, its reasoning done on the calling thread
-    or one action ahead on a worker, and ``absorb``s it when the action
-    ends or fails, so the merged events, and every report built from them,
-    are the same as a sequential run's.
-    """
+    into a transcript of its own and ``absorb``s it when the action ends or
+    fails, so action i+1's reasoning may run on a worker while action i
+    runs, and the merged events, and every report built from them, are the
+    same as a sequential run's."""
 
     events: tuple[TranscriptEvent, ...] = ()
 

@@ -281,6 +281,36 @@ def run_trials(
     raise InvariantError(f"no plan to execute after {config.trials} trials")
 
 
+def run_action(
+    spec: ActionSpec,
+    reasoned: PromptArtifact,
+    task: Task,
+    config: EngineConfig,
+    units: UnitSet,
+    tools: ToolStore | None,
+    taxonomy: CategoryTaxonomy | None,
+    *,
+    transcript: Transcript,
+) -> ActionResult:
+    """One plan action on its reasoned prompt: act, optimize the response
+    against ``task``'s goal and the action's instructions, then act again
+    with the optimizer's feedback as revision context."""
+    actor = units[UnitRole.ACTOR]
+    first = act(spec, reasoned, tools, actor, taxonomy=taxonomy, transcript=transcript)
+    optimized = optimize(
+        Variable(first.answer, f"response for action {spec.action_id}"),
+        reasoned,
+        (task.goal, spec.instructions),
+        config.tgd_iterations,
+        units[UnitRole.OPTIMIZER],
+        transcript=transcript,
+    )
+    revision = resolved_value(optimized)
+    return act(
+        spec, reasoned, tools, actor, taxonomy=taxonomy, revision=revision, transcript=transcript
+    )
+
+
 def execute_actions(
     plan: Plan,
     role: RoleDescription,
@@ -292,9 +322,8 @@ def execute_actions(
     taxonomy: CategoryTaxonomy | None = None,
     transcript: Transcript,
 ) -> tuple[tuple[ActionResult, ...], AgentError | None]:
-    """Run every plan action in order on ``task``'s inputs: reason, act,
-    optimize the response, then act again with the optimizer's feedback as
-    revision context. The first action to fail, in plan order, aborts the
+    """Reason every plan action on ``task``'s inputs and run it with
+    ``run_action``, in plan order. The first action to fail aborts the
     rest; the results before it are returned with its ``AgentError``.
 
     Every action records all of its events into a transcript of its own,
@@ -303,14 +332,13 @@ def execute_actions(
     needs only the action, the task's inputs and the role, so with a
     reasoner provider that is neither the actor's nor the optimizer's, one
     worker thread reasons one action ahead: the first action is reasoned on
-    the calling thread, and action i+1's reasoning runs while action i acts,
-    optimizes and acts again. Each provider still sees its requests in plan
-    order; the reasoner's provider must accept one call running at the same
-    time as an actor or optimizer call. When action i fails, the events of
-    action i+1's reasoning are dropped, and the worker is joined before
-    returning, so no provider call outlives this function. A one-action
-    plan, or a shared reasoner provider, submits nothing and starts no
-    thread."""
+    the calling thread, and action i+1's reasoning runs while action i runs.
+    Each provider still sees its requests in plan order; the reasoner's
+    provider must accept one call running at the same time as an actor or
+    optimizer call. When action i fails, the events of action i+1's
+    reasoning are dropped, and the worker is joined before returning, so no
+    provider call outlives this function. A one-action plan, or a shared
+    reasoner provider, submits nothing and starts no thread."""
     actions = plan.actions
     reasoner = units[UnitRole.REASONER]
     records = tuple(Transcript() for _ in actions)
@@ -324,45 +352,18 @@ def execute_actions(
     pending = None
     with ThreadPoolExecutor(max_workers=1) as pool:
         for index, spec in enumerate(actions):
-            into = records[index]
             try:
                 reasoned = pending.result() if pending else reasoning(index)
                 if ahead and index + 1 < len(actions):
                     pending = pool.submit(reasoning, index + 1)
-                first = act(
-                    spec,
-                    reasoned,
-                    tools,
-                    units[UnitRole.ACTOR],
-                    taxonomy=taxonomy,
-                    transcript=into,
+                result = run_action(
+                    spec, reasoned, task, config, units, tools, taxonomy, transcript=records[index]
                 )
-                variable = Variable(
-                    value=first.answer, role_note=f"response for action {spec.action_id}"
-                )
-                optimized = optimize(
-                    variable,
-                    reasoned,
-                    (task.goal, spec.instructions),
-                    config.tgd_iterations,
-                    units[UnitRole.OPTIMIZER],
-                    transcript=into,
-                )
-                revision = resolved_value(optimized)
-                final = act(
-                    spec,
-                    reasoned,
-                    tools,
-                    units[UnitRole.ACTOR],
-                    taxonomy=taxonomy,
-                    revision=revision,
-                    transcript=into,
-                )
-                results.append(final)
+                results.append(result)
             except AgentError as exc:
                 return tuple(results), exc
             finally:  # a failed action keeps the events it recorded
-                transcript.absorb(into)
+                transcript.absorb(records[index])
     return tuple(results), None
 
 

@@ -68,7 +68,7 @@ class EvalRecord:
 class RecordScore:
     id: str
     scores: dict[str, float]
-    failed: bool = False
+    failed: bool
 
 
 @dataclass(frozen=True)

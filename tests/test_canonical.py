@@ -258,7 +258,7 @@ def test_deserialize_rejects_unknown_fields():
         (GateDecision(divergence=0.9, theta=0.1), "activate", False),
         (Critique(PlanChoice.PLAN_A, "", "VERDICT: A"), "actionable", True),
         (TrialView("plan a", "plan b"), "trial", 0),
-        (MetricReport("qa", (RecordScore("r1", {"em": 0.0}),), {"EM": 0.0}), "n", 1),
+        (MetricReport("qa", (RecordScore("r1", {"em": 0.0}, False),), {"EM": 0.0}), "n", 1),
     ]
     for value, key, stored in derived:
         data = canonical.parse_text(canonical.serialize(value), "canonical text")
@@ -364,6 +364,11 @@ def _decode(data, tp):
             _decode({"level2": "b"}, CategoryPair),
             "$: missing field 'level1' for CategoryPair",
             id="missing-field",
+        ),
+        pytest.param(
+            _decode({"id": "r1", "scores": {}}, RecordScore),
+            "$: missing field 'failed' for RecordScore",
+            id="missing-field-without-default",
         ),
         pytest.param(
             _decode(1, str | None),

@@ -147,6 +147,7 @@ class TestEngineConfig:
         assert config.strategy.kind.value == "cot_and_reflection"
 
     def test_bounds(self):
+        assert EngineConfig(theta=1.0).theta == 1.0  # the closed bound [0, 1]
         with pytest.raises(InvariantError):
             EngineConfig(theta=1.5)
         with pytest.raises(InvariantError):

@@ -173,5 +173,8 @@ class TestGate:
             should_criticize("", "b", mock_provider(), theta=0.1, transcript=Transcript())
 
     def test_theta_out_of_range_rejected(self):
+        # the bound is closed: theta = 1 is in range and decides
+        decision = should_criticize("a", "b", mock_provider(), theta=1.0, transcript=Transcript())
+        assert decision.theta == 1.0
         with pytest.raises(InvariantError):
             should_criticize("a", "b", mock_provider(), theta=1.5, transcript=Transcript())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import threading
 from dataclasses import replace
@@ -10,6 +11,8 @@ from conftest import engine_config, mock_config, mock_provider, operations
 from socialagent import canonical, engine as engine_mod, fixtures
 from socialagent.actor import CategoryTaxonomy
 from socialagent.core import (
+    DEFAULT_EARLY_STOP_MARKER,
+    ActionSpec,
     ContentItem,
     EnvironmentContext,
     ReasoningStrategy,
@@ -25,7 +28,9 @@ from socialagent.engine import (
     UnitSet,
     bootstrap_role,
     build_units,
+    create_action_prompt,
     execute_actions,
+    run_action,
     run_report,
     run_trials,
     solve,
@@ -43,7 +48,7 @@ from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK,
 from socialagent.planner import parse_plan, plan_block
 from socialagent.protocol import ActionShape, action_block
 from socialagent.providers import MockProvider, MockScript
-from socialagent.reasoner import LOCAL_KINDS
+from socialagent.reasoner import LOCAL_KINDS, reason
 
 ENV = EnvironmentContext()
 
@@ -367,6 +372,22 @@ class TestActionLoop:
         assert response.failure == (
             "action 2 (qa): mock script for 'unit-actor' exhausted after 2 response(s)"
         )
+        # the report of a run that planned holds every key, and only the
+        # results of the actions before the failed one
+        report = json.loads(run_report(qa_task(), response))
+        assert sorted(report) == [
+            "critiques",
+            "error",
+            "gate_decisions",
+            "plan",
+            "results",
+            "task_id",
+            "timing",
+            "transcript",
+            "trials_executed",
+        ]
+        assert report["results"] == [canonical.to_jsonable(response.results[0])]
+        assert report["results"][0]["answer"] == "final one"
 
     def test_multi_action_fixture_reaches_the_knowledge_store(self):
         setup = load_setup(fixture_path("multi_action_config.json"))
@@ -497,6 +518,9 @@ class TestFailuresAndReport:
         assert response.plan_used is None and response.results == ()
         assert response.trials_executed == 0
         assert ("planner", "plan") in response.transcript.signature()
+        # README: such a report holds only task_id, error and the transcript
+        report = json.loads(run_report(qa_task(), response))
+        assert sorted(report) == ["error", "task_id", "transcript"]
 
     def test_invalid_task_rejected_before_any_call(self):
         # a Task checks itself on every construction, replace() included,
@@ -558,6 +582,84 @@ class TestExecuteActionsDirectly:
         assert [r.action_id for r in results] == [1, 3]
         assert [r.answer for r in results] == ["final one", "final t"]
         assert transcript.signature() == action_block(ActionShape(a=1, k=1), reflection=False) * 2
+
+
+class TestRunActionDirectly:
+    """One plan action alone: act, optimize the response, act again, every
+    event in the transcript it is given."""
+
+    @pytest.mark.parametrize(
+        "action_id,taxonomy,iterations,optimizer,actor,signature,revision,answer",
+        [
+            pytest.param(
+                1,
+                None,
+                1,
+                ("forward", "evaluation", "feedback", "use the passage"),
+                ("ANSWER: draft", "ANSWER: final"),
+                action_block(ActionShape(a=1, k=1), reflection=False)[1:],
+                "use the passage",
+                "final",
+                id="qa",
+            ),
+            # the first step stops the loop, so the revision falls back to
+            # the optimizer's history: the first act's answer
+            pytest.param(
+                4,
+                fixtures.taxonomy(),
+                2,
+                ("forward", "evaluation", "feedback", DEFAULT_EARLY_STOP_MARKER),
+                ("CATEGORY: sport", "CATEGORY: tennis", "CATEGORY: sport", "CATEGORY: football"),
+                action_block(ActionShape(a=2, k=1), reflection=False)[1:],
+                "sport / tennis",
+                "sport / football",
+                id="categorization-early-stop",
+            ),
+            pytest.param(
+                1,
+                None,
+                1,
+                ("forward", "evaluation"),
+                ("ANSWER: draft",),
+                (("actor", "act"), ("optimizer", "forward"), ("optimizer", "compute_loss")),
+                None,
+                None,
+                id="optimizer-runs-out-at-gradient",
+            ),
+        ],
+    )
+    def test_acts_optimizes_and_acts_again(
+        self, action_id, taxonomy, iterations, optimizer, actor, signature, revision, answer
+    ):
+        config = engine_config(
+            optimizer=optimizer,
+            actor=actor,
+            tgd_iterations=iterations,
+            strategy=ReasoningStrategy(),
+        )
+        units = build_units(config)
+        task = qa_task()
+        spec = ActionSpec(action_id, "handle the content")
+        prompt = create_action_prompt(spec, task.inputs, "role")
+        # the reasoner's event goes elsewhere, as execute_actions records it
+        # before the action runs
+        reasoner = units[UnitRole.REASONER]
+        reasoned = reason(prompt, config.strategy, reasoner, transcript=Transcript())
+        transcript = Transcript()
+        args = (spec, reasoned, task, config, units, None, taxonomy)
+        if answer is None:
+            with pytest.raises(MockScriptExhaustedError):
+                run_action(*args, transcript=transcript)
+        else:
+            assert run_action(*args, transcript=transcript).answer == answer
+        assert transcript.signature() == signature
+        # only the second act's requests, half of them when it ran, carry
+        # the revision
+        requests = [request.flattened() for request, _ in units[UnitRole.ACTOR].call_log]
+        second = len(requests) // 2 if revision else len(requests)
+        assert not any("Revision feedback" in text for text in requests[:second])
+        feedback = f"Revision feedback from a prior attempt:\n{revision}\n"
+        assert all(feedback in text for text in requests[second:])
 
 
 class TestRunTrialsDirectly:

@@ -164,11 +164,10 @@ def _gate_line(view: engine.TrialView) -> str:
 def cmd_plan(args: argparse.Namespace) -> None:
     setup = _load_setup(args)[0]
     task = _load("task", canonical.load, args.task, Task)
-    env = EnvironmentContext()
     units = engine.build_units(setup.engine)
     transcript = Transcript()
     role = engine.bootstrap_role(task, units, transcript=transcript)
-    planned = engine.run_trials(task, env, setup.engine, units, role, transcript=transcript)
+    planned = engine.run_trials(task, setup.engine, units, role, transcript=transcript)
     lines = [f"task: {task.id}"]
     for trial, view in enumerate(planned.trial_views):
         lines += [

@@ -133,9 +133,7 @@ class Task:
 
 @dataclass(frozen=True)
 class EnvironmentContext:
-    """The closed, static environment a task run executes in."""
-
-    description: str = ""
+    """No run reads it; kept, field-less, because bench/ builds it for solve."""
 
 
 @dataclass(frozen=True)

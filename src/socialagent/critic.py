@@ -9,7 +9,6 @@ from enum import Enum
 # digest goes unused here, but bench/spans.py wraps critic.digest
 from .core import (
     ContentItem,
-    EnvironmentContext,
     Plan,
     Task,
     Transcript,
@@ -80,7 +79,6 @@ def parse_critique(raw: str) -> Critique:
 
 
 def criticize(
-    env: EnvironmentContext,
     task: Task,
     plan_a: Plan,
     plan_b: Plan,
@@ -90,9 +88,9 @@ def criticize(
     system_role: str = "",
     transcript: Transcript,
 ) -> Critique:
-    """One provider call presenting both plans, and the ``divergence`` of
-    the gate that fired, under a task-related decision rubric; the critic
-    may prefer either plan."""
+    """One provider call presenting the task's goal, both plans and the
+    ``divergence`` of the gate that fired, under a task-related decision
+    rubric; the critic may prefer either plan."""
     segments = [
         ContentItem.from_text(
             "Two candidate plans were produced for the task below. Judge which "
@@ -100,23 +98,15 @@ def criticize(
             "the chosen actions, and clarity of the per-action instructions."
         ),
         ContentItem.from_text(f"Task:\n{task.goal}"),
+        ContentItem.from_text(f"The plans diverge (Jensen-Shannon divergence {divergence:.4f})."),
+        ContentItem.from_text(f"Plan A (planner):\n{plan_a.raw}"),
+        ContentItem.from_text(f"Plan B (optimizer):\n{plan_b.raw}"),
+        ContentItem.from_text(
+            f"Reply with a line '{VERDICT_PREFIX} A' or '{VERDICT_PREFIX} B', "
+            f"then a '{FEEDBACK_PREFIX}' block with concrete improvements "
+            "(leave it empty if the selected plan needs none)."
+        ),
     ]
-    if env.description:
-        segments.append(ContentItem.from_text(f"Environment:\n{env.description}"))
-    segments.extend(
-        [
-            ContentItem.from_text(
-                f"The plans diverge (Jensen-Shannon divergence {divergence:.4f})."
-            ),
-            ContentItem.from_text(f"Plan A (planner):\n{plan_a.raw}"),
-            ContentItem.from_text(f"Plan B (optimizer):\n{plan_b.raw}"),
-            ContentItem.from_text(
-                f"Reply with a line '{VERDICT_PREFIX} A' or '{VERDICT_PREFIX} B', "
-                f"then a '{FEEDBACK_PREFIX}' block with concrete improvements "
-                "(leave it empty if the selected plan needs none)."
-            ),
-        ]
-    )
     text = invoke(
         provider, UnitRole.CRITIC, "criticize", system_role, tuple(segments), transcript=transcript
     )
@@ -124,7 +114,6 @@ def criticize(
 
 
 def refine(
-    env: EnvironmentContext,
     task: Task,
     critique: Critique,
     provider: Provider,
@@ -132,9 +121,9 @@ def refine(
     system_role: str = "",
     transcript: Transcript,
 ) -> RefinedInstructions:
-    """Translate actionable critique feedback into corrective instructions
-    for the planner. Exactly one provider call; rejected without one when
-    the critique carries no feedback."""
+    """Translate actionable critique feedback, under the task's goal, into
+    corrective instructions for the planner. Exactly one provider call;
+    rejected without one when the critique carries no feedback."""
     if not critique.actionable:
         raise NotActionableError("critique has no actionable feedback to refine")
     segments = [
@@ -143,10 +132,8 @@ def refine(
             "for the planner to produce a better plan."
         ),
         ContentItem.from_text(f"Task:\n{task.goal}"),
+        ContentItem.from_text(f"Review feedback:\n{critique.feedback}"),
     ]
-    if env.description:
-        segments.append(ContentItem.from_text(f"Environment:\n{env.description}"))
-    segments.append(ContentItem.from_text(f"Review feedback:\n{critique.feedback}"))
     text = invoke(
         provider, UnitRole.REFINER, "refine", system_role, tuple(segments), transcript=transcript
     )

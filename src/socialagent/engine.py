@@ -172,17 +172,11 @@ def _as_planning_segment(item: ContentItem) -> ContentItem:
 
 
 def create_task_prompt(
-    task: Task,
-    env: EnvironmentContext,
-    role_text: str,
-    refined: RefinedInstructions | None = None,
+    task: Task, role_text: str, refined: RefinedInstructions | None = None
 ) -> PromptArtifact:
-    """Deterministic prompt templating from the task (and, on replan trials,
-    the refiner's corrective instructions)."""
-    segments: list[ContentItem] = []
-    if env.description:
-        segments.append(ContentItem.from_text(f"Environment:\n{env.description}"))
-    segments.append(ContentItem.from_text(task.goal))
+    """Deterministic prompt templating from the task's goal and inputs (and,
+    on replan trials, the refiner's corrective instructions)."""
+    segments = [ContentItem.from_text(task.goal)]
     segments.extend(_as_planning_segment(item) for item in task.inputs)
     if refined is not None:
         segments.append(
@@ -206,7 +200,6 @@ def create_action_prompt(
 
 def run_trials(
     task: Task,
-    env: EnvironmentContext,
     config: EngineConfig,
     units: UnitSet,
     role: RoleDescription,
@@ -221,7 +214,7 @@ def run_trials(
     views: list[TrialView] = []
     refined: RefinedInstructions | None = None
     for trial in range(config.trials):
-        prompt = create_task_prompt(task, env, role.text, refined)
+        prompt = create_task_prompt(task, role.text, refined)
         reasoned = reason(prompt, config.strategy, units[UnitRole.REASONER], transcript=transcript)
         # every trial after the first follows a refinement
         operation = "replan" if trial else "plan"
@@ -255,7 +248,6 @@ def run_trials(
             views.append(TrialView(plan_a.raw, optimized_text, gate))
             return TaskResponse(transcript, best, tuple(views))
         critique = criticize(
-            env,
             task,
             plan_a,
             plan_b,
@@ -269,12 +261,7 @@ def run_trials(
             picked = plan_a if critique.selected is PlanChoice.PLAN_A else plan_b
             return TaskResponse(transcript, picked, tuple(views))
         refined = refine(
-            env,
-            task,
-            critique,
-            units[UnitRole.REFINER],
-            system_role=role.text,
-            transcript=transcript,
+            task, critique, units[UnitRole.REFINER], system_role=role.text, transcript=transcript
         )
         views.append(TrialView(plan_a.raw, optimized_text, gate, critique, refined))
     # not reached: the final trial has no gate, so it returns above
@@ -377,14 +364,15 @@ def solve(
     taxonomy: CategoryTaxonomy | None = None,
 ) -> TaskResponse:
     """Solve one task end to end. Every fault of the run itself comes back in
-    ``error``; one before any plan runs leaves no plan, views or results."""
+    ``error``; one before any plan runs leaves no plan, views or results.
+    ``env`` is ignored; it stays because bench/ passes it."""
     check_config(config, task.inputs, units)
     if units is None:
         units = build_units(config)
     transcript = Transcript()
     try:
         role = bootstrap_role(task, units, transcript=transcript)
-        planned = run_trials(task, env, config, units, role, transcript=transcript)
+        planned = run_trials(task, config, units, role, transcript=transcript)
     except AgentError as exc:
         return TaskResponse(transcript, error=exc)
     results, error = execute_actions(

@@ -394,7 +394,7 @@ def run_eval(
     tools: ToolStore | None = None,
     taxonomy: CategoryTaxonomy | None = None,
     record_scripts: dict[str, dict[UnitRole, tuple[MockScriptEntry, ...]]] | None = None,
-    workers: int = 4,
+    workers: int,
 ) -> MetricReport:
     """Evaluate every record with exactly one engine run each, then report
     per-record scores and 0-100 aggregates, ordered by record id."""

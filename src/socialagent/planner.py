@@ -106,8 +106,8 @@ def plan(
     operation: str = "plan",
 ) -> Plan:
     """One provider call producing a validated Plan; the raw model output is
-    kept verbatim on the result. The reasoned prompt carries the environment
-    and, on a replan, the refiner's corrective instructions (see
+    kept verbatim on the result. The reasoned prompt carries the task and,
+    on a replan, the refiner's corrective instructions (see
     ``engine.create_task_prompt``); a replan records itself under operation
     "replan"."""
     if task.goal not in "\n".join(reasoned.text_segments()):

@@ -44,7 +44,9 @@ def test_every_patched_layer_records_its_span_and_is_restored(monkeypatch):
         assert response.error is None
         setup = load_setup(fixture_path("qa_eval_config.json"))
         records = load_dataset(fixture_path("mini_qa.jsonl"), TaskKind.QA)
-        run_eval(records, TaskKind.QA, setup.engine, record_scripts=setup.record_scripts)
+        run_eval(
+            records, TaskKind.QA, setup.engine, record_scripts=setup.record_scripts, workers=4
+        )
     finally:
         tracer.restore()
 

@@ -126,9 +126,12 @@ def test_round_trip_two_action_plan():
             ActionSpec(4, "classify it"),
         ),
         rationale="summary then category",
-        raw="model output",
+        raw="model output: café ✓",
     )
-    assert canonical.deserialize(canonical.serialize(plan)) == plan
+    text_form = canonical.serialize(plan)
+    # non-ASCII text is written as itself, not as \u escapes
+    assert "café ✓" in text_form and "\\u" not in text_form
+    assert canonical.deserialize(text_form) == plan
 
 
 def test_engine_config_serializations_are_byte_identical():
@@ -247,8 +250,8 @@ def test_element_types_of_public_fields_round_trip(value):
 
 
 def test_deserialize_rejects_unknown_fields():
-    text_form = canonical.serialize(EnvironmentContext(description="d"))
-    tampered = text_form.replace('"description"', '"descriptionx"')
+    text_form = canonical.serialize(SamplingConfig(temperature=0.5))
+    tampered = text_form.replace('"temperature"', '"temperaturex"')
     with pytest.raises(MalformedInputError, match="unknown fields"):
         canonical.deserialize(tampered)
     # each key below is a property of its kind, computed from the other

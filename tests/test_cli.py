@@ -8,7 +8,7 @@ import pytest
 
 from socialagent import canonical, engine, providers
 from socialagent.actor import CategoryTaxonomy
-from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, main
+from socialagent.cli import EXIT_CONFIG, EXIT_OK, EXIT_TASK, build_parser, main
 from socialagent.core import ContentItem, EnvironmentContext, Task, UnitRole
 from socialagent.errors import PlanParseError, ProviderError
 from socialagent.evaluation import MetricReport, load_setup
@@ -725,6 +725,12 @@ def test_a_missing_required_argument_exits_1_and_is_named(capsys, command, missi
         "",
         f"error: the following arguments are required: {missing}\n",
     )
+
+
+def test_eval_runs_four_workers_by_default():
+    # the CLI owns this default: the library's run_eval requires workers
+    args = build_parser().parse_args(["eval", "--config", "c", "--dataset", "d", "--kind", "qa"])
+    assert args.workers == 4
 
 
 def _golden_aggregates(golden: str) -> dict[str, float]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -11,6 +12,7 @@ from socialagent.core import (
     ContentItem,
     ContentKind,
     EngineConfig,
+    EnvironmentContext,
     Plan,
     PromptArtifact,
     ReasoningStrategy,
@@ -126,6 +128,13 @@ class TestSamplingConfig:
         for temperature in (float("nan"), float("inf")):
             with pytest.raises(InvariantError):
                 SamplingConfig(temperature=temperature)
+
+
+def test_environment_context_has_no_field():
+    # solve still takes one, but no run reads it, so a description is refused
+    assert dataclasses.fields(EnvironmentContext) == ()
+    with pytest.raises(TypeError):
+        EnvironmentContext(description="d")
 
 
 class TestDigest:

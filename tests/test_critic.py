@@ -5,7 +5,6 @@ import pytest
 from conftest import mock_provider
 from socialagent.core import (
     ActionSpec,
-    EnvironmentContext,
     Plan,
     Task,
     Transcript,
@@ -27,7 +26,6 @@ def make_plan(raw: str) -> Plan:
 
 
 TASK = Task(id="t", goal="answer the question")
-ENV = EnvironmentContext()
 
 
 class TestParseCritique:
@@ -80,7 +78,6 @@ class TestCriticize:
     def test_scripted_verdict_parsed(self):
         provider = mock_provider("VERDICT: A\nFEEDBACK: tighten step 2")
         critique = criticize(
-            ENV,
             TASK,
             make_plan("plan a"),
             make_plan("plan b"),
@@ -94,7 +91,6 @@ class TestCriticize:
     def test_prompt_presents_both_plans_and_divergence(self):
         provider = mock_provider("VERDICT: B\nFEEDBACK:")
         criticize(
-            ENV,
             TASK,
             make_plan("PLAN-A-TEXT"),
             make_plan("PLAN-B-TEXT"),
@@ -110,7 +106,6 @@ class TestCriticize:
         provider = mock_provider("VERDICT: A\nFEEDBACK: x")
         transcript = Transcript()
         criticize(
-            ENV,
             TASK,
             make_plan("a"),
             make_plan("b"),
@@ -124,7 +119,6 @@ class TestCriticize:
         provider = mock_provider("no verdict")
         with pytest.raises(CritiqueParseError):
             criticize(
-                ENV,
                 TASK,
                 make_plan("a"),
                 make_plan("b"),
@@ -140,32 +134,32 @@ class TestRefine:
 
     def test_scripted_instructions_pass_through(self):
         provider = mock_provider("Revise plan: merge actions 1 and 2")
-        refined = refine(ENV, TASK, self.actionable_critique(), provider, transcript=Transcript())
+        refined = refine(TASK, self.actionable_critique(), provider, transcript=Transcript())
         assert refined.instructions == "Revise plan: merge actions 1 and 2"
 
     def test_not_actionable_rejected_with_zero_calls(self):
         provider = mock_provider("never used")
         critique = parse_critique("VERDICT: B\nFEEDBACK:")
         with pytest.raises(NotActionableError):
-            refine(ENV, TASK, critique, provider, transcript=Transcript())
+            refine(TASK, critique, provider, transcript=Transcript())
         assert provider.call_log == []
 
     def test_transcript_digests_the_instructions(self):
         transcript = Transcript()
         refined = refine(
-            ENV, TASK, self.actionable_critique(), mock_provider("do better"), transcript=transcript
+            TASK, self.actionable_critique(), mock_provider("do better"), transcript=transcript
         )
         assert transcript.events[0].response_digest == digest(refined.instructions)
 
     def test_exactly_one_provider_call(self):
         provider = mock_provider("fix")
         transcript = Transcript()
-        refine(ENV, TASK, self.actionable_critique(), provider, transcript=transcript)
+        refine(TASK, self.actionable_critique(), provider, transcript=transcript)
         assert transcript.signature() == (("refiner", "refine"),)
 
     def test_feedback_forwarded_to_provider(self):
         provider = mock_provider("fix")
-        refine(ENV, TASK, self.actionable_critique(), provider, transcript=Transcript())
+        refine(TASK, self.actionable_critique(), provider, transcript=Transcript())
         assert "merge actions 1 and 2" in provider.call_log[0][0].flattened()
 
 

@@ -206,22 +206,6 @@ class TestSolveScenarios:
                     continue
                 assert request.system_role == role_text, role
 
-    def test_environment_reaches_each_planning_request_once(self):
-        env = EnvironmentContext("A closed forum of astronomy posts.")
-        setup = fixtures.scenario_setup("scenario_b")
-        units = build_units(setup.engine)
-        response = solve(fixtures.scenario_task(), env, setup.engine, units=units)
-        assert response.transcript.signature() == fixtures.SCENARIO_SEQUENCES["scenario_b"]
-        segment = ContentItem.from_text("Environment:\nA closed forum of astronomy posts.")
-        requests = [
-            request
-            for role in (UnitRole.PLANNER, UnitRole.CRITIC, UnitRole.REFINER)
-            for request, _ in units[role].call_log
-        ]
-        # plan, replan, criticize, refine
-        assert len(requests) == 4
-        assert [request.messages.count(segment) for request in requests] == [1] * 4
-
     def test_every_unit_sends_its_bound_sampling(self):
         # reflection, critic and refiner all run: scenario B's gate fires
         setup = fixtures.scenario_setup("scenario_b")
@@ -669,7 +653,7 @@ class TestRunTrialsDirectly:
         transcript = Transcript()
         role = bootstrap_role(fixtures.scenario_task(), units, transcript=transcript)
         planned = run_trials(
-            fixtures.scenario_task(), ENV, setup.engine, units, role, transcript=transcript
+            fixtures.scenario_task(), setup.engine, units, role, transcript=transcript
         )
         assert len(planned.trial_views) == 2
         first = planned.trial_views[0]
@@ -900,7 +884,7 @@ def _plan_bundled(config, task, monkeypatch):
     task = canonical.load(fixture_path(task))
     transcript = Transcript()
     role = bootstrap_role(task, units, transcript=transcript)
-    run_trials(task, ENV, setup.engine, units, role, transcript=transcript)
+    run_trials(task, setup.engine, units, role, transcript=transcript)
     return list(units.values())
 
 

@@ -225,7 +225,7 @@ class TestRunEval:
     def test_empty_dataset_rejected(self):
         setup = fixtures.qa_setup()
         with pytest.raises(InvariantError):
-            run_eval([], TaskKind.QA, setup.engine)
+            run_eval([], TaskKind.QA, setup.engine, workers=1)
 
     def test_image_record_on_text_only_bindings_fails_before_any_record_runs(
         self, monkeypatch

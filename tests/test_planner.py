@@ -9,7 +9,6 @@ from conftest import mock_provider
 from socialagent.core import (
     ActionName,
     ContentItem,
-    EnvironmentContext,
     PromptArtifact,
     Task,
     Transcript,
@@ -226,7 +225,7 @@ class TestPlanOperation:
 def replan_prompt(task: Task, refined: RefinedInstructions) -> PromptArtifact:
     """The task prompt of a replan trial: it carries the corrective
     instructions."""
-    return create_task_prompt(task, EnvironmentContext(), "analyst", refined=refined)
+    return create_task_prompt(task, "analyst", refined=refined)
 
 
 class TestReplanOperation:

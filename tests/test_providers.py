@@ -291,6 +291,15 @@ class TestHttpChat:
         assert type(excinfo.value) is ProviderError
         assert poster.calls == 1
 
+    def test_first_status_past_success_range_is_a_backend_error(self, monkeypatch):
+        # 300 is the first status past the 2xx success range
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        poster = fake_post(monkeypatch, (300, b"moved"))
+        with pytest.raises(ProviderError, match="^backend error 300: moved$") as excinfo:
+            complete(HttpChatProvider(http_config()), request("hello"))
+        assert type(excinfo.value) is ProviderError
+        assert poster.calls == 1
+
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_status_maps_to_auth_error(self, monkeypatch, status):
         monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
@@ -671,9 +680,7 @@ task = canonical.load(fixture_path("plan_task.json"))
 units = engine.build_units(setup.engine)
 transcript = Transcript()
 role = engine.bootstrap_role(task, units, transcript=transcript)
-outcome = engine.run_trials(
-    task, EnvironmentContext(), setup.engine, units, role, transcript=transcript
-)
+outcome = engine.run_trials(task, setup.engine, units, role, transcript=transcript)
 assert outcome.trial_views[0].gate.activate
 loaded()
 assert fixture_integrity_check().ok

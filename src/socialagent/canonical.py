@@ -70,13 +70,6 @@ def to_jsonable(value: object) -> object:
 
 def from_jsonable(data: object, tp: object, path: str = "$") -> object:
     """Rebuild a domain value of declared type ``tp`` from plain data."""
-    # Before Python 3.11, forward references inside builtin generics survive
-    # get_type_hints as bare strings; resolve them against the package's kinds.
-    if isinstance(tp, str):
-        resolved = _kind(tp)
-        if resolved is None:
-            raise MalformedInputError(f"{path}: unresolved type reference {tp!r}")
-        tp = resolved
     origin = typing.get_origin(tp)
     if origin is typing.Union or origin is types.UnionType:
         args = typing.get_args(tp)
@@ -207,11 +200,10 @@ def parse_text(text: str | bytes, what: str) -> object:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(
-            f"malformed {what} at line {exc.lineno} column {exc.colno}: {exc.msg}",
-            position=exc.pos,
+            f"malformed {what} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"malformed {what}: {exc}", position=exc.start) from exc
+        raise MalformedInputError(f"malformed {what}: {exc}") from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise MalformedInputError(
             f"malformed {what}: an integer literal is too long to read"

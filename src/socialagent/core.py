@@ -260,7 +260,7 @@ class EngineConfig:
     iteration count, the per-unit provider bindings, and the reasoning
     strategy applied at both reasoning sites."""
 
-    role_bindings: dict[UnitRole, "ProviderConfig"] = field(default_factory=dict)
+    role_bindings: dict[UnitRole, ProviderConfig] = field(default_factory=dict)
     theta: float = 0.1
     trials: int = 2
     tgd_iterations: int = 1

@@ -16,11 +16,8 @@ class InvariantError(AgentError):
 
 
 class MalformedInputError(AgentError):
-    """Canonical text could not be parsed; carries the offending position."""
-
-    def __init__(self, message: str, position: int | None = None) -> None:
-        super().__init__(message)
-        self.position = position
+    """Input could not be read as the value it should hold: canonical text,
+    or a dataset record, whose message then starts ``line <n>: ``."""
 
 
 class ProviderError(AgentError):
@@ -79,11 +76,3 @@ class TaskFailure(AgentError):
     """The CLI's task fault: ``solve`` raises it for a failed run, ``eval``
     for one that scores no record. ``engine.solve`` never raises it: it
     returns every run fault in its ``TaskResponse``."""
-
-
-class DatasetFormatError(AgentError):
-    """A dataset file failed to load; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line

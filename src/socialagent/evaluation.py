@@ -19,13 +19,7 @@ from .actor import (
     load_toolstore,
 )
 from .core import ContentItem, EngineConfig, EnvironmentContext, Task, UnitRole
-from .errors import (
-    AgentError,
-    ConfigError,
-    DatasetFormatError,
-    InvariantError,
-    MalformedInputError,
-)
+from .errors import AgentError, ConfigError, InvariantError, MalformedInputError
 from .providers import Backend, MockScript, MockScriptEntry
 
 REPORT_DECIMALS = 4
@@ -142,23 +136,23 @@ def _load_store(what: str, load: Callable[[str], _T], path: str | None) -> _T | 
         raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
-def _require_str(payload: dict, line: int, *names: str) -> str:
+def _require_str(payload: dict, *names: str) -> str:
     for name in names:
         value = payload.get(name)
         if isinstance(value, str) and value.strip():
             return value
     present = [name for name in names if name in payload]
     if present:
-        raise DatasetFormatError(f"field {present[0]!r} must be a non-empty string", line=line)
-    raise DatasetFormatError(f"missing field (one of: {', '.join(names)})", line=line)
+        raise MalformedInputError(f"field {present[0]!r} must be a non-empty string")
+    raise MalformedInputError(f"missing field (one of: {', '.join(names)})")
 
 
-def _context_passages(payload: dict, line: int) -> tuple[str, ...]:
+def _context_passages(payload: dict) -> tuple[str, ...]:
     raw = payload.get("context")
     if raw is None:
         return ()
     if not isinstance(raw, list):
-        raise DatasetFormatError("context must be a list of passages", line=line)
+        raise MalformedInputError("context must be a list of passages")
     passages: list[str] = []
     for item in raw:
         if isinstance(item, str):
@@ -173,45 +167,45 @@ def _context_passages(payload: dict, line: int) -> tuple[str, ...]:
             # multi-hop layout: [title, [sentences...]]
             passages.append(item[0] + ": " + " ".join(item[1]))
         else:
-            raise DatasetFormatError(f"context passage {item!r} is not text", line=line)
+            raise MalformedInputError(f"context passage {item!r} is not text")
     return tuple(passages)
 
 
-def _image_items(payload: dict, line: int) -> tuple[ContentItem, ...]:
+def _image_items(payload: dict) -> tuple[ContentItem, ...]:
     images = payload.get("images")
     if images is None:
         return ()
     if not isinstance(images, list):
-        raise DatasetFormatError("images must be a list", line=line)
+        raise MalformedInputError("images must be a list")
     items = []
     for image in images:
         fields = image if isinstance(image, dict) else {}
         location, media_type = fields.get("location"), fields.get("media_type", "image/jpeg")
         if not all(isinstance(value, str) and value for value in (location, media_type)):
-            raise DatasetFormatError(
-                f"image {image!r} needs a non-empty location and media_type", line=line
-            )
+            raise MalformedInputError(f"image {image!r} needs a non-empty location and media_type")
         items.append(ContentItem.from_image(location, media_type))
     return tuple(items)
 
 
-def _parse_record(payload: dict, kind: TaskKind, line: int) -> EvalRecord:
-    record_id = _require_str(payload, line, "id", "_id")
+def _parse_record(payload: object, kind: TaskKind) -> EvalRecord:
+    if not isinstance(payload, dict):
+        raise MalformedInputError("record must be an object")
+    record_id = _require_str(payload, "id", "_id")
     if kind in (TaskKind.QA, TaskKind.VQA):
-        question = _require_str(payload, line, "question")
-        gold = _require_str(payload, line, "answer", "gold")
+        question = _require_str(payload, "question")
+        gold = _require_str(payload, "answer", "gold")
         inputs = (ContentItem.from_text(f"Question: {question}"),)
-        inputs += tuple(ContentItem.from_text(p) for p in _context_passages(payload, line))
-        inputs += _image_items(payload, line)
+        inputs += tuple(ContentItem.from_text(p) for p in _context_passages(payload))
+        inputs += _image_items(payload)
         return EvalRecord(id=record_id, inputs=inputs, gold=gold)
     if kind is TaskKind.TITLE:
-        text = _require_str(payload, line, "text", "section_text")
-        gold = _require_str(payload, line, "title", "gold")
-        inputs = (ContentItem.from_text(text),) + _image_items(payload, line)
+        text = _require_str(payload, "text", "section_text")
+        gold = _require_str(payload, "title", "gold")
+        inputs = (ContentItem.from_text(text),) + _image_items(payload)
         return EvalRecord(id=record_id, inputs=inputs, gold=gold)
-    text = _require_str(payload, line, "text")
-    level1 = _require_str(payload, line, "level1", "category_level_1")
-    level2 = _require_str(payload, line, "level2", "category_level_2")
+    text = _require_str(payload, "text")
+    level1 = _require_str(payload, "level1", "category_level_1")
+    level2 = _require_str(payload, "level2", "category_level_2")
     return EvalRecord(
         id=record_id,
         inputs=(ContentItem.from_text(text),),
@@ -221,7 +215,8 @@ def _parse_record(payload: dict, kind: TaskKind, line: int) -> EvalRecord:
 
 def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
     """Read line-delimited records in the public layout of each benchmark
-    family; format problems are reported with their line number."""
+    family; a record's fault is a ``MalformedInputError`` whose message
+    starts ``line <n>: ``."""
     records: list[EvalRecord] = []
     # record scripts and report order are keyed by id, so an id may not repeat
     first_lines: dict[str, int] = {}
@@ -231,16 +226,13 @@ def load_dataset(path: str | Path, kind: TaskKind) -> list[EvalRecord]:
         if not raw_line.strip():
             continue
         try:
-            payload = canonical.parse_text(raw_line, "record")
+            record = _parse_record(canonical.parse_text(raw_line, "record"), kind)
         except MalformedInputError as exc:
-            raise DatasetFormatError(str(exc), line=number) from exc
-        if not isinstance(payload, dict):
-            raise DatasetFormatError("record must be an object", line=number)
-        record = _parse_record(payload, kind, number)
+            raise MalformedInputError(f"line {number}: {exc}") from exc
         first = first_lines.setdefault(record.id, number)
         if first != number:
-            raise DatasetFormatError(
-                f"record id {record.id!r} repeats the record on line {first}", line=number
+            raise MalformedInputError(
+                f"line {number}: record id {record.id!r} repeats the record on line {first}"
             )
         records.append(record)
     return records

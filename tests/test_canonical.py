@@ -152,7 +152,6 @@ def test_engine_config_serializations_are_byte_identical():
 def test_deserialize_reports_position_on_malformed_text():
     with pytest.raises(MalformedInputError) as excinfo:
         canonical.deserialize("{")
-    assert excinfo.value.position is not None
     assert "line 1" in str(excinfo.value)
 
 
@@ -326,14 +325,6 @@ def test_type_hints_resolved_once_per_class(monkeypatch):
         load_setup(config)
     assert 0 < first_pass <= len(reached)
     assert len(resolved) == first_pass
-
-
-def test_bare_string_type_reference_names_a_kind():
-    config = ProviderConfig(backend=Backend.MOCK, model_name="m", script=MockScript.of("a"))
-    data = canonical.to_jsonable(config)
-    assert canonical.from_jsonable(data, "ProviderConfig") == config
-    with pytest.raises(MalformedInputError, match="unresolved type reference"):
-        canonical.from_jsonable({}, "NotAKind")
 
 
 def _decode(data, tp):

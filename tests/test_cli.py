@@ -595,6 +595,42 @@ def test_a_one_letter_input_path_is_named_once(capsys, monkeypatch, tmp_path, ar
     assert stderr.startswith(prefix), stderr
 
 
+_QA_RECORD = '{"id": "a", "question": "q", "answer": "x"}'
+
+
+@pytest.mark.parametrize(
+    "lines, kind, fault",
+    [
+        (
+            [_QA_RECORD, '{"id": "b", "question": "q", "answer": "y"}', "[1]"],
+            "qa",
+            "line 3: record must be an object",
+        ),
+        (
+            [_QA_RECORD, '{"id": "b", "question": "q"}'],
+            "qa",
+            "line 2: missing field (one of: answer, gold)",
+        ),
+        ([_QA_RECORD, _QA_RECORD], "qa", "line 2: record id 'a' repeats the record on line 1"),
+        (
+            [_QA_RECORD, '{"id": "b", "question": "q", "answer": "y", "images": "x.png"}'],
+            "vqa",
+            "line 2: images must be a list",
+        ),
+    ],
+    ids=["not-an-object", "missing-answer", "repeated-id", "string-images"],
+)
+def test_dataset_field_fault_exits_2_naming_its_line(
+    capsys, tmp_path, provider_calls, lines, kind, fault
+):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, *_eval_argv(dataset=dataset, kind=kind))
+    assert (code, stdout) == (EXIT_TASK, "")
+    assert stderr == f"task failed: cannot load dataset {dataset}: {fault}\n"
+    assert provider_calls == []
+
+
 @pytest.mark.parametrize("argv", [_solve_argv, _plan_argv], ids=["solve", "plan"])
 def test_task_file_of_another_kind_is_a_malformed_task(capsys, argv):
     config = fixture_path("solve_config.json")

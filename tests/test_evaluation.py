@@ -9,7 +9,7 @@ import pytest
 from socialagent import canonical, engine, fixtures, providers
 from socialagent.actor import CategoryPair, CategoryTaxonomy
 from socialagent.core import ContentItem, ContentKind, UnitRole
-from socialagent.errors import ConfigError, DatasetFormatError, InvariantError
+from socialagent.errors import ConfigError, InvariantError, MalformedInputError
 from socialagent.evaluation import (
     EvalRecord,
     TaskKind,
@@ -97,10 +97,9 @@ class TestLoadDataset:
                 f"{line}\n",
                 encoding="utf-8",
             )
-            with pytest.raises(DatasetFormatError, match=message) as excinfo:
+            with pytest.raises(MalformedInputError, match=message) as excinfo:
                 load_dataset(path, TaskKind.QA)
-            assert excinfo.value.line == 3
-            assert "line 3" in str(excinfo.value)
+            assert str(excinfo.value).startswith("line 3: ")
 
     def test_integer_too_long_to_read_cites_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -109,16 +108,16 @@ class TestLoadDataset:
             '{"id": "b", "question": "q", "answer": ' + "1" * 5000 + "}\n",
             encoding="utf-8",
         )
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(MalformedInputError) as excinfo:
             load_dataset(path, TaskKind.QA)
-        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith("line 2: ")
 
     def test_missing_field_cites_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "question": "q"}\n', encoding="utf-8")
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(MalformedInputError) as excinfo:
             load_dataset(path, TaskKind.QA)
-        assert excinfo.value.line == 1
+        assert str(excinfo.value).startswith("line 1: ")
         assert "missing field (one of: answer, gold)" in str(excinfo.value)
 
     @pytest.mark.parametrize(
@@ -139,9 +138,9 @@ class TestLoadDataset:
         assert [r.id for r in records] == ["a", "b"]
         assert any(f"one{separator}two" in (item.text or "") for item in records[0].inputs)
         path.write_text("\n".join([*lines, "{broken"]) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(MalformedInputError) as excinfo:
             load_dataset(path, TaskKind.QA)
-        assert excinfo.value.line == 3
+        assert str(excinfo.value).startswith("line 3: ")
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ok.jsonl"
@@ -192,9 +191,9 @@ class TestLoadDataset:
         path.write_text(
             json.dumps(base) + "\n" + json.dumps({**base, **fields}) + "\n", encoding="utf-8"
         )
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(MalformedInputError) as excinfo:
             load_dataset(path, kind)
-        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith("line 2: ")
         assert message in str(excinfo.value)
 
     def test_bundled_fixtures_parse(self):

@@ -15,7 +15,7 @@ from .core import (
     UnitRole,
     digest,
 )
-from .errors import CritiqueParseError, InvariantError, NotActionableError
+from .errors import CritiqueParseError, InvariantError
 from .providers import Provider, invoke
 
 VERDICT_PREFIX = "VERDICT:"
@@ -125,7 +125,7 @@ def refine(
     corrective instructions for the planner. Exactly one provider call;
     rejected without one when the critique carries no feedback."""
     if not critique.actionable:
-        raise NotActionableError("critique has no actionable feedback to refine")
+        raise InvariantError("critique has no actionable feedback to refine")
     segments = [
         ContentItem.from_text(
             "Turn the review feedback below into direct, actionable instructions "

@@ -25,7 +25,6 @@ from .critic import Critique, PlanChoice, RefinedInstructions, criticize, refine
 from .divergence import GateDecision, should_criticize
 from .errors import (
     AgentError,
-    BindingCollisionError,
     ConfigError,
     InvariantError,
     PlanParseError,
@@ -120,7 +119,7 @@ def check_config(
     writer = bindings[UnitRole.ROLE_WRITER].model_name
     for role in UnitRole:
         if role is not UnitRole.ROLE_WRITER and bindings[role].model_name == writer:
-            raise BindingCollisionError(
+            raise ConfigError(
                 f"role-writer model {writer!r} is also bound to {role.value}"
             )
     if all(item.image is None for item in inputs):

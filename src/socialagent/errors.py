@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all agent modules."""
+"""Exception hierarchy shared by all agent modules.
+
+A class exists only where a caller, the CLI or the bench tells it apart
+from its base; any other fault raises its base with a message that says
+what went wrong."""
 
 from __future__ import annotations
 
@@ -32,22 +36,6 @@ class AuthenticationError(ProviderError):
     """The backend rejected the credentials (a 401 or 403 reply)."""
 
 
-class ImageUnsupportedError(ProviderError):
-    """Image content sent to a backend configured as text-only."""
-
-
-class EmptyTextError(ProviderError):
-    """Embedding requested for empty text."""
-
-
-class MockScriptExhaustedError(ProviderError):
-    """A scripted mock ran out of queued responses."""
-
-
-class MockScriptMismatchError(ProviderError):
-    """A scripted response's matcher did not occur in the request."""
-
-
 class PlanParseError(AgentError):
     """Planner output lacked a usable plan block."""
 
@@ -56,20 +44,12 @@ class CritiqueParseError(AgentError):
     """Critic output lacked the mandatory verdict line."""
 
 
-class NotActionableError(AgentError):
-    """refine() called on a critique without actionable feedback."""
-
-
 class ActionParseError(AgentError):
     """Actor output could not be parsed for a structured action."""
 
 
 class ConfigError(AgentError):
     """Engine or CLI configuration is unusable."""
-
-
-class BindingCollisionError(ConfigError):
-    """The role-writer shares a model with another unit."""
 
 
 class TaskFailure(AgentError):

@@ -22,12 +22,8 @@ from .divergence import EmbeddingVector
 from .errors import (
     AuthenticationError,
     ConfigError,
-    EmptyTextError,
-    ImageUnsupportedError,
     InvariantError,
     MalformedInputError,
-    MockScriptExhaustedError,
-    MockScriptMismatchError,
     ProviderError,
     TransportError,
 )
@@ -123,7 +119,7 @@ def _check_images(config: ProviderConfig, request: ProviderRequest) -> None:
         return
     for item in request.messages:
         if item.kind is ContentKind.IMAGE_REF:
-            raise ImageUnsupportedError(
+            raise ProviderError(
                 f"backend {config.model_name!r} does not accept image content"
             )
 
@@ -184,7 +180,7 @@ class Provider(ABC):
         operation: str = "embed",
     ) -> EmbeddingVector:
         if not text:
-            raise EmptyTextError("cannot embed empty text")
+            raise ProviderError("cannot embed empty text")
         attempt = partial(transcript.record, unit, f"{operation}.attempt", text)
         vector = self._vector(text, attempt)
         transcript.record(unit, operation, text, repr(vector.components))
@@ -216,14 +212,14 @@ class MockProvider(Provider):
     def _reply(self, request: ProviderRequest, flattened: str, attempt: Attempt) -> str:
         with self._lock:
             if self._cursor >= len(self._entries):
-                raise MockScriptExhaustedError(
+                raise ProviderError(
                     f"mock script for {self.config.model_name!r} exhausted after "
                     f"{self._cursor} response(s)"
                 )
             entry = self._entries[self._cursor]
             self._cursor += 1
             if entry.matcher is not None and entry.matcher not in flattened:
-                raise MockScriptMismatchError(
+                raise ProviderError(
                     f"scripted response {self._cursor} expected request to contain "
                     f"{entry.matcher!r}"
                 )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from contextlib import contextmanager
 
@@ -28,7 +29,7 @@ from socialagent.core import (
     UnitRole,
 )
 from socialagent.divergence import Distribution, jsd
-from socialagent.errors import ActionParseError, BindingCollisionError
+from socialagent.errors import ActionParseError, ConfigError
 from socialagent.fixtures import fixture_path
 from socialagent.optimizer import Variable, optimize
 from socialagent.protocol import optimizer_block
@@ -239,7 +240,9 @@ def test_criterion_7_role_isolation():
                 model_name=bindings[other].model_name,
             )
             bad = replace(setup.engine, role_bindings=bindings)
-            with pytest.raises(BindingCollisionError):
+            name = bindings[other].model_name
+            collision = f"role-writer model {name!r} is also bound to {other.value}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(collision)}$"):
                 engine.solve(fixtures.scenario_task(), EnvironmentContext(), bad)
 
         # the generated role text is the system role on 100% of subsequent

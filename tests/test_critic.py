@@ -18,7 +18,7 @@ from socialagent.critic import (
     parse_critique,
     refine,
 )
-from socialagent.errors import CritiqueParseError, NotActionableError
+from socialagent.errors import CritiqueParseError, InvariantError
 
 
 def make_plan(raw: str) -> Plan:
@@ -140,7 +140,8 @@ class TestRefine:
     def test_not_actionable_rejected_with_zero_calls(self):
         provider = mock_provider("never used")
         critique = parse_critique("VERDICT: B\nFEEDBACK:")
-        with pytest.raises(NotActionableError):
+        not_actionable = "^critique has no actionable feedback to refine$"
+        with pytest.raises(InvariantError, match=not_actionable):
             refine(TASK, critique, provider, transcript=Transcript())
         assert provider.call_log == []
 

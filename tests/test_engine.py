@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 from dataclasses import replace
 
@@ -37,11 +38,10 @@ from socialagent.engine import (
 )
 from socialagent.errors import (
     ActionParseError,
-    BindingCollisionError,
     ConfigError,
     InvariantError,
-    MockScriptExhaustedError,
     PlanParseError,
+    ProviderError,
 )
 from socialagent.evaluation import TaskKind, load_dataset, load_setup, load_stores, run_eval
 from socialagent.fixtures import ALT_QA_PLAN_BLOCK, QA_PLAN_BLOCK, REPLAN_BLOCK, fixture_path
@@ -70,7 +70,8 @@ class TestBootstrapRole:
         from dataclasses import replace
 
         config = replace(config, role_bindings=bindings)
-        with pytest.raises(BindingCollisionError, match="actor"):
+        collision = "^role-writer model 'unit-actor' is also bound to actor$"
+        with pytest.raises(ConfigError, match=collision):
             build_units(config)
 
     def test_valid_config_generates_role_from_one_call(self):
@@ -352,7 +353,7 @@ class TestActionLoop:
         )
         response = solve(qa_task(), ENV, config)
         assert len(response.results) == 1
-        assert isinstance(response.error, MockScriptExhaustedError)
+        assert type(response.error) is ProviderError
         assert response.failure == (
             "action 2 (qa): mock script for 'unit-actor' exhausted after 2 response(s)"
         )
@@ -632,7 +633,8 @@ class TestRunActionDirectly:
         transcript = Transcript()
         args = (spec, reasoned, task, config, units, None, taxonomy)
         if answer is None:
-            with pytest.raises(MockScriptExhaustedError):
+            exhausted = "mock script for 'unit-optimizer' exhausted after 2 response(s)"
+            with pytest.raises(ProviderError, match=f"^{re.escape(exhausted)}$"):
                 run_action(*args, transcript=transcript)
         else:
             assert run_action(*args, transcript=transcript).answer == answer
@@ -837,7 +839,7 @@ class TestReasonAhead:
         units = _three_action_units(reasoner=REASONER_REPLIES[:4])
         response = _run_three(units)
         assert [r.action_id for r in response.results] == [1, 4]
-        assert isinstance(response.error, MockScriptExhaustedError)
+        assert type(response.error) is ProviderError
         assert response.failure == (
             "action 3 (title_generation): "
             "mock script for 'unit-reasoner' exhausted after 4 response(s)"
@@ -858,7 +860,7 @@ class TestReasonAhead:
         units[UnitRole.REASONER] = _ThreadRecordingMock(units[UnitRole.REASONER])
         response = _run_three(units)
         assert response.results == ()
-        assert isinstance(response.error, MockScriptExhaustedError)
+        assert type(response.error) is ProviderError
         assert response.failure == (
             "action 1 (qa): mock script for 'unit-reasoner' exhausted after 1 response(s)"
         )

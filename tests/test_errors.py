@@ -25,3 +25,21 @@ def test_error_survives_a_pickle_round_trip(cls):
     assert type(loaded) is cls
     assert str(loaded) == str(error)
     assert vars(loaded) == vars(error)
+
+
+def test_each_error_class_is_told_apart_from_its_base():
+    # a class exists only where a caller, the CLI or the bench tells it apart;
+    # any other fault raises its base with its own message
+    assert sorted(cls.__name__ for cls in _ERRORS) == [
+        "ActionParseError",
+        "AgentError",
+        "AuthenticationError",
+        "ConfigError",
+        "CritiqueParseError",
+        "InvariantError",
+        "MalformedInputError",
+        "PlanParseError",
+        "ProviderError",
+        "TaskFailure",
+        "TransportError",
+    ]

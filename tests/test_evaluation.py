@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import engine_config
 from socialagent import canonical, engine, fixtures, providers
 from socialagent.actor import CategoryPair, CategoryTaxonomy
-from socialagent.core import ContentItem, ContentKind, UnitRole
+from socialagent.core import ContentItem, ContentKind, ReasoningStrategy, UnitRole
 from socialagent.errors import ConfigError, InvariantError, MalformedInputError
 from socialagent.evaluation import (
     EvalRecord,
@@ -20,6 +21,7 @@ from socialagent.evaluation import (
     run_eval,
 )
 from socialagent.fixtures import fixture_path
+from socialagent.planner import plan_block
 from socialagent.providers import Backend, MockScript, ProviderConfig
 
 
@@ -238,6 +240,56 @@ class TestRunEval:
         with pytest.raises(ConfigError, match="supports_images on these bindings"):
             run_eval(records, TaskKind.QA, setup.engine, workers=1)
         assert solved == []
+
+    def test_vqa_eval_scores_its_records_through_action_2(self, tmp_path, monkeypatch):
+        # the mock reads no image file; the optimizer and actor receive the
+        # image, so only they need supports_images under a local strategy
+        path = tmp_path / "v.jsonl"
+        image = {"location": "chart.png", "media_type": "image/png"}
+        record = {"question": "What is shown?", "answer": "bar chart", "images": [image]}
+        path.write_text(
+            "".join(json.dumps({"id": i, **record}) + "\n" for i in ("v1", "v2")),
+            encoding="utf-8",
+        )
+        block = plan_block([(2, "Answer the question about the image.")], "one step", "plan")
+        config = engine_config(
+            planner=(block,),
+            optimizer=("p", "e", "g", block, "p2", "e2", "g2", "s"),
+            trials=1,
+            strategy=ReasoningStrategy(),
+        )
+        bindings = dict(config.role_bindings)
+        for role in (UnitRole.OPTIMIZER, UnitRole.ACTOR):
+            bindings[role] = replace(bindings[role], supports_images=True)
+        config = replace(config, role_bindings=bindings)
+        # each record's actor acts, then acts again on the optimized response
+        scripts = {
+            i: {UnitRole.ACTOR: MockScript.of(f"ANSWER: {answer}", f"ANSWER: {answer}").entries}
+            for i, answer in (("v1", "bar chart"), ("v2", "photograph"))
+        }
+        built_by, built = engine.build_units, []
+
+        def build_units(config):
+            built.append(built_by(config))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "build_units", build_units)
+        report = run_eval(
+            load_dataset(path, TaskKind.VQA),
+            TaskKind.VQA,
+            config,
+            record_scripts=scripts,
+            workers=1,
+        )
+        assert [(r.id, r.scores, r.failed) for r in report.per_record] == [
+            ("v1", {"em": 1.0, "f1": 1.0, "p": 1.0, "r": 1.0}, False),
+            ("v2", {"em": 0.0, "f1": 0.0, "p": 0.0, "r": 0.0}, False),
+        ]
+        assert report.aggregates["EM"] == 50.0
+        assert len(built) == 2
+        for units in built:
+            [(request, _)] = units[UnitRole.PLANNER].call_log
+            assert ContentItem.from_text("Allowed action ids: 2") in request.messages
 
     def test_golden_qa_report_reproduced(self):
         setup = load_setup(fixture_path("qa_eval_config.json"))

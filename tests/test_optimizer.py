@@ -4,7 +4,7 @@ import pytest
 
 from conftest import mock_provider
 from socialagent.core import ContentItem, PromptArtifact, Transcript
-from socialagent.errors import InvariantError, MockScriptExhaustedError
+from socialagent.errors import InvariantError, ProviderError
 from socialagent.optimizer import (
     DEFAULT_TEXT_LOSS,
     GradientNote,
@@ -180,7 +180,7 @@ class TestOptimizeLoop:
         # script runs out mid second iteration (after one full step)
         provider = mock_provider(*loop_script(1), "pred1")
         exhausted = r"^mock script for 'mock' exhausted after 5 response\(s\)$"
-        with pytest.raises(MockScriptExhaustedError, match=exhausted):
+        with pytest.raises(ProviderError, match=exhausted):
             optimize(
                 Variable("v0"),
                 context_prompt(),

@@ -28,7 +28,7 @@ from socialagent.core import (
     UnitRole,
 )
 from socialagent.engine import build_units, solve
-from socialagent.errors import MockScriptMismatchError
+from socialagent.errors import ProviderError
 from socialagent.planner import plan_block
 from socialagent.protocol import (
     ActionShape,
@@ -259,7 +259,7 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
     if t is not None:
         # trial t's fault keeps the trials before it and its own reasoning
         # events, and returns no plan, no results and no trial views
-        assert isinstance(response.error, MockScriptMismatchError)
+        assert type(response.error) is ProviderError
         assert response.failure == mismatch(UnitRole.PLANNER)
         assert response.plan_used is None
         assert response.results == ()
@@ -282,7 +282,7 @@ def test_solve_follows_the_protocol_model(bench_protocol, run):
     if j is not None:
         # action j's fault keeps the results before it and its own reasoning
         # events; no event after the fault, ahead reasoning included, is kept
-        assert isinstance(response.error, MockScriptMismatchError)
+        assert type(response.error) is ProviderError
         name = ACTION_NAMES_BY_ID[run.actions[j]].value
         assert response.failure == f"action {j + 1} ({name}): {mismatch(UnitRole.ACTOR)}"
         assert recorded == results[:j]

@@ -18,7 +18,6 @@ from .core import (
     ActionName,
     ActionSpec,
     ContentItem,
-    ContentKind,
     EngineConfig,
     EnvironmentContext,
     ImageRef,

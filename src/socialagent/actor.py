@@ -9,6 +9,7 @@ from pathlib import Path
 
 from . import canonical
 from .core import (
+    ACTION_NAMES_BY_ID,
     ActionName,
     ActionSpec,
     ContentItem,
@@ -22,6 +23,8 @@ from .providers import Provider, invoke
 ANSWER_PREFIX = "ANSWER:"
 TITLE_PREFIX = "TITLE:"
 CATEGORY_PREFIX = "CATEGORY:"
+# joins a two-level category answer; no category name may contain it
+PAIR_SEPARATOR = " / "
 
 # Instructions may request store facts with a line "KNOWLEDGE: <query>"; the
 # query is the rest of that line, and a blank one requests nothing.
@@ -77,6 +80,8 @@ class CategoryTaxonomy:
                         f"category {child!r} appears under both {seen[child]!r} and {parent!r}"
                     )
                 seen[child] = parent
+        if any(PAIR_SEPARATOR in name for name in (*self.level1, *seen)):
+            raise InvariantError(f"category names may not contain {PAIR_SEPARATOR!r}")
 
     def children(self, level1_name: str) -> tuple[str, ...]:
         return self.level2.get(level1_name, ())
@@ -89,11 +94,25 @@ class CategoryTaxonomy:
 class ActionResult:
     action_id: int
     answer: str
-    structured: CategoryPair | str | None = None
 
     def __post_init__(self) -> None:
+        if self.action_id not in ACTION_NAMES_BY_ID:
+            raise InvariantError(f"unknown action id {self.action_id}")
         if not self.answer.strip():
             raise InvariantError("action result answer must be non-empty")
+
+    @property
+    def structured(self) -> CategoryPair | str | None:
+        """The answer as its action defines it: None for QA and VQA, the
+        answer itself for a title or a flat category, and the pair for a
+        two-level category."""
+        name = ACTION_NAMES_BY_ID[self.action_id]
+        if name is ActionName.TITLE_GENERATION:
+            return self.answer
+        if name is not ActionName.CATEGORIZATION:
+            return None
+        level1, sep, level2 = self.answer.partition(PAIR_SEPARATOR)
+        return CategoryPair(level1, level2) if sep else self.answer
 
 
 def load_toolstore(path: str | Path) -> ToolStore:
@@ -220,23 +239,18 @@ def act(
         text, answer = _ask(spec, reasoned, provider, extra, transcript)
         if answer is None:
             answer = text.strip()  # prose fallback; QA-style metrics tolerate it
-        structured = answer if spec.name is ActionName.TITLE_GENERATION else None
-        return ActionResult(action_id=spec.action_id, answer=answer, structured=structured)
+        return ActionResult(action_id=spec.action_id, answer=answer)
     if taxonomy is None:
         raise InvariantError("categorization requires a taxonomy")
     level1 = _classify(spec, reasoned, provider, extra, transcript, taxonomy.level1)
     if level1 not in taxonomy.level1:
         raise ActionParseError(f"unknown category {level1!r}")
     if not taxonomy.is_hierarchical():
-        return ActionResult(action_id=spec.action_id, answer=level1, structured=level1)
+        return ActionResult(action_id=spec.action_id, answer=level1)
     children = taxonomy.children(level1)
     if not children:
         raise ActionParseError(f"category {level1!r} has no second-level children")
     level2 = _classify(spec, reasoned, provider, extra, transcript, children)
     if level2 not in children:
         raise ActionParseError(f"{level2!r} is not a child of {level1}")
-    return ActionResult(
-        action_id=spec.action_id,
-        answer=f"{level1} / {level2}",
-        structured=CategoryPair(level1=level1, level2=level2),
-    )
+    return ActionResult(action_id=spec.action_id, answer=f"{level1}{PAIR_SEPARATOR}{level2}")

@@ -72,20 +72,11 @@ def from_jsonable(data: object, tp: object, path: str = "$") -> object:
     """Rebuild a domain value of declared type ``tp`` from plain data."""
     origin = typing.get_origin(tp)
     if origin is typing.Union or origin is types.UnionType:
-        args = typing.get_args(tp)
-        if data is None and type(None) in args:
+        # every union a kind declares is ``X | None``
+        if data is None:
             return None
-        last_error: Exception | None = None
-        for arm in args:
-            if arm is type(None):
-                continue
-            try:
-                return from_jsonable(data, arm, path)
-            except (MalformedInputError, ValueError, TypeError) as exc:
-                if isinstance(exc.__cause__, InvariantError):
-                    raise  # the arm's shape matched: its own check is the fault
-                last_error = exc
-        raise MalformedInputError(f"{path}: no union arm matched ({last_error})")
+        (arm,) = (a for a in typing.get_args(tp) if a is not type(None))
+        return from_jsonable(data, arm, path)
     if origin is tuple:
         args = typing.get_args(tp)
         if not isinstance(data, list):

@@ -39,11 +39,6 @@ def _sha256_constructor():
 sha256 = _sha256_constructor()
 
 
-class ContentKind(Enum):
-    TEXT = "text"
-    IMAGE_REF = "image_ref"
-
-
 @dataclass(frozen=True)
 class ImageRef:
     """Reference to image content (path or URL); bytes are inlined only at
@@ -61,27 +56,22 @@ class ImageRef:
 
 @dataclass(frozen=True)
 class ContentItem:
-    """One multimodal input: exactly one of text or image, matching kind."""
+    """One multimodal input: exactly one of text or image."""
 
-    kind: ContentKind
     text: str | None = None
     image: ImageRef | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is ContentKind.TEXT:
-            if self.text is None or self.image is not None:
-                raise InvariantError("text item must carry text and no image")
-        else:
-            if self.image is None or self.text is not None:
-                raise InvariantError("image item must carry an image and no text")
+        if (self.text is None) is (self.image is None):
+            raise InvariantError("content item must carry exactly one of text or image")
 
     @classmethod
     def from_text(cls, text: str) -> ContentItem:
-        return cls(kind=ContentKind.TEXT, text=text)
+        return cls(text=text)
 
     @classmethod
     def from_image(cls, location: str, media_type: str) -> ContentItem:
-        return cls(kind=ContentKind.IMAGE_REF, image=ImageRef(location, media_type))
+        return cls(image=ImageRef(location, media_type))
 
 
 class ActionName(Enum):
@@ -220,7 +210,7 @@ class PromptArtifact:
         return replace(self, segments=self.segments + tuple(items))
 
     def text_segments(self) -> tuple[str, ...]:
-        return tuple(s.text for s in self.segments if s.kind is ContentKind.TEXT)
+        return tuple(s.text for s in self.segments if s.image is None)
 
 
 class UnitRole(Enum):

@@ -85,7 +85,7 @@ def criticize(
     provider: Provider,
     *,
     divergence: float,
-    system_role: str = "",
+    system_role: str,
     transcript: Transcript,
 ) -> Critique:
     """One provider call presenting the task's goal, both plans and the
@@ -118,7 +118,7 @@ def refine(
     critique: Critique,
     provider: Provider,
     *,
-    system_role: str = "",
+    system_role: str,
     transcript: Transcript,
 ) -> RefinedInstructions:
     """Translate actionable critique feedback, under the task's goal, into

@@ -76,7 +76,7 @@ def compute_loss(
     questions: tuple[str, ...],
     provider: Provider,
     *,
-    system_role: str = "",
+    system_role: str,
     transcript: Transcript,
 ) -> str:
     """One provider call judging the prediction by ``DEFAULT_TEXT_LOSS``
@@ -105,7 +105,7 @@ def gradient(
     evaluation: str,
     provider: Provider,
     *,
-    system_role: str = "",
+    system_role: str,
     transcript: Transcript,
 ) -> GradientNote:
     """One provider call turning (variable, prediction, evaluation) into
@@ -135,7 +135,7 @@ def step(
     grad: GradientNote,
     provider: Provider,
     *,
-    system_role: str = "",
+    system_role: str,
     transcript: Transcript,
 ) -> Variable:
     """One provider call rewriting the variable with the feedback applied;

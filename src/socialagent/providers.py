@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .canonical import parse_text
 # digest goes unused here, but bench/spans.py wraps providers.digest
-from .core import ContentItem, ContentKind, SamplingConfig, Transcript, UnitRole, digest, sha256
+from .core import ContentItem, SamplingConfig, Transcript, UnitRole, digest, sha256
 from .divergence import EmbeddingVector
 from .errors import (
     AuthenticationError,
@@ -102,8 +102,8 @@ class ProviderRequest:
         mock matchers; image items appear as placeholders."""
         parts = [self.system_role]
         for item in self.messages:
-            if item.kind is ContentKind.TEXT:
-                parts.append(item.text or "")
+            if item.image is None:
+                parts.append(item.text)
             else:
                 parts.append(f"[image:{item.image.location}]")
         return "\n".join(parts)
@@ -118,7 +118,7 @@ def _check_images(config: ProviderConfig, request: ProviderRequest) -> None:
     if config.supports_images:
         return
     for item in request.messages:
-        if item.kind is ContentKind.IMAGE_REF:
+        if item.image is not None:
             raise ProviderError(
                 f"backend {config.model_name!r} does not accept image content"
             )
@@ -275,7 +275,7 @@ class HttpChatProvider(Provider):
     def _message_parts(self, request: ProviderRequest) -> list[dict]:
         parts: list[dict] = []
         for item in request.messages:
-            if item.kind is ContentKind.TEXT:
+            if item.image is None:
                 parts.append({"type": "text", "text": item.text})
                 continue
             try:

@@ -245,6 +245,19 @@ class TestActCategorization:
                 transcript=Transcript(),
             )
 
+    def test_missing_category_line_quotes_the_first_80_characters(self):
+        output = "".join(str(i % 10) for i in range(120))
+        with pytest.raises(ActionParseError) as excinfo:
+            act(
+                ActionSpec(4, "classify"),
+                reasoned(),
+                None,
+                mock_provider(output),
+                taxonomy=FLAT,
+                transcript=Transcript(),
+            )
+        assert str(excinfo.value) == f"no CATEGORY: line in output: '{output[:80]}'"
+
     def test_taxonomy_required(self):
         with pytest.raises(InvariantError):
             act(
@@ -362,6 +375,37 @@ class TestCategorizeTwoLevel:
 def test_action_result_requires_answer():
     with pytest.raises(InvariantError):
         ActionResult(action_id=1, answer="  ")
+
+
+def test_action_result_rejects_an_unknown_action_id():
+    with pytest.raises(InvariantError, match="^unknown action id 5$"):
+        ActionResult(action_id=5, answer="x")
+
+
+@pytest.mark.parametrize(
+    "action_id, answer, structured",
+    [
+        (1, "the eiffel tower", None),
+        (1, "politics / policy", None),
+        (2, "a bar chart", None),
+        (3, "council passes new parks budget", "council passes new parks budget"),
+        (3, "parks / budget", "parks / budget"),
+        (4, "politics", "politics"),
+        (4, "politics / policy", CategoryPair("politics", "policy")),
+    ],
+    ids=["qa", "qa-with-separator", "vqa", "title", "title-with-separator", "flat", "two-level"],
+)
+def test_structured_answer_follows_the_action(action_id, answer, structured):
+    assert ActionResult(action_id, answer).structured == structured
+
+
+def test_a_category_name_may_not_hold_the_pair_separator():
+    message = "^category names may not contain ' / '$"
+    with pytest.raises(InvariantError, match=message):
+        CategoryTaxonomy(level1=("sport / tennis",))
+    with pytest.raises(InvariantError, match=message):
+        CategoryTaxonomy(level1=("sport",), level2={"sport": ("tennis / padel",)})
+    assert CategoryTaxonomy(level1=("sport/tennis",)).level1 == ("sport/tennis",)
 
 
 def test_taxonomy_file_round_trip(tmp_path):

@@ -647,6 +647,24 @@ def test_config_file_of_another_kind_is_named_once(capsys):
     assert stderr == f"error: cannot load config {task}: does not contain a RunSetup\n"
 
 
+@pytest.mark.parametrize("argv", [_solve_argv, _plan_argv], ids=["solve", "plan"])
+def test_a_task_file_with_an_item_kind_is_a_malformed_task(
+    capsys, tmp_path, provider_calls, argv
+):
+    # a content item is text or image by which one it carries; "kind" is unknown
+    data = json.loads(_fixture_text("example_task.json"))
+    data["value"]["inputs"][0]["kind"] = "text"
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(data), encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, *argv(task=task))
+    assert (code, stdout) == (EXIT_TASK, "")
+    assert stderr == (
+        f"task failed: cannot load task {task}: "
+        "Task.inputs[0]: unknown fields ['kind'] for ContentItem\n"
+    )
+    assert provider_calls == []
+
+
 def _categorize_argv(config):
     dataset = fixture_path("mini_category.jsonl")
     return _eval_argv(config=config, dataset=dataset, kind="categorize")
@@ -698,6 +716,34 @@ def test_a_store_that_cannot_be_read_is_the_configs_fault(
     assert code == 1
     assert stdout == ""
     assert stderr == f"error: cannot load config {tmp_path / config}: {store} {path}: {reason}\n"
+    assert provider_calls == []
+
+
+@pytest.mark.parametrize(
+    "config, command",
+    [
+        (config, command)
+        for config, (argvs, stores) in _STORE_CONFIGS.items()
+        if "taxonomy" in stores
+        for command in argvs
+    ],
+)
+def test_a_category_name_holding_the_pair_separator_is_the_configs_fault(
+    capsys, tmp_path, provider_calls, config, command
+):
+    # "sport / tennis / padel" would not say which level ends where
+    for name in (config, "toolstore.json", "taxonomy.json"):
+        shutil.copy(fixture_path(name), tmp_path)
+    path = tmp_path.resolve() / "taxonomy.json"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('"tennis"', '"tennis / padel"'), encoding="utf-8")
+    argvs = _STORE_CONFIGS[config][0]
+    code, stdout, stderr = run_cli(capsys, *argvs[command](config=tmp_path / config))
+    assert (code, stdout) == (EXIT_CONFIG, "")
+    assert stderr == (
+        f"error: cannot load config {tmp_path / config}: taxonomy {path}: "
+        "CategoryTaxonomy: category names may not contain ' / '\n"
+    )
     assert provider_calls == []
 
 

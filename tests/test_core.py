@@ -10,7 +10,6 @@ from socialagent.core import (
     ActionName,
     ActionSpec,
     ContentItem,
-    ContentKind,
     EngineConfig,
     EnvironmentContext,
     Plan,
@@ -56,20 +55,19 @@ class TestValidateTask:
 class TestContentItem:
     def test_text_item(self):
         item = ContentItem.from_text("hello")
-        assert item.kind is ContentKind.TEXT and item.text == "hello"
+        assert item.text == "hello" and item.image is None
 
     def test_image_item(self):
         item = ContentItem.from_image("post.png", "image/png")
-        assert item.kind is ContentKind.IMAGE_REF and item.image.location == "post.png"
+        assert item.text is None and item.image.location == "post.png"
 
     def test_mismatched_payload_rejected(self):
-        with pytest.raises(InvariantError):
-            ContentItem(kind=ContentKind.TEXT, text=None)
-        with pytest.raises(InvariantError):
-            ContentItem(kind=ContentKind.IMAGE_REF, text="x", image=None)
+        message = "^content item must carry exactly one of text or image$"
+        with pytest.raises(InvariantError, match=message):
+            ContentItem()
         image = ContentItem.from_image("post.png", "image/png").image
-        with pytest.raises(InvariantError, match="^image item must carry an image and no text$"):
-            ContentItem(kind=ContentKind.IMAGE_REF, text="x", image=image)
+        with pytest.raises(InvariantError, match=message):
+            ContentItem(text="x", image=image)
 
     def test_image_without_media_type_rejected(self):
         with pytest.raises(InvariantError, match="^ImageRef.media_type must be non-empty$"):

@@ -83,6 +83,7 @@ class TestCriticize:
             make_plan("plan b"),
             provider,
             divergence=0.2,
+            system_role="",
             transcript=Transcript(),
         )
         assert critique.selected is PlanChoice.PLAN_A
@@ -96,6 +97,7 @@ class TestCriticize:
             make_plan("PLAN-B-TEXT"),
             provider,
             divergence=0.42,
+            system_role="",
             transcript=Transcript(),
         )
         flattened = provider.call_log[0][0].flattened()
@@ -111,6 +113,7 @@ class TestCriticize:
             make_plan("b"),
             provider,
             divergence=0.2,
+            system_role="",
             transcript=transcript,
         )
         assert transcript.signature() == (("critic", "criticize"),)
@@ -124,6 +127,7 @@ class TestCriticize:
                 make_plan("b"),
                 provider,
                 divergence=0.2,
+                system_role="",
                 transcript=Transcript(),
             )
 
@@ -134,7 +138,9 @@ class TestRefine:
 
     def test_scripted_instructions_pass_through(self):
         provider = mock_provider("Revise plan: merge actions 1 and 2")
-        refined = refine(TASK, self.actionable_critique(), provider, transcript=Transcript())
+        refined = refine(
+            TASK, self.actionable_critique(), provider, system_role="", transcript=Transcript()
+        )
         assert refined.instructions == "Revise plan: merge actions 1 and 2"
 
     def test_not_actionable_rejected_with_zero_calls(self):
@@ -142,25 +148,29 @@ class TestRefine:
         critique = parse_critique("VERDICT: B\nFEEDBACK:")
         not_actionable = "^critique has no actionable feedback to refine$"
         with pytest.raises(InvariantError, match=not_actionable):
-            refine(TASK, critique, provider, transcript=Transcript())
+            refine(TASK, critique, provider, system_role="", transcript=Transcript())
         assert provider.call_log == []
 
     def test_transcript_digests_the_instructions(self):
         transcript = Transcript()
         refined = refine(
-            TASK, self.actionable_critique(), mock_provider("do better"), transcript=transcript
+            TASK,
+            self.actionable_critique(),
+            mock_provider("do better"),
+            system_role="",
+            transcript=transcript,
         )
         assert transcript.events[0].response_digest == digest(refined.instructions)
 
     def test_exactly_one_provider_call(self):
         provider = mock_provider("fix")
         transcript = Transcript()
-        refine(TASK, self.actionable_critique(), provider, transcript=transcript)
+        refine(TASK, self.actionable_critique(), provider, system_role="", transcript=transcript)
         assert transcript.signature() == (("refiner", "refine"),)
 
     def test_feedback_forwarded_to_provider(self):
         provider = mock_provider("fix")
-        refine(TASK, self.actionable_critique(), provider, transcript=Transcript())
+        refine(TASK, self.actionable_critique(), provider, system_role="", transcript=Transcript())
         assert "merge actions 1 and 2" in provider.call_log[0][0].flattened()
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import engine_config
 from socialagent import canonical, engine, fixtures, providers
 from socialagent.actor import CategoryPair, CategoryTaxonomy
-from socialagent.core import ContentItem, ContentKind, ReasoningStrategy, UnitRole
+from socialagent.core import ContentItem, ReasoningStrategy, UnitRole
 from socialagent.errors import ConfigError, InvariantError, MalformedInputError
 from socialagent.evaluation import (
     EvalRecord,
@@ -87,8 +87,8 @@ class TestLoadDataset:
             encoding="utf-8",
         )
         records = load_dataset(path, TaskKind.VQA)
-        kinds = [item.kind for item in records[0].inputs]
-        assert ContentKind.IMAGE_REF in kinds
+        images = [item.image for item in records[0].inputs if item.image is not None]
+        assert [image.location for image in images] == ["img.png"]
 
     def test_malformed_line_cites_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

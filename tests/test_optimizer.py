@@ -56,7 +56,9 @@ class TestSingleOperations:
 
     def test_compute_loss_contains_default_instruction_verbatim(self):
         provider = mock_provider("evaluation: missing evidence")
-        result = compute_loss("some prediction", (), provider, transcript=Transcript())
+        result = compute_loss(
+            "some prediction", (), provider, system_role="", transcript=Transcript()
+        )
         assert result == "evaluation: missing evidence"
         # no questions, no "Initial questions:" segment
         texts = tuple(item.text for item in provider.call_log[0][0].messages)
@@ -64,14 +66,16 @@ class TestSingleOperations:
 
     def test_compute_loss_lists_the_initial_questions(self):
         provider = mock_provider("evaluation")
-        compute_loss("p", ("the goal", "the steps"), provider, transcript=Transcript())
+        compute_loss(
+            "p", ("the goal", "the steps"), provider, system_role="", transcript=Transcript()
+        )
         texts = tuple(item.text for item in provider.call_log[0][0].messages)
         questions = "Initial questions:\nthe goal\nthe steps"
         assert texts == (DEFAULT_TEXT_LOSS, questions, "Prediction:\np")
 
     def test_compute_loss_empty_prediction_rejected(self):
         with pytest.raises(InvariantError):
-            compute_loss("  ", (), mock_provider("x"), transcript=Transcript())
+            compute_loss("  ", (), mock_provider("x"), system_role="", transcript=Transcript())
 
     def test_gradient_prompt_contains_all_three_inputs_verbatim(self):
         provider = mock_provider("add citation to claim 2")
@@ -80,6 +84,7 @@ class TestSingleOperations:
             "the prediction",
             "the evaluation",
             provider,
+            system_role="",
             transcript=Transcript(),
         )
         assert note.feedback == "add citation to claim 2"
@@ -89,12 +94,23 @@ class TestSingleOperations:
 
     def test_gradient_empty_evaluation_rejected(self):
         with pytest.raises(InvariantError):
-            gradient(Variable("v"), "pred", "", mock_provider("x"), transcript=Transcript())
+            gradient(
+                Variable("v"),
+                "pred",
+                "",
+                mock_provider("x"),
+                system_role="",
+                transcript=Transcript(),
+            )
 
     def test_step_pushes_history_and_applies_feedback(self):
         provider = mock_provider("improved text")
         updated = step(
-            Variable("old text"), GradientNote("fix it"), provider, transcript=Transcript()
+            Variable("old text"),
+            GradientNote("fix it"),
+            provider,
+            system_role="",
+            transcript=Transcript(),
         )
         assert updated.value == "improved text"
         assert updated.history == ("old text",)
@@ -104,7 +120,11 @@ class TestSingleOperations:
         variable = Variable("v0")
         for index in range(3):
             variable = step(
-                variable, GradientNote("g"), mock_provider(f"v{index + 1}"), transcript=Transcript()
+                variable,
+                GradientNote("g"),
+                mock_provider(f"v{index + 1}"),
+                system_role="",
+                transcript=Transcript(),
             )
             assert len(variable.history) == index + 1
         assert variable.history == ("v0", "v1", "v2")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import http.server
+import io
 import json
 import math
 import os
@@ -299,6 +300,31 @@ class TestHttpChat:
             complete(HttpChatProvider(http_config()), request("hello"))
         assert type(excinfo.value) is ProviderError
         assert poster.calls == 1
+
+    def test_error_body_is_quoted_up_to_200_characters(self, monkeypatch):
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        body = "".join(str(i % 10) for i in range(300))
+        fake_post(monkeypatch, (400, body.encode()))
+        with pytest.raises(ProviderError) as excinfo:
+            complete(HttpChatProvider(http_config()), request("hello"))
+        assert str(excinfo.value) == f"backend error 400: {body[:200]}"
+
+    def test_each_post_waits_60_seconds_for_its_reply(self, monkeypatch):
+        import urllib.request
+
+        class Reply(io.BytesIO):
+            status = 200
+
+        timeouts = []
+
+        def urlopen(request, timeout):
+            timeouts.append(timeout)
+            return Reply(json.dumps({"choices": [{"message": {"content": "hi"}}]}).encode())
+
+        monkeypatch.setenv("TEST_PROVIDER_KEY", "k")
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        assert complete(HttpChatProvider(http_config()), request("hello")) == "hi"
+        assert timeouts == [60]
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_status_maps_to_auth_error(self, monkeypatch, status):
